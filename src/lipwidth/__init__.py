@@ -4,7 +4,6 @@ widths of finite samplings of compact sets."""
 __version__ = "0.1.0"
 
 from .spaces import (
-    BoundValue,
     DimensionMismatch,
     FiniteSet,
     NormedSpace,

@@ -562,9 +562,6 @@ class DiagonalSetSpec:
         if self.truncation < 2:
             raise PreconditionError("truncation must be at least 2")
 
-    def weight(self, j: int) -> float:
-        return math.sqrt(math.log2(j + 1))
-
     def member(self, y: np.ndarray) -> bool:
         w = np.sqrt(np.log2(np.arange(1, len(y) + 1) + 1.0))
         return float(np.abs(y) @ w) <= 1.0 + 1e-12

@@ -18,16 +18,21 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
+from functools import partial
+from importlib import resources
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__, case_studies as cs, relunet as rn
 from .covering import greedy_packing, inner_entropy, sandwich_audit
-from .spaces import NormedSpace, PointSet, PreconditionError, radius_upper
+from .spaces import FiniteSet, NormedSpace, PointSet, PreconditionError, radius_upper
 from .widths import (
+    best_coordinate_subspace,
     carl_transfer_check,
+    kolmogorov_comparison,
     kolmogorov_upper,
     width_lower_certified,
     width_upper_from_entropy,
@@ -38,28 +43,12 @@ class UsageError(ValueError):
     pass
 
 
-COMMANDS = ("entropy", "packing", "width-upper", "width-lower", "kolmogorov",
-            "case-study", "relu-verify", "audit-all")
-CASE_STUDIES = ("log-sequence", "power-sequence", "transport", "diagonal",
-                "orthonormal-basis", "cross-polytope")
+# The one config definition; ``validate_config`` checks configs against it.
+CONFIG_SCHEMA = json.loads(
+    resources.files(__package__).joinpath("config.schema.json").read_text())
 
-_SCHEMA = {
-    "command": (str, True),
-    "target": (dict, False),
-    "params": (dict, False),
-    "seed": (int, False),
-    "workers": (int, False),
-    "out": (str, False),
-    "format": (str, False),
-    "verify_witness": (bool, False),
-}
-
-_TARGET_KEYS = {"kind", "space", "points", "name", "m", "dim", "norm", "grid",
-                "truncation", "generator", "c"}
-_PARAM_KEYS = {"n", "n_values", "n_values_kolmogorov", "k", "eps", "gamma",
-               "gamma_schedule", "s", "m", "trials", "d", "width", "depth",
-               "grid", "pairs", "truncation", "total_terms", "c",
-               "subspace_axes", "max_bumps"}
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "integer": int, "number": (int, float)}
 
 
 def resolve_gamma(params: dict, fset=None) -> float:
@@ -88,30 +77,43 @@ def resolve_gamma(params: dict, fset=None) -> float:
     raise UsageError(f"unknown gamma schedule {kind!r}")
 
 
+def _check(value, schema: dict, path: str) -> None:
+    """Raise UsageError where ``value`` breaks ``schema``.
+
+    Covers the JSON Schema subset that config.schema.json uses: type, enum,
+    required, properties, additionalProperties: false, items, minimum and
+    exclusiveMinimum.  JSON booleans are neither integers nor numbers.
+    """
+    kind = schema.get("type")
+    if kind is not None and (not isinstance(value, _JSON_TYPES[kind]) or (
+            isinstance(value, bool) and kind in ("integer", "number"))):
+        raise UsageError(f"{path} must be of type {kind}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise UsageError(f"{path} must be one of {schema['enum']}, not {value!r}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise UsageError(f"{path} must be >= {schema['minimum']}")
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        raise UsageError(f"{path} must be > {schema['exclusiveMinimum']}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise UsageError(f"missing config field {path}.{key}")
+        props = schema.get("properties", {})
+        for key, item in value.items():
+            if key in props:
+                _check(item, props[key], f"{path}.{key}")
+            elif schema.get("additionalProperties") is False:
+                raise UsageError(f"unknown config field {path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        path += "[]"  # no per-item index: configs can carry 10^4 points
+        for item in value:
+            _check(item, schema["items"], path)
+
+
 def validate_config(cfg: dict) -> dict:
-    """Strict validation: unknown fields anywhere are rejected."""
-    if not isinstance(cfg, dict) or not cfg:
-        raise UsageError("config must be a non-empty JSON object")
-    for key in cfg:
-        if key not in _SCHEMA:
-            raise UsageError(f"unknown config field {key!r}")
-    for key, (typ, required) in _SCHEMA.items():
-        if required and key not in cfg:
-            raise UsageError(f"missing config field {key!r}")
-        if key in cfg and not isinstance(cfg[key], typ):
-            raise UsageError(f"config field {key!r} must be {typ.__name__}")
-    if cfg["command"] not in COMMANDS:
-        raise UsageError(f"unknown command {cfg['command']!r}")
-    for key in cfg.get("target", {}) or {}:
-        if key not in _TARGET_KEYS:
-            raise UsageError(f"unknown target field {key!r}")
-    for key in cfg.get("params", {}) or {}:
-        if key not in _PARAM_KEYS:
-            raise UsageError(f"unknown params field {key!r}")
-    if cfg.get("workers", 1) < 1:
-        raise UsageError("workers must be >= 1")
-    if cfg.get("format", "json") not in ("json", "csv", "both"):
-        raise UsageError("format must be json/csv/both")
+    """Strict validation against CONFIG_SCHEMA: unknown fields anywhere are
+    rejected."""
+    _check(cfg, CONFIG_SCHEMA, "config")
     return cfg
 
 
@@ -137,7 +139,7 @@ def canonical_report(report: dict) -> str:
     return json.dumps(_jsonify(doc), sort_keys=True, separators=(",", ":"))
 
 
-def _target_set(target: Optional[dict], seed: int) -> PointSet:
+def _target_set(target: Optional[dict], seed: int) -> FiniteSet:
     if not target:
         raise UsageError("this command needs a target")
     kind = target.get("kind")
@@ -150,20 +152,188 @@ def _target_set(target: Optional[dict], seed: int) -> PointSet:
         norm = target.get("norm", "l2")
         return PointSet(NormedSpace(dim, norm), rng.uniform(-1, 1, size=(m, dim)))
     if kind == "case-study":
-        name = target.get("name")
-        if name == "transport":
-            return cs.transport_set(cs.TransportSpec(grid=int(target.get("grid", 1024))))
-        if name == "diagonal":
-            return cs.diagonal_set(cs.DiagonalSetSpec(int(target.get("truncation", 64))))
-        if name in ("log-sequence", "power-sequence"):
-            spec = cs.SequenceSetSpec(
-                generator="log" if name == "log-sequence" else "power",
-                truncation=int(target.get("truncation", 256)),
-                c=float(target.get("c", 1.0)),
-            )
-            return cs.sequence_set(spec)
-        raise UsageError(f"no set constructor for case study {name!r}")
+        study = _case_study(target)
+        if study.make_set is None:
+            raise UsageError(f"no set constructor for case study {target['name']!r}")
+        return study.make_set(target)
     raise UsageError(f"unknown target kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# case studies: one row per study in _CASES
+# ---------------------------------------------------------------------------
+
+
+def _sequence_spec(generator: str, target: dict) -> cs.SequenceSetSpec:
+    return cs.SequenceSetSpec(generator=generator,
+                              truncation=int(target.get("truncation", 256)),
+                              c=float(target.get("c", 1.0)))
+
+
+def _sequence_set(generator: str, target: dict) -> cs.SequenceSet:
+    return cs.sequence_set(_sequence_spec(generator, target))
+
+
+def _transport_set(target: dict) -> cs.TransportSet:
+    return cs.transport_set(cs.TransportSpec(grid=int(target.get("grid", 1024))))
+
+
+def _diagonal_set(target: dict) -> PointSet:
+    return cs.diagonal_set(cs.DiagonalSetSpec(int(target.get("truncation", 64))))
+
+
+def _log_sequence(target, params):
+    n = int(params.get("n", 6))
+    gamma = float(params.get("gamma", 3.0))
+    rep = cs.log_sequence_certificates(n, gamma,
+                                       max_bumps=int(params.get("max_bumps", 10 ** 5)))
+    certs = [rep.upper.to_json(), rep.lower.to_json(),
+             {"quantity": "inner_entropy", "n": n,
+              "lower": rep.entropy_bracket[0], "upper": rep.entropy_bracket[1],
+              "reference": rep.entropy_exact}]
+    audits = [
+        {"name": "upper-equals-rate", "passed":
+            abs(rep.upper.value - 1.0 / (n * math.log2(n + 1))) <= 1e-12},
+        {"name": "entropy-bracket-contains-reference", "passed":
+            rep.entropy_bracket[0] <= rep.entropy_exact * (1 + 1e-9)
+            and rep.entropy_bracket[1] >= rep.entropy_exact * (1 - 1e-9)},
+        {"name": "lower-positive-below-upper", "passed":
+            0 < rep.lower.value <= rep.upper.value},
+    ]
+    return certs, audits
+
+
+def _power_sequence(target, params):
+    c = float(params.get("c", 1.0))
+    gamma = float(params.get("gamma", 4.0))
+    n1 = cs.power_collapse_index(c, gamma)
+    certs = [{"quantity": "collapse_index", "c": c, "gamma": gamma, "n1": n1}]
+    audits = []
+    for total in (10 ** 3, 10 ** 6):
+        cert = cs.power_width_upper(c, gamma, n1, total,
+                                    max_bumps=int(params.get("max_bumps", 10 ** 5)))
+        certs.append(cert.to_json())
+        audits.append({"name": f"upper-sigma-N{total}", "passed":
+                       cert.value <= float(total) ** (-c) * (1 + 1e-12)})
+    return certs, audits
+
+
+def _transport(target, params):
+    tset = _transport_set(target)
+    refs = cs.transport_reference()
+    certs, audits = [], []
+    for n in params.get("n_values", [1, 3, 8]):
+        est = inner_entropy(tset, int(n))
+        ref = refs["entropy"](int(n))
+        certs.append({"quantity": "inner_entropy", "n": int(n),
+                      "lower": est.lower, "upper": est.upper, "reference": ref})
+        audits.append({"name": f"entropy-contains-ref-n{n}", "passed":
+                       est.lower <= ref * (1 + 1e-9) and est.upper >= ref * (1 - 1e-9)})
+    for n in params.get("n_values_kolmogorov", [4, 16]):
+        cert, _ = cs.transport_kolmogorov_upper(tset, int(n))
+        certs.append(cert.to_json())
+        audits.append({"name": f"kolmogorov-upper-n{n}", "passed":
+                       refs["kolmogorov_lower"](int(n)) <= cert.value
+                       <= refs["kolmogorov_upper"](int(n)) * (1 + 1e-12)})
+        comp = cs.transport_comparison(tset, int(n))
+        certs.append(comp.to_json())
+        audits.append({"name": f"comparison-n{n}", "passed":
+                       comp.value <= cert.value + 1e-9})
+    return certs, audits
+
+
+def _diagonal(target, params):
+    dset = _diagonal_set(target)
+    certs, audits = [], []
+    for n in params.get("n_values", [4, 8, 16]):
+        basis = np.eye(dset.space.dim)[: int(n)]
+        cert, approx = kolmogorov_upper(dset, basis)
+        comp = kolmogorov_comparison(dset, cert, basis, approx)
+        certs += [cert.to_json(), comp.to_json()]
+        ref = cs.diagonal_reference_upper(int(n))
+        audits += [
+            {"name": f"kolmogorov-matches-ref-n{n}", "passed":
+                abs(cert.value - ref) <= 1e-9},
+            {"name": f"comparison-n{n}", "passed": comp.value <= cert.value + 1e-9},
+        ]
+    return certs, audits
+
+
+def _orthonormal_basis(target, params):
+    m = int(params.get("m", 14))
+    gamma = float(params.get("gamma", 2.0 * math.sqrt(2.0)))
+    s = int(params.get("s", 2))
+    rep = cs.orthonormal_basis_report(m, gamma, s)
+    cert = {"quantity": "basis_threshold", "m": m, "gamma": gamma, "s": s,
+            "threshold_lhs": rep.threshold_lhs,
+            "threshold_rhs": rep.threshold_rhs,
+            "regime_certified": rep.regime_certified,
+            "entropy_brackets": {str(k): list(v)
+                                 for k, v in rep.entropy_brackets.items()}}
+    ok = all(lo <= rep.entropy_value * (1 + 1e-9) and hi >= rep.entropy_value * (1 - 1e-9)
+             for lo, hi in rep.entropy_brackets.values())
+    return [cert], [{"name": "entropy-saturates", "passed": ok}]
+
+
+def _cross_polytope(target, params):
+    certs, audits = [], []
+    for n in params.get("n_values", [1, 2, 4]):
+        val = cs.cross_polytope_width(int(n))
+        certs.append({"quantity": "kolmogorov_width", "n": int(n),
+                      "value": val, "direction": "reference"})
+        cert, _ = best_coordinate_subspace(cs.octahedron_set(int(n)), int(n))
+        certs.append(cert.to_json())
+        audits.append({"name": f"coordinate-upper-above-closed-form-n{n}",
+                       "passed": cert.value >= val * (1 - 1e-12)})
+    return certs, audits
+
+
+@dataclass(frozen=True)
+class CaseStudy:
+    """One case study: what ``case-study run`` computes, where ``audit-all``
+    runs it, and the target set other commands can take from it."""
+
+    # (target, params) -> (certificates, audits)
+    certify: Callable[[dict, dict], tuple]
+    # the (target, params) that ``audit-all`` runs ``certify`` at
+    audit_inputs: tuple
+    # target -> set, for entropy, packing, the width commands and --verify-witness
+    make_set: Optional[Callable[[dict], FiniteSet]] = None
+    # target -> SequenceSetSpec, whose closed form gives width-lower its packing counts
+    sequence_spec: Optional[Callable[[dict], cs.SequenceSetSpec]] = None
+    # (name, predicate on the certificates) checks that ``audit-all`` adds
+    audit_checks: tuple = ()
+
+
+_CASES = {
+    "log-sequence": CaseStudy(
+        _log_sequence, ({}, {"n": 6, "gamma": 3.0, "max_bumps": 10 ** 4}),
+        make_set=partial(_sequence_set, "log"), sequence_spec=partial(_sequence_spec, "log")),
+    "power-sequence": CaseStudy(
+        _power_sequence, ({}, {"c": 1.0, "gamma": 4.0, "max_bumps": 10 ** 3}),
+        make_set=partial(_sequence_set, "power"),
+        sequence_spec=partial(_sequence_spec, "power")),
+    "transport": CaseStudy(
+        _transport, ({"grid": 256}, {"n_values": [1, 3, 6], "n_values_kolmogorov": [16]}),
+        make_set=_transport_set),
+    "diagonal": CaseStudy(
+        _diagonal, ({"truncation": 48}, {"n_values": [8]}), make_set=_diagonal_set),
+    "orthonormal-basis": CaseStudy(
+        _orthonormal_basis, ({}, {"m": 10, "s": 1}),
+        audit_checks=(("regime-certified", lambda certs: certs[0]["regime_certified"]),)),
+    "cross-polytope": CaseStudy(
+        _cross_polytope, ({}, {"n_values": [1, 2]}),
+        audit_checks=(("closed-form-decreasing", lambda certs: all(
+            cs.cross_polytope_width(n) > cs.cross_polytope_width(n + 1)
+            for n in range(1, 30))),)),
+}
+
+
+def _case_study(target: dict) -> CaseStudy:
+    name = target.get("name")
+    if name not in _CASES:
+        raise UsageError(f"unknown case study {name!r}; choose from {tuple(_CASES)}")
+    return _CASES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +387,9 @@ def _run_width_lower(cfg, seed):
     else:
         gamma = 2.0 * radius_upper(fset).upper
     count_log2 = None
-    target = cfg.get("target") or {}
-    if target.get("name") in ("log-sequence", "power-sequence"):
-        spec = cs.SequenceSetSpec(
-            generator="log" if target["name"] == "log-sequence" else "power",
-            truncation=int(target.get("truncation", 256)),
-            c=float(target.get("c", 1.0)),
-        )
+    study = _CASES.get((cfg.get("target") or {}).get("name"))
+    if study is not None and study.sequence_spec is not None:
+        spec = study.sequence_spec(cfg["target"])
         count_log2 = lambda t: cs.sequence_packing_count_log2(spec, t)
     cert = width_lower_certified(fset, n, gamma, count_log2=count_log2)
     return [cert.to_json()], [{"name": "width-lower", "passed": True}]
@@ -259,105 +425,20 @@ def _run_relu_verify(cfg, seed):
 
 def _run_case_study(cfg, seed):
     target = cfg.get("target") or {}
-    name = target.get("name")
-    if name not in CASE_STUDIES:
-        raise UsageError(f"unknown case study {name!r}; choose from {CASE_STUDIES}")
-    params = cfg.get("params", {})
-    certs, audits = [], []
-    if name == "log-sequence":
-        n = int(params.get("n", 6))
-        gamma = float(params.get("gamma", 3.0))
-        rep = cs.log_sequence_certificates(n, gamma,
-                                           max_bumps=int(params.get("max_bumps", 10 ** 5)))
-        certs += [rep.upper.to_json(), rep.lower.to_json()]
-        certs.append({"quantity": "inner_entropy", "n": n,
-                      "lower": rep.entropy_bracket[0], "upper": rep.entropy_bracket[1],
-                      "reference": rep.entropy_exact})
-        audits += [
-            {"name": "upper-equals-rate", "passed":
-                abs(rep.upper.value - 1.0 / (n * math.log2(n + 1))) <= 1e-12},
-            {"name": "entropy-bracket-contains-reference", "passed":
-                rep.entropy_bracket[0] <= rep.entropy_exact * (1 + 1e-9)
-                and rep.entropy_bracket[1] >= rep.entropy_exact * (1 - 1e-9)},
-            {"name": "lower-positive-below-upper", "passed":
-                0 < rep.lower.value <= rep.upper.value},
-        ]
-    elif name == "power-sequence":
-        c = float(params.get("c", 1.0))
-        gamma = float(params.get("gamma", 4.0))
-        n1 = cs.power_collapse_index(c, gamma)
-        certs.append({"quantity": "collapse_index", "c": c, "gamma": gamma, "n1": n1})
-        for total in (10 ** 3, 10 ** 6):
-            cert = cs.power_width_upper(c, gamma, n1, total,
-                                        max_bumps=int(params.get("max_bumps", 10 ** 5)))
-            certs.append(cert.to_json())
-            audits.append({"name": f"upper-sigma-N{total}", "passed":
-                           cert.value <= float(total) ** (-c) * (1 + 1e-12)})
-    elif name == "transport":
-        tset = cs.transport_set(cs.TransportSpec(grid=int(target.get("grid", 1024))))
-        refs = cs.transport_reference()
-        for n in params.get("n_values", [1, 3, 8]):
-            est = inner_entropy(tset, int(n))
-            ref = refs["entropy"](int(n))
-            certs.append({"quantity": "inner_entropy", "n": int(n),
-                          "lower": est.lower, "upper": est.upper, "reference": ref})
-            audits.append({"name": f"entropy-contains-ref-n{n}", "passed":
-                           est.lower <= ref * (1 + 1e-9) and est.upper >= ref * (1 - 1e-9)})
-        for n in params.get("n_values_kolmogorov", [4, 16]):
-            cert, _ = cs.transport_kolmogorov_upper(tset, int(n))
-            certs.append(cert.to_json())
-            audits.append({"name": f"kolmogorov-upper-n{n}", "passed":
-                           refs["kolmogorov_lower"](int(n)) <= cert.value
-                           <= refs["kolmogorov_upper"](int(n)) * (1 + 1e-12)})
-            comp = cs.transport_comparison(tset, int(n))
-            certs.append(comp.to_json())
-            audits.append({"name": f"comparison-n{n}", "passed":
-                           comp.value <= cert.value + 1e-9})
-    elif name == "diagonal":
-        dset = cs.diagonal_set(cs.DiagonalSetSpec(int(target.get("truncation", 64))))
-        for n in params.get("n_values", [4, 8, 16]):
-            basis = np.eye(dset.space.dim)[: int(n)]
-            cert, approx = kolmogorov_upper(dset, basis)
-            comp = __import__("lipwidth.widths", fromlist=["kolmogorov_comparison"]) \
-                .kolmogorov_comparison(dset, cert, basis, approx)
-            certs += [cert.to_json(), comp.to_json()]
-            ref = cs.diagonal_reference_upper(int(n))
-            audits += [
-                {"name": f"kolmogorov-matches-ref-n{n}", "passed":
-                    abs(cert.value - ref) <= 1e-9},
-                {"name": f"comparison-n{n}", "passed": comp.value <= cert.value + 1e-9},
-            ]
-    elif name == "orthonormal-basis":
-        m = int(params.get("m", 14))
-        gamma = float(params.get("gamma", 2.0 * math.sqrt(2.0)))
-        s = int(params.get("s", 2))
-        rep = cs.orthonormal_basis_report(m, gamma, s)
-        certs.append({"quantity": "basis_threshold", "m": m, "gamma": gamma, "s": s,
-                      "threshold_lhs": rep.threshold_lhs,
-                      "threshold_rhs": rep.threshold_rhs,
-                      "regime_certified": rep.regime_certified,
-                      "entropy_brackets": {str(k): list(v)
-                                           for k, v in rep.entropy_brackets.items()}})
-        ok = all(lo <= rep.entropy_value * (1 + 1e-9) and hi >= rep.entropy_value * (1 - 1e-9)
-                 for lo, hi in rep.entropy_brackets.values())
-        audits.append({"name": "entropy-saturates", "passed": ok})
-    elif name == "cross-polytope":
-        for n in params.get("n_values", [1, 2, 4]):
-            val = cs.cross_polytope_width(int(n))
-            certs.append({"quantity": "kolmogorov_width", "n": int(n),
-                          "value": val, "direction": "reference"})
-            oset = cs.octahedron_set(int(n))
-            from .widths import best_coordinate_subspace
-            cert, _ = best_coordinate_subspace(oset, int(n))
-            certs.append(cert.to_json())
-            audits.append({"name": f"coordinate-upper-above-closed-form-n{n}",
-                           "passed": cert.value >= val * (1 - 1e-12)})
-    return certs, audits
+    return _case_study(target).certify(target, cfg.get("params", {}))
 
 
 def _run_audit_all(cfg, seed):
-    """Condensed deterministic audit across every module."""
+    """Every case study at its audit inputs, then the checks that are not
+    case studies."""
     certs, audits = [], []
+    for name, study in _CASES.items():
+        target, params = study.audit_inputs
+        study_certs, study_audits = study.certify(target, params)
+        certs += study_certs
+        audits += [dict(a, name=f"{name}/{a['name']}") for a in study_audits]
+        audits += [{"name": f"{name}/{check}", "passed": bool(pred(study_certs))}
+                   for check, pred in study.audit_checks]
     rng = np.random.default_rng(seed)
 
     # sandwich chain on random small sets with exact covers
@@ -393,60 +474,6 @@ def _run_audit_all(cfg, seed):
         ok &= cert.witness["realized_error"] <= cert.value + 1e-9
         ok &= cert.witness["declared_constant"] <= cert.gamma * (1 + 1e-9)
     audits.append({"name": "entropy-map-pipeline", "passed": bool(ok)})
-
-    # log-sequence sharpness at n = 6
-    rep = cs.log_sequence_certificates(6, 3.0, max_bumps=10 ** 4)
-    certs += [rep.upper.to_json(), rep.lower.to_json()]
-    audits.append({"name": "log-sequence-certificates", "passed":
-                   abs(rep.upper.value - 1.0 / (6 * math.log2(7))) <= 1e-12
-                   and 0 < rep.lower.value <= rep.upper.value})
-
-    # power-sequence collapse
-    n1 = cs.power_collapse_index(1.0, 4.0)
-    cert = cs.power_width_upper(1.0, 4.0, n1, 10 ** 3, max_bumps=10 ** 3)
-    certs.append(cert.to_json())
-    audits.append({"name": "power-sequence-collapse", "passed":
-                   cert.value <= 1e-3 * (1 + 1e-12)})
-
-    # transport references
-    tset = cs.transport_set(cs.TransportSpec(grid=256))
-    refs = cs.transport_reference()
-    ok = True
-    for n in (1, 3, 6):
-        est = inner_entropy(tset, n)
-        ref = refs["entropy"](n)
-        ok &= est.lower <= ref * (1 + 1e-9) and est.upper >= ref * (1 - 1e-9)
-    kcert, _ = cs.transport_kolmogorov_upper(tset, 16)
-    comp = cs.transport_comparison(tset, 16)
-    ok &= kcert.value <= 0.25 * (1 + 1e-12) and comp.value <= kcert.value + 1e-9
-    audits.append({"name": "transport-references", "passed": bool(ok)})
-
-    # diagonal comparison
-    dset = cs.diagonal_set(cs.DiagonalSetSpec(48))
-    from .widths import kolmogorov_comparison as _kc
-    basis = np.eye(dset.space.dim)[:8]
-    kcert, approx = kolmogorov_upper(dset, basis)
-    comp = _kc(dset, kcert, basis, approx)
-    audits.append({"name": "diagonal-comparison", "passed":
-                   comp.value <= kcert.value + 1e-9
-                   and abs(kcert.value - cs.diagonal_reference_upper(8)) <= 1e-9})
-
-    # cross-polytope closed form
-    ok = all(cs.cross_polytope_width(n) > cs.cross_polytope_width(n + 1)
-             for n in range(1, 30))
-    from .widths import best_coordinate_subspace
-    for n in (1, 2):
-        oset = cs.octahedron_set(n)
-        cert, _ = best_coordinate_subspace(oset, n)
-        ok &= cert.value >= cs.cross_polytope_width(n) * (1 - 1e-12)
-    audits.append({"name": "cross-polytope", "passed": bool(ok)})
-
-    # orthonormal-basis threshold (small m keeps the audit quick)
-    rep2 = cs.orthonormal_basis_report(10, 2.0 * math.sqrt(2.0), 1, entropy_ks=[1, 5, 10])
-    ok = rep2.regime_certified
-    ok &= all(lo <= math.sqrt(2) * (1 + 1e-9) and hi >= math.sqrt(2) * (1 - 1e-9)
-              for lo, hi in rep2.entropy_brackets.values())
-    audits.append({"name": "orthonormal-basis-threshold", "passed": bool(ok)})
 
     # relu bounds
     ok = True
@@ -554,14 +581,10 @@ def run(cfg: dict) -> dict:
     start = time.perf_counter()
     certs, audits = _HANDLERS[cfg["command"]](cfg, seed)
     if cfg.get("verify_witness"):
-        fset = None
-        if cfg.get("target") and cfg["target"].get("kind") in ("points", "random") \
-                or (cfg.get("target", {}) or {}).get("name") in (
-                    "transport", "diagonal", "log-sequence", "power-sequence"):
-            try:
-                fset = _target_set(cfg.get("target"), seed)
-            except UsageError:
-                fset = None
+        try:
+            fset = _target_set(cfg.get("target"), seed)
+        except UsageError:
+            fset = None
         audits = list(audits) + witness_audit_entries(_jsonify(certs), fset=fset)
     passed = all(a.get("passed", False) for a in audits) if audits else True
     report = {
@@ -597,19 +620,17 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (overrides other flags)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1,
-                        help="accepted for interface parity; results never depend on it")
     common.add_argument("--out", help="directory for report files")
     common.add_argument("--format", choices=("json", "csv", "both"), default="json")
     common.add_argument("--verify-witness", action="store_true")
     p = argparse.ArgumentParser(prog="lipwidth", parents=[common],
                                 description="certified width and entropy bounds")
     sub = p.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name in _HANDLERS:
         sp = sub.add_parser(name, parents=[common])
         if name == "case-study":
             sp.add_argument("action", choices=("run",))
-            sp.add_argument("name", choices=CASE_STUDIES)
+            sp.add_argument("name", choices=tuple(_CASES))
         sp.add_argument("--target-json", help="inline JSON target spec")
         sp.add_argument("--n", type=int)
         sp.add_argument("--k", type=int)

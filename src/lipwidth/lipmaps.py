@@ -369,16 +369,6 @@ def declared_lipschitz(map_: LipschitzMap) -> float:
     return map_.declared_lipschitz()
 
 
-def evaluate(map_: LipschitzMap, y) -> np.ndarray:
-    """Evaluate a map at a point of the domain unit ball (1e-9 slack)."""
-    y = np.asarray(y, dtype=float)
-    if map_.domain_norm(y) > 1.0 + BALL_SLACK:
-        raise PreconditionError(
-            f"point with domain norm {map_.domain_norm(y)} outside the unit ball"
-        )
-    return map_.evaluate(y)
-
-
 def empirical_lipschitz(map_: LipschitzMap, seed: int, pairs: int,
                         chunk: int = 1024) -> float:
     """Max sampled difference quotient; must stay below the declared constant.
@@ -398,8 +388,7 @@ def empirical_lipschitz(map_: LipschitzMap, seed: int, pairs: int,
         rng = np.random.default_rng((int(seed) ^ widx) & 0xFFFFFFFFFFFFFFFF)
         ys = map_.sample_domain(rng, 2 * take)
         a, b = ys[:take], ys[take:]
-        sep = map_.domain_norm_batch(a - b) if isinstance(map_, (BumpSum, AffineBallMap)) \
-            else np.asarray([map_.domain_norm(u - v) for u, v in zip(a, b)])
+        sep = map_.domain_norm_batch(a - b)
         img = map_.target_dist_batch(map_.evaluate_batch(a), map_.evaluate_batch(b))
         ok = sep > 0
         if np.any(ok):

@@ -200,7 +200,7 @@ def verify_lipschitz(cfg: ReLUNetConfig, seed: int, trials: int,
         sep = np.abs(ya - yb).max(axis=1)
         oa, lm_a = _batched_forward(cfg, ya, X, track_layers=True)
         ob, lm_b = _batched_forward(cfg, yb, X, track_layers=True)
-        for j in range(cfg.depth - 1):
+        for j in range(cfg.depth):
             seen = max(lm_a[j], lm_b[j])
             layer_seen[j] = max(layer_seen[j], seen)
             if seen > trace.output_bounds[j] + 1e-9:

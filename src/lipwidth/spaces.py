@@ -125,20 +125,6 @@ def step_space(cell_edges: Sequence[float]) -> NormedSpace:
     return NormedSpace(dim=len(edges) - 1, kind="l1step", cell_edges=edges)
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """A one-sided (or exact) numeric bound."""
-
-    value: float
-    direction: str  # "upper" | "lower" | "exact"
-
-    def __post_init__(self):
-        if self.direction not in ("upper", "lower", "exact"):
-            raise ValueError("direction must be upper/lower/exact")
-        if self.value < 0:
-            raise ValueError("bound values are nonnegative")
-
-
 class FiniteSet:
     """Base class: a finite metric sample with row-wise distance access.
 

@@ -165,9 +165,72 @@ def test_exit_code_three_on_numeric_failure():
     assert "numeric failure" in proc.stderr
 
 
-def test_workers_flag_validated():
-    with pytest.raises(UsageError):
-        validate_config({"command": "entropy", "workers": 0})
+# configs the schema rejects: each must exit 1 (usage error)
+_SCHEMA_VIOLATIONS = {
+    "width-1": {"command": "relu-verify", "params": {"width": 1}},
+    "eps-negative": {"command": "packing", "target": {"kind": "random", "m": 6},
+                     "params": {"eps": -1}},
+    "trials-0": {"command": "relu-verify", "params": {"trials": 0}},
+    "unknown-case-study": {"command": "case-study",
+                           "target": {"kind": "case-study", "name": "moebius"}},
+    "workers": {"command": "entropy", "target": {"kind": "random", "m": 6}, "workers": 2},
+}
+
+
+@pytest.mark.parametrize("cfg", list(_SCHEMA_VIOLATIONS.values()), ids=list(_SCHEMA_VIOLATIONS))
+def test_schema_violations_exit_1(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path)]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_schema_names_match_tables():
+    from lipwidth.cli import CONFIG_SCHEMA, _CASES, _HANDLERS
+
+    props = CONFIG_SCHEMA["properties"]
+    assert props["command"]["enum"] == list(_HANDLERS)
+    assert props["target"]["properties"]["name"]["enum"] == list(_CASES)
+
+
+def test_validator_agrees_with_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    from lipwidth.cli import CONFIG_SCHEMA
+
+    points = {"kind": "points", "space": {"dim": 2, "norm": {"kind": "l2"}},
+              "points": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
+    accepted = [
+        {"command": "entropy", "seed": 1, "target": points, "params": {"n_values": [0, 1, 2]}},
+        {"command": "case-study", "seed": 0,
+         "target": {"kind": "case-study", "name": "log-sequence"},
+         "params": {"n": 6, "gamma": 3.0, "max_bumps": 2000}},
+        {"command": "case-study", "target": {"kind": "case-study", "name": "transport",
+                                             "grid": 128},
+         "params": {"n_values": [2], "n_values_kolmogorov": [4]}},
+        {"command": "width-upper", "seed": 6, "verify_witness": True,
+         "target": {"kind": "random", "m": 25, "dim": 2, "norm": "linf"},
+         "params": {"k": 1, "n": 2}},
+        {"command": "width-lower", "seed": 1,
+         "target": {"kind": "random", "m": 15, "dim": 2, "norm": "l2"},
+         "params": {"n": 2, "gamma_schedule": {"type": "entropy-scaled", "k": 1}}},
+        {"command": "audit-all", "seed": 7, "out": "reports", "format": "both"},
+    ]
+    rejected = list(_SCHEMA_VIOLATIONS.values()) + [
+        {}, [], {"command": "frobnicate"}, {"command": "entropy", "bogus": 1},
+        {"command": "entropy", "params": {"mystery": 2}},
+        {"command": "entropy", "format": "xml"},
+        {"command": "entropy", "seed": True},
+        {"command": "entropy", "seed": 1.5},
+        {"command": "entropy", "target": dict(points, points=[[1.0, "x"]])},
+    ]
+    reference = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+    for cfg, ok in [(c, True) for c in accepted] + [(c, False) for c in rejected]:
+        assert reference.is_valid(cfg) is ok, cfg
+        if ok:
+            validate_config(cfg)
+        else:
+            with pytest.raises(UsageError):
+                validate_config(cfg)
 
 
 def test_verify_witness_appends_audits():

@@ -265,16 +265,6 @@ def test_log_decay_levels_allocate_in_dim_6():
     assert audit_cube_allocation(alloc)
 
 
-def test_evaluate_rejects_point_outside_ball():
-    from lipwidth.lipmaps import evaluate
-
-    m = two_bump_map()
-    with pytest.raises(PreconditionError):
-        evaluate(m, np.array([1.5, 0.0]))
-    out = evaluate(m, np.array([-0.5, 0.0]))
-    assert np.array_equal(out, np.array([1.0, 0.0, 0.0]))
-
-
 def test_affine_ball_map_exact_gamma():
     basis = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 2)))[0].T
     m = AffineBallMap(np.zeros(3), 2.5, basis, L2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,23 @@ def test_verify_lipschitz_deep_configs_multiseed(width, depth):
     for seed in (0, 1, 2):
         res = verify_lipschitz(cfg, seed=seed, trials=300)
         assert res.passed and res.layer_bound_ok
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_layer_audit_covers_last_hidden_layer(monkeypatch, depth):
+    # a zero bound on the last hidden layer must be caught by the audit
+    from lipwidth import relunet
+
+    real = relunet.lip_bound
+
+    def zero_last(cfg):
+        trace = real(cfg)
+        return replace(trace, output_bounds=trace.output_bounds[:-1] + (0,))
+
+    monkeypatch.setattr(relunet, "lip_bound", zero_last)
+    res = verify_lipschitz(ReLUNetConfig(d=1, width=2, depth=depth), seed=1, trials=50)
+    assert not res.layer_bound_ok and not res.passed
+    assert res.layer_max_observed[-1] > 0
 
 
 def test_verify_lipschitz_deterministic():
