@@ -82,7 +82,6 @@ class SequenceSet(FiniteSet):
     """
 
     def __init__(self, sigmas: np.ndarray):
-        super().__init__()
         sig = np.asarray(sigmas, dtype=float)
         if np.any(sig <= 0) or np.any(np.diff(sig) >= 0):
             raise PreconditionError("sigma must be strictly decreasing and positive")
@@ -367,7 +366,6 @@ class UniformBasisSet(FiniteSet):
     """{scale * e_1, ..., scale * e_count} in l2: all distances scale*sqrt(2)."""
 
     def __init__(self, count: int, scale: float = 1.0):
-        super().__init__()
         if count < 1:
             raise PreconditionError("need at least one point")
         self.size = count

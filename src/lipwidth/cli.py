@@ -81,8 +81,9 @@ def _check(value, schema: dict, path: str) -> None:
     """Raise UsageError where ``value`` breaks ``schema``.
 
     Covers the JSON Schema subset that config.schema.json uses: type, enum,
-    required, properties, additionalProperties: false, items, minimum and
-    exclusiveMinimum.  JSON booleans are neither integers nor numbers.
+    const, required, properties, additionalProperties: false, items, minimum,
+    exclusiveMinimum, allOf and if/then.  JSON booleans are neither integers
+    nor numbers.
     """
     kind = schema.get("type")
     if kind is not None and (not isinstance(value, _JSON_TYPES[kind]) or (
@@ -90,6 +91,8 @@ def _check(value, schema: dict, path: str) -> None:
         raise UsageError(f"{path} must be of type {kind}")
     if "enum" in schema and value not in schema["enum"]:
         raise UsageError(f"{path} must be one of {schema['enum']}, not {value!r}")
+    if "const" in schema and value != schema["const"]:
+        raise UsageError(f"{path} must be {schema['const']!r}, not {value!r}")
     if "minimum" in schema and value < schema["minimum"]:
         raise UsageError(f"{path} must be >= {schema['minimum']}")
     if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
@@ -108,6 +111,14 @@ def _check(value, schema: dict, path: str) -> None:
         path += "[]"  # no per-item index: configs can carry 10^4 points
         for item in value:
             _check(item, schema["items"], path)
+    for sub in schema.get("allOf", ()):
+        _check(value, sub, path)
+    if "if" in schema:
+        try:
+            _check(value, schema["if"], path)
+        except UsageError:
+            return
+        _check(value, schema["then"], path)
 
 
 def validate_config(cfg: dict) -> dict:
@@ -616,6 +627,15 @@ def certificates_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Bad flags are usage errors (exit 1); argparse's own exit code, 2, is
+    the inequality-violation code here.  ``--help`` still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (overrides other flags)")
@@ -623,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="directory for report files")
     common.add_argument("--format", choices=("json", "csv", "both"), default="json")
     common.add_argument("--verify-witness", action="store_true")
-    p = argparse.ArgumentParser(prog="lipwidth", parents=[common],
-                                description="certified width and entropy bounds")
+    p = _ArgumentParser(prog="lipwidth", parents=[common],
+                        description="certified width and entropy bounds")
     sub = p.add_subparsers(dest="command")
     for name in _HANDLERS:
         sp = sub.add_parser(name, parents=[common])

@@ -28,9 +28,6 @@ from .spaces import FiniteSet, PreconditionError
 N_EXACT = 20
 # Strictness slack for the packing inequality "distance > eps".
 PACK_SLACK = 1e-12
-# Binary search stopping rule: absolute width or iteration cap.
-SEARCH_ABS = 1e-12
-SEARCH_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -117,14 +114,9 @@ def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
 
 
 def _cover_masks(fset: FiniteSet, eps: float) -> list[int]:
-    masks = []
-    for c in range(fset.size):
-        row = fset.dist_row(c)
-        bits = 0
-        for p in np.nonzero(row <= eps)[0]:
-            bits |= 1 << int(p)
-        masks.append(bits)
-    return masks
+    """Bit p of mask c is set iff point p lies in the ball B(c, eps)."""
+    rows = np.array([fset.dist_row(c) for c in range(fset.size)])
+    return ((rows <= eps) @ (1 << np.arange(fset.size, dtype=np.int64))).tolist()
 
 
 def _witness_lower_bound(uncovered: int, comask: list[int]) -> int:
@@ -169,7 +161,7 @@ def exact_min_cover(masks: list[int], m: int, limit: Optional[int] = None):
     while rest:
         best_c, best_gain = -1, -1
         for c in range(m):
-            gain = bin(masks[c] & rest).count("1")
+            gain = (masks[c] & rest).bit_count()
             if gain > best_gain:
                 best_c, best_gain = c, gain
         chosen.append(best_c)
@@ -198,7 +190,7 @@ def exact_min_cover(masks: list[int], m: int, limit: Optional[int] = None):
             w &= w - 1
         cands = sorted(
             (c for c in coverers[branch_e]),
-            key=lambda c: (-bin(masks[c] & uncovered).count("1"), c),
+            key=lambda c: (-(masks[c] & uncovered).bit_count(), c),
         )
         for c in cands:
             picked.append(c)
@@ -260,73 +252,38 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
 
 
 # ---------------------------------------------------------------------------
-# Inner entropy numbers via memoised monotone bisection
+# Inner entropy numbers by bisection over the candidate radii
 # ---------------------------------------------------------------------------
 
 
-def _rank_cache(fset: FiniteSet, kind: str, eps: float, compute: Callable[[], object]):
-    """Memoise predicate evaluations by the rank of eps among distances.
+def _first_index(holds: Callable[[int], bool], hi: int) -> int:
+    """Smallest i in [0, hi] with holds(i), by bisection.
 
-    Every quantity below depends on eps only through which pairwise
-    distances exceed it, so evaluations collapse onto distance ranks.
+    holds(hi) is taken as given and never evaluated.  A positive result i
+    means holds(i - 1) was evaluated and was false.
     """
-    dd = fset._cache.get("_dd")
-    if dd is None:
-        dd = fset.distinct_distances()
-        fset._cache["_dd"] = dd
-    slack = 1.0 + PACK_SLACK if kind.startswith("pack") else 1.0
-    rank = int(np.searchsorted(dd, eps * slack, side="right"))
-    key = (kind, rank)
-    if key not in fset._cache:
-        fset._cache[key] = compute()
-    return fset._cache[key]
-
-
-def _cover_upper_size(fset: FiniteSet, eps: float, budget: int):
-    """(size, centers) certifying N_eps <= size, early-exited above budget."""
-    if fset.size <= N_EXACT:
-        def run():
-            return exact_min_cover(_cover_masks(fset, eps), fset.size)
-        size, centers = _rank_cache(fset, "cover", eps, run)
-        return size, centers
-    def run():
-        return greedy_packing(fset, eps, stop_above=budget)
-    pack = _rank_cache(fset, f"pack{budget}", eps, run)
-    return pack.size, pack.indices
-
-
-def _cover_lower_size(fset: FiniteSet, eps: float, budget: int) -> int:
-    """Certified lower bound on N_eps, early-exited above budget."""
-    if fset.size <= N_EXACT:
-        def run():
-            return exact_min_cover(_cover_masks(fset, eps), fset.size)
-        size, _ = _rank_cache(fset, "cover", eps, run)
-        return size
-    def run():
-        return covering_lower_bound(fset, eps, stop_above=budget)
-    return _rank_cache(fset, f"lb{budget}", eps, run)
-
-
-def _bisect_smallest_true(pred, lo: float, hi: float):
-    """Smallest eps in (lo, hi] with pred true; pred monotone false->true."""
-    it = 0
-    while hi - lo > SEARCH_ABS and it < SEARCH_ITERS:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
             hi = mid
         else:
-            lo = mid
-        it += 1
-    return lo, hi
+            lo = mid + 1
+    return lo
 
 
 def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     """Certified bracket [lower, upper] for the inner entropy number.
 
-    ``upper`` carries an explicit cover of at most 2**n inner balls at that
-    radius; ``lower`` is a radius at which a covering-number lower bound
-    exceeded 2**n.  With exact covers (small sets) the bracket closes to the
-    bisection tolerance.
+    Covers and covering-number lower bounds depend on eps only through which
+    pairwise distances are <= eps, so the search bisects over the index of
+    the candidate radii r_0 = 0 < r_1 < ... (the distinct distances), and
+    both ends of the bracket are candidate radii.  ``upper`` is the first
+    radius found with a cover of at most 2**n inner balls; that cover is its
+    witness.  ``lower`` is r_j where a lower bound on the covering number at
+    r_{j-1} exceeded 2**n: the covering number is constant on
+    [r_{j-1}, r_j), so no smaller radius has such a cover.  Sets of at most
+    N_EXACT points decide both with the exact cover, and lower == upper.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
@@ -336,49 +293,57 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
         # every point can be its own center
         return EntropyEstimate(n, 0.0, 0.0, exact=True,
                                upper_witness={"kind": "identity", "size": m})
-    diam = fset.diameter()
-    if diam == 0.0:
+    radii = np.concatenate(([0.0], fset.distinct_distances()))
+    if radii.size == 1:
         return EntropyEstimate(n, 0.0, 0.0, exact=True,
                                upper_witness={"kind": "singleton"})
-
     exact = m <= N_EXACT
 
-    def pred_up(eps: float) -> bool:
-        size, _ = _cover_upper_size(fset, eps, budget)
-        return size <= budget
+    def probe(i: int) -> float:
+        # every eps in [r_i, r_{i+1}) sees the same distances; packings need eps > 0
+        return radii[i] if i else 0.5 * radii[1]
 
-    def pred_lb(eps: float) -> bool:
-        return _cover_lower_size(fset, eps, budget) > budget
+    covers: dict = {}
 
-    if not pred_up(diam):
-        # packing slack can leave >1 admitted at eps=diam on degenerate data
-        hi0 = diam * (1.0 + 10 * PACK_SLACK)
+    def fits(i: int) -> bool:
+        """Some cover at r_i has at most 2**n balls; it is kept in ``covers``."""
+        if exact:
+            found = exact_min_cover(_cover_masks(fset, probe(i)), m, limit=budget)
+            covers[i] = None if found is None else found[1]
+        else:
+            pack = greedy_packing(fset, probe(i), stop_above=budget)
+            covers[i] = pack.indices if pack.maximal else None
+        return covers[i] is not None
+
+    top = radii.size - 1  # one ball covers the set at its diameter
+    up = _first_index(fits, top)
+    if up == top:
+        fits(top)
+    if exact:
+        low, count = up, budget + 1  # fits(up - 1) was false
     else:
-        hi0 = diam
-    _, upper = _bisect_smallest_true(pred_up, 0.0, hi0)
-    if pred_lb(diam):  # cannot happen for budget >= 1; guard anyway
-        lower = diam
-    else:
-        lower, _ = _bisect_smallest_true(lambda e: not pred_lb(e), 0.0, diam)
-    lower = min(lower, upper)
+        counts: dict = {}
 
-    size_up, centers_up = _cover_upper_size(fset, upper, budget)
-    lb_at = _cover_lower_size(fset, lower, budget) if lower > 0 else None
+        def clears(i: int) -> bool:
+            """The lower bound on N at r_i is at most 2**n (kept in ``counts``)."""
+            counts[i] = covering_lower_bound(fset, probe(i), stop_above=budget)
+            return counts[i] <= budget
+
+        # at r_up a cover of at most 2**n balls exists, so the bound clears there
+        low = _first_index(clears, up)
+        count = counts.get(low - 1)
+    kind = "exact-cover" if exact else "maximal-packing-cover"
     return EntropyEstimate(
         n,
-        lower,
-        upper,
+        float(radii[low]),
+        float(radii[up]),
         exact=exact,
-        upper_witness={
-            "kind": "exact-cover" if exact else "maximal-packing-cover",
-            "eps": upper,
-            "size": int(size_up),
-            "centers": [int(c) for c in centers_up],
-        },
+        upper_witness={"kind": kind, "eps": float(radii[up]), "size": len(covers[up]),
+                       "centers": [int(c) for c in covers[up]]},
         lower_witness={
             "kind": "exact-cover" if exact else "ball-disjoint-witnesses",
-            "eps": lower,
-            "count": None if lb_at is None else int(lb_at),
+            "eps": float(radii[low - 1]) if low else None,
+            "count": int(count) if low else None,
         },
     )
 
@@ -405,18 +370,22 @@ def sandwich_audit(fset: FiniteSet, eps: float) -> SandwichAudit:
 
     With exact covers the audited chain is exactly
     P_eps >= N_eps >= P_{2 eps}; otherwise each side is checked against its
-    certified surrogate (cover bracket [lower, upper]).
+    certified surrogate (cover bracket [lower, upper]).  Packings separate
+    points by more than eps * (1 + PACK_SLACK), so covers are counted at
+    that radius too; at eps itself a distance just above eps would break
+    the first inequality.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     pack1 = greedy_packing(fset, eps)
     pack2 = greedy_packing(fset, 2.0 * eps)
-    cov = minimal_inner_covering(fset, eps)
+    radius = eps * (1.0 + PACK_SLACK)
+    cov = minimal_inner_covering(fset, radius)
     if cov.exact:
         n_lo = n_hi = cov.size
     else:
         n_hi = min(cov.size, pack1.size)  # both are valid covers
-        n_lo = covering_lower_bound(fset, eps)
+        n_lo = covering_lower_bound(fset, radius)
     checks = (
         ("packing(eps) >= cover_lower(eps)", pack1.size, n_lo, pack1.size >= n_lo),
         ("cover_upper(eps) >= packing(2eps)", n_hi, pack2.size, n_hi >= pack2.size),

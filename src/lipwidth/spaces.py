@@ -128,16 +128,14 @@ def step_space(cell_edges: Sequence[float]) -> NormedSpace:
 class FiniteSet:
     """Base class: a finite metric sample with row-wise distance access.
 
-    Subclasses must provide ``size``, ``space``, and ``dist_row``.  The
-    mutable ``_cache`` dict is shared by the covering/packing searches to
-    memoise predicate evaluations on the same set.
+    Subclasses must provide ``size``, ``space``, and ``dist_row``, and may
+    override ``diameter`` and ``distinct_distances`` with closed forms.  A
+    set holds no search state: entropy searches run over the sorted
+    distinct distances, which a subclass may keep once computed.
     """
 
     size: int
     space: NormedSpace
-
-    def __init__(self):
-        self._cache: dict = {}
 
     def dist_row(self, i: int) -> np.ndarray:
         raise NotImplementedError
@@ -152,7 +150,7 @@ class FiniteSet:
         return best
 
     def distinct_distances(self) -> np.ndarray:
-        """Sorted positive pairwise distance values (used to memoise searches)."""
+        """Sorted positive pairwise distance values: the radii entropy searches bisect."""
         rows = [self.dist_row(i) for i in range(self.size)]
         vals = np.unique(np.concatenate(rows))
         return vals[vals > 0.0]
@@ -166,7 +164,6 @@ class PointSet(FiniteSet):
     """
 
     def __init__(self, space: NormedSpace, points, labels=None, dist_matrix=None):
-        super().__init__()
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array")
@@ -181,6 +178,7 @@ class PointSet(FiniteSet):
         self.labels = list(labels) if labels is not None else None
         self.size = pts.shape[0]
         self._matrix = None
+        self._distinct = None
         if dist_matrix is not None:
             m = np.asarray(dist_matrix, dtype=float)
             if m.shape != (self.size, self.size):
@@ -212,11 +210,10 @@ class PointSet(FiniteSet):
         return float(self.matrix().max()) if self.size <= DENSE_LIMIT else super().diameter()
 
     def distinct_distances(self) -> np.ndarray:
-        key = "distinct"
-        if key not in self._cache:
+        if self._distinct is None:
             vals = np.unique(self.matrix())
-            self._cache[key] = vals[vals > 0.0]
-        return self._cache[key]
+            self._distinct = vals[vals > 0.0]
+        return self._distinct
 
     def translated(self, center) -> "PointSet":
         return PointSet(self.space, self.points - np.asarray(center, dtype=float))

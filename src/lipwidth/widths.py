@@ -14,8 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .covering import coverage_assignment, greedy_packing, inner_entropy, \
-    minimal_inner_covering, N_EXACT
+from .covering import coverage_assignment, greedy_packing, inner_entropy
 from .lipmaps import AffineBallMap, LipschitzMap, build_entropy_map, BALL_SLACK
 from .spaces import FiniteSet, PointSet, PreconditionError, REL_TOL, radius_upper
 
@@ -80,23 +79,11 @@ def fixed_width_upper(pset: PointSet, map_: LipschitzMap, candidates) -> WidthCe
     )
 
 
-def _cover_witness(pset: PointSet, eps: float, budget: int):
-    """Inner cover of size <= budget at radius eps, as point indices."""
-    if pset.size <= N_EXACT:
-        cov = minimal_inner_covering(pset, eps)
-        centers = list(cov.center_indices)
-    else:
-        centers = list(greedy_packing(pset, eps).indices)  # maximal => covers
-    if len(centers) > budget:
-        raise PreconditionError("cover witness exceeded the cube budget")
-    return centers
-
-
 def width_upper_from_entropy(pset: PointSet, k: int, n: int,
                              return_map: bool = False):
     """Entropy-to-width upper certificate with gamma = 2**k * rad bound.
 
-    Pipeline: bracket the inner entropy number at index k*n, extract a
+    Pipeline: bracket the inner entropy number at index k*n, take the
     cover witness at its upper radius, translate the set so the radius
     candidate center sits at the origin, and send cube centers of the
     regular 2**(k n) grid to the covering points.  The certificate value is
@@ -110,14 +97,13 @@ def width_upper_from_entropy(pset: PointSet, k: int, n: int,
     gamma = (2.0 ** k) * rb.upper
     budget = 1 << (k * n)
     ent = inner_entropy(pset, k * n)
-    eps_eff = ent.upper
-    if ent.upper == 0.0 and pset.size <= budget:
+    if ent.upper_witness["kind"] == "identity":
         centers = list(range(pset.size))
         assign = np.arange(pset.size)
     else:
-        eps_eff = max(ent.upper, 1e-300)  # duplicates only at exactly zero
-        centers = _cover_witness(pset, eps_eff, budget)
-        assign = coverage_assignment(pset, centers, eps_eff)
+        # a set of coincident points ("singleton") is covered by its first point
+        centers = ent.upper_witness.get("centers", [0])
+        assign = coverage_assignment(pset, centers, ent.upper)
     shifted = pset.translated(rb.center_point if rb.center_point is not None
                               else pset.points[rb.center_index])
     targets = shifted.points[centers]

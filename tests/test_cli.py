@@ -174,6 +174,15 @@ _SCHEMA_VIOLATIONS = {
     "unknown-case-study": {"command": "case-study",
                            "target": {"kind": "case-study", "name": "moebius"}},
     "workers": {"command": "entropy", "target": {"kind": "random", "m": 6}, "workers": 2},
+    "points-without-space": {"command": "entropy",
+                             "target": {"kind": "points", "points": [[0.0]]}},
+    "constant-schedule-without-value": {
+        "command": "width-lower", "target": {"kind": "random", "m": 6},
+        "params": {"n": 1, "gamma_schedule": {"type": "constant"}}},
+    "geometric-schedule-without-lambda": {
+        "command": "width-lower", "target": {"kind": "random", "m": 6},
+        "params": {"n": 1, "gamma_schedule": {"type": "geometric", "coeff": 1.0,
+                                              "delta": 1.0}}},
 }
 
 
@@ -183,6 +192,20 @@ def test_schema_violations_exit_1(tmp_path, capsys, cfg):
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path)]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_bad_flags_exit_1_and_help_exits_0(capsys):
+    # argparse would exit 2, which means "inequality violated" here
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--workers", "2"])
+    assert exc.value.code == 1
+    assert "usage error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["case-study", "run", "moebius"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--help"])
+    assert exc.value.code == 0
 
 
 def test_schema_names_match_tables():

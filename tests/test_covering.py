@@ -131,6 +131,63 @@ def test_covering_lower_bound_sound():
         assert lb <= exact
 
 
+def brute_force_entropy(ps, n):
+    """Oracle: least covering radius over every set of min(2^n, m) centers."""
+    mat = ps.matrix()
+    k = min(2 ** n, ps.size)
+    return min(float(mat[list(c)].min(axis=0).max())
+               for c in itertools.combinations(range(ps.size), k))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_inner_entropy_exact_on_small_sets(seed):
+    rng = np.random.default_rng(100 + seed)
+    m = int(rng.integers(2, 9))
+    dim = int(rng.integers(1, 4))
+    pts = rng.uniform(-1, 1, size=(m, dim))
+    if seed % 2:
+        pts = pts[rng.integers(0, m, size=m)]  # duplicate points
+    ps = PointSet(NormedSpace(dim, ("l1", "l2", "linf")[seed % 3]), pts)
+    radii = {0.0, *ps.matrix().ravel().tolist()}
+    for n in range(4):
+        est = inner_entropy(ps, n)
+        assert est.exact
+        assert est.lower == est.upper == brute_force_entropy(ps, n)
+        assert est.upper in radii
+
+
+def test_inner_entropy_lower_search_stays_below_upper(monkeypatch):
+    from lipwidth import covering
+
+    seen = []
+    original = covering.covering_lower_bound
+
+    def counted(fset, eps, stop_above=None):
+        seen.append(eps)
+        return original(fset, eps, stop_above=stop_above)
+
+    monkeypatch.setattr(covering, "covering_lower_bound", counted)
+    rng = np.random.default_rng(4)
+    ps = PointSet(lp_space(2, 2), rng.uniform(-1, 1, size=(60, 2)))
+    for n in range(5):
+        seen.clear()
+        est = inner_entropy(ps, n)
+        assert seen and max(seen) < est.upper
+        assert 0.0 < est.lower <= est.upper
+
+
+def test_inner_entropy_zero_on_duplicates_beyond_exact_size():
+    rng = np.random.default_rng(6)
+    distinct = rng.uniform(-1, 1, size=(3, 2))
+    ps = PointSet(lp_space(2, 2), np.repeat(distinct, 8, axis=0))  # 24 points
+    est = inner_entropy(ps, 2)
+    assert not est.exact
+    assert est.lower == est.upper == 0.0
+    w = est.upper_witness
+    assert w["kind"] == "maximal-packing-cover" and w["eps"] == 0.0
+    assert sorted(w["centers"]) == [0, 8, 16]
+
+
 def test_inner_entropy_sequence_exact_value():
     for n in (1, 2, 3):
         spec = SequenceSetSpec(generator="log", truncation=2 ** (n + 2))
@@ -191,6 +248,14 @@ def test_sandwich_singleton():
     ps = PointSet(lp_space(1, 1), [[0.0]])
     audit = sandwich_audit(ps, 0.5)
     assert audit.pack_eps == audit.cover_upper == audit.pack_2eps == 1
+    assert audit.passed
+
+
+def test_sandwich_just_below_a_distance():
+    # the packing admits only beyond eps * (1 + 1e-12), which covers distance 1
+    ps = PointSet(lp_space(1, 2), [[0.0], [1.0]])
+    audit = sandwich_audit(ps, 1.0 - 1e-16)
+    assert audit.pack_eps == audit.cover_upper == 1
     assert audit.passed
 
 
