@@ -3,7 +3,12 @@
 Variants: constant maps, bump sums over disjoint balls (including the
 regular-grid cube family and the dyadic-cube sequence family), piecewise
 linear paths, affine ball maps into a linear subspace, and ReLU nets
-(delegated to :mod:`lipwidth.relunet`).
+(delegated to :mod:`lipwidth.relunet`).  They share one base,
+:class:`LipschitzMap`: a domain space whose unit ball is sampled and whose
+norm measures separations, and a target space that measures image distances.
+
+The dyadic cubes of the sequence family are placed in Z-order (Morton order)
+in closed form; see :func:`allocate_dyadic_cubes`.
 
 Every map declares a closed-form Lipschitz constant; ``empirical_lipschitz``
 samples difference quotients and raises if one ever exceeds the declaration.
@@ -11,9 +16,9 @@ samples difference quotients and raises if one ever exceeds the declaration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,14 +27,11 @@ from .spaces import NormedSpace, PreconditionError, REL_TOL
 
 DISJOINT_CHECK_LIMIT = 2048  # pairwise disjointness audit cap (O(m^2))
 BALL_SLACK = 1e-9            # admission slack for "candidate inside the ball"
+PAIR_CHUNK = 1024            # pairs drawn per seeded chunk in empirical_lipschitz
 
 
 class BoundViolation(AssertionError):
     """An empirical ratio exceeded a declared Lipschitz constant."""
-
-
-def _unit_cube_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, size=(count, dim))
 
 
 def _rejection_sample(rng, count, dim, norm_fn) -> np.ndarray:
@@ -46,30 +48,38 @@ def _rejection_sample(rng, count, dim, norm_fn) -> np.ndarray:
 
 
 class LipschitzMap:
-    """Common interface: evaluate on the domain unit ball, declare a constant."""
+    """A map on the unit ball of ``domain_space`` into ``target_space``.
 
-    domain_dim: int
+    Subclasses provide ``evaluate_batch``, ``declared_lipschitz`` and
+    ``to_json``.  By default separations are measured in ``domain_space``,
+    samples are drawn from its unit ball (the cube for linf, rejection from
+    the cube otherwise) and images are compared in ``target_space``.
+    """
+
+    def __init__(self, domain_space: NormedSpace, target_space: NormedSpace):
+        self.domain_space = domain_space
+        self.target_space = target_space
+        self.domain_dim = domain_space.dim
 
     def evaluate(self, y: np.ndarray):
-        raise NotImplementedError
+        return self.evaluate_batch(np.asarray(y, dtype=float)[None, :])[0]
 
     def evaluate_batch(self, ys: np.ndarray):
-        return np.stack([np.asarray(self.evaluate(y)) for y in ys])
+        raise NotImplementedError
 
     def declared_lipschitz(self) -> float:
         raise NotImplementedError
 
-    def domain_norm(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
     def domain_norm_batch(self, ys: np.ndarray) -> np.ndarray:
-        return np.asarray([self.domain_norm(y) for y in ys])
+        return np.asarray(self.domain_space.norm(np.asarray(ys, dtype=float)))
 
     def sample_domain(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        raise NotImplementedError
+        if self.domain_space.kind == "linf":
+            return rng.uniform(-1.0, 1.0, size=(count, self.domain_dim))
+        return _rejection_sample(rng, count, self.domain_dim, self.domain_space.norm)
 
     def target_dist_batch(self, u, v) -> np.ndarray:
-        raise NotImplementedError
+        return np.asarray(self.target_space.norm(np.asarray(u) - np.asarray(v)))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -80,14 +90,8 @@ class ConstantMap(LipschitzMap):
 
     def __init__(self, value, target_space: NormedSpace, domain_dim: int = 1,
                  domain_kind: str = "linf"):
+        super().__init__(NormedSpace(domain_dim, domain_kind), target_space)
         self.value = np.asarray(value, dtype=float)
-        self.target_space = target_space
-        self.domain_dim = domain_dim
-        self.domain_kind = domain_kind
-        self._domain = NormedSpace(domain_dim, domain_kind)
-
-    def evaluate(self, y):
-        return self.value
 
     def evaluate_batch(self, ys):
         return np.broadcast_to(self.value, (len(ys),) + self.value.shape).copy()
@@ -95,21 +99,10 @@ class ConstantMap(LipschitzMap):
     def declared_lipschitz(self) -> float:
         return 0.0
 
-    def domain_norm(self, y):
-        return float(self._domain.norm(y))
-
-    def sample_domain(self, rng, count):
-        if self.domain_kind == "linf":
-            return _unit_cube_sample(rng, count, self.domain_dim)
-        return _rejection_sample(rng, count, self.domain_dim, self._domain.norm)
-
-    def target_dist_batch(self, u, v):
-        return np.asarray(self.target_space.norm(np.asarray(u) - np.asarray(v)))
-
     def to_json(self):
         return {"variant": "constant", "value": self.value.tolist(),
                 "target_space": self.target_space.to_json(),
-                "domain_dim": self.domain_dim, "domain_kind": self.domain_kind}
+                "domain_dim": self.domain_dim, "domain_kind": self.domain_space.kind}
 
 
 class BumpSum(LipschitzMap):
@@ -121,27 +114,23 @@ class BumpSum(LipschitzMap):
     constant is ``max_j ||payload_j|| / rho_j``.
 
     ``grid_k`` marks the regular-cube family (centers on the 2**k grid of
-    [-1,1]^n, all radii 2**-k) and enables O(n) point location.
+    [-1,1]^n, all radii 2**-k) and enables O(n) point location; disjointness
+    is audited for other maps of at most ``DISJOINT_CHECK_LIMIT`` bumps.
     """
 
     def __init__(self, domain_space: NormedSpace, centers, radii, payloads,
-                 target_space: NormedSpace, grid_k: Optional[int] = None,
-                 check_disjoint: Optional[bool] = None):
-        self.domain_space = domain_space
+                 target_space: NormedSpace, grid_k: Optional[int] = None):
+        super().__init__(domain_space, target_space)
         self.centers = np.asarray(centers, dtype=float)
         self.radii = np.asarray(radii, dtype=float)
         self.payloads = np.asarray(payloads, dtype=float)
-        self.target_space = target_space
         self.grid_k = grid_k
-        self.domain_dim = domain_space.dim
         if self.centers.shape[0] != self.radii.shape[0] or \
            self.centers.shape[0] != self.payloads.shape[0]:
             raise ValueError("centers/radii/payloads length mismatch")
         if np.any(self.radii <= 0):
             raise PreconditionError("bump radii must be positive")
-        if check_disjoint is None:
-            check_disjoint = grid_k is None and len(self.radii) <= DISJOINT_CHECK_LIMIT
-        if check_disjoint:
+        if grid_k is None and len(self.radii) <= DISJOINT_CHECK_LIMIT:
             self._audit_disjoint()
 
     def _audit_disjoint(self):
@@ -181,9 +170,6 @@ class BumpSum(LipschitzMap):
             flat = (flat << k) | idx[:, a]
         return flat
 
-    def evaluate(self, y):
-        return self.evaluate_batch(np.asarray(y, dtype=float)[None, :])[0]
-
     def evaluate_batch(self, ys):
         ys = np.asarray(ys, dtype=float)
         if self.grid_k is not None:
@@ -197,20 +183,6 @@ class BumpSum(LipschitzMap):
             out[i] = self._weights(y) @ self.payloads
         return out
 
-    def domain_norm(self, y):
-        return float(self.domain_space.norm(y))
-
-    def domain_norm_batch(self, ys):
-        return np.asarray(self.domain_space.norm(np.asarray(ys, dtype=float)))
-
-    def sample_domain(self, rng, count):
-        if self.domain_space.kind == "linf":
-            return _unit_cube_sample(rng, count, self.domain_dim)
-        return _rejection_sample(rng, count, self.domain_dim, self.domain_space.norm)
-
-    def target_dist_batch(self, u, v):
-        return np.asarray(self.target_space.norm(np.asarray(u) - np.asarray(v)))
-
     def to_json(self):
         return {"variant": "bump-sum", "domain_space": self.domain_space.to_json(),
                 "target_space": self.target_space.to_json(),
@@ -222,10 +194,9 @@ class PiecewiseLinearPath(LipschitzMap):
     """Continuous piecewise linear map [-1,1] -> X through given values."""
 
     def __init__(self, knots, values, target_space: NormedSpace):
+        super().__init__(NormedSpace(1, "linf"), target_space)
         self.knots = np.asarray(knots, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        self.target_space = target_space
-        self.domain_dim = 1
         if len(self.knots) < 2:
             raise PreconditionError("need at least two knots")
         if np.any(np.diff(self.knots) <= 0):
@@ -235,21 +206,12 @@ class PiecewiseLinearPath(LipschitzMap):
         seg = np.asarray(self.target_space.norm(np.diff(self.values, axis=0)))
         return float((seg / np.diff(self.knots)).max())
 
-    def evaluate(self, y):
-        t = float(np.asarray(y).reshape(-1)[0])
-        j = int(np.clip(np.searchsorted(self.knots, t) - 1, 0, len(self.knots) - 2))
+    def evaluate_batch(self, ys):
+        t = np.asarray(ys, dtype=float)[:, 0]
+        j = np.clip(np.searchsorted(self.knots, t) - 1, 0, len(self.knots) - 2)
         t0, t1 = self.knots[j], self.knots[j + 1]
-        s = (t - t0) / (t1 - t0)
+        s = ((t - t0) / (t1 - t0))[:, None]
         return (1.0 - s) * self.values[j] + s * self.values[j + 1]
-
-    def domain_norm(self, y):
-        return float(np.abs(np.asarray(y)).max())
-
-    def sample_domain(self, rng, count):
-        return rng.uniform(-1.0, 1.0, size=(count, 1))
-
-    def target_dist_batch(self, u, v):
-        return np.asarray(self.target_space.norm(np.asarray(u) - np.asarray(v)))
 
     def to_json(self):
         return {"variant": "path", "knots": self.knots.tolist(),
@@ -262,6 +224,8 @@ class AffineBallMap(LipschitzMap):
 
     Domain points are coefficient vectors; the domain norm is the ambient
     norm of the embedded vector, so the map is gamma-Lipschitz exactly.
+    No :class:`NormedSpace` kind expresses that pulled-back norm, so this
+    map has no ``domain_space`` and overrides the norm and the sampler.
     """
 
     def __init__(self, g0, gamma: float, basis, target_space: NormedSpace,
@@ -269,6 +233,7 @@ class AffineBallMap(LipschitzMap):
         self.g0 = np.asarray(g0, dtype=float)
         self.gamma = float(gamma)
         self.basis = np.asarray(basis, dtype=float)  # (n_sub, ambient_dim)
+        self.domain_space = None
         self.target_space = target_space
         self.domain_dim = self.basis.shape[0]
         self.sampler = sampler
@@ -278,20 +243,14 @@ class AffineBallMap(LipschitzMap):
     def embed(self, y) -> np.ndarray:
         return np.asarray(y, dtype=float) @ self.basis
 
-    def evaluate(self, y):
-        return self.g0 + self.gamma * self.embed(y)
-
     def evaluate_batch(self, ys):
-        return self.g0 + self.gamma * (np.asarray(ys, dtype=float) @ self.basis)
+        return self.g0 + self.gamma * self.embed(ys)
 
     def declared_lipschitz(self) -> float:
         return self.gamma
 
-    def domain_norm(self, y):
-        return float(self.target_space.norm(self.embed(y)))
-
     def domain_norm_batch(self, ys):
-        return np.asarray(self.target_space.norm(np.asarray(ys) @ self.basis))
+        return np.asarray(self.target_space.norm(self.embed(ys)))
 
     def sample_domain(self, rng, count):
         n = self.domain_dim
@@ -312,9 +271,6 @@ class AffineBallMap(LipschitzMap):
         scale = rng.uniform(size=count) ** (1.0 / n)
         return raw * (scale / norms)[:, None]
 
-    def target_dist_batch(self, u, v):
-        return np.asarray(self.target_space.norm(np.asarray(u) - np.asarray(v)))
-
     def to_json(self):
         return {"variant": "affine-ball", "g0": self.g0.tolist(),
                 "gamma": self.gamma, "basis": self.basis.tolist(),
@@ -334,12 +290,11 @@ class ReluParamMap(LipschitzMap):
 
         self._rn = relunet
         self.config = config
-        self.domain_dim = relunet.param_count(config.d, config.width, config.depth)
         self._grid = relunet.input_grid(config)
         self._trace = relunet.lip_bound(config)
-
-    def evaluate(self, y):
-        return self.evaluate_batch(np.asarray(y, dtype=float)[None, :])[0]
+        super().__init__(
+            NormedSpace(relunet.param_count(config.d, config.width, config.depth), "linf"),
+            NormedSpace(self._grid.shape[0], "linf"))
 
     def evaluate_batch(self, ys):
         return self._rn._batched_forward(self.config, np.asarray(ys, dtype=float),
@@ -347,18 +302,6 @@ class ReluParamMap(LipschitzMap):
 
     def declared_lipschitz(self) -> float:
         return float(self._trace.final)
-
-    def domain_norm(self, y):
-        return float(np.abs(np.asarray(y)).max())
-
-    def domain_norm_batch(self, ys):
-        return np.abs(np.asarray(ys, dtype=float)).max(axis=1)
-
-    def sample_domain(self, rng, count):
-        return _unit_cube_sample(rng, count, self.domain_dim)
-
-    def target_dist_batch(self, u, v):
-        return np.abs(np.asarray(u) - np.asarray(v)).max(axis=1)
 
     def to_json(self):
         return {"variant": "relu", "d": self.config.d, "width": self.config.width,
@@ -369,13 +312,13 @@ def declared_lipschitz(map_: LipschitzMap) -> float:
     return map_.declared_lipschitz()
 
 
-def empirical_lipschitz(map_: LipschitzMap, seed: int, pairs: int,
-                        chunk: int = 1024) -> float:
+def empirical_lipschitz(map_: LipschitzMap, seed: int, pairs: int) -> float:
     """Max sampled difference quotient; must stay below the declared constant.
 
-    Pairs are drawn in fixed chunks with per-chunk seeds ``seed ^ chunk``,
-    so the result does not depend on how chunks are scheduled.  Raises
-    :class:`BoundViolation` if any ratio exceeds declared * (1 + 1e-9).
+    Pairs are drawn in chunks of ``PAIR_CHUNK`` with per-chunk seeds
+    ``seed ^ chunk``, so the result does not depend on how chunks are
+    scheduled.  Raises :class:`BoundViolation` if any ratio exceeds
+    declared * (1 + 1e-9).
     """
     if pairs < 1:
         raise PreconditionError("pairs must be >= 1")
@@ -384,7 +327,7 @@ def empirical_lipschitz(map_: LipschitzMap, seed: int, pairs: int,
     done = 0
     widx = 0
     while done < pairs:
-        take = min(chunk, pairs - done)
+        take = min(PAIR_CHUNK, pairs - done)
         rng = np.random.default_rng((int(seed) ^ widx) & 0xFFFFFFFFFFFFFFFF)
         ys = map_.sample_domain(rng, 2 * take)
         a, b = ys[:take], ys[take:]
@@ -440,7 +383,7 @@ def build_entropy_map(targets, k: int, n: int, target_space: NormedSpace) -> Bum
     centers = grid_centers(k, n)
     radii = np.full(want, 2.0 ** (-k))
     return BumpSum(NormedSpace(n, "linf"), centers, radii, targets,
-                   target_space, grid_k=k, check_disjoint=False)
+                   target_space, grid_k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -477,65 +420,86 @@ class CubeAllocation:
         return -1.0 + self.cells * side
 
 
-def _volume_ok(dim: int, levels) -> tuple[bool, float]:
-    """Exact check of sum(2**(-dim*l)) <= 2**dim via per-level counts."""
-    counts: dict[int, int] = {}
-    for l in levels:
-        counts[int(l)] = counts.get(int(l), 0) + 1
-    lmax = max(counts) if counts else 0
-    # integer arithmetic over the common denominator 2**(dim*lmax)
-    num = sum(c << (dim * (lmax - l)) for l, c in counts.items())
-    cap = 1 << (dim * (lmax + 1))
-    frac = math.exp(math.log(num) - math.log(cap)) if num > 0 else 0.0
-    return num <= cap, frac
+def _deinterleave(codes: np.ndarray, dim: int, digits: int) -> np.ndarray:
+    """Per-axis coordinates of int64 Morton codes of ``digits`` dim-bit digits.
+
+    Axis 0 is the high bit of each digit.
+    """
+    cells = np.zeros((len(codes), dim), dtype=np.int64)
+    axis_bit = np.arange(dim - 1, -1, -1)
+    for b in range(digits):
+        bits = codes[:, None] >> (b * dim + axis_bit)
+        bits &= 1
+        bits <<= b
+        cells |= bits
+    return cells
+
+
+def _zorder_cells(dim: int, digits: int, start: int, count: int) -> np.ndarray:
+    """Cells of the Morton codes ``start, ..., start + count - 1``.
+
+    The low digits (at most 62 bits) are de-interleaved in int64.  Wider
+    codes take their few high digits from Python ints, one per distinct
+    carry out of the low part.
+    """
+    low = min(digits, 62 // dim)
+    mask = (1 << (dim * low)) - 1
+    codes = (start & mask) + np.arange(count, dtype=np.int64)
+    cells = _deinterleave(codes & mask, dim, low)
+    if digits > low:
+        carry = codes >> (dim * low)
+        for c in np.unique(carry).tolist():
+            high = (start >> (dim * low)) + c
+            cells[carry == c] |= [sum(((high >> (b * dim + dim - 1 - a)) & 1) << (b + low)
+                                      for b in range(digits - low)) for a in range(dim)]
+    return cells
 
 
 def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
-    """Greedy best-fit dyadic allocation of cubes with sides 2**-level.
+    """Disjoint dyadic cubes with sides 2**-level, placed in Z-order.
 
     Levels must be nondecreasing nonnegative integers whose total volume
-    fits in [-1, 1]^dim; under that volume condition dyadic splitting never
-    fragments, so the allocation always succeeds.
+    fits in [-1, 1]^dim.  Cube j takes the next block of the Z-order
+    (Morton) curve through the level-l_j cells: it starts at offset
+    sum_{i<j} 2**(dim*(l_j - l_i)), and its cell is that offset's bits
+    de-interleaved.  Sides never grow, so every block is aligned, and the
+    running offset fits under 2**(dim*(l_max+1)) exactly when the volumes do.
     """
-    levels = [int(l) for l in levels]
-    if any(l < 0 for l in levels):
+    levels = np.asarray([int(l) for l in levels], dtype=np.int64)
+    if np.any(levels < 0):
         raise PreconditionError("levels must be nonnegative")
-    if any(b < a for a, b in zip(levels, levels[1:])):
+    if np.any(np.diff(levels) < 0):
         raise PreconditionError("levels must be ascending (sides nonincreasing)")
-    ok, frac = _volume_ok(dim, levels)
-    if not ok:
+    distinct, counts = np.unique(levels, return_counts=True)
+    starts, offset, prev = [], 0, 0
+    for l, c in zip(distinct.tolist(), counts.tolist()):
+        offset <<= dim * (l - prev)
+        starts.append(offset)
+        offset += c
+        prev = l
+    cap = 1 << (dim * (prev + 1))
+    if offset > cap:
+        frac = math.exp(math.log(offset) - math.log(cap))
         raise PreconditionError(
             f"volume condition violated: sum 2^(-dim*level) exceeds 2^dim "
             f"(ratio {frac})"
         )
-    # free[l] holds unallocated cells of level l; level -1 is [-1,1]^dim itself
-    free: dict[int, list[tuple]] = {-1: [tuple([0] * dim)]}
-    out_cells = np.empty((len(levels), dim), dtype=np.int64)
-    deltas = list(itertools.product((0, 1), repeat=dim))
-    for j, l in enumerate(levels):
-        src = None
-        for lv in range(l, -2, -1):
-            if free.get(lv):
-                src = lv
-                break
-        if src is None:
-            raise PreconditionError("allocation failed despite volume condition")
-        cell = free[src].pop()
-        for lv in range(src, l):
-            children = [tuple(2 * c + d for c, d in zip(cell, delta)) for delta in deltas]
-            cell = children[0]
-            free.setdefault(lv + 1, []).extend(reversed(children[1:]))
-        out_cells[j] = cell
-    return CubeAllocation(dim=dim, levels=np.asarray(levels, dtype=np.int64), cells=out_cells)
+    cells = np.empty((len(levels), dim), dtype=np.int64)
+    pos = 0
+    for l, c, start in zip(distinct.tolist(), counts.tolist(), starts):
+        cells[pos : pos + c] = _zorder_cells(dim, l + 1, start, c)
+        pos += c
+    return CubeAllocation(dim=dim, levels=levels, cells=cells)
 
 
-def audit_cube_allocation(alloc: CubeAllocation, pairwise_limit: int = 2048) -> bool:
+def audit_cube_allocation(alloc: CubeAllocation) -> bool:
     """Independent disjointness/containment audit.
 
     Always checks the exact integer-cell structure (no duplicate cells and
-    no allocated cube nested in another); for small allocations it also
-    runs the O(N^2) open-interval overlap test in float arithmetic, which
-    is exact here because every coordinate is a dyadic rational.
+    no allocated cube nested in another); for allocations of at most
+    ``DISJOINT_CHECK_LIMIT`` cubes it also runs the O(N^2) open-interval
+    overlap test in float arithmetic, which is exact here because every
+    coordinate is a dyadic rational.
     """
     seen = set()
     keys = list(zip(alloc.levels.tolist(), map(tuple, alloc.cells.tolist())))
@@ -550,7 +514,7 @@ def audit_cube_allocation(alloc: CubeAllocation, pairwise_limit: int = 2048) -> 
             anc = tuple(c >> (l - lv) for c in cell)
             if (lv, anc) in seen:
                 return False
-    if alloc.count <= pairwise_limit:
+    if alloc.count <= DISJOINT_CHECK_LIMIT:
         lo = alloc.lower_corners()
         hi = lo + alloc.sides()[:, None]
         for i in range(alloc.count):
@@ -571,45 +535,44 @@ class SequenceBumpSum(LipschitzMap):
     """
 
     def __init__(self, alloc: CubeAllocation, sigmas):
+        # the target is the sequence space; images are compared by sparse_dist
+        super().__init__(NormedSpace(alloc.dim, "linf"), None)
         self.alloc = alloc
         self.sigmas = np.asarray(sigmas, dtype=float)
         if len(self.sigmas) != alloc.count:
             raise ValueError("one amplitude per cube required")
-        self.domain_dim = alloc.dim
-        self.domain_space = NormedSpace(alloc.dim, "linf")
         self._centers = alloc.centers()
         self._radii = 0.5 * alloc.sides()
-        self._levels = sorted(set(alloc.levels.tolist()))
-        self._lut: dict[int, dict[tuple, int]] = {l: {} for l in self._levels}
-        for j, (l, cell) in enumerate(zip(alloc.levels.tolist(), map(tuple, alloc.cells.tolist()))):
-            self._lut[l][cell] = j
+
+    @cached_property
+    def _lut(self) -> dict[int, dict[tuple, int]]:
+        """Per level, cell -> cube index; built on the first ``locate``."""
+        lut: dict[int, dict[tuple, int]] = {}
+        for j, (l, cell) in enumerate(zip(self.alloc.levels.tolist(),
+                                          map(tuple, self.alloc.cells.tolist()))):
+            lut.setdefault(l, {})[cell] = j
+        return dict(sorted(lut.items()))
 
     def declared_lipschitz(self) -> float:
         return float((self.sigmas / self._radii).max())
 
     def locate(self, y: np.ndarray) -> Optional[int]:
         y = np.asarray(y, dtype=float)
-        for l in self._levels:
+        for l, cells in self._lut.items():
             side = 2.0 ** (-l)
-            cell = tuple(int(c) for c in np.floor((y + 1.0) / side))
-            j = self._lut[l].get(cell)
+            j = cells.get(tuple(int(c) for c in np.floor((y + 1.0) / side)))
             if j is not None:
                 return j
         return None
 
-    def evaluate(self, y):
-        """Sparse image: (coordinate index, value) or None for zero."""
-        j = self.locate(y)
-        if j is None:
-            return None
-        d = float(np.abs(self._centers[j] - np.asarray(y, dtype=float)).max())
-        w = max(0.0, 1.0 - d / self._radii[j])
-        if w == 0.0:
-            return None
-        return (j, self.sigmas[j] * w)
-
     def evaluate_batch(self, ys):
-        return [self.evaluate(y) for y in np.asarray(ys, dtype=float)]
+        """Sparse images: (coordinate index, value), or None for zero."""
+        out = []
+        for y in np.asarray(ys, dtype=float):
+            j = self.locate(y)
+            w = 0.0 if j is None else 1.0 - np.abs(self._centers[j] - y).max() / self._radii[j]
+            out.append((j, self.sigmas[j] * w) if w > 0.0 else None)
+        return out
 
     @staticmethod
     def sparse_dist(u, v) -> float:
@@ -627,15 +590,6 @@ class SequenceBumpSum(LipschitzMap):
     def target_dist_batch(self, us, vs):
         return np.asarray([self.sparse_dist(u, v) for u, v in zip(us, vs)])
 
-    def domain_norm(self, y):
-        return float(np.abs(np.asarray(y)).max())
-
-    def domain_norm_batch(self, ys):
-        return np.abs(np.asarray(ys, dtype=float)).max(axis=1)
-
-    def sample_domain(self, rng, count):
-        return _unit_cube_sample(rng, count, self.domain_dim)
-
     def to_json(self):
         return {"variant": "sequence-bump-sum", "dim": self.alloc.dim,
                 "levels": self.alloc.levels.tolist(),
@@ -651,16 +605,10 @@ def bump_levels(sigmas, gamma: float) -> np.ndarray:
     x = 2.0 * sig / gamma
     if np.any(x > 1.0 + 1e-15):
         raise PreconditionError("sigma_1 <= gamma/2 required")
-    x = np.minimum(x, 1.0)
-    lev = np.ceil(-np.log2(x) - 1e-12).astype(int)
-    lev = np.maximum(lev, 0)
-    # fix any float off-by-one so the defining inequalities hold exactly
-    for _ in range(2):
-        too_big = 2.0 ** (-lev.astype(float)) < x - 1e-300
-        lev[too_big] -= 1
-        too_small = 2.0 ** (-(lev + 1).astype(float)) >= x
-        lev[too_small] += 1
-    return np.maximum(lev, 0)
+    # x = mant * 2**exp with mant in [0.5, 1): x is 2**(exp-1) exactly when
+    # mant == 0.5, and lies strictly inside (2**(exp-1), 2**exp) otherwise
+    mant, exp = np.frexp(np.minimum(x, 1.0))
+    return np.maximum(-exp.astype(np.int64) + (mant == 0.5), 0)
 
 
 def build_sequence_bump_map(sigmas_prefix, gamma: float, dim: int,

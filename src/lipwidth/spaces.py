@@ -21,6 +21,8 @@ TOL_ZERO = 1e-12
 REL_TOL = 1e-9
 # Largest set for which a dense pairwise distance matrix is cached.
 DENSE_LIMIT = 4096
+# Rows per block when a dense distance matrix is built.
+MATRIX_BLOCK = 256
 
 NORM_KINDS = ("l1", "l2", "linf", "wlinf", "l1step")
 
@@ -191,8 +193,13 @@ class PointSet(FiniteSet):
                 raise PreconditionError(
                     f"dense distance matrix refused for {self.size} points"
                 )
-            diffs = self.points[:, None, :] - self.points[None, :, :]
-            self._matrix = np.asarray(self.space.norm(diffs))
+            # row blocks bound the (rows, m, dim) difference array; a set of
+            # at most one block is a single broadcast
+            out = np.empty((self.size, self.size))
+            for i in range(0, self.size, MATRIX_BLOCK):
+                diffs = self.points[i : i + MATRIX_BLOCK, None, :] - self.points[None, :, :]
+                out[i : i + MATRIX_BLOCK] = self.space.norm(diffs)
+            self._matrix = out
         return self._matrix
 
     def dist_row(self, i: int) -> np.ndarray:
@@ -211,7 +218,9 @@ class PointSet(FiniteSet):
 
     def distinct_distances(self) -> np.ndarray:
         if self._distinct is None:
-            vals = np.unique(self.matrix())
+            # one strict triangle: norms are exact under negation, so the
+            # matrix is symmetric
+            vals = np.unique(self.matrix()[np.tri(self.size, k=-1, dtype=bool)])
             self._distinct = vals[vals > 0.0]
         return self._distinct
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,8 @@ from lipwidth import (
     empirical_lipschitz,
     lp_space,
 )
-from lipwidth.lipmaps import bump_levels, grid_centers, map_from_json
+from lipwidth.lipmaps import ReluParamMap, bump_levels, grid_centers, map_from_json
+from lipwidth.relunet import ReLUNetConfig
 from lipwidth.spaces import PreconditionError
 
 L2 = lp_space(3, 2)
@@ -216,6 +219,27 @@ def test_allocate_levels_must_ascend():
         allocate_dyadic_cubes(1, [2, 1])
 
 
+def greedy_cells(dim, levels):
+    """Reference allocator: a best-fit free list of dyadic cells.
+
+    Level -1 is [-1, 1]^dim itself.  Each cube takes a free cell of the
+    finest level no finer than its own and splits it down, keeping the
+    first child and freeing the others.
+    """
+    free = {-1: [tuple([0] * dim)]}
+    cells = np.empty((len(levels), dim), dtype=np.int64)
+    deltas = list(itertools.product((0, 1), repeat=dim))
+    for j, l in enumerate(levels):
+        src = next(lv for lv in range(l, -2, -1) if free.get(lv))
+        cell = free[src].pop()
+        for lv in range(src, l):
+            children = [tuple(2 * c + d for c, d in zip(cell, delta)) for delta in deltas]
+            cell = children[0]
+            free.setdefault(lv + 1, []).extend(reversed(children[1:]))
+        cells[j] = cell
+    return cells
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_allocate_random_levels_audit(seed):
@@ -227,10 +251,39 @@ def test_allocate_random_levels_audit(seed):
         return
     alloc = allocate_dyadic_cubes(dim, levels.tolist())
     assert audit_cube_allocation(alloc)
+    assert np.array_equal(alloc.cells, greedy_cells(dim, levels.tolist()))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_allocate_fully_packed(dim):
+    # 2^dim - 1 cubes at levels 0 and 1, then 2^dim at level 2, fill
+    # [-1, 1]^dim exactly
+    per = 2 ** dim
+    levels = [0] * (per - 1) + [1] * (per - 1) + [2] * per
+    alloc = allocate_dyadic_cubes(dim, levels)
+    assert float(np.sum(alloc.sides() ** dim)) == 2.0 ** dim
+    assert audit_cube_allocation(alloc)
+    assert np.array_equal(alloc.cells, greedy_cells(dim, levels))
+    with pytest.raises(PreconditionError, match="volume"):
+        allocate_dyadic_cubes(dim, levels + [2])
+
+
+def test_allocate_codes_wider_than_63_bits():
+    # log-decay levels reach level 4 in dim 13: Morton codes of 13 * 5 = 65 bits
+    j = np.arange(1, 2001, dtype=float)
+    levels = bump_levels(1.0 / np.log2(j + 1.0), 3.0).tolist()
+    assert 13 * (max(levels) + 1) > 63
+    alloc = allocate_dyadic_cubes(13, levels)
+    assert audit_cube_allocation(alloc)
+    assert np.array_equal(alloc.cells, greedy_cells(13, levels))
 
 
 def test_bump_levels_bracket():
-    sig = np.array([0.5, 0.25, 0.2, 0.125])
+    # exact powers of two, their float neighbours on either side, and x = 1
+    pows = 2.0 ** -np.arange(1, 80, dtype=float)
+    edges = np.concatenate([pows, np.nextafter(pows, 0.0), np.nextafter(pows, 1.0),
+                            [1.0, np.nextafter(1.0, 0.0)]])
+    sig = np.concatenate([[0.5, 0.25, 0.2, 0.125], edges])
     lev = bump_levels(sig, 2.0)
     x = 2.0 * sig / 2.0
     for l, xi in zip(lev, x):
@@ -291,8 +344,7 @@ def test_map_json_roundtrip():
 
 
 def test_relu_param_map_adapter():
-    from lipwidth.lipmaps import ReluParamMap
-    from lipwidth.relunet import ReLUNetConfig, lip_bound
+    from lipwidth.relunet import lip_bound
 
     cfg = ReLUNetConfig(d=1, width=2, depth=2, grid=64)
     m = ReluParamMap(cfg)
@@ -315,3 +367,38 @@ def test_empirical_raises_on_false_declaration():
     m = Lying(np.zeros(3), L2, domain_dim=2)
     with pytest.raises(BoundViolation):
         empirical_lipschitz(m, seed=0, pairs=200)
+
+
+def _variants():
+    basis = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 2)))[0].T
+    return {
+        "constant": ConstantMap(np.array([1.0, 0.0, 0.0]), L2, domain_dim=2, domain_kind="l2"),
+        "bump-sum": two_bump_map(),
+        "path": build_path_map([np.zeros(3), np.ones(3), -np.ones(3)], L2),
+        "affine-ball": AffineBallMap(np.ones(3), 1.5, basis, lp_space(3, 1)),
+        "sequence-bump-sum": build_sequence_bump_map(np.array([0.5, 0.3, 0.2, 0.2, 0.1]),
+                                                     2.0, 2, 5),
+        "relu": ReluParamMap(ReLUNetConfig(d=1, width=2, depth=2, grid=16)),
+    }
+
+
+@pytest.mark.parametrize("variant", list(_variants()))
+def test_map_base_contract(variant):
+    m = _variants()[variant]
+    ys = m.sample_domain(np.random.default_rng(11), 64)
+    assert ys.shape == (64, m.domain_dim)
+    assert np.all(m.domain_norm_batch(ys) <= 1.0 + 1e-12)
+    doc = m.to_json()
+    assert doc["variant"] == variant
+    back = map_from_json(doc)
+    assert back.to_json() == doc
+    for y in ys[:16]:
+        one, again, restored = m.evaluate(y), m.evaluate_batch(y[None])[0], back.evaluate(y)
+        if isinstance(one, np.ndarray):
+            # the restored arrays may differ in memory layout, and BLAS
+            # rounding with it
+            assert np.array_equal(one, again) and np.allclose(one, restored, rtol=1e-12)
+        else:  # sparse (index, value) image or None
+            assert one == again == restored
+    dist = m.target_dist_batch(m.evaluate_batch(ys), back.evaluate_batch(ys))
+    assert np.all(dist <= 1e-12)

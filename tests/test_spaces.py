@@ -184,3 +184,16 @@ def test_empty_set_rejected():
         PointSet(lp_space(2, 2), np.empty((0, 2)))
     with pytest.raises(ValueError):
         step_space([0.0, 1.0])  # does not span [0, 2]
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_blocked_matrix_matches_one_broadcast(kind):
+    # 600 points span three row blocks; the duplicate adds a zero off the diagonal
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1, 1, size=(600, 3))
+    pts[7] = pts[300]
+    ps = PointSet(NormedSpace(3, kind), pts)
+    full = np.asarray(ps.space.norm(pts[:, None, :] - pts[None, :, :]))
+    assert np.array_equal(ps.matrix(), full)
+    vals = np.unique(full)
+    assert np.array_equal(ps.distinct_distances(), vals[vals > 0.0])
