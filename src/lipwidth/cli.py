@@ -402,8 +402,8 @@ def _run_width_lower(cfg, seed):
     if study is not None and study.sequence_spec is not None:
         spec = study.sequence_spec(cfg["target"])
         count_log2 = lambda t: cs.sequence_packing_count_log2(spec, t)
-    cert = width_lower_certified(fset, n, gamma, count_log2=count_log2)
-    return [cert.to_json()], [{"name": "width-lower", "passed": True}]
+    cert = width_lower_certified(fset, n, gamma, count_log2=count_log2).to_json()
+    return [cert], [{"name": "width-lower", "passed": lower_certificate_holds(cert)}]
 
 
 def _run_kolmogorov(cfg, seed):
@@ -526,6 +526,19 @@ def _covered_by(fset, centers, eps) -> bool:
         return False
 
 
+def lower_certificate_holds(cert: dict) -> bool:
+    """Re-check a covering-count lower certificate from its witness.
+
+    Value eps needs log2 N_{2 eps} > n log2(3 gamma / eps); when no eps
+    qualified, the value must be 0.
+    """
+    w = cert["witness"]
+    if w.get("count_source") == "none-qualified":
+        return cert["value"] == 0.0
+    thr = cert["n"] * math.log2(3.0 * cert["gamma"] / w["eps"])
+    return bool(w["count_log2"] > thr - 1e-9 and cert["value"] == w["eps"])
+
+
 def witness_audit_entries(certs: list, fset=None) -> list:
     """Re-check each certificate from its recorded witness.
 
@@ -566,11 +579,7 @@ def witness_audit_entries(certs: list, fset=None) -> list:
             elif kind == "evaluated-map":
                 ok = cert["value"] >= 0.0
         elif q == "lipschitz_width" and cert.get("direction") == "lower":
-            if w.get("count_source") == "none-qualified":
-                ok = cert["value"] == 0.0
-            else:
-                thr = cert["n"] * math.log2(3.0 * cert["gamma"] / w["eps"])
-                ok = w["count_log2"] > thr - 1e-9 and cert["value"] == w["eps"]
+            ok = lower_certificate_holds(cert)
         elif q == "kolmogorov_width":
             ok = cert["value"] >= 0.0 and kind in (
                 "orthogonal-projection", "coordinate-subspace",

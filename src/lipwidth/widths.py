@@ -89,6 +89,10 @@ def width_upper_from_entropy(pset: PointSet, k: int, n: int,
     regular 2**(k n) grid to the covering points.  The certificate value is
     the entropy upper bound; the realised map error is recorded too.
     """
+    if not isinstance(pset, PointSet):
+        raise PreconditionError(
+            f"width-upper needs a materialised point set to translate, "
+            f"not a {type(pset).__name__}")
     if k < 1 or n < 1:
         raise PreconditionError("k and n must be positive")
     if k * n > 24:

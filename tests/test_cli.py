@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,3 +297,46 @@ def test_csv_includes_reference_column():
     lines = certificates_csv(report).strip().splitlines()
     assert "reference" in lines[0]
     assert report["passed"]
+
+
+@pytest.mark.parametrize("name", ["log-sequence", "power-sequence"])
+def test_width_upper_on_sequence_set_is_numeric_failure(tmp_path, capsys, name):
+    # a SequenceSet oracle cannot be translated into an entropy-map target
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "width-upper",
+                                "target": {"kind": "case-study", "name": name}}))
+    assert main(["--config", str(path)]) == 3
+    assert "materialised point set" in capsys.readouterr().err
+
+
+def test_width_lower_audit_rechecks_certificate(monkeypatch):
+    from lipwidth import cli as climod
+    from lipwidth.cli import lower_certificate_holds
+
+    cfg = {"command": "width-lower", "seed": 2,
+           "target": {"kind": "random", "m": 30, "dim": 2, "norm": "l2"},
+           "params": {"n": 1, "gamma": 0.05}}
+    report = run(cfg)
+    cert = report["certificates"][0]
+    assert cert["witness"]["count_source"] == "materialized-packing"
+    assert report["passed"] and lower_certificate_holds(cert)
+    w = cert["witness"]
+    tampered = [
+        dict(cert, value=2.0 * cert["value"]),
+        # n = 1: the threshold rises by log2 of the factor, past the count
+        dict(cert, gamma=cert["gamma"] * 2.0 ** (w["count_log2"] - w["threshold_log2"] + 1)),
+        dict(cert, witness=dict(w, count_log2=w["threshold_log2"] - 0.5)),
+        dict(cert, witness={"kind": "covering-count", "count_source": "none-qualified"}),
+    ]
+    for bad in tampered:
+        assert not lower_certificate_holds(bad)
+    assert lower_certificate_holds(dict(tampered[-1], value=0.0))
+
+    # the width-lower handler's own audit fails on a forged certificate
+    real = climod.width_lower_certified
+
+    def forged(*args, **kwargs):
+        return replace(real(*args, **kwargs), value=1.0)
+
+    monkeypatch.setattr(climod, "width_lower_certified", forged)
+    assert not run(cfg)["passed"]

@@ -5,6 +5,7 @@ import pytest
 
 from lipwidth.relunet import (
     ReLUNetConfig,
+    _batched_forward,
     closed_form_constant,
     forward,
     input_grid,
@@ -172,3 +173,54 @@ def test_grid_shapes():
     assert input_grid(ReLUNetConfig(d=1, width=2, depth=1)).shape == (256, 1)
     assert input_grid(ReLUNetConfig(d=2, width=2, depth=1)).shape == (256, 2)
     assert input_grid(ReLUNetConfig(d=3, width=2, depth=1, grid=4)).shape == (64, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_forward_matches_pointwise_forward(seed):
+    # every row and grid point of the batched pass equals the per-point net
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        cfg = ReLUNetConfig(d=int(rng.integers(1, 4)), width=int(rng.integers(2, 4)),
+                            depth=int(rng.integers(1, 6)), grid=3)
+        X = input_grid(cfg)
+        npar = param_count(cfg.d, cfg.width, cfg.depth)
+        pool = rng.uniform(-1, 1, size=(12, npar))
+        for ys in (pool[:0], pool[:1], pool[:6], pool[::3]):  # T = 0, 1, 6, strided
+            out = _batched_forward(cfg, ys, X)
+            assert out.shape == (ys.shape[0], X.shape[0])
+            for t, y in enumerate(ys):
+                want = [forward(cfg, y, x) for x in X]
+                assert np.allclose(out[t], want, rtol=0, atol=1e-12)
+
+
+# (d, width, depth), seed, trials, max_ratio, layer_max_observed as recorded
+# with one allocating batched matmul per layer; trials over 512 span chunks.
+_VERIFY_GOLDEN = [
+    ((1, 2, 1), 1, 600, 2.547411891156039,
+     (1.9525804230572321,)),
+    ((1, 3, 3), 2, 700, 2.8588471426664377,
+     (1.9580253636059708, 3.413023581178612, 3.1944190892022597)),
+    ((2, 2, 2), 3, 513, 1.9290559155079243,
+     (2.8829521573566277, 3.0030707101722918)),
+    ((2, 3, 4), 4, 300, 2.3623215776846918,
+     (2.846290378205837, 4.536550183417542, 5.076600287185214,
+      4.141181898681719)),
+    ((3, 2, 5), 5, 256, 1.5080566264433628,
+     (2.9964247595122977, 3.5936994666960107, 4.276311665762318,
+      2.5338115000025696, 3.43813423138835)),
+    ((3, 3, 3), 6, 1030, 2.8451307108422883,
+     (3.457844734467842, 4.739463941713235, 5.293060509383285)),
+    ((1, 2, 5), 7, 200, 1.9699007193416374,
+     (1.8777005798207766, 2.2168407809592674, 2.285543113860514,
+      2.0434123746756874, 2.2408988648420696)),
+    ((2, 3, 1), 8, 100, 2.3388035413514427,
+     (2.640830828282649,)),
+]
+
+
+@pytest.mark.parametrize("shape,seed,trials,ratio,layers", _VERIFY_GOLDEN)
+def test_verify_lipschitz_golden(shape, seed, trials, ratio, layers):
+    res = verify_lipschitz(ReLUNetConfig(*shape), seed=seed, trials=trials)
+    assert repr(res.max_ratio) == repr(ratio)
+    assert res.layer_max_observed == layers
+
