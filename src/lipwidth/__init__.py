@@ -39,7 +39,6 @@ from .lipmaps import (
     build_entropy_map,
     build_path_map,
     build_sequence_bump_map,
-    declared_lipschitz,
     empirical_lipschitz,
 )
 from .widths import (

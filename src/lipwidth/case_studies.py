@@ -23,7 +23,8 @@ import numpy as np
 from .covering import inner_entropy
 from .lipmaps import SequenceBumpSum, build_sequence_bump_map
 from .spaces import FiniteSet, NormedSpace, PointSet, PreconditionError, step_space
-from .widths import WidthCertificate, kolmogorov_comparison, width_lower_certified
+from .widths import (WidthCertificate, best_coordinate_subspace, kolmogorov_comparison,
+                     kolmogorov_upper, width_lower_certified)
 
 EXACT_SUM_LIMIT = 10 ** 6
 
@@ -74,18 +75,20 @@ def sigma_values(spec: SequenceSetSpec, count: int) -> np.ndarray:
 
 
 class SequenceSet(FiniteSet):
-    """{sigma_j e_j}_{j<=M} union {0} with sparse closed-form distances.
+    """{sigma_j e_j}_{j<=M} union {0} with sparse closed-form distances, for
+    the generator and truncation M of ``spec``.
 
     Point order: index i < M is sigma_{i+1} e_{i+1}; index M is the origin.
     Distances: d(i, j) = sigma_{min(i,j)+1} for i != j < M and
     d(i, M) = sigma_{i+1}.
     """
 
-    def __init__(self, sigmas: np.ndarray):
-        sig = np.asarray(sigmas, dtype=float)
+    def __init__(self, spec: SequenceSetSpec):
+        sig = sigma_values(spec, spec.truncation)
         if np.any(sig <= 0) or np.any(np.diff(sig) >= 0):
             raise PreconditionError("sigma must be strictly decreasing and positive")
         self.sigmas = sig
+        self.spec = spec
         self.size = len(sig) + 1
         self.space = NormedSpace(len(sig), "linf")
 
@@ -107,6 +110,10 @@ class SequenceSet(FiniteSet):
     def distinct_distances(self) -> np.ndarray:
         return np.unique(self.sigmas)
 
+    def packing_count_log2(self, t: float) -> float:
+        """``sequence_packing_count_log2`` of the generator: no truncation needed."""
+        return sequence_packing_count_log2(self.spec, t)
+
     def dense_points(self) -> np.ndarray:
         m = len(self.sigmas)
         pts = np.zeros((m + 1, m))
@@ -115,7 +122,7 @@ class SequenceSet(FiniteSet):
 
 
 def sequence_set(spec: SequenceSetSpec) -> SequenceSet:
-    return SequenceSet(sigma_values(spec, spec.truncation))
+    return SequenceSet(spec)
 
 
 def log_sequence_entropy_lower(index: int) -> float:
@@ -255,6 +262,7 @@ def sequence_width_upper(spec_generator: str, gamma: float, n: int,
         witness={
             "kind": "dyadic-bump-map",
             "generator": spec_generator,
+            "c": c,
             "total_terms": total_terms,
             "materialized": prefix,
             "sigma_at_total": sigma_n_val,
@@ -269,6 +277,14 @@ def sequence_width_upper(spec_generator: str, gamma: float, n: int,
     return cert, bmap
 
 
+def recheck_dyadic_bump_map(cert: dict, fset=None) -> bool:
+    """The volume condition holds again at the recorded inputs, and value >= sigma_N."""
+    w = cert["witness"]
+    spec = SequenceSetSpec(w["generator"], 2, w["c"])
+    return (volume_condition(spec, cert["gamma"], cert["n"], w["total_terms"]).holds
+            and cert["value"] >= sigma_at(spec, w["total_terms"]))
+
+
 # --- log-decay sharpness -----------------------------------------------------
 
 
@@ -279,13 +295,13 @@ class LogSequenceReport:
     upper: WidthCertificate
     lower: WidthCertificate
     entropy_bracket: tuple
+    entropy_spec: SequenceSetSpec  # the set the bracket is taken on
     entropy_exact: float      # sigma_{2^n}, the exact inner entropy number
     entropy_rate: float       # 1/n, the headline rate
     rate_ratio: float         # upper.value / entropy_rate
 
 
 def log_sequence_certificates(n: int, gamma: float = 3.0,
-                              truncation: Optional[int] = None,
                               max_bumps: int = EXACT_SUM_LIMIT) -> LogSequenceReport:
     """Two-sided width certificates for the log-decay sequence set.
 
@@ -303,13 +319,9 @@ def log_sequence_certificates(n: int, gamma: float = 3.0,
     upper, _ = sequence_width_upper("log", gamma, n, total,
                                     max_bumps=max_bumps,
                                     value_override=rate_value)
-    trunc = truncation if truncation is not None else 2 ** min(n + 4, 14)
-    spec = SequenceSetSpec(generator="log", truncation=trunc)
+    spec = SequenceSetSpec(generator="log", truncation=2 ** min(n + 4, 14))
     sset = sequence_set(spec)
-    lower = width_lower_certified(
-        sset, n, gamma,
-        count_log2=lambda t: sequence_packing_count_log2(spec, t),
-    )
+    lower = width_lower_certified(sset, n, gamma, count_log2=sset.packing_count_log2)
     ent_spec = SequenceSetSpec(generator="log", truncation=2 ** min(n + 2, 14))
     ent = inner_entropy(sequence_set(ent_spec), n)
     sigma_exact = sigma_at(spec, 2 ** n)
@@ -319,6 +331,7 @@ def log_sequence_certificates(n: int, gamma: float = 3.0,
         upper=upper,
         lower=lower,
         entropy_bracket=(ent.lower, ent.upper),
+        entropy_spec=ent_spec,
         entropy_exact=sigma_exact,
         entropy_rate=1.0 / n,
         rate_ratio=upper.value / (1.0 / n),
@@ -400,12 +413,10 @@ class BasisThresholdReport:
     regime_certified: bool  # lhs > rhs forces 3 d_s^gamma >= sqrt(2)
     entropy_value: float    # sqrt(2), all k <= m
     entropy_brackets: dict
-    width_lower: Optional[WidthCertificate]
 
 
 def orthonormal_basis_report(m: int, gamma: float, s: int,
-                             entropy_ks: Optional[list] = None,
-                             with_width_lower: bool = False) -> BasisThresholdReport:
+                             entropy_ks: Optional[list] = None) -> BasisThresholdReport:
     """Entropy saturation and width threshold for the basis cloud.
 
     All pairwise distances equal sqrt(2), so every inner entropy number up
@@ -422,16 +433,12 @@ def orthonormal_basis_report(m: int, gamma: float, s: int,
     for k in ks:
         est = inner_entropy(cloud, k)
         brackets[int(k)] = (est.lower, est.upper)
-    wl = None
-    if with_width_lower:
-        wl = width_lower_certified(cloud, s, gamma)
     return BasisThresholdReport(
         m=m, gamma=gamma, s=s,
         threshold_lhs=lhs, threshold_rhs=rhs,
         regime_certified=lhs > rhs,
         entropy_value=math.sqrt(2.0),
         entropy_brackets=brackets,
-        width_lower=wl,
     )
 
 
@@ -461,15 +468,6 @@ class TransportSet(PointSet):
         dmat = 2.0 * np.abs(params[:, None] - params[None, :])
         super().__init__(space, pts, dist_matrix=dmat)
         self.params = params
-
-    def approximant_cells(self, n: int) -> np.ndarray:
-        """0/1 coefficients of the n-cell piecewise-constant approximants."""
-        coeffs = np.zeros((self.size, n))
-        for i, a in enumerate(self.params):
-            j1 = min(int(math.floor(a * n / 2.0)), n - 1)
-            j2 = min(int(math.floor((a + 1.0) * n / 2.0)), n - 1)
-            coeffs[i, j1 : j2 + 1] = 1.0
-        return coeffs
 
     def cell_basis(self, n: int) -> np.ndarray:
         """Indicators of [2j/n, 2(j+1)/n) expressed on the space grid."""
@@ -507,16 +505,16 @@ def transport_reference() -> dict:
 
 def transport_kolmogorov_upper(tset: TransportSet, n: int
                                ) -> tuple[WidthCertificate, np.ndarray]:
-    """Exact residual of the n-cell piecewise-constant approximants.
+    """Exact residual of the n-cell piecewise-constant approximants, with
+    their 0/1 cell coefficients.
 
-    The L1 error of the approximant of chi_a is
-    (a - 2 j1/n) + (2 (j2+1)/n - a - 1), computed in closed form per sample.
+    chi_a meets the cells [2j/n, 2(j+1)/n) from j1 to j2, and the L1 error
+    of its approximant is (a - 2 j1/n) + (2 (j2+1)/n - a - 1).
     """
-    resid = np.empty(tset.size)
-    for i, a in enumerate(tset.params):
-        j1 = min(int(math.floor(a * n / 2.0)), n - 1)
-        j2 = min(int(math.floor((a + 1.0) * n / 2.0)), n - 1)
-        resid[i] = (a - 2.0 * j1 / n) + (2.0 * (j2 + 1) / n - a - 1.0)
+    a, cells = tset.params, np.arange(n)
+    j1 = np.minimum(np.floor(a * n / 2.0).astype(int), n - 1)
+    j2 = np.minimum(np.floor((a + 1.0) * n / 2.0).astype(int), n - 1)
+    resid = (a - 2.0 * j1 / n) + (2.0 * (j2 + 1) / n - a - 1.0)
     value = float(resid.max())
     cert = WidthCertificate(
         quantity="kolmogorov_width", n=n, gamma=None, value=value,
@@ -524,7 +522,12 @@ def transport_kolmogorov_upper(tset: TransportSet, n: int
         witness={"kind": "piecewise-constant-cells", "cells": n,
                  "worst_param": float(tset.params[int(np.argmax(resid))])},
     )
-    return cert, tset.approximant_cells(n)
+    return cert, ((cells >= j1[:, None]) & (cells <= j2[:, None])).astype(float)
+
+
+def recheck_transport_cells(cert: dict, tset: TransportSet) -> bool:
+    """The n-cell residual on ``tset``, computed again, is no larger."""
+    return transport_kolmogorov_upper(tset, cert["witness"]["cells"])[0].value <= cert["value"]
 
 
 def transport_comparison(tset: TransportSet, n: int) -> WidthCertificate:
@@ -541,8 +544,19 @@ def transport_comparison(tset: TransportSet, n: int) -> WidthCertificate:
         reach = float(np.asarray(tset.space.norm(approx - g0)).max())
         if reach < best_reach:
             best_reach, best_g0 = reach, g0
-    return kolmogorov_comparison(tset, dn, basis, approx, g0=best_g0,
-                                 domain_sampler="general")
+    return kolmogorov_comparison(tset, dn, basis, approx, g0=best_g0)
+
+
+def recheck_affine_ball(cert: dict, fset: FiniteSet) -> bool:
+    """Built again on the recorded cells or axes, the comparison has no larger
+    value or gamma (a larger gamma only weakens the claim)."""
+    w = cert["witness"]
+    if "cells" in w:
+        again = transport_comparison(fset, w["cells"])
+    else:
+        dn, proj = kolmogorov_upper(fset, w["axes"])
+        again = kolmogorov_comparison(fset, dn, np.eye(fset.space.dim)[w["axes"]], proj)
+    return cert["value"] >= again.value and cert["gamma"] >= again.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -593,3 +607,162 @@ def octahedron_set(n: int) -> PointSet:
     eye = np.eye(2 * n) * scale
     pts = np.concatenate([eye, -eye], axis=0)
     return PointSet(NormedSpace(2 * n, "l2"), pts)
+
+
+# ---------------------------------------------------------------------------
+# Case-study runs: target -> set, and (target, params) -> (certificates,
+# audits) for ``case-study run`` and ``audit-all``, each followed by the
+# rechecks of the certificates it builds.
+# ---------------------------------------------------------------------------
+
+
+def sequence_target_set(generator: str, target: dict) -> SequenceSet:
+    return sequence_set(SequenceSetSpec(generator=generator,
+                                        truncation=int(target.get("truncation", 256)),
+                                        c=float(target.get("c", 1.0))))
+
+
+def transport_target_set(target: dict) -> TransportSet:
+    return transport_set(TransportSpec(grid=int(target.get("grid", 1024))))
+
+
+def diagonal_target_set(target: dict) -> PointSet:
+    return diagonal_set(DiagonalSetSpec(int(target.get("truncation", 64))))
+
+
+def certify_log_sequence(target, params):
+    n = int(params.get("n", 6))
+    gamma = float(params.get("gamma", 3.0))
+    rep = log_sequence_certificates(n, gamma,
+                                    max_bumps=int(params.get("max_bumps", 10 ** 5)))
+    certs = [rep.upper.to_json(), rep.lower.to_json(),
+             {"quantity": "inner_entropy", "n": n,
+              "lower": rep.entropy_bracket[0], "upper": rep.entropy_bracket[1],
+              "reference": rep.entropy_exact,
+              "set": {"generator": "log", "truncation": rep.entropy_spec.truncation}}]
+    audits = [
+        {"name": "upper-equals-rate", "passed":
+            abs(rep.upper.value - 1.0 / (n * math.log2(n + 1))) <= 1e-12},
+        {"name": "entropy-bracket-contains-reference", "passed":
+            rep.entropy_bracket[0] <= rep.entropy_exact * (1 + 1e-9)
+            and rep.entropy_bracket[1] >= rep.entropy_exact * (1 - 1e-9)},
+        {"name": "lower-positive-below-upper", "passed":
+            0 < rep.lower.value <= rep.upper.value},
+    ]
+    return certs, audits
+
+
+def recheck_entropy(cert: dict, fset: FiniteSet) -> bool:
+    """Any ``inner_entropy`` bracket, this study's or another command's: a new
+    search of ``fset`` (or of the sequence set named by ``set``) finds a
+    bracket inside the recorded one."""
+    est = inner_entropy(sequence_set(SequenceSetSpec(**cert["set"])) if "set" in cert
+                        else fset, cert["n"])
+    return cert["lower"] <= est.lower and cert["upper"] >= est.upper
+
+
+def certify_power_sequence(target, params):
+    c = float(params.get("c", 1.0))
+    gamma = float(params.get("gamma", 4.0))
+    n1 = power_collapse_index(c, gamma)
+    certs = [{"quantity": "collapse_index", "c": c, "gamma": gamma, "n1": n1}]
+    audits = []
+    for total in (10 ** 3, 10 ** 6):
+        cert = power_width_upper(c, gamma, n1, total,
+                                 max_bumps=int(params.get("max_bumps", 10 ** 5)))
+        certs.append(cert.to_json())
+        audits.append({"name": f"upper-sigma-N{total}", "passed":
+                       cert.value <= float(total) ** (-c) * (1 + 1e-12)})
+    return certs, audits
+
+
+def recheck_collapse_index(cert: dict, fset=None) -> bool:
+    return cert["n1"] == power_collapse_index(cert["c"], cert["gamma"])
+
+
+def certify_transport(target, params):
+    tset = transport_target_set(target)
+    refs = transport_reference()
+    certs, audits = [], []
+    for n in params.get("n_values", [1, 3, 8]):
+        est = inner_entropy(tset, int(n))
+        ref = refs["entropy"](int(n))
+        certs.append({"quantity": "inner_entropy", "n": int(n),
+                      "lower": est.lower, "upper": est.upper, "reference": ref})
+        audits.append({"name": f"entropy-contains-ref-n{n}", "passed":
+                       est.lower <= ref * (1 + 1e-9) and est.upper >= ref * (1 - 1e-9)})
+    for n in params.get("n_values_kolmogorov", [4, 16]):
+        cert, _ = transport_kolmogorov_upper(tset, int(n))
+        certs.append(cert.to_json())
+        audits.append({"name": f"kolmogorov-upper-n{n}", "passed":
+                       refs["kolmogorov_lower"](int(n)) <= cert.value
+                       <= refs["kolmogorov_upper"](int(n)) * (1 + 1e-12)})
+        comp = transport_comparison(tset, int(n))
+        certs.append(comp.to_json())
+        audits.append({"name": f"comparison-n{n}", "passed":
+                       comp.value <= cert.value + 1e-9})
+    return certs, audits
+
+
+def certify_diagonal(target, params):
+    dset = diagonal_target_set(target)
+    certs, audits = [], []
+    for n in params.get("n_values", [4, 8, 16]):
+        cert, approx = kolmogorov_upper(dset, range(int(n)))
+        comp = kolmogorov_comparison(dset, cert, np.eye(dset.space.dim)[: int(n)], approx)
+        certs += [cert.to_json(), comp.to_json()]
+        ref = diagonal_reference_upper(int(n))
+        audits += [
+            {"name": f"kolmogorov-matches-ref-n{n}", "passed":
+                abs(cert.value - ref) <= 1e-9},
+            {"name": f"comparison-n{n}", "passed": comp.value <= cert.value + 1e-9},
+        ]
+    return certs, audits
+
+
+def certify_orthonormal_basis(target, params):
+    m = int(params.get("m", 14))
+    gamma = float(params.get("gamma", 2.0 * math.sqrt(2.0)))
+    s = int(params.get("s", 2))
+    rep = orthonormal_basis_report(m, gamma, s)
+    cert = {"quantity": "basis_threshold", "m": m, "gamma": gamma, "s": s,
+            "threshold_lhs": rep.threshold_lhs,
+            "threshold_rhs": rep.threshold_rhs,
+            "regime_certified": rep.regime_certified,
+            "entropy_brackets": {str(k): list(v)
+                                 for k, v in rep.entropy_brackets.items()}}
+    ok = all(lo <= rep.entropy_value * (1 + 1e-9) and hi >= rep.entropy_value * (1 - 1e-9)
+             for lo, hi in rep.entropy_brackets.values())
+    return [cert], [{"name": "entropy-saturates", "passed": ok}]
+
+
+def recheck_basis_threshold(cert: dict, fset=None) -> bool:
+    """The report, computed again, has the same regime flag and narrower brackets."""
+    brackets = {int(k): v for k, v in cert["entropy_brackets"].items()}
+    rep = orthonormal_basis_report(cert["m"], cert["gamma"], cert["s"], sorted(brackets))
+    return cert["regime_certified"] == rep.regime_certified and all(
+        lo <= rep.entropy_brackets[k][0] and hi >= rep.entropy_brackets[k][1]
+        for k, (lo, hi) in brackets.items())
+
+
+def certify_cross_polytope(target, params):
+    certs, audits = [], []
+    for n in params.get("n_values", [1, 2, 4]):
+        val = cross_polytope_width(int(n))
+        certs.append({"quantity": "kolmogorov_width", "n": int(n),
+                      "value": val, "direction": "reference"})
+        cert, _ = best_coordinate_subspace(octahedron_set(int(n)), int(n))
+        certs.append(cert.to_json())
+        audits.append({"name": f"coordinate-upper-above-closed-form-n{n}",
+                       "passed": cert.value >= val * (1 - 1e-12)})
+    return certs, audits
+
+
+def recheck_cross_polytope_width(cert: dict, fset=None) -> bool:
+    return cert["direction"] == "reference" and cert["value"] == cross_polytope_width(cert["n"])
+
+
+def recheck_octahedron_subspace(cert: dict, fset=None) -> bool:
+    """No coordinate subspace of the cross-polytope study's octahedron beats the value."""
+    return best_coordinate_subspace(octahedron_set(cert["n"]), cert["n"])[0].value \
+        <= cert["value"]

@@ -27,13 +27,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, case_studies as cs, relunet as rn
-from .covering import greedy_packing, inner_entropy, sandwich_audit
+from .covering import greedy_packing, inner_entropy, recheck_packing, sandwich_audit
 from .spaces import FiniteSet, NormedSpace, PointSet, PreconditionError, radius_upper
 from .widths import (
-    best_coordinate_subspace,
     carl_transfer_check,
-    kolmogorov_comparison,
     kolmogorov_upper,
+    recheck_covering_count,
+    recheck_entropy_map,
+    recheck_orthogonal_projection,
     width_lower_certified,
     width_upper_from_entropy,
 )
@@ -175,130 +176,6 @@ def _target_set(target: Optional[dict], seed: int) -> FiniteSet:
 # ---------------------------------------------------------------------------
 
 
-def _sequence_spec(generator: str, target: dict) -> cs.SequenceSetSpec:
-    return cs.SequenceSetSpec(generator=generator,
-                              truncation=int(target.get("truncation", 256)),
-                              c=float(target.get("c", 1.0)))
-
-
-def _sequence_set(generator: str, target: dict) -> cs.SequenceSet:
-    return cs.sequence_set(_sequence_spec(generator, target))
-
-
-def _transport_set(target: dict) -> cs.TransportSet:
-    return cs.transport_set(cs.TransportSpec(grid=int(target.get("grid", 1024))))
-
-
-def _diagonal_set(target: dict) -> PointSet:
-    return cs.diagonal_set(cs.DiagonalSetSpec(int(target.get("truncation", 64))))
-
-
-def _log_sequence(target, params):
-    n = int(params.get("n", 6))
-    gamma = float(params.get("gamma", 3.0))
-    rep = cs.log_sequence_certificates(n, gamma,
-                                       max_bumps=int(params.get("max_bumps", 10 ** 5)))
-    certs = [rep.upper.to_json(), rep.lower.to_json(),
-             {"quantity": "inner_entropy", "n": n,
-              "lower": rep.entropy_bracket[0], "upper": rep.entropy_bracket[1],
-              "reference": rep.entropy_exact}]
-    audits = [
-        {"name": "upper-equals-rate", "passed":
-            abs(rep.upper.value - 1.0 / (n * math.log2(n + 1))) <= 1e-12},
-        {"name": "entropy-bracket-contains-reference", "passed":
-            rep.entropy_bracket[0] <= rep.entropy_exact * (1 + 1e-9)
-            and rep.entropy_bracket[1] >= rep.entropy_exact * (1 - 1e-9)},
-        {"name": "lower-positive-below-upper", "passed":
-            0 < rep.lower.value <= rep.upper.value},
-    ]
-    return certs, audits
-
-
-def _power_sequence(target, params):
-    c = float(params.get("c", 1.0))
-    gamma = float(params.get("gamma", 4.0))
-    n1 = cs.power_collapse_index(c, gamma)
-    certs = [{"quantity": "collapse_index", "c": c, "gamma": gamma, "n1": n1}]
-    audits = []
-    for total in (10 ** 3, 10 ** 6):
-        cert = cs.power_width_upper(c, gamma, n1, total,
-                                    max_bumps=int(params.get("max_bumps", 10 ** 5)))
-        certs.append(cert.to_json())
-        audits.append({"name": f"upper-sigma-N{total}", "passed":
-                       cert.value <= float(total) ** (-c) * (1 + 1e-12)})
-    return certs, audits
-
-
-def _transport(target, params):
-    tset = _transport_set(target)
-    refs = cs.transport_reference()
-    certs, audits = [], []
-    for n in params.get("n_values", [1, 3, 8]):
-        est = inner_entropy(tset, int(n))
-        ref = refs["entropy"](int(n))
-        certs.append({"quantity": "inner_entropy", "n": int(n),
-                      "lower": est.lower, "upper": est.upper, "reference": ref})
-        audits.append({"name": f"entropy-contains-ref-n{n}", "passed":
-                       est.lower <= ref * (1 + 1e-9) and est.upper >= ref * (1 - 1e-9)})
-    for n in params.get("n_values_kolmogorov", [4, 16]):
-        cert, _ = cs.transport_kolmogorov_upper(tset, int(n))
-        certs.append(cert.to_json())
-        audits.append({"name": f"kolmogorov-upper-n{n}", "passed":
-                       refs["kolmogorov_lower"](int(n)) <= cert.value
-                       <= refs["kolmogorov_upper"](int(n)) * (1 + 1e-12)})
-        comp = cs.transport_comparison(tset, int(n))
-        certs.append(comp.to_json())
-        audits.append({"name": f"comparison-n{n}", "passed":
-                       comp.value <= cert.value + 1e-9})
-    return certs, audits
-
-
-def _diagonal(target, params):
-    dset = _diagonal_set(target)
-    certs, audits = [], []
-    for n in params.get("n_values", [4, 8, 16]):
-        basis = np.eye(dset.space.dim)[: int(n)]
-        cert, approx = kolmogorov_upper(dset, basis)
-        comp = kolmogorov_comparison(dset, cert, basis, approx)
-        certs += [cert.to_json(), comp.to_json()]
-        ref = cs.diagonal_reference_upper(int(n))
-        audits += [
-            {"name": f"kolmogorov-matches-ref-n{n}", "passed":
-                abs(cert.value - ref) <= 1e-9},
-            {"name": f"comparison-n{n}", "passed": comp.value <= cert.value + 1e-9},
-        ]
-    return certs, audits
-
-
-def _orthonormal_basis(target, params):
-    m = int(params.get("m", 14))
-    gamma = float(params.get("gamma", 2.0 * math.sqrt(2.0)))
-    s = int(params.get("s", 2))
-    rep = cs.orthonormal_basis_report(m, gamma, s)
-    cert = {"quantity": "basis_threshold", "m": m, "gamma": gamma, "s": s,
-            "threshold_lhs": rep.threshold_lhs,
-            "threshold_rhs": rep.threshold_rhs,
-            "regime_certified": rep.regime_certified,
-            "entropy_brackets": {str(k): list(v)
-                                 for k, v in rep.entropy_brackets.items()}}
-    ok = all(lo <= rep.entropy_value * (1 + 1e-9) and hi >= rep.entropy_value * (1 - 1e-9)
-             for lo, hi in rep.entropy_brackets.values())
-    return [cert], [{"name": "entropy-saturates", "passed": ok}]
-
-
-def _cross_polytope(target, params):
-    certs, audits = [], []
-    for n in params.get("n_values", [1, 2, 4]):
-        val = cs.cross_polytope_width(int(n))
-        certs.append({"quantity": "kolmogorov_width", "n": int(n),
-                      "value": val, "direction": "reference"})
-        cert, _ = best_coordinate_subspace(cs.octahedron_set(int(n)), int(n))
-        certs.append(cert.to_json())
-        audits.append({"name": f"coordinate-upper-above-closed-form-n{n}",
-                       "passed": cert.value >= val * (1 - 1e-12)})
-    return certs, audits
-
-
 @dataclass(frozen=True)
 class CaseStudy:
     """One case study: what ``case-study run`` computes, where ``audit-all``
@@ -310,30 +187,33 @@ class CaseStudy:
     audit_inputs: tuple
     # target -> set, for entropy, packing, the width commands and --verify-witness
     make_set: Optional[Callable[[dict], FiniteSet]] = None
-    # target -> SequenceSetSpec, whose closed form gives width-lower its packing counts
-    sequence_spec: Optional[Callable[[dict], cs.SequenceSetSpec]] = None
+    # width-lower takes its packing counts from the set's closed form
+    closed_form_counts: bool = False
     # (name, predicate on the certificates) checks that ``audit-all`` adds
     audit_checks: tuple = ()
+    # (set, n) -> (certificate, approximants): the study's own Kolmogorov projector
+    kolmogorov: Optional[Callable] = None
 
 
 _CASES = {
     "log-sequence": CaseStudy(
-        _log_sequence, ({}, {"n": 6, "gamma": 3.0, "max_bumps": 10 ** 4}),
-        make_set=partial(_sequence_set, "log"), sequence_spec=partial(_sequence_spec, "log")),
+        cs.certify_log_sequence, ({}, {"n": 6, "gamma": 3.0, "max_bumps": 10 ** 4}),
+        make_set=partial(cs.sequence_target_set, "log"), closed_form_counts=True),
     "power-sequence": CaseStudy(
-        _power_sequence, ({}, {"c": 1.0, "gamma": 4.0, "max_bumps": 10 ** 3}),
-        make_set=partial(_sequence_set, "power"),
-        sequence_spec=partial(_sequence_spec, "power")),
+        cs.certify_power_sequence, ({}, {"c": 1.0, "gamma": 4.0, "max_bumps": 10 ** 3}),
+        make_set=partial(cs.sequence_target_set, "power"), closed_form_counts=True),
     "transport": CaseStudy(
-        _transport, ({"grid": 256}, {"n_values": [1, 3, 6], "n_values_kolmogorov": [16]}),
-        make_set=_transport_set),
+        cs.certify_transport,
+        ({"grid": 256}, {"n_values": [1, 3, 6], "n_values_kolmogorov": [16]}),
+        make_set=cs.transport_target_set, kolmogorov=cs.transport_kolmogorov_upper),
     "diagonal": CaseStudy(
-        _diagonal, ({"truncation": 48}, {"n_values": [8]}), make_set=_diagonal_set),
+        cs.certify_diagonal, ({"truncation": 48}, {"n_values": [8]}),
+        make_set=cs.diagonal_target_set),
     "orthonormal-basis": CaseStudy(
-        _orthonormal_basis, ({}, {"m": 10, "s": 1}),
+        cs.certify_orthonormal_basis, ({}, {"m": 10, "s": 1}),
         audit_checks=(("regime-certified", lambda certs: certs[0]["regime_certified"]),)),
     "cross-polytope": CaseStudy(
-        _cross_polytope, ({}, {"n_values": [1, 2]}),
+        cs.certify_cross_polytope, ({}, {"n_values": [1, 2]}),
         audit_checks=(("closed-form-decreasing", lambda certs: all(
             cs.cross_polytope_width(n) > cs.cross_polytope_width(n + 1)
             for n in range(1, 30))),)),
@@ -345,6 +225,11 @@ def _case_study(target: dict) -> CaseStudy:
     if name not in _CASES:
         raise UsageError(f"unknown case study {name!r}; choose from {tuple(_CASES)}")
     return _CASES[name]
+
+
+def _study_of(target: Optional[dict]) -> Optional[CaseStudy]:
+    """The row behind a case-study target; None for other kinds, whatever their name."""
+    return _case_study(target) if (target or {}).get("kind") == "case-study" else None
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +282,27 @@ def _run_width_lower(cfg, seed):
         gamma = resolve_gamma(params, fset)
     else:
         gamma = 2.0 * radius_upper(fset).upper
-    count_log2 = None
-    study = _CASES.get((cfg.get("target") or {}).get("name"))
-    if study is not None and study.sequence_spec is not None:
-        spec = study.sequence_spec(cfg["target"])
-        count_log2 = lambda t: cs.sequence_packing_count_log2(spec, t)
-    cert = width_lower_certified(fset, n, gamma, count_log2=count_log2).to_json()
-    return [cert], [{"name": "width-lower", "passed": lower_certificate_holds(cert)}]
+    study = _study_of(cfg.get("target"))
+    count_log2 = fset.packing_count_log2 if study and study.closed_form_counts else None
+    cert = _jsonify(width_lower_certified(fset, n, gamma, count_log2=count_log2).to_json())
+    return [cert], [{"name": "width-lower", "passed": recheck(cert, fset)}]
 
 
 def _run_kolmogorov(cfg, seed):
     pset = _target_set(cfg.get("target"), seed)
     params = cfg.get("params", {})
     n = int(params.get("n", 2))
-    if isinstance(pset, cs.TransportSet):
-        cert, _ = cs.transport_kolmogorov_upper(pset, n)
+    study = _study_of(cfg.get("target"))
+    if study is not None and study.kolmogorov is not None:
+        cert, _ = study.kolmogorov(pset, n)
     else:
-        axes = params.get("subspace_axes", list(range(n)))
-        basis = np.eye(pset.space.dim)[np.asarray(axes, dtype=int)]
-        cert, _ = kolmogorov_upper(pset, basis)
-    return [cert.to_json()], [{"name": "kolmogorov-upper", "passed": True}]
+        axes, dim = params.get("subspace_axes", list(range(n))), pset.space.dim
+        if any(a >= dim for a in axes):
+            raise UsageError(f"subspace axis {max(axes)} is out of range for a "
+                             f"{dim}-dimensional target (axes are 0..{dim - 1})")
+        cert, _ = kolmogorov_upper(pset, axes)
+    cert = _jsonify(cert.to_json())
+    return [cert], [{"name": "kolmogorov-upper", "passed": recheck(cert, pset)}]
 
 
 def _run_relu_verify(cfg, seed):
@@ -445,7 +331,9 @@ def _run_audit_all(cfg, seed):
     certs, audits = [], []
     for name, study in _CASES.items():
         target, params = study.audit_inputs
-        study_certs, study_audits = study.certify(target, params)
+        study_certs, study_audits = _certify(
+            {"command": "case-study", "target": dict(target, kind="case-study", name=name),
+             "params": params, "verify_witness": cfg.get("verify_witness", False)}, seed)
         certs += study_certs
         audits += [dict(a, name=f"{name}/{a['name']}") for a in study_audits]
         audits += [{"name": f"{name}/{check}", "passed": bool(pred(study_certs))}
@@ -516,82 +404,50 @@ _HANDLERS = {
 }
 
 
-def _covered_by(fset, centers, eps) -> bool:
-    from .covering import coverage_assignment
+# certificate key (witness kind, else quantity) -> recheck(cert, fset) -> bool,
+# each defined beside the code that produces the certificate
+RECHECKS = {
+    "inner_entropy": cs.recheck_entropy,
+    "packing": recheck_packing,
+    "entropy-map": recheck_entropy_map,
+    "covering-count": recheck_covering_count,
+    "orthogonal-projection": recheck_orthogonal_projection,
+    "dyadic-bump-map": cs.recheck_dyadic_bump_map,
+    "collapse_index": cs.recheck_collapse_index,
+    "basis_threshold": cs.recheck_basis_threshold,
+    "piecewise-constant-cells": cs.recheck_transport_cells,
+    "affine-ball-from-subspace": cs.recheck_affine_ball,
+    "coordinate-subspace": cs.recheck_octahedron_subspace,
+    "kolmogorov_width": cs.recheck_cross_polytope_width,
+    "relu_lipschitz": rn.recheck_lipschitz,
+}
 
+
+def recheck(cert: dict, fset: Optional[FiniteSet]) -> bool:
+    """Re-check a JSON certificate with its key's entry in RECHECKS.  An
+    unknown key fails, as does a recheck that raises: a missing field, a
+    point a cover misses, or no set to recompute from."""
     try:
-        coverage_assignment(fset, list(centers), max(eps, 1e-300))
-        return True
-    except PreconditionError:
+        key = (cert.get("witness") or {}).get("kind") or cert.get("quantity")
+        return bool(RECHECKS[key](cert, fset))
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError):
         return False
 
 
-def lower_certificate_holds(cert: dict) -> bool:
-    """Re-check a covering-count lower certificate from its witness.
-
-    Value eps needs log2 N_{2 eps} > n log2(3 gamma / eps); when no eps
-    qualified, the value must be 0.
-    """
-    w = cert["witness"]
-    if w.get("count_source") == "none-qualified":
-        return cert["value"] == 0.0
-    thr = cert["n"] * math.log2(3.0 * cert["gamma"] / w["eps"])
-    return bool(w["count_log2"] > thr - 1e-9 and cert["value"] == w["eps"])
-
-
-def witness_audit_entries(certs: list, fset=None) -> list:
-    """Re-check each certificate from its recorded witness.
-
-    Cover witnesses are re-validated against the (re-derived) set geometry;
-    closed-form witnesses are re-validated arithmetically.  Certificates
-    with no checkable witness fail the audit rather than passing silently.
-    """
-    entries = []
-    for i, cert in enumerate(certs):
-        q = cert.get("quantity")
-        w = cert.get("witness", {}) or {}
-        kind = w.get("kind")
-        ok = None
-        if q == "inner_entropy":
-            uw = w.get("upper", {}) if isinstance(w.get("upper"), dict) else {}
-            if uw.get("kind") in ("exact-cover", "maximal-packing-cover") and fset is not None:
-                ok = len(uw["centers"]) <= 2 ** int(cert["n"]) and \
-                    _covered_by(fset, uw["centers"], uw["eps"])
-            elif uw.get("kind") in ("identity", "singleton"):
-                ok = cert["upper"] == 0.0
-            elif "reference" in cert:
-                ok = cert["lower"] <= cert["upper"]
-        elif q == "packing" and fset is not None:
-            idx = cert["indices"]
-            seps = [fset.dist(a, b) for ai, a in enumerate(idx) for b in idx[ai + 1:]]
-            ok = all(s > cert["eps"] for s in seps)
-        elif q == "lipschitz_width" and cert.get("direction") == "upper":
-            if kind == "entropy-map":
-                ok = (w["realized_error"] <= cert["value"] * (1 + 1e-9) + 1e-15
-                      and w["declared_constant"] <= cert["gamma"] * (1 + 1e-9))
-                if ok and fset is not None and cert["value"] > 0:
-                    ok = _covered_by(fset, w["cover_centers"], cert["value"])
-            elif kind == "dyadic-bump-map":
-                ok = (w["sigma_at_total"] <= cert["value"] * (1 + 1e-12)
-                      and w["declared_constant"] <= cert["gamma"] * (1 + 1e-9))
-            elif kind == "affine-ball-from-subspace":
-                ok = cert["value"] <= w["kolmogorov_value"] + 1e-9
-            elif kind == "evaluated-map":
-                ok = cert["value"] >= 0.0
-        elif q == "lipschitz_width" and cert.get("direction") == "lower":
-            ok = lower_certificate_holds(cert)
-        elif q == "kolmogorov_width":
-            ok = cert["value"] >= 0.0 and kind in (
-                "orthogonal-projection", "coordinate-subspace",
-                "piecewise-constant-cells", None)
-        elif q in ("relu_lipschitz",):
-            trace = rn.lip_bound(rn.ReLUNetConfig(d=cert["d"], width=cert["width"],
-                                                  depth=cert["depth"]))
-            ok = trace.final == cert["C_n"] and cert["max_ratio"] <= cert["C_n"]
-        elif q in ("collapse_index", "basis_threshold") or cert.get("direction") == "reference":
-            ok = True  # closed forms re-derived by their own handlers
-        entries.append({"name": f"witness-{i}-{q}", "passed": bool(ok)})
-    return entries
+def _certify(cfg: dict, seed: int) -> tuple:
+    """The handler's certificates (as JSON) and audits; ``verify_witness``
+    adds a recheck of each certificate against the target's set.  audit-all
+    has no target: it re-checks inside each case study."""
+    certs, audits = _HANDLERS[cfg["command"]](cfg, seed)
+    certs = _jsonify(certs)
+    if cfg.get("verify_witness") and cfg["command"] != "audit-all":
+        try:
+            fset = _target_set(cfg.get("target"), seed)
+        except UsageError:
+            fset = None
+        audits = list(audits) + [{"name": f"witness-{i}-{c.get('quantity')}",
+                                  "passed": recheck(c, fset)} for i, c in enumerate(certs)]
+    return certs, audits
 
 
 def run(cfg: dict) -> dict:
@@ -599,13 +455,7 @@ def run(cfg: dict) -> dict:
     cfg = validate_config(cfg)
     seed = int(cfg.get("seed", 0))
     start = time.perf_counter()
-    certs, audits = _HANDLERS[cfg["command"]](cfg, seed)
-    if cfg.get("verify_witness"):
-        try:
-            fset = _target_set(cfg.get("target"), seed)
-        except UsageError:
-            fset = None
-        audits = list(audits) + witness_audit_entries(_jsonify(certs), fset=fset)
+    certs, audits = _certify(cfg, seed)
     passed = all(a.get("passed", False) for a in audits) if audits else True
     report = {
         "config": _jsonify(cfg),

@@ -348,6 +348,14 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     )
 
 
+def recheck_packing(cert: dict, fset: FiniteSet) -> bool:
+    """The indices are pairwise more than eps apart and, if so claimed, maximal."""
+    idx = cert["indices"]
+    pack = PackingResult(cert["eps"], tuple(idx), cert["size"], cert["maximal"])
+    return (all(np.all(fset.dist_row(a)[idx[k + 1:]] > pack.eps) for k, a in enumerate(idx))
+            and pack.size == len(idx) and (not pack.maximal or packing_is_maximal(fset, pack)))
+
+
 # ---------------------------------------------------------------------------
 # Sandwich audit
 # ---------------------------------------------------------------------------

@@ -228,15 +228,13 @@ class AffineBallMap(LipschitzMap):
     map has no ``domain_space`` and overrides the norm and the sampler.
     """
 
-    def __init__(self, g0, gamma: float, basis, target_space: NormedSpace,
-                 sampler: str = "auto"):
+    def __init__(self, g0, gamma: float, basis, target_space: NormedSpace):
         self.g0 = np.asarray(g0, dtype=float)
         self.gamma = float(gamma)
         self.basis = np.asarray(basis, dtype=float)  # (n_sub, ambient_dim)
         self.domain_space = None
         self.target_space = target_space
         self.domain_dim = self.basis.shape[0]
-        self.sampler = sampler
         if self.gamma < 0:
             raise PreconditionError("gamma must be nonnegative")
 
@@ -254,11 +252,7 @@ class AffineBallMap(LipschitzMap):
 
     def sample_domain(self, rng, count):
         n = self.domain_dim
-        if self.sampler == "auto":
-            kind = self.target_space.kind
-        else:
-            kind = self.sampler
-        if kind == "l2":
+        if self.target_space.kind == "l2":
             # orthonormal rows assumed: coefficient ball = Euclidean ball
             g = rng.normal(size=(count, n))
             g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -306,10 +300,6 @@ class ReluParamMap(LipschitzMap):
     def to_json(self):
         return {"variant": "relu", "d": self.config.d, "width": self.config.width,
                 "depth": self.config.depth, "grid": self.config.grid}
-
-
-def declared_lipschitz(map_: LipschitzMap) -> float:
-    return map_.declared_lipschitz()
 
 
 def empirical_lipschitz(map_: LipschitzMap, seed: int, pairs: int) -> float:

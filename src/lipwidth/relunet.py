@@ -228,3 +228,10 @@ def verify_lipschitz(cfg: ReLUNetConfig, seed: int, trials: int) -> VerifyResult
         layer_bound_ok=layer_ok,
         layer_max_observed=tuple(layer_seen),
     )
+
+
+def recheck_lipschitz(cert: dict, fset=None) -> bool:
+    """C_n and the coarse bound, derived again, match; the falsified ratio is below C_n."""
+    trace = lip_bound(ReLUNetConfig(d=cert["d"], width=cert["width"], depth=cert["depth"]))
+    return (trace.final == cert["C_n"] and trace.coarse == cert["coarse_bound"]
+            and cert["max_ratio"] <= trace.final)

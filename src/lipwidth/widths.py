@@ -74,8 +74,7 @@ def fixed_width_upper(pset: PointSet, map_: LipschitzMap, candidates) -> WidthCe
         gamma=map_.declared_lipschitz(),
         value=value,
         direction="upper",
-        witness={"kind": "evaluated-map", "worst_point": worst,
-                 "map": type(map_).__name__},
+        witness={"worst_point": worst},  # internal: callers report their own witness
     )
 
 
@@ -154,6 +153,15 @@ def _grid_axis_index(flat_slots: np.ndarray, k: int, n: int) -> np.ndarray:
     return out
 
 
+def recheck_entropy_map(cert: dict, fset: FiniteSet) -> bool:
+    """At most 2**(k n) recorded centers cover ``fset`` at the value (a missed
+    point raises), and gamma is at least 2**k times the radius bound."""
+    w = cert["witness"]
+    coverage_assignment(fset, w["cover_centers"], cert["value"])
+    return (len(w["cover_centers"]) <= 2 ** (w["k"] * cert["n"])
+            and cert["gamma"] >= 2.0 ** w["k"] * radius_upper(fset).upper)
+
+
 def default_eps_grid(diam: float, count: int = 64, span: float = 2.0 ** 16) -> np.ndarray:
     """Log-spaced certificate grid over [diam/span, diam]."""
     if diam <= 0:
@@ -213,6 +221,22 @@ def width_lower_certified(fset: FiniteSet, n: int, gamma: float,
     )
 
 
+def recheck_covering_count(cert: dict, fset: FiniteSet) -> bool:
+    """The packing count at 4 eps, taken again from ``fset`` (or its closed
+    form), must equal the recorded one and exceed n log2(3 gamma / eps) at
+    eps = value; with none qualified, the value must be 0."""
+    w = cert["witness"]
+    if w["count_source"] == "none-qualified":
+        return cert["value"] == 0.0
+    eps, thr_log2 = w["eps"], cert["n"] * math.log2(3.0 * cert["gamma"] / w["eps"])
+    if w["count_source"] == "closed-form":
+        have = fset.packing_count_log2(4.0 * eps)
+    else:
+        need = int(math.floor(2.0 ** thr_log2)) + 1
+        have = math.log2(greedy_packing(fset, 4.0 * eps, stop_above=need).size)
+    return have == w["count_log2"] and have > thr_log2 - 1e-9 and cert["value"] == eps
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov widths
 # ---------------------------------------------------------------------------
@@ -226,15 +250,17 @@ def orthonormalize(basis) -> np.ndarray:
     return q.T[keep]
 
 
-def kolmogorov_upper(pset: PointSet, basis) -> tuple[WidthCertificate, np.ndarray]:
-    """Max Euclidean residual against span(basis); requires an l2 space.
+def kolmogorov_upper(pset: PointSet, axes) -> tuple[WidthCertificate, np.ndarray]:
+    """Max Euclidean residual against the span of the coordinate ``axes``;
+    requires an l2 space.
 
     Returns the certificate together with the per-point projections, which
     downstream comparisons reuse as approximants.
     """
     if pset.space.kind != "l2":
         raise PreconditionError("orthogonal projection needs an l2 norm")
-    q = orthonormalize(basis)
+    axes = [int(a) for a in axes]
+    q = orthonormalize(np.eye(pset.space.dim)[axes])
     coeffs = pset.points @ q.T
     proj = coeffs @ q
     residuals = np.linalg.norm(pset.points - proj, axis=1)
@@ -247,10 +273,16 @@ def kolmogorov_upper(pset: PointSet, basis) -> tuple[WidthCertificate, np.ndarra
             value=value,
             direction="upper",
             witness={"kind": "orthogonal-projection", "subspace_dim": int(q.shape[0]),
-                     "worst_point": int(np.argmax(residuals))},
+                     "worst_point": int(np.argmax(residuals)), "axes": axes},
         ),
         proj,
     )
+
+
+def recheck_orthogonal_projection(cert: dict, fset: PointSet) -> bool:
+    """Projecting ``fset`` again onto the recorded axes leaves no larger residual."""
+    again, _ = kolmogorov_upper(fset, cert["witness"]["axes"])
+    return again.n <= cert["n"] and again.value <= cert["value"]
 
 
 def best_coordinate_subspace(pset: PointSet, n: int, max_enum: int = 200000
@@ -278,14 +310,14 @@ def best_coordinate_subspace(pset: PointSet, n: int, max_enum: int = 200000
 
 
 def kolmogorov_comparison(pset: PointSet, dn_upper: WidthCertificate,
-                          basis, approximants, g0=None,
-                          domain_sampler: str = "auto") -> WidthCertificate:
+                          basis, approximants, g0=None) -> WidthCertificate:
     """Lipschitz-width certificate from a Kolmogorov witness.
 
     Builds the affine map Phi(g) = g0 + gamma * g on the unit ball of the
     subspace with gamma = dn_upper.value + rad_upper, feeds each point its
     rescaled approximant, and asserts the resulting value never exceeds the
-    Kolmogorov upper bound (plus 1e-9).
+    Kolmogorov upper bound (plus 1e-9).  The witness copies the subspace
+    (``axes`` or ``cells``) from the Kolmogorov witness.
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     approximants = np.asarray(approximants, dtype=float)
@@ -306,7 +338,7 @@ def kolmogorov_comparison(pset: PointSet, dn_upper: WidthCertificate,
         # coefficients of (approximant - g0) in the basis rows
         coeffs, *_ = np.linalg.lstsq(basis.T, (approximants - g0).T, rcond=None)
         coeffs = coeffs.T / gamma
-    amap = AffineBallMap(g0, gamma, basis, pset.space, sampler=domain_sampler)
+    amap = AffineBallMap(g0, gamma, basis, pset.space)
     cert = fixed_width_upper(pset, amap, coeffs)
     if cert.value > dn_upper.value + 1e-9:
         raise PreconditionError(
@@ -319,7 +351,8 @@ def kolmogorov_comparison(pset: PointSet, dn_upper: WidthCertificate,
         value=cert.value,
         direction="upper",
         witness={"kind": "affine-ball-from-subspace",
-                 "kolmogorov_value": dn_upper.value, "gamma": gamma},
+                 "kolmogorov_value": dn_upper.value, "gamma": gamma,
+                 **{k: v for k, v in dn_upper.witness.items() if k in ("axes", "cells")}},
     )
 
 

@@ -147,7 +147,7 @@ def test_criterion_07_kolmogorov_comparison():
     dset = cs.diagonal_set(cs.DiagonalSetSpec(64))
     for n in (4, 8, 16):
         basis = np.eye(dset.space.dim)[:n]
-        dn, proj = kolmogorov_upper(dset, basis)
+        dn, proj = kolmogorov_upper(dset, range(n))
         comp = kolmogorov_comparison(dset, dn, basis, proj)
         assert comp.value <= dn.value + 1e-9
     tset = cs.transport_set(cs.TransportSpec(grid=1024))

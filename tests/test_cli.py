@@ -311,15 +311,16 @@ def test_width_upper_on_sequence_set_is_numeric_failure(tmp_path, capsys, name):
 
 def test_width_lower_audit_rechecks_certificate(monkeypatch):
     from lipwidth import cli as climod
-    from lipwidth.cli import lower_certificate_holds
+    from lipwidth.widths import recheck_covering_count
 
     cfg = {"command": "width-lower", "seed": 2,
            "target": {"kind": "random", "m": 30, "dim": 2, "norm": "l2"},
            "params": {"n": 1, "gamma": 0.05}}
+    fset = climod._target_set(cfg["target"], cfg["seed"])
     report = run(cfg)
     cert = report["certificates"][0]
     assert cert["witness"]["count_source"] == "materialized-packing"
-    assert report["passed"] and lower_certificate_holds(cert)
+    assert report["passed"] and recheck_covering_count(cert, fset)
     w = cert["witness"]
     tampered = [
         dict(cert, value=2.0 * cert["value"]),
@@ -329,8 +330,8 @@ def test_width_lower_audit_rechecks_certificate(monkeypatch):
         dict(cert, witness={"kind": "covering-count", "count_source": "none-qualified"}),
     ]
     for bad in tampered:
-        assert not lower_certificate_holds(bad)
-    assert lower_certificate_holds(dict(tampered[-1], value=0.0))
+        assert not recheck_covering_count(bad, fset)
+    assert recheck_covering_count(dict(tampered[-1], value=0.0), fset)
 
     # the width-lower handler's own audit fails on a forged certificate
     real = climod.width_lower_certified
@@ -340,3 +341,27 @@ def test_width_lower_audit_rechecks_certificate(monkeypatch):
 
     monkeypatch.setattr(climod, "width_lower_certified", forged)
     assert not run(cfg)["passed"]
+
+
+def test_width_lower_ignores_case_study_name_on_other_targets():
+    # a 5-point cloud named like the log sequence must not borrow its closed form
+    cfg = {"command": "width-lower",
+           "target": {"kind": "random", "m": 5, "dim": 1, "name": "log-sequence"},
+           "params": {"n": 3, "gamma": 1.0}, "verify_witness": True}
+    report = run(cfg)
+    cert = report["certificates"][0]
+    assert cert["value"] == 0.0
+    assert cert["witness"]["count_source"] == "none-qualified"
+    assert report["passed"]
+
+
+@pytest.mark.parametrize("params", [{"n": 1, "subspace_axes": [5]}, {"n": 3}],
+                         ids=["axis-5", "default-axes-past-dim"])
+def test_kolmogorov_axis_out_of_range_exit_1(tmp_path, capsys, params):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "kolmogorov", "params": params,
+                                "target": {"kind": "random", "m": 6, "dim": 2}}))
+    assert main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "2-dimensional" in err
+    assert f"axis {max(params.get('subspace_axes', [2]))} " in err

@@ -144,7 +144,7 @@ def test_kolmogorov_diagonal_reference():
     dset = diagonal_set(DiagonalSetSpec(40))
     for n in (2, 5, 9):
         basis = np.eye(40)[:n]
-        cert, proj = kolmogorov_upper(dset, basis)
+        cert, proj = kolmogorov_upper(dset, range(n))
         assert cert.value == pytest.approx(diagonal_reference_upper(n), rel=1e-12)
         comp = kolmogorov_comparison(dset, cert, basis, proj)
         assert comp.value <= cert.value + 1e-9
@@ -157,7 +157,7 @@ def test_kolmogorov_zero_inside_subspace():
     pts[:, 1] = [1.0, 0.0, -0.2, 0.4]
     ps = PointSet(lp_space(5, 2), pts)
     basis = np.eye(5)[:2]
-    cert, proj = kolmogorov_upper(ps, basis)
+    cert, proj = kolmogorov_upper(ps, [0, 1])
     assert cert.value <= 1e-12
     comp = kolmogorov_comparison(ps, cert, basis, proj)
     assert comp.value <= 1e-9
@@ -166,7 +166,7 @@ def test_kolmogorov_zero_inside_subspace():
 def test_kolmogorov_requires_l2():
     ps = PointSet(lp_space(3, 1), np.eye(3))
     with pytest.raises(PreconditionError):
-        kolmogorov_upper(ps, np.eye(3)[:1])
+        kolmogorov_upper(ps, [0])
 
 
 def test_octahedron_coordinate_subspace_above_closed_form():

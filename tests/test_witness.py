@@ -1,0 +1,152 @@
+"""--verify-witness: every certificate kind has a recheck that recomputes it.
+
+The recheck table (``cli.RECHECKS``) is keyed by the witness kind, else the
+quantity.  Every key a command emits must have an entry, every real
+certificate must pass its recheck, and a tampered one must fail it.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from lipwidth import cli
+
+_POINTS = {"kind": "points", "space": {"dim": 2, "norm": {"kind": "l2"}},
+           "points": np.random.default_rng(3).uniform(-1, 1, size=(18, 2)).tolist()}
+_LOG = {"kind": "case-study", "name": "log-sequence"}
+_POWER = {"kind": "case-study", "name": "power-sequence", "c": 0.5}
+
+# (command, target, params): every command on a points target, then the
+# sequence and transport targets whose certificates have their own kinds
+_RUNS = {
+    "entropy": ("entropy", _POINTS, {"n_values": [0, 1, 2, 3]}),
+    "packing": ("packing", _POINTS, {}),
+    "width-upper": ("width-upper", _POINTS, {"k": 1, "n": 2}),
+    "width-lower": ("width-lower", _POINTS, {"n": 1, "gamma": 0.05}),
+    "kolmogorov": ("kolmogorov", _POINTS, {"n": 1, "subspace_axes": [1]}),
+    "relu-verify": ("relu-verify", None, {"d": 1, "width": 2, "depth": 2, "trials": 200}),
+    "audit-all": ("audit-all", None, {}),
+    "kolmogorov-transport": ("kolmogorov", {"kind": "case-study", "name": "transport",
+                                            "grid": 64}, {"n": 4}),
+    "width-lower-log": ("width-lower", _LOG, {"n": 2, "gamma": 1.0}),
+    "width-lower-power": ("width-lower", _POWER, {"n": 1, "gamma": 1.0}),
+}
+_RUNS.update({f"case-study-{name}": ("case-study", dict(study.audit_inputs[0],
+                                                          kind="case-study", name=name),
+                                     study.audit_inputs[1])
+              for name, study in cli._CASES.items()})
+
+
+def _config(name):
+    command, target, params = _RUNS[name]
+    cfg = {"command": command, "seed": 1, "params": params, "verify_witness": True}
+    if target is not None:
+        cfg["target"] = target
+    return cfg
+
+
+def _key(cert):
+    return (cert.get("witness") or {}).get("kind") or cert["quantity"]
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return {name: cli.run(_config(name)) for name in _RUNS}
+
+
+@pytest.mark.parametrize("name", list(_RUNS))
+def test_verify_witness_passes_every_audit(reports, name):
+    report = reports[name]
+    failed = [a["name"] for a in report["audits"] if not a["passed"]]
+    assert failed == [] and report["passed"]
+    witness = [a for a in report["audits"] if "witness-" in a["name"]]
+    assert len(witness) == len(report["certificates"]) > 0
+
+
+def test_emitted_keys_are_the_table_keys(reports):
+    emitted = {_key(c) for r in reports.values() for c in r["certificates"]}
+    assert emitted == set(cli.RECHECKS)
+
+
+def test_unknown_key_fails():
+    assert not cli.recheck({"quantity": "inner_entropy", "n": 1, "lower": 0.0, "upper": 1.0,
+                            "witness": {"kind": "evaluated-map"}}, None)
+    assert not cli.recheck({"quantity": "mystery"}, None)
+
+
+def _scale(field, factor):
+    def tamper(cert, fset):
+        cert[field] *= factor
+    return tamper
+
+
+def _packing_eps_to_min_separation(cert, fset):
+    idx = cert["indices"]
+    cert["eps"] = min(fset.dist(a, b) for k, a in enumerate(idx) for b in idx[k + 1:])
+
+
+def _shift(field, delta):
+    def tamper(cert, fset):
+        cert[field] += delta
+    return tamper
+
+
+def _flip(field):
+    def tamper(cert, fset):
+        cert[field] = not cert[field]
+    return tamper
+
+
+# key -> (run, tampering that must make the recheck fail)
+_TAMPER = {
+    "inner_entropy": ("entropy", _scale("upper", 0.99)),
+    "packing": ("packing", _packing_eps_to_min_separation),
+    "entropy-map": ("width-upper", _scale("value", 0.99)),
+    "covering-count": ("width-lower", _scale("value", 1.01)),
+    "orthogonal-projection": ("kolmogorov", _scale("value", 0.99)),
+    "dyadic-bump-map": ("case-study-power-sequence", _scale("value", 0.99)),
+    "collapse_index": ("case-study-power-sequence", _shift("n1", -1)),
+    "basis_threshold": ("case-study-orthonormal-basis", _flip("regime_certified")),
+    "piecewise-constant-cells": ("kolmogorov-transport", _scale("value", 0.99)),
+    "affine-ball-from-subspace": ("case-study-transport", _scale("value", 0.99)),
+    "coordinate-subspace": ("case-study-cross-polytope", _scale("value", 0.99)),
+    "kolmogorov_width": ("case-study-cross-polytope", _scale("value", 0.99)),
+    "relu_lipschitz": ("relu-verify", _shift("C_n", -1)),
+}
+# more tamperings of bracket ends and closed-form counts
+_EXTRA = [
+    ("inner_entropy", "entropy", _scale("lower", 1.01)),
+    ("inner_entropy", "case-study-log-sequence", _scale("upper", 0.99)),
+    ("inner_entropy", "case-study-transport", _scale("lower", 1.01)),
+    ("covering-count", "width-lower-log", _scale("value", 1.01)),
+    ("covering-count", "case-study-log-sequence", _scale("value", 1.01)),
+    ("dyadic-bump-map", "case-study-log-sequence", _scale("value", 0.99)),
+    ("affine-ball-from-subspace", "case-study-diagonal", _scale("value", 0.99)),
+    ("orthogonal-projection", "case-study-diagonal", _scale("value", 0.99)),
+]
+
+
+def test_tamper_table_covers_every_key():
+    assert set(_TAMPER) == set(cli.RECHECKS)
+
+
+@pytest.mark.parametrize("key,run,tamper",
+                         [(k, r, t) for k, (r, t) in _TAMPER.items()] + _EXTRA,
+                         ids=list(_TAMPER) + [f"{k}-{r}" for k, r, _ in _EXTRA])
+def test_tampered_certificate_fails_its_recheck(reports, key, run, tamper):
+    cfg = _config(run)
+    try:  # the set --verify-witness rebuilds
+        fset = cli._target_set(cfg.get("target"), cfg["seed"])
+    except cli.UsageError:
+        fset = None
+    # a zero value or upper end cannot be scaled into a false claim
+    certs = [c for c in reports[run]["certificates"]
+             if _key(c) == key and c.get("value", c.get("upper")) != 0]
+    assert certs, f"{run} emits no usable {key} certificate"
+    cert = certs[-1]
+    assert cli.recheck(cert, fset)
+    bad = copy.deepcopy(cert)
+    tamper(bad, fset)
+    assert bad != cert
+    assert not cli.recheck(bad, fset)
