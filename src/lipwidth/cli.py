@@ -254,7 +254,13 @@ def _run_entropy(cfg, seed):
 def _run_packing(cfg, seed):
     fset = _target_set(cfg.get("target"), seed)
     params = cfg.get("params", {})
-    eps = float(params.get("eps", fset.diameter() / 4.0))
+    if "eps" in params:
+        eps = float(params["eps"])
+    else:
+        eps = fset.diameter() / 4.0
+        if eps <= 0:
+            raise PreconditionError("the target's diameter is zero, so the default "
+                                    "eps = diameter/4 is 0; pass eps")
     pack = greedy_packing(fset, eps)
     audit = sandwich_audit(fset, eps)
     certs = [{"quantity": "packing", "eps": eps, "size": pack.size,
@@ -282,6 +288,9 @@ def _run_width_lower(cfg, seed):
         gamma = resolve_gamma(params, fset)
     else:
         gamma = 2.0 * radius_upper(fset).upper
+        if gamma <= 0:
+            raise PreconditionError("the target's diameter is zero, so the default "
+                                    "gamma = 2 * radius is 0; pass gamma")
     study = _study_of(cfg.get("target"))
     count_log2 = fset.packing_count_log2 if study and study.closed_form_counts else None
     cert = _jsonify(width_lower_certified(fset, n, gamma, count_log2=count_log2).to_json())

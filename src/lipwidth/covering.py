@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spaces import FiniteSet, PreconditionError
+from .spaces import FiniteSet, PreconditionError, block_rows, row_blocks
 
 # Exact set-cover threshold: above this, brackets fall back to witnesses.
 N_EXACT = 20
@@ -86,10 +86,11 @@ def packing_is_maximal(fset: FiniteSet, pack: PackingResult) -> bool:
     """Independent maximality audit: no point admissible beyond the packing."""
     thr = pack.eps * (1.0 + PACK_SLACK)
     idx = np.asarray(pack.indices)
-    for i in range(fset.size):
-        if i in pack.indices:
-            continue
-        if float(fset.dist_row(i)[idx].min()) > thr:
+    packed = np.zeros(fset.size, dtype=bool)
+    packed[idx] = True
+    for lo, block in row_blocks(fset):
+        admissible = block[:, idx].min(axis=1) > thr
+        if np.any(admissible & ~packed[lo : lo + len(block)]):
             return False
     return True
 
@@ -97,14 +98,13 @@ def packing_is_maximal(fset: FiniteSet, pack: PackingResult) -> bool:
 def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
     """Nearest-center assignment; raises if some point is farther than eps."""
     centers = np.asarray(centers)
-    m = fset.size
-    assign = np.empty(m, dtype=int)
-    for i in range(m):
-        d = fset.dist_row(i)[centers]
-        j = int(np.argmin(d))
-        if d[j] > eps * (1.0 + PACK_SLACK):
-            raise PreconditionError(f"point {i} not covered at eps={eps}")
-        assign[i] = j
+    assign = np.empty(fset.size, dtype=int)
+    for lo, block in row_blocks(fset):
+        d = block[:, centers]
+        far = np.flatnonzero(d.min(axis=1) > eps * (1.0 + PACK_SLACK))
+        if far.size:
+            raise PreconditionError(f"point {lo + int(far[0])} not covered at eps={eps}")
+        assign[lo : lo + len(block)] = d.argmin(axis=1)
     return assign
 
 
@@ -113,10 +113,17 @@ def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _balls(fset: FiniteSet, eps: float) -> np.ndarray:
+    """Boolean (size, size) matrix: [c, p] iff point p lies in the ball B(c, eps)."""
+    inside = np.empty((fset.size, fset.size), dtype=bool)
+    for lo, block in row_blocks(fset):
+        np.less_equal(block, eps, out=inside[lo : lo + len(block)])
+    return inside
+
+
 def _cover_masks(fset: FiniteSet, eps: float) -> list[int]:
     """Bit p of mask c is set iff point p lies in the ball B(c, eps)."""
-    rows = np.array([fset.dist_row(c) for c in range(fset.size)])
-    return ((rows <= eps) @ (1 << np.arange(fset.size, dtype=np.int64))).tolist()
+    return (_balls(fset, eps) @ (1 << np.arange(fset.size, dtype=np.int64))).tolist()
 
 
 def _witness_lower_bound(uncovered: int, comask: list[int]) -> int:
@@ -216,18 +223,18 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
         masks = _cover_masks(fset, eps)
         size, centers = exact_min_cover(masks, m)
         return CoveringResult(eps, centers, exact=True)
+    inside = _balls(fset, eps)
+    gains = inside.sum(axis=1)  # uncovered points in each ball
     covered = np.zeros(m, dtype=bool)
     centers = []
     while not covered.all():
-        best_c, best_gain = -1, -1
-        for c in range(m):
-            gain = int((~covered & (fset.dist_row(c) <= eps)).sum())
-            if gain > best_gain:
-                best_c, best_gain = c, gain
-        if best_gain <= 0:
+        best_c = int(np.argmax(gains))  # the first maximum: lowest index on ties
+        if gains[best_c] <= 0:
             raise PreconditionError("greedy cover stalled")  # cannot happen: c covers itself
         centers.append(best_c)
-        covered |= fset.dist_row(best_c) <= eps
+        fresh = inside[best_c] & ~covered
+        covered |= fresh
+        gains -= inside[:, fresh].sum(axis=1)
     return CoveringResult(eps, tuple(centers), exact=False)
 
 
@@ -237,17 +244,29 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
     Greedily collects points such that no single ball B(c, eps) with c in
     the set contains two of them; any eps-cover then needs one ball per
     collected point.  Subsumes the packing-at-2*eps bound.
+
+    Points are admitted in index order.  Rows are scanned in blocks that
+    start one row after each admission and double up to the block budget;
+    a rejected row stays rejected, since ``near`` only grows.
     """
     m = fset.size
-    md = np.full(m, np.inf)  # min distance from each center to chosen witnesses
+    near = np.zeros(m, dtype=bool)  # centers c with a collected witness in B(c, eps)
+    cap = block_rows(m)
     count = 0
-    for q in range(m):
-        row = fset.dist_row(q)
-        if not bool(np.any((row <= eps) & (md <= eps))):
-            count += 1
-            if stop_above is not None and count > stop_above:
-                return count
-            np.minimum(md, row, out=md)
+    q, rows = 0, 1
+    while q < m:
+        hi = min(q + rows, m)
+        within = fset.dist_rows(q, hi) <= eps
+        free = ~np.any(within & near, axis=1)
+        if not free.any():
+            q, rows = hi, min(2 * rows, cap)
+            continue
+        r = int(np.argmax(free))
+        count += 1
+        if stop_above is not None and count > stop_above:
+            return count
+        near |= within[r]
+        q, rows = q + r + 1, 1
     return count
 
 

@@ -1,15 +1,16 @@
 """Normed spaces, finite point clouds, and elementary size measures.
 
 A :class:`NormedSpace` fixes the ambient norm; a :class:`FiniteSet` is the
-computational stand-in for a compact set.  Distances are always served row
-by row so that closed-form (oracle) sets can avoid materialising either the
-coordinates or the full distance matrix.
+computational stand-in for a compact set.  Distances are served row by row,
+or as blocks of consecutive rows (``dist_rows``) sized to a fixed element
+budget, so that closed-form (oracle) sets can avoid materialising either the
+coordinates or the full distance matrix, and full scans run over a few
+blocks instead of one row at a time.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,10 +22,12 @@ TOL_ZERO = 1e-12
 REL_TOL = 1e-9
 # Largest set for which a dense pairwise distance matrix is cached.
 DENSE_LIMIT = 4096
-# Rows per block when a dense distance matrix is built.
-MATRIX_BLOCK = 256
+# Elements (rows x points) per block of distance rows.
+BLOCK_ELEMS = 1 << 20
 
 NORM_KINDS = ("l1", "l2", "linf", "wlinf", "l1step")
+# Norms that sum over coordinates; the others take the maximum.
+SUM_NORMS = ("l1", "l2", "l1step")
 
 
 class DimensionMismatch(ValueError):
@@ -127,11 +130,24 @@ def step_space(cell_edges: Sequence[float]) -> NormedSpace:
     return NormedSpace(dim=len(edges) - 1, kind="l1step", cell_edges=edges)
 
 
+def block_rows(size: int) -> int:
+    """Rows per block of distance rows of a set of ``size`` points."""
+    return max(1, BLOCK_ELEMS // size)
+
+
+def row_blocks(fset: FiniteSet):
+    """(first row, block of distance rows) over the whole set, in order."""
+    step = block_rows(fset.size)
+    for lo in range(0, fset.size, step):
+        yield lo, fset.dist_rows(lo, min(lo + step, fset.size))
+
+
 class FiniteSet:
     """Base class: a finite metric sample with row-wise distance access.
 
     Subclasses must provide ``size``, ``space``, and ``dist_row``, and may
-    override ``diameter`` and ``distinct_distances`` with closed forms.  A
+    override ``dist_rows`` with a block kernel and ``diameter`` and
+    ``distinct_distances`` with closed forms.  A
     set holds no search state: entropy searches run over the sorted
     distinct distances, which a subclass may keep once computed.
     """
@@ -142,14 +158,17 @@ class FiniteSet:
     def dist_row(self, i: int) -> np.ndarray:
         raise NotImplementedError
 
+    def dist_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Distance rows lo..hi-1 as one (hi - lo, size) array; one row is a view."""
+        if hi - lo == 1:
+            return self.dist_row(lo)[None]
+        return np.stack([self.dist_row(i) for i in range(lo, hi)])
+
     def dist(self, i: int, j: int) -> float:
         return float(self.dist_row(i)[j])
 
     def diameter(self) -> float:
-        best = 0.0
-        for i in range(self.size):
-            best = max(best, float(self.dist_row(i).max()))
-        return best
+        return max(float(block.max()) for _, block in row_blocks(self))
 
     def distinct_distances(self) -> np.ndarray:
         """Sorted positive pairwise distance values: the radii entropy searches bisect."""
@@ -187,40 +206,87 @@ class PointSet(FiniteSet):
                 raise ValueError("dist_matrix shape mismatch")
             self._matrix = m
 
+    def _rows(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Distance rows lo..hi-1, filled into a (hi - lo, size) block one
+        coordinate at a time.
+
+        numpy adds fewer than 8 terms in order, so the coordinate-wise
+        accumulation equals ``space.norm`` bit for bit for the max norms at
+        any dimension and for the sum norms below dimension 8.  Sum norms in
+        dimension 8 and up take the broadcast norm instead, over as many rows
+        at a time as keep the (rows, size, dim) differences within the budget.
+        """
+        space, pts = self.space, self.points
+        if out is None:
+            out = np.empty((hi - lo, self.size))
+        if space.kind in SUM_NORMS and space.dim >= 8:
+            step = max(1, BLOCK_ELEMS // (self.size * space.dim))
+            for i in range(lo, hi, step):
+                j = min(i + step, hi)
+                out[i - lo : j - lo] = space.norm(pts[i:j, None, :] - pts[None, :, :])
+            return out
+        scale = space.weights if space.kind == "wlinf" else None
+        if space.kind == "l1step":
+            scale = np.diff(np.asarray(space.cell_edges))
+        combine = np.add if space.kind in SUM_NORMS else np.maximum
+        tmp = np.empty_like(out) if space.dim > 1 else None
+        for k in range(space.dim):
+            term = tmp if k else out
+            np.subtract.outer(pts[lo:hi, k], pts[:, k], out=term)
+            if space.kind == "l2":
+                np.multiply(term, term, out=term)
+            else:
+                np.abs(term, out=term)
+            if scale is not None:
+                term *= scale[k]
+            if k:
+                combine(out, term, out=out)
+        if space.kind == "l2":
+            np.sqrt(out, out=out)
+        return out
+
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             if self.size > DENSE_LIMIT:
                 raise PreconditionError(
                     f"dense distance matrix refused for {self.size} points"
                 )
-            # row blocks bound the (rows, m, dim) difference array; a set of
-            # at most one block is a single broadcast
             out = np.empty((self.size, self.size))
-            for i in range(0, self.size, MATRIX_BLOCK):
-                diffs = self.points[i : i + MATRIX_BLOCK, None, :] - self.points[None, :, :]
-                out[i : i + MATRIX_BLOCK] = self.space.norm(diffs)
+            step = block_rows(self.size)
+            for lo in range(0, self.size, step):
+                self._rows(lo, min(lo + step, self.size), out[lo : lo + step])
             self._matrix = out
         return self._matrix
 
-    def dist_row(self, i: int) -> np.ndarray:
+    def dist_rows(self, lo: int, hi: int) -> np.ndarray:
+        if self._matrix is None and self.size <= DENSE_LIMIT:
+            self.matrix()
         if self._matrix is not None:
-            return self._matrix[i]
-        if self.size <= DENSE_LIMIT:
-            return self.matrix()[i]
-        return np.asarray(self.space.norm(self.points - self.points[i]))
+            return self._matrix[lo:hi]
+        return self._rows(lo, hi)
+
+    def dist_row(self, i: int) -> np.ndarray:
+        return self.dist_rows(i, i + 1)[0]
 
     def dist_to(self, x) -> np.ndarray:
         """Distances from an arbitrary ambient point to every set point."""
         return np.asarray(self.space.norm(self.points - np.asarray(x, dtype=float)))
 
-    def diameter(self) -> float:
-        return float(self.matrix().max()) if self.size <= DENSE_LIMIT else super().diameter()
-
     def distinct_distances(self) -> np.ndarray:
         if self._distinct is None:
-            # one strict triangle: norms are exact under negation, so the
-            # matrix is symmetric
-            vals = np.unique(self.matrix()[np.tri(self.size, k=-1, dtype=bool)])
+            # one strict triangle, gathered row by row: norms are exact under
+            # negation, so the matrix is symmetric
+            mat = self.matrix()
+            vals = np.empty(self.size * (self.size - 1) // 2)
+            pos = 0
+            for i in range(1, self.size):
+                vals[pos : pos + i] = mat[i, :i]
+                pos += i
+            vals.sort()
+            fresh = np.empty(vals.size, dtype=bool)
+            fresh[:1] = True
+            np.not_equal(vals[1:], vals[:-1], out=fresh[1:])
+            vals = vals[fresh]
             self._distinct = vals[vals > 0.0]
         return self._distinct
 
@@ -279,12 +345,9 @@ def radius_upper(fset: FiniteSet) -> RadiusBound:
     """
     if fset.size < 1:
         raise PreconditionError("empty set")
-    best = math.inf
-    best_idx = 0
-    for i in range(fset.size):
-        far = float(fset.dist_row(i).max())
-        if far < best:
-            best, best_idx = far, i
+    fars = np.concatenate([block.max(axis=1) for _, block in row_blocks(fset)])
+    best_idx = int(np.argmin(fars))  # the first minimum, as a strict < scan keeps
+    best = float(fars[best_idx])
     center_pt = None
     center_idx: Optional[int] = best_idx
     if isinstance(fset, PointSet):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -365,3 +366,53 @@ def test_kolmogorov_axis_out_of_range_exit_1(tmp_path, capsys, params):
     err = capsys.readouterr().err
     assert "usage error" in err and "2-dimensional" in err
     assert f"axis {max(params.get('subspace_axes', [2]))} " in err
+
+
+@pytest.mark.parametrize("command,flag", [("packing", "eps"), ("width-lower", "gamma")])
+def test_default_radius_on_zero_diameter_names_the_cause(capsys, command, flag):
+    # coincident points: the default eps (diameter/4) and gamma (2 * radius) are 0
+    target = {"kind": "points", "space": {"dim": 2, "norm": {"kind": "l2"}},
+              "points": [[1.0, 1.0]] * 3}
+    assert main([command, "--target-json", json.dumps(target)]) == 3
+    err = capsys.readouterr().err
+    assert "diameter is zero" in err and f"pass {flag}" in err
+
+
+def _cloud(m, dim, norm):
+    return {"kind": "random", "m": m, "dim": dim, "norm": norm}
+
+
+# sha256 of the canonical reports of seeded clouds; any change in a distance
+# or a scan that moves one bit of a certificate moves these
+_GOLDEN = {
+    "entropy-l2-1500": (
+        {"command": "entropy", "seed": 11, "target": _cloud(1500, 3, "l2"),
+         "params": {"n_values": [3, 6]}},
+        "9fd466d2f3cceb1b014213fca043ee88b16582ebfc140f20d459942311d28e09"),
+    "entropy-l1-600-witness": (
+        {"command": "entropy", "seed": 12, "target": _cloud(600, 3, "l1"),
+         "params": {"n_values": [2, 5]}, "verify_witness": True},
+        "6ca7b223f984cfa193d923dd291dc10e093d7249416e81a656e8e5c6bd1124d2"),
+    "packing-linf-1200-witness": (
+        {"command": "packing", "seed": 13, "target": _cloud(1200, 3, "linf"),
+         "verify_witness": True},
+        "7728022f52cdb015c2d2bc689909554670cc6a29c138d805ffacab4d7be8c691"),
+    "packing-l1-dim9-400": (
+        {"command": "packing", "seed": 16, "target": _cloud(400, 9, "l1")},
+        "a3897f245740536c1231a51e52a38d27b0af19e655eb29ede10a4e1be9ff1ea5"),
+    "width-upper-linf-1000-witness": (
+        {"command": "width-upper", "seed": 14, "target": _cloud(1000, 3, "linf"),
+         "params": {"k": 2, "n": 2}, "verify_witness": True},
+        "8e9bf34ffaa0b53931669b57ed801465b1d9e6eff95c70f45f04b4c03741c3a1"),
+    "width-lower-l1-800-witness": (
+        {"command": "width-lower", "seed": 15, "target": _cloud(800, 3, "l1"),
+         "params": {"n": 2}, "verify_witness": True},
+        "5bc1a8d7ae9ca42e500a90e6e9378321f96957f78968bbfff9c6c867815a58e2"),
+}
+
+
+@pytest.mark.parametrize("cfg,digest", list(_GOLDEN.values()), ids=list(_GOLDEN))
+def test_canonical_report_digest_is_pinned(cfg, digest):
+    report = run(json.loads(json.dumps(cfg)))
+    assert report["passed"]
+    assert hashlib.sha256(canonical_report(report).encode()).hexdigest() == digest

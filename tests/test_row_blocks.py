@@ -1,0 +1,181 @@
+"""Row-block distance kernels against the per-row loops they replaced.
+
+Each oracle below is the one-row-at-a-time loop that a block scan
+replaced.  The block scans must agree with it exactly: same admissions,
+same centers, same maxima and the same error message.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lipwidth import NormedSpace, PointSet, minimal_inner_covering, radius_upper
+from lipwidth.case_studies import SequenceSetSpec, UniformBasisSet, sequence_set
+from lipwidth.covering import (
+    N_EXACT,
+    PACK_SLACK,
+    PackingResult,
+    _cover_masks,
+    coverage_assignment,
+    covering_lower_bound,
+    greedy_packing,
+    packing_is_maximal,
+)
+from lipwidth.spaces import DENSE_LIMIT, PreconditionError
+
+# ---------------------------------------------------------------------------
+# per-row oracles
+# ---------------------------------------------------------------------------
+
+
+def oracle_lower_bound(fset, eps, stop_above=None):
+    m = fset.size
+    md = np.full(m, np.inf)
+    count = 0
+    for q in range(m):
+        row = fset.dist_row(q)
+        if not bool(np.any((row <= eps) & (md <= eps))):
+            count += 1
+            if stop_above is not None and count > stop_above:
+                return count
+            np.minimum(md, row, out=md)
+    return count
+
+
+def oracle_greedy_cover(fset, eps):
+    m = fset.size
+    covered = np.zeros(m, dtype=bool)
+    centers = []
+    while not covered.all():
+        best_c, best_gain = -1, -1
+        for c in range(m):
+            gain = int((~covered & (fset.dist_row(c) <= eps)).sum())
+            if gain > best_gain:
+                best_c, best_gain = c, gain
+        centers.append(best_c)
+        covered |= fset.dist_row(best_c) <= eps
+    return tuple(centers)
+
+
+def oracle_is_maximal(fset, pack):
+    thr = pack.eps * (1.0 + PACK_SLACK)
+    idx = np.asarray(pack.indices)
+    for i in range(fset.size):
+        if i in pack.indices:
+            continue
+        if float(fset.dist_row(i)[idx].min()) > thr:
+            return False
+    return True
+
+
+def oracle_assignment(fset, centers, eps):
+    centers = np.asarray(centers)
+    assign = np.empty(fset.size, dtype=int)
+    for i in range(fset.size):
+        d = fset.dist_row(i)[centers]
+        j = int(np.argmin(d))
+        if d[j] > eps * (1.0 + PACK_SLACK):
+            raise PreconditionError(f"point {i} not covered at eps={eps}")
+        assign[i] = j
+    return assign
+
+
+def oracle_radius(fset):
+    best, best_idx = math.inf, 0
+    for i in range(fset.size):
+        far = float(fset.dist_row(i).max())
+        if far < best:
+            best, best_idx = far, i
+    if isinstance(fset, PointSet):
+        far = float(fset.dist_to(fset.points.mean(axis=0)).max())
+        if far < best:
+            return far, None
+    return best, best_idx
+
+
+def oracle_diameter(fset):
+    return max(float(fset.dist_row(i).max()) for i in range(fset.size))
+
+
+def oracle_masks(fset, eps):
+    rows = np.array([fset.dist_row(c) for c in range(fset.size)])
+    return ((rows <= eps) @ (1 << np.arange(fset.size, dtype=np.int64))).tolist()
+
+
+# ---------------------------------------------------------------------------
+# covering scans
+# ---------------------------------------------------------------------------
+
+
+def small_cloud():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1, 1, size=(48, 2))
+    pts[40] = pts[4]
+    return PointSet(NormedSpace(2, "l2"), pts)
+
+
+def test_scans_match_oracles_at_every_tenth_distance():
+    ps = small_cloud()
+    assert ps.size > N_EXACT  # the greedy cover, not the exact one
+    for eps in ps.distinct_distances()[::10]:
+        eps = float(eps)
+        for stop in (None, 1, 8):
+            assert covering_lower_bound(ps, eps, stop) == oracle_lower_bound(ps, eps, stop)
+        assert minimal_inner_covering(ps, eps).center_indices == oracle_greedy_cover(ps, eps)
+
+
+def assert_scans_match(fset, radii, bound_radii=()):
+    """Block scans equal the oracles; ``bound_radii`` only check the lower bound."""
+    assert fset.diameter() == oracle_diameter(fset)
+    rb = radius_upper(fset)
+    assert (rb.upper, rb.center_index) == oracle_radius(fset)
+    for eps in list(radii) + list(bound_radii):
+        for stop in (None, 1, 8):
+            assert covering_lower_bound(fset, eps, stop) == oracle_lower_bound(fset, eps, stop)
+    for eps in radii:
+        cover = minimal_inner_covering(fset, eps)
+        if not cover.exact:
+            assert cover.center_indices == oracle_greedy_cover(fset, eps)
+        assign = coverage_assignment(fset, cover.center_indices, eps)
+        assert np.array_equal(assign, oracle_assignment(fset, cover.center_indices, eps))
+        pack = greedy_packing(fset, eps)
+        assert packing_is_maximal(fset, pack) and oracle_is_maximal(fset, pack)
+        if pack.size > 1:
+            short = PackingResult(eps, pack.indices[:-1], pack.size - 1, True)
+            assert packing_is_maximal(fset, short) == oracle_is_maximal(fset, short)
+
+
+def test_scans_on_uniform_basis_set():
+    basis = UniformBasisSet(300)
+    assert_scans_match(basis, [0.5, math.sqrt(2.0)])
+
+
+def test_scans_on_sequence_set():
+    seq = sequence_set(SequenceSetSpec(generator="log", truncation=300))
+    assert_scans_match(seq, [float(seq.sigmas[k]) for k in (0, 7, 120, 299)])
+
+
+def test_scans_above_dense_limit_build_no_matrix():
+    rng = np.random.default_rng(11)
+    ps = PointSet(NormedSpace(1, "l2"), rng.uniform(-1, 1, size=(DENSE_LIMIT + 4, 1)))
+    # 0.002 admits hundreds of witnesses, so blocks restart at one row often
+    assert_scans_match(ps, [0.3], bound_radii=[0.002])
+    assert ps._matrix is None
+
+
+def test_cover_masks_match_rows():
+    ps = PointSet(NormedSpace(3, "l1"), np.random.default_rng(2).uniform(size=(N_EXACT, 3)))
+    for eps in ps.distinct_distances()[::15]:
+        assert _cover_masks(ps, float(eps)) == oracle_masks(ps, float(eps))
+
+
+def test_assignment_names_first_uncovered_point():
+    ps = small_cloud()
+    eps = float(ps.distinct_distances()[30])
+    centers = [0, 1]
+    with pytest.raises(PreconditionError) as block_err:
+        coverage_assignment(ps, centers, eps)
+    with pytest.raises(PreconditionError) as row_err:
+        oracle_assignment(ps, centers, eps)
+    assert str(block_err.value) == str(row_err.value)

@@ -13,6 +13,9 @@ from lipwidth import (
     radius_upper,
     step_space,
 )
+from lipwidth import spaces
+from lipwidth.case_studies import UniformBasisSet
+from lipwidth.spaces import DENSE_LIMIT, NORM_KINDS
 
 
 def unit_step_vector(space, a):
@@ -186,14 +189,57 @@ def test_empty_set_rejected():
         step_space([0.0, 1.0])  # does not span [0, 2]
 
 
-@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
-def test_blocked_matrix_matches_one_broadcast(kind):
-    # 600 points span three row blocks; the duplicate adds a zero off the diagonal
+def space_of(kind, dim):
+    if kind == "wlinf":
+        return NormedSpace(dim, kind, weights=tuple(0.5 + 0.25 * k for k in range(dim)))
+    if kind == "l1step":
+        cuts = np.sort(np.random.default_rng(dim).uniform(0.0, 2.0, dim - 1))
+        return step_space(np.concatenate(([0.0], cuts, [2.0])))
+    return NormedSpace(dim, kind)
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_blocked_matrix_matches_one_broadcast(kind, monkeypatch):
+    # the matrix is built one coordinate at a time, which equals the broadcast
+    # norm bit for bit; at 2**16 elements a block holds 257 rows of 255
+    # points, 255 rows of 257 and 109 rows of 600, so blocks end mid-set; a
+    # duplicate adds a zero off the diagonal
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", 1 << 16)
     rng = np.random.default_rng(5)
-    pts = rng.uniform(-1, 1, size=(600, 3))
-    pts[7] = pts[300]
-    ps = PointSet(NormedSpace(3, kind), pts)
-    full = np.asarray(ps.space.norm(pts[:, None, :] - pts[None, :, :]))
-    assert np.array_equal(ps.matrix(), full)
-    vals = np.unique(full)
-    assert np.array_equal(ps.distinct_distances(), vals[vals > 0.0])
+    for dim in range(1, 11):
+        space = space_of(kind, dim)
+        for size in (1, 255, 257, 600):
+            pts = rng.uniform(-1, 1, size=(size, dim))
+            pts[size // 2] = pts[0]
+            ps = PointSet(space, pts)
+            full = np.asarray(space.norm(pts[:, None, :] - pts[None, :, :]))
+            assert np.array_equal(ps.matrix(), full), (dim, size)
+            vals = np.unique(full[np.tri(size, k=-1, dtype=bool)])
+            assert np.array_equal(ps.distinct_distances(), vals[vals > 0.0]), (dim, size)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 9])
+def test_rows_above_dense_limit_match_norm(dim):
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-1, 1, size=(DENSE_LIMIT + 4, dim))
+    for kind in NORM_KINDS:
+        ps = PointSet(space_of(kind, dim), pts)
+        for i in (0, 1, 2000, ps.size - 1):
+            assert np.array_equal(ps.dist_row(i), ps.space.norm(pts - pts[i])), (kind, i)
+        block = ps.dist_rows(10, 13)
+        assert np.array_equal(block, np.stack([ps.dist_row(i) for i in range(10, 13)]))
+        assert ps._matrix is None
+
+
+def test_dist_rows_of_dense_set_slices_the_cache():
+    ps = PointSet(NormedSpace(2, "l2"), np.random.default_rng(0).uniform(size=(40, 2)))
+    block = ps.dist_rows(5, 9)
+    assert np.shares_memory(block, ps._matrix)
+    assert np.array_equal(block, ps.matrix()[5:9])
+
+
+def test_base_dist_rows_serves_one_row_without_copy():
+    basis = UniformBasisSet(12)
+    row = basis.dist_row(3)
+    basis.dist_row = lambda i: row
+    assert np.shares_memory(basis.dist_rows(3, 4), row)
