@@ -84,12 +84,15 @@ def _check(value, schema: dict, path: str) -> None:
     Covers the JSON Schema subset that config.schema.json uses: type, enum,
     const, required, properties, additionalProperties: false, items, minimum,
     exclusiveMinimum, allOf and if/then.  JSON booleans are neither integers
-    nor numbers.
+    nor numbers.  Beyond JSON Schema, numbers must be finite: RFC 8259 JSON
+    has no inf or nan, though float flags and ``json.load`` accept them.
     """
     kind = schema.get("type")
     if kind is not None and (not isinstance(value, _JSON_TYPES[kind]) or (
             isinstance(value, bool) and kind in ("integer", "number"))):
         raise UsageError(f"{path} must be of type {kind}")
+    if kind == "number" and isinstance(value, float) and not math.isfinite(value):
+        raise UsageError(f"{path} must be finite, not {value!r}")
     if "enum" in schema and value not in schema["enum"]:
         raise UsageError(f"{path} must be one of {schema['enum']}, not {value!r}")
     if "const" in schema and value != schema["const"]:
@@ -148,7 +151,7 @@ def _jsonify(obj):
 
 def canonical_report(report: dict) -> str:
     doc = {k: v for k, v in report.items() if k != "meta"}
-    return json.dumps(_jsonify(doc), sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _target_set(target: Optional[dict], seed: int) -> FiniteSet:
@@ -444,11 +447,10 @@ def recheck(cert: dict, fset: Optional[FiniteSet]) -> bool:
 
 
 def _certify(cfg: dict, seed: int) -> tuple:
-    """The handler's certificates (as JSON) and audits; ``verify_witness``
+    """The handler's certificates and audits, made JSON-safe; ``verify_witness``
     adds a recheck of each certificate against the target's set.  audit-all
     has no target: it re-checks inside each case study."""
-    certs, audits = _HANDLERS[cfg["command"]](cfg, seed)
-    certs = _jsonify(certs)
+    certs, audits = _jsonify(_HANDLERS[cfg["command"]](cfg, seed))
     if cfg.get("verify_witness") and cfg["command"] != "audit-all":
         try:
             fset = _target_set(cfg.get("target"), seed)
@@ -467,10 +469,10 @@ def run(cfg: dict) -> dict:
     certs, audits = _certify(cfg, seed)
     passed = all(a.get("passed", False) for a in audits) if audits else True
     report = {
-        "config": _jsonify(cfg),
+        "config": cfg,  # validated, so already JSON-safe
         "version": __version__,
-        "certificates": _jsonify(certs),
-        "audits": _jsonify(audits),
+        "certificates": certs,
+        "audits": audits,
         "passed": passed,
         "meta": {
             "wall_clock_s": time.perf_counter() - start,
@@ -504,30 +506,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"usage error: {message}\n")
 
 
+# the parameter flags, each --<name> copied into the config's params
+_PARAM_FLAGS = {"n": int, "k": int, "gamma": float, "eps": float, "trials": int,
+                "d": int, "width": int, "depth": int}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (overrides other flags)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", help="directory for report files")
-    common.add_argument("--format", choices=("json", "csv", "both"), default="json")
-    common.add_argument("--verify-witness", action="store_true")
-    p = _ArgumentParser(prog="lipwidth", parents=[common],
-                        description="certified width and entropy bounds")
-    sub = p.add_subparsers(dest="command")
-    for name in _HANDLERS:
-        sp = sub.add_parser(name, parents=[common])
-        if name == "case-study":
-            sp.add_argument("action", choices=("run",))
-            sp.add_argument("name", choices=tuple(_CASES))
-        sp.add_argument("--target-json", help="inline JSON target spec")
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--gamma", type=float)
-        sp.add_argument("--eps", type=float)
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--d", type=int)
-        sp.add_argument("--width", "--W", dest="width", type=int)
-        sp.add_argument("--depth", type=int)
+    """One flat parser: flags may go before or after the command."""
+    p = _ArgumentParser(prog="lipwidth", description="certified width and entropy bounds")
+    p.add_argument("command", nargs="?", choices=tuple(_HANDLERS))
+    p.add_argument("action", nargs="?", choices=("run",), help="case-study only")
+    p.add_argument("name", nargs="?", choices=tuple(_CASES), help="case-study only")
+    p.add_argument("--config", help="JSON config file (overrides other flags)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="directory for report files")
+    p.add_argument("--format", choices=("json", "csv", "both"), default="json")
+    p.add_argument("--verify-witness", action="store_true")
+    p.add_argument("--target-json", help="inline JSON target spec")
+    for key, kind in _PARAM_FLAGS.items():
+        aliases = ("--W",) if key == "width" else ()
+        p.add_argument(f"--{key}", *aliases, type=kind)
     return p
 
 
@@ -541,15 +539,16 @@ def _config_from_args(args) -> dict:
         return cfg
     if not args.command:
         raise UsageError("no command given (and no --config)")
+    if args.command == "case-study" and args.name is None:
+        raise UsageError("case-study needs: case-study run <name>")
+    if args.command != "case-study" and args.action is not None:
+        raise UsageError(f"{args.command} takes no positional arguments")
     cfg: dict = {"command": args.command, "seed": args.seed}
-    params = {}
-    for key in ("n", "k", "gamma", "eps", "trials", "d", "width", "depth"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    params = {key: getattr(args, key) for key in _PARAM_FLAGS
+              if getattr(args, key) is not None}
     if params:
         cfg["params"] = params
-    if getattr(args, "target_json", None):
+    if args.target_json:
         cfg["target"] = json.loads(args.target_json)
     if args.command == "case-study":
         cfg.setdefault("target", {})["kind"] = "case-study"
@@ -564,7 +563,7 @@ def _config_from_args(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_intermixed_args(argv)
     try:
         cfg = _config_from_args(args)
         report = run(cfg)
@@ -575,7 +574,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     out_format = cfg.get("format", "json")
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True)
     if cfg.get("out"):
         import os
 

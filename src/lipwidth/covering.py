@@ -113,17 +113,10 @@ def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _balls(fset: FiniteSet, eps: float) -> np.ndarray:
-    """Boolean (size, size) matrix: [c, p] iff point p lies in the ball B(c, eps)."""
-    inside = np.empty((fset.size, fset.size), dtype=bool)
-    for lo, block in row_blocks(fset):
-        np.less_equal(block, eps, out=inside[lo : lo + len(block)])
-    return inside
-
-
 def _cover_masks(fset: FiniteSet, eps: float) -> list[int]:
     """Bit p of mask c is set iff point p lies in the ball B(c, eps)."""
-    return (_balls(fset, eps) @ (1 << np.arange(fset.size, dtype=np.int64))).tolist()
+    inside = fset.dist_rows(0, fset.size) <= eps
+    return (inside @ (1 << np.arange(fset.size, dtype=np.int64))).tolist()
 
 
 def _witness_lower_bound(uncovered: int, comask: list[int]) -> int:
@@ -223,8 +216,9 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
         masks = _cover_masks(fset, eps)
         size, centers = exact_min_cover(masks, m)
         return CoveringResult(eps, centers, exact=True)
-    inside = _balls(fset, eps)
-    gains = inside.sum(axis=1)  # uncovered points in each ball
+    # uncovered points in each ball; distances are symmetric, so a freshly
+    # covered point p leaves exactly the balls its own row puts it in
+    gains = np.concatenate([(block <= eps).sum(axis=1) for _, block in row_blocks(fset)])
     covered = np.zeros(m, dtype=bool)
     centers = []
     while not covered.all():
@@ -232,9 +226,10 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
         if gains[best_c] <= 0:
             raise PreconditionError("greedy cover stalled")  # cannot happen: c covers itself
         centers.append(best_c)
-        fresh = inside[best_c] & ~covered
-        covered |= fresh
-        gains -= inside[:, fresh].sum(axis=1)
+        fresh = np.flatnonzero((fset.dist_row(best_c) <= eps) & ~covered)
+        covered[fresh] = True
+        for p in fresh:
+            gains -= fset.dist_row(p) <= eps
     return CoveringResult(eps, tuple(centers), exact=False)
 
 

@@ -359,5 +359,5 @@ def radius_upper(fset: FiniteSet) -> RadiusBound:
             center_pt = mean
         else:
             center_pt = fset.points[best_idx]
-    lower = fset.diameter() / 2.0
+    lower = float(fars.max()) / 2.0  # the diameter: the largest row maximum
     return RadiusBound(upper=best, lower=lower, center_index=center_idx, center_point=center_pt)

@@ -113,7 +113,7 @@ def width_upper_from_entropy(pset: PointSet, k: int, n: int,
     pad = np.repeat(targets[:1], budget - len(centers), axis=0)
     targets = np.concatenate([targets, pad], axis=0)
     emap = build_entropy_map(targets, k, n, pset.space)
-    cube_centers = -1.0 + (_grid_axis_index(assign, k, n) + 0.5) * 2.0 ** (1 - k)
+    cube_centers = emap.centers[assign]
     cert_inner = fixed_width_upper(shifted, emap, cube_centers)
     realized = cert_inner.value
     if realized > ent.upper * (1.0 + REL_TOL) + 1e-15:
@@ -141,16 +141,6 @@ def width_upper_from_entropy(pset: PointSet, k: int, n: int,
     if return_map:
         return cert, emap, cube_centers
     return cert
-
-
-def _grid_axis_index(flat_slots: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Per-axis indices of grid cube ``flat_slots`` (row-major, axis 0 slowest)."""
-    flat = np.asarray(flat_slots, dtype=np.int64)
-    out = np.empty((flat.shape[0], n), dtype=np.int64)
-    for a in range(n - 1, -1, -1):
-        out[:, a] = flat & ((1 << k) - 1)
-        flat = flat >> k
-    return out
 
 
 def recheck_entropy_map(cert: dict, fset: FiniteSet) -> bool:

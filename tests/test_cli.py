@@ -178,6 +178,9 @@ _SCHEMA_VIOLATIONS = {
     "workers": {"command": "entropy", "target": {"kind": "random", "m": 6}, "workers": 2},
     "points-without-space": {"command": "entropy",
                              "target": {"kind": "points", "points": [[0.0]]}},
+    "space-without-norm": {"command": "entropy",
+                           "target": {"kind": "points", "space": {"dim": 1},
+                                      "points": [[0.0]]}},
     "constant-schedule-without-value": {
         "command": "width-lower", "target": {"kind": "random", "m": 6},
         "params": {"n": 1, "gamma_schedule": {"type": "constant"}}},
@@ -208,6 +211,119 @@ def test_bad_flags_exit_1_and_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["entropy", "--help"])
     assert exc.value.code == 0
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_RANDOM6 = json.dumps({"kind": "random", "m": 6})
+_NON_FINITE_FLAGS = {
+    "eps-inf": ["packing", "--eps", "inf", "--target-json", _RANDOM6],
+    "eps-nan": ["packing", "--eps", "nan", "--target-json", _RANDOM6],
+    "gamma-inf": ["width-lower", "--gamma", "inf", "--target-json", _RANDOM6],
+}
+# config files as json.load reads them: it accepts Infinity and NaN
+_NON_FINITE_FILES = {
+    "eps-Infinity": '{"command": "packing", "target": {"kind": "random", "m": 6}, '
+                    '"params": {"eps": Infinity}}',
+    "gamma-NaN": '{"command": "width-lower", "target": {"kind": "random", "m": 6}, '
+                 '"params": {"n": 1, "gamma": NaN}}',
+    "schedule-minus-Infinity": '{"command": "width-lower", "target": {"kind": "random", '
+                               '"m": 6}, "params": {"n": 1, "gamma_schedule": '
+                               '{"type": "constant", "value": -Infinity}}}',
+    "point-NaN": '{"command": "entropy", "target": {"kind": "points", "space": '
+                 '{"dim": 1, "norm": {"kind": "l2"}}, "points": [[0.0], [NaN]]}}',
+    "weight-Infinity": '{"command": "entropy", "target": {"kind": "points", "space": '
+                       '{"dim": 1, "norm": {"kind": "wlinf", "weights": [Infinity]}}, '
+                       '"points": [[0.0], [1.0]]}}',
+}
+
+
+@pytest.mark.parametrize("argv,text", [(a, None) for a in _NON_FINITE_FLAGS.values()]
+                         + [(None, t) for t in _NON_FINITE_FILES.values()],
+                         ids=list(_NON_FINITE_FLAGS) + list(_NON_FINITE_FILES))
+def test_non_finite_numbers_exit_1(tmp_path, capsys, argv, text):
+    if argv is None:
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv = ["--config", str(path)]
+    assert _exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "must be finite" in err
+
+
+_README_TARGET = '{"kind":"random","m":30,"dim":2,"norm":"l2"}'
+# argv -> the config main() runs; each form that parsed before gives the same dict
+_ARGV_CONFIGS = {
+    "readme-audit-all": (
+        ["audit-all", "--seed", "7", "--out", "reports/"],
+        {"command": "audit-all", "seed": 7, "out": "reports/"}),
+    "readme-case-study": (
+        ["case-study", "run", "log-sequence", "--n", "6", "--gamma", "3"],
+        {"command": "case-study", "seed": 0, "params": {"n": 6, "gamma": 3.0},
+         "target": {"kind": "case-study", "name": "log-sequence"}}),
+    "readme-relu-verify": (
+        ["relu-verify", "--d", "1", "--width", "2", "--depth", "3", "--trials", "10000",
+         "--seed", "4"],
+        {"command": "relu-verify", "seed": 4,
+         "params": {"d": 1, "width": 2, "depth": 3, "trials": 10000}}),
+    "readme-entropy": (
+        ["entropy", "--target-json", _README_TARGET, "--n", "3"],
+        {"command": "entropy", "seed": 0, "params": {"n": 3},
+         "target": {"kind": "random", "m": 30, "dim": 2, "norm": "l2"}}),
+    "W-alias": (
+        ["relu-verify", "--W", "3", "--depth", "2"],
+        {"command": "relu-verify", "seed": 0, "params": {"width": 3, "depth": 2}}),
+    "target-json-on-case-study": (
+        ["case-study", "run", "transport", "--target-json", '{"grid": 64}', "--n", "2"],
+        {"command": "case-study", "seed": 0, "params": {"n": 2},
+         "target": {"grid": 64, "kind": "case-study", "name": "transport"}}),
+    "flag-between-positionals": (
+        ["case-study", "--seed", "3", "run", "diagonal"],
+        {"command": "case-study", "seed": 3,
+         "target": {"kind": "case-study", "name": "diagonal"}}),
+    "every-param-flag": (
+        ["packing", "--n", "1", "--k", "2", "--gamma", "1.5", "--eps", "0.25",
+         "--trials", "5", "--d", "2", "--width", "3", "--depth", "4", "--verify-witness",
+         "--format", "both"],
+        {"command": "packing", "seed": 0, "verify_witness": True, "format": "both",
+         "params": {"n": 1, "k": 2, "gamma": 1.5, "eps": 0.25, "trials": 5, "d": 2,
+                    "width": 3, "depth": 4}}),
+    # flags before the command were dropped before the parser was flat
+    "seed-before-command": (
+        ["--seed", "5", "relu-verify"], {"command": "relu-verify", "seed": 5}),
+    "verify-witness-before-command": (
+        ["--verify-witness", "packing"],
+        {"command": "packing", "seed": 0, "verify_witness": True}),
+    "config-file": (
+        ["--config", "x.json"],
+        {"command": "packing", "seed": 2, "target": {"kind": "random", "m": 5}}),
+}
+
+
+@pytest.mark.parametrize("argv,cfg", list(_ARGV_CONFIGS.values()), ids=list(_ARGV_CONFIGS))
+def test_argv_to_config(monkeypatch, tmp_path, argv, cfg):
+    from lipwidth import cli as climod
+
+    seen = []
+    monkeypatch.setattr(climod, "run", lambda c: seen.append(c) or {"passed": True})
+    monkeypatch.chdir(tmp_path)  # --out writes files here; --config reads x.json
+    (tmp_path / "x.json").write_text(json.dumps(cfg))
+    assert main(argv) == 0
+    assert seen == [cfg]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["entropy", "run"], 1), (["case-study"], 1), (["case-study", "run"], 1),
+    (["entropy", "run", "diagonal"], 1), (["--help"], 0)])
+def test_positionals_and_help_exit_codes(capsys, argv, code):
+    assert _exit_code(argv) == code
+    if code:
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_schema_names_match_tables():

@@ -6,11 +6,12 @@ same centers, same maxima and the same error message.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lipwidth import NormedSpace, PointSet, minimal_inner_covering, radius_upper
+from lipwidth import NormedSpace, PointSet, minimal_inner_covering, radius_upper, spaces
 from lipwidth.case_studies import SequenceSetSpec, UniformBasisSet, sequence_set
 from lipwidth.covering import (
     N_EXACT,
@@ -156,11 +157,22 @@ def test_scans_on_sequence_set():
     assert_scans_match(seq, [float(seq.sigmas[k]) for k in (0, 7, 120, 299)])
 
 
-def test_scans_above_dense_limit_build_no_matrix():
+def test_scans_above_dense_limit_build_no_matrix(monkeypatch):
     rng = np.random.default_rng(11)
     ps = PointSet(NormedSpace(1, "l2"), rng.uniform(-1, 1, size=(DENSE_LIMIT + 4, 1)))
     # 0.002 admits hundreds of witnesses, so blocks restart at one row often
     assert_scans_match(ps, [0.3], bound_radii=[0.002])
+    assert ps._matrix is None
+    # with small row blocks the greedy cover holds O(m) memory: no m x m ball matrix
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", 1 << 12)
+    tracemalloc.start()
+    try:
+        cover = minimal_inner_covering(ps, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cover.center_indices == oracle_greedy_cover(ps, 0.3)
+    assert peak < ps.size ** 2 // 8, peak
     assert ps._matrix is None
 
 
