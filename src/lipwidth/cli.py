@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from typing import Callable, Optional
 
@@ -529,6 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process, with its usage formatted once:
+    ``parse_intermixed_args`` formats an unset usage again on every call."""
+    p = build_parser()
+    p.usage = p.format_usage()[len("usage: "):]
+    return p
+
+
 def _config_from_args(args) -> dict:
     if args.config:
         with open(args.config) as fh:
@@ -549,7 +558,12 @@ def _config_from_args(args) -> dict:
     if params:
         cfg["params"] = params
     if args.target_json:
-        cfg["target"] = json.loads(args.target_json)
+        try:
+            cfg["target"] = json.loads(args.target_json)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"--target-json is not valid JSON: {exc}") from exc
+        if not isinstance(cfg["target"], dict):
+            raise UsageError("--target-json must be a JSON object")
     if args.command == "case-study":
         cfg.setdefault("target", {})["kind"] = "case-study"
         cfg["target"]["name"] = args.name
@@ -563,7 +577,7 @@ def _config_from_args(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_intermixed_args(argv)
+    args = _parser().parse_intermixed_args(argv)
     try:
         cfg = _config_from_args(args)
         report = run(cfg)

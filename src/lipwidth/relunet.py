@@ -25,6 +25,13 @@ DEFAULT_GRID = {1: 256, 2: 16, 3: 8}
 # Parameter pairs per falsification chunk; chunk i draws from seed ^ i.
 VERIFY_CHUNK = 512
 
+# Entries per layer buffer of the batched forward pass: 512 KiB of float64,
+# so a block's two buffers fit in a core's L2 cache.
+FORWARD_BLOCK = 2 ** 16
+
+# A 4 KiB page and half of it, in float64 entries.
+_PAGE, _HALF_PAGE = 512, 256
+
 
 @dataclass(frozen=True)
 class ReLUNetConfig:
@@ -146,27 +153,52 @@ def input_grid(cfg: ReLUNetConfig) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def _layer_buffers(n: int):
+    """Two n-entry float buffers from one workspace, the second starting half a
+    page (2 KiB) past the first modulo 4 KiB.  A layer reads one buffer and
+    writes the other; were they a whole number of pages apart, loads and stores
+    at equal offsets would stall on false dependencies (4K aliasing).  Half a
+    page is the farthest from that in either direction, so the buffers may swap
+    roles each layer."""
+    gap = (_HALF_PAGE - n) % _PAGE
+    ws = np.empty(2 * n + gap)
+    return ws[:n], ws[n + gap:]
+
+
 def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray,
                      track_layers: bool = False):
-    """Outputs (T, P) for T parameter vectors over P grid points; layer 0 is one
-    GEMM over the shared grid, later layers reuse two (T, W, P) buffers."""
-    T, P = ys.shape[0], X.shape[0]
+    """Outputs (T, P) for T parameter vectors over P grid points.
+
+    Rows go through the net in blocks of FORWARD_BLOCK // (W P), so a block's
+    (rows, W, P) activations stay in cache whatever T is.  In each block,
+    layer 0 is one GEMM over the shared grid, later layers alternate between
+    two reused buffers, and the last layer writes into the block's output
+    rows.  No row's arithmetic depends on the blocking."""
+    T, P, W = ys.shape[0], X.shape[0], cfg.width
     slices = layer_slices(cfg)
-    a, b, rows, cols = slices[0]
-    h = (ys[:, a].reshape(T * rows, cols) @ X.T).reshape(T, rows, P)
-    buf = np.empty_like(h)
-    layer_max = []
-    for j, (a, b, rows, cols) in enumerate(slices[:-1]):
-        if j:
-            np.matmul(ys[:, a].reshape(T, rows, cols), h, out=buf)
-            h, buf = buf, h
-        h += ys[:, b][:, :, None]
-        np.maximum(h, 0.0, out=h)
-        if track_layers:
-            layer_max.append(float(h.max()))  # h >= 0 after the ReLU
-    a, b, rows, cols = slices[-1]
-    out = np.matmul(ys[:, a].reshape(T, rows, cols), h)[:, 0, :]
-    out += ys[:, b]
+    block = max(1, min(T, FORWARD_BLOCK // (W * P)))
+    first, second = _layer_buffers(block * W * P)
+    out = np.empty((T, 1, P))  # a 1 x P matrix per row: the last GEMM's out=
+    layer_max = [0.0] * cfg.depth  # h >= 0 after each ReLU
+    for t0 in range(0, T, block):
+        y = ys[t0:t0 + block]
+        B = y.shape[0]
+        h = first[:B * W * P].reshape(B, W, P)
+        buf = second[:B * W * P].reshape(B, W, P)
+        a, b, rows, cols = slices[0]
+        np.matmul(y[:, a].reshape(B * rows, cols), X.T, out=h.reshape(B * rows, P))
+        for j, (a, b, rows, cols) in enumerate(slices[:-1]):
+            if j:
+                np.matmul(y[:, a].reshape(B, rows, cols), h, out=buf)
+                h, buf = buf, h
+            h += y[:, b][:, :, None]
+            np.maximum(h, 0.0, out=h)
+            if track_layers:
+                layer_max[j] = max(layer_max[j], float(h.max()))
+        a, b, rows, cols = slices[-1]
+        np.matmul(y[:, a].reshape(B, rows, cols), h, out=out[t0:t0 + B])
+        out[t0:t0 + B, 0] += y[:, b]
+    out = out[:, 0, :]
     return (out, layer_max) if track_layers else out
 
 
@@ -205,14 +237,16 @@ def verify_lipschitz(cfg: ReLUNetConfig, seed: int, trials: int) -> VerifyResult
         ya = rng.uniform(-1.0, 1.0, size=(take, npar))
         yb = rng.uniform(-1.0, 1.0, size=(take, npar))
         sep = np.abs(ya - yb).max(axis=1)
-        oa, lm_a = _batched_forward(cfg, ya, X, track_layers=True)
-        ob, lm_b = _batched_forward(cfg, yb, X, track_layers=True)
-        for j in range(cfg.depth):
-            seen = max(lm_a[j], lm_b[j])
+        out, layer_max = _batched_forward(cfg, np.concatenate((ya, yb)), X,
+                                          track_layers=True)
+        for j, seen in enumerate(layer_max):
             layer_seen[j] = max(layer_seen[j], seen)
             if seen > trace.output_bounds[j] + 1e-9:
                 layer_ok = False
-        diff = np.abs(oa - ob).max(axis=1)
+        diff = out[:take]  # |Phi(ya) - Phi(yb)|, in place over the ya rows
+        diff -= out[take:]
+        diff = np.abs(diff, out=diff).max(axis=1)
+        del out  # one chunk's outputs alive at a time
         ok = sep > 0
         if np.any(ok):
             best = max(best, float((diff[ok] / sep[ok]).max()))

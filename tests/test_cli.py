@@ -319,11 +319,34 @@ def test_argv_to_config(monkeypatch, tmp_path, argv, cfg):
 
 @pytest.mark.parametrize("argv,code", [
     (["entropy", "run"], 1), (["case-study"], 1), (["case-study", "run"], 1),
-    (["entropy", "run", "diagonal"], 1), (["--help"], 0)])
+    (["entropy", "run", "diagonal"], 1), (["--help"], 0),
+    # --target-json must be a JSON object
+    (["entropy", "--target-json", "{bad"], 1),
+    (["case-study", "run", "diagonal", "--target-json", "[1]"], 1),
+    (["case-study", "run", "diagonal", "--target-json", '"x"'], 1),
+    (["entropy", "--target-json", "null"], 1)])
 def test_positionals_and_help_exit_codes(capsys, argv, code):
     assert _exit_code(argv) == code
     if code:
         assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["entropy", "--workers", "2"],
+                                  ["case-study", "run", "moebius"]])
+def test_reused_parser_prints_what_a_fresh_parser_prints(capsys, argv):
+    from lipwidth import cli as climod
+
+    assert climod._parser() is climod._parser()
+    fresh = climod.build_parser()
+    assert _exit_code(["--help"]) == 0
+    assert capsys.readouterr().out == fresh.format_help()
+    assert climod._parser().format_usage() == fresh.format_usage()
+    assert _exit_code(argv) == 1
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        climod.build_parser().parse_intermixed_args(argv)
+    assert capsys.readouterr().err == err
+    assert err.startswith(fresh.format_usage())
 
 
 def test_schema_names_match_tables():

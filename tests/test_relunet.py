@@ -1,9 +1,13 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lipwidth import relunet
+from lipwidth.lipmaps import ReluParamMap
 from lipwidth.relunet import (
+    FORWARD_BLOCK,
     ReLUNetConfig,
     _batched_forward,
     closed_form_constant,
@@ -176,21 +180,57 @@ def test_grid_shapes():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_batched_forward_matches_pointwise_forward(seed):
-    # every row and grid point of the batched pass equals the per-point net
+def test_batched_forward_matches_pointwise_forward(monkeypatch, seed):
+    # every row and grid point of the batched pass, and of the ReLU parameter
+    # map, equals the per-point net.  With blocks of 4 rows, T = 11 spans
+    # three blocks and the last one is ragged.  d = 2 on a 7-point grid gives
+    # P = 49, so rows of P float64 entries (392 B) do not tile 4 KiB pages.
     rng = np.random.default_rng(seed)
-    for _ in range(5):
-        cfg = ReLUNetConfig(d=int(rng.integers(1, 4)), width=int(rng.integers(2, 4)),
-                            depth=int(rng.integers(1, 6)), grid=3)
+    cfgs = [ReLUNetConfig(d=int(rng.integers(1, 4)), width=int(rng.integers(2, 4)),
+                          depth=int(rng.integers(1, 6)), grid=3) for _ in range(5)]
+    cfgs.append(ReLUNetConfig(d=2, width=int(rng.integers(2, 4)),
+                              depth=int(rng.integers(1, 6)), grid=7))
+    for cfg in cfgs:
         X = input_grid(cfg)
         npar = param_count(cfg.d, cfg.width, cfg.depth)
         pool = rng.uniform(-1, 1, size=(12, npar))
-        for ys in (pool[:0], pool[:1], pool[:6], pool[::3]):  # T = 0, 1, 6, strided
-            out = _batched_forward(cfg, ys, X)
-            assert out.shape == (ys.shape[0], X.shape[0])
-            for t, y in enumerate(ys):
-                want = [forward(cfg, y, x) for x in X]
-                assert np.allclose(out[t], want, rtol=0, atol=1e-12)
+        for block in (FORWARD_BLOCK, 4 * cfg.width * X.shape[0]):
+            monkeypatch.setattr(relunet, "FORWARD_BLOCK", block)
+            for ys in (pool[:0], pool[:1], pool[:6], pool[::3], pool[:11]):  # strided 4
+                for out in (_batched_forward(cfg, ys, X),
+                            ReluParamMap(cfg).evaluate_batch(ys)):
+                    assert out.shape == (ys.shape[0], X.shape[0])
+                    for t, y in enumerate(ys):
+                        want = [forward(cfg, y, x) for x in X]
+                        assert np.allclose(out[t], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape,grid", [((1, 2, 3), 3), ((2, 3, 2), 7), ((3, 3, 5), None)])
+def test_forward_rows_do_not_depend_on_blocking(monkeypatch, shape, grid):
+    # 2.5 blocks at the real FORWARD_BLOCK give the same bits as one row per
+    # call, and the same bits and layer maxima as one block
+    cfg = ReLUNetConfig(*shape, grid=grid)
+    X = input_grid(cfg)
+    T = 5 * FORWARD_BLOCK // (2 * cfg.width * X.shape[0])
+    ys = np.random.default_rng(T).uniform(-1, 1, size=(T, param_count(*shape)))
+    out, layer_max = _batched_forward(cfg, ys, X, track_layers=True)
+    rows = [_batched_forward(cfg, y[None], X) for y in ys[::7]]
+    assert np.array_equal(out[::7], np.vstack(rows))
+    monkeypatch.setattr(relunet, "FORWARD_BLOCK", T * cfg.width * X.shape[0])
+    one, one_max = _batched_forward(cfg, ys, X, track_layers=True)
+    assert np.array_equal(out, one) and layer_max == one_max
+
+
+def test_verify_lipschitz_memory_does_not_grow_with_the_chunk():
+    # unblocked, two (T, W, P) buffers per pass and two chunks' outputs
+    # peaked at about 20 MB here
+    tracemalloc.start()
+    try:
+        verify_lipschitz(ReLUNetConfig(3, 3, 5), seed=1, trials=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 10 ** 6
 
 
 # (d, width, depth), seed, trials, max_ratio, layer_max_observed as recorded
