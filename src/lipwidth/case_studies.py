@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covering import inner_entropy
+from .covering import coverage_assignment, inner_entropy
 from .lipmaps import SequenceBumpSum, build_sequence_bump_map
 from .spaces import FiniteSet, NormedSpace, PointSet, PreconditionError, step_space
 from .widths import (WidthCertificate, best_coordinate_subspace, kolmogorov_comparison,
@@ -655,10 +655,16 @@ def certify_log_sequence(target, params):
 def recheck_entropy(cert: dict, fset: FiniteSet) -> bool:
     """Any ``inner_entropy`` bracket, this study's or another command's: a new
     search of ``fset`` (or of the sequence set named by ``set``) finds a
-    bracket inside the recorded one."""
+    bracket inside the recorded one, and the upper witness's centers, when
+    recorded, are at most 2**n and cover ``fset`` at ``upper`` (a missed point
+    raises)."""
     est = inner_entropy(sequence_set(SequenceSetSpec(**cert["set"])) if "set" in cert
                         else fset, cert["n"])
-    return cert["lower"] <= est.lower and cert["upper"] >= est.upper
+    centers = cert.get("witness", {}).get("upper", {}).get("centers")
+    if centers is not None:
+        coverage_assignment(fset, centers, cert["upper"])
+    return (cert["lower"] <= est.lower and cert["upper"] >= est.upper
+            and (centers is None or len(centers) <= 2 ** cert["n"]))
 
 
 def certify_power_sequence(target, params):

@@ -290,14 +290,14 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     """Certified bracket [lower, upper] for the inner entropy number.
 
     Covers and covering-number lower bounds depend on eps only through which
-    pairwise distances are <= eps, so the search bisects over the index of
-    the candidate radii r_0 = 0 < r_1 < ... (the distinct distances), and
-    both ends of the bracket are candidate radii.  ``upper`` is the first
-    radius found with a cover of at most 2**n inner balls; that cover is its
-    witness.  ``lower`` is r_j where a lower bound on the covering number at
-    r_{j-1} exceeded 2**n: the covering number is constant on
-    [r_{j-1}, r_j), so no smaller radius has such a cover.  Sets of at most
-    N_EXACT points decide both with the exact cover, and lower == upper.
+    pairwise distances are <= eps, so the search bisects over the index of the
+    radii r_0 = 0 < r_1 < ..., where r_i is ``fset.distinct_distances()[i-1]``
+    (one array, read in place by every n).  ``upper`` is the first radius with
+    a cover of at most 2**n inner balls; that cover is its witness.  ``lower``
+    is r_j where a lower bound on the covering number at r_{j-1} exceeded
+    2**n: the covering number is constant on [r_{j-1}, r_j), so no smaller
+    radius has such a cover.  Sets of at most N_EXACT points decide both with
+    the exact cover, and lower == upper.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
@@ -307,15 +307,18 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
         # every point can be its own center
         return EntropyEstimate(n, 0.0, 0.0, exact=True,
                                upper_witness={"kind": "identity", "size": m})
-    radii = np.concatenate(([0.0], fset.distinct_distances()))
-    if radii.size == 1:
+    dist = fset.distinct_distances()
+    if dist.size == 0:
         return EntropyEstimate(n, 0.0, 0.0, exact=True,
                                upper_witness={"kind": "singleton"})
     exact = m <= N_EXACT
 
+    def radius(i: int) -> float:
+        return float(dist[i - 1]) if i else 0.0
+
     def probe(i: int) -> float:
         # every eps in [r_i, r_{i+1}) sees the same distances; packings need eps > 0
-        return radii[i] if i else 0.5 * radii[1]
+        return radius(i) if i else 0.5 * dist[0]
 
     covers: dict = {}
 
@@ -329,7 +332,7 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
             covers[i] = pack.indices if pack.maximal else None
         return covers[i] is not None
 
-    top = radii.size - 1  # one ball covers the set at its diameter
+    top = dist.size  # one ball covers the set at its diameter
     up = _first_index(fits, top)
     if up == top:
         fits(top)
@@ -348,17 +351,12 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
         count = counts.get(low - 1)
     kind = "exact-cover" if exact else "maximal-packing-cover"
     return EntropyEstimate(
-        n,
-        float(radii[low]),
-        float(radii[up]),
-        exact=exact,
-        upper_witness={"kind": kind, "eps": float(radii[up]), "size": len(covers[up]),
+        n, radius(low), radius(up), exact=exact,
+        upper_witness={"kind": kind, "eps": radius(up), "size": len(covers[up]),
                        "centers": [int(c) for c in covers[up]]},
-        lower_witness={
-            "kind": "exact-cover" if exact else "ball-disjoint-witnesses",
-            "eps": float(radii[low - 1]) if low else None,
-            "count": int(count) if low else None,
-        },
+        lower_witness={"kind": "exact-cover" if exact else "ball-disjoint-witnesses",
+                       "eps": radius(low - 1) if low else None,
+                       "count": int(count) if low else None},
     )
 
 

@@ -147,9 +147,9 @@ class FiniteSet:
 
     Subclasses must provide ``size``, ``space``, and ``dist_row``, and may
     override ``dist_rows`` with a block kernel and ``diameter`` and
-    ``distinct_distances`` with closed forms.  A
-    set holds no search state: entropy searches run over the sorted
-    distinct distances, which a subclass may keep once computed.
+    ``distinct_distances`` with closed forms.  A set holds no search state:
+    entropy searches for every n read one array of distinct distances, which
+    a subclass may keep (a dense set: its matrix plus m(m-1)/2 values).
     """
 
     size: int
@@ -171,10 +171,23 @@ class FiniteSet:
         return max(float(block.max()) for _, block in row_blocks(self))
 
     def distinct_distances(self) -> np.ndarray:
-        """Sorted positive pairwise distance values: the radii entropy searches bisect."""
-        rows = [self.dist_row(i) for i in range(self.size)]
-        vals = np.unique(np.concatenate(rows))
-        return vals[vals > 0.0]
+        """Sorted distinct positive distances, the radii entropy searches bisect:
+        ``np.unique`` of the strict lower triangle (distances are symmetric)
+        without its zeros, compacted in place."""
+        vals = np.empty(self.size * (self.size - 1) // 2)
+        for lo, block in row_blocks(self):
+            for i, row in enumerate(block, start=lo):
+                vals[i * (i - 1) // 2 : i * (i + 1) // 2] = row[:i]
+        vals.sort()
+        kept, prev = 0, 0.0  # distances are >= 0: zeros go with the repeats
+        step = max(1, BLOCK_ELEMS // 8)  # BLOCK_ELEMS bytes, so a block's copy stays small
+        for lo in range(0, vals.size, step):
+            blk = vals[lo : lo + step]
+            new = blk[np.concatenate(([blk[0] > prev], blk[1:] > blk[:-1]))]
+            prev = blk[-1]
+            vals[kept : kept + new.size] = new  # kept <= lo: never past the read
+            kept += new.size
+        return vals[:kept]
 
 
 class PointSet(FiniteSet):
@@ -274,20 +287,8 @@ class PointSet(FiniteSet):
 
     def distinct_distances(self) -> np.ndarray:
         if self._distinct is None:
-            # one strict triangle, gathered row by row: norms are exact under
-            # negation, so the matrix is symmetric
-            mat = self.matrix()
-            vals = np.empty(self.size * (self.size - 1) // 2)
-            pos = 0
-            for i in range(1, self.size):
-                vals[pos : pos + i] = mat[i, :i]
-                pos += i
-            vals.sort()
-            fresh = np.empty(vals.size, dtype=bool)
-            fresh[:1] = True
-            np.not_equal(vals[1:], vals[:-1], out=fresh[1:])
-            vals = vals[fresh]
-            self._distinct = vals[vals > 0.0]
+            self.matrix()  # refused above DENSE_LIMIT
+            self._distinct = super().distinct_distances()
         return self._distinct
 
     def translated(self, center) -> "PointSet":

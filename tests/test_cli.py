@@ -188,6 +188,17 @@ _SCHEMA_VIOLATIONS = {
         "command": "width-lower", "target": {"kind": "random", "m": 6},
         "params": {"n": 1, "gamma_schedule": {"type": "geometric", "coeff": 1.0,
                                               "delta": 1.0}}},
+    "constant-schedule-value-0": {
+        "command": "width-lower", "target": {"kind": "random", "m": 6},
+        "params": {"n": 1, "gamma_schedule": {"type": "constant", "value": 0}}},
+    "geometric-schedule-coeff-negative": {
+        "command": "width-lower", "target": {"kind": "random", "m": 6},
+        "params": {"n": 1, "gamma_schedule": {"type": "geometric", "coeff": -1.0,
+                                              "delta": 1.0, "lambda": 2.0}}},
+    "geometric-schedule-lambda-0": {
+        "command": "width-lower", "target": {"kind": "random", "m": 6},
+        "params": {"n": 1, "gamma_schedule": {"type": "geometric", "coeff": 1.0,
+                                              "delta": 1.0, "lambda": 0.0}}},
 }
 
 
@@ -197,6 +208,16 @@ def test_schema_violations_exit_1(tmp_path, capsys, cfg):
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path)]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_gamma_schedule_underflow_exits_3(tmp_path, capsys):
+    # a positive schedule whose gamma underflows to 0 is a numeric failure
+    cfg = {"command": "width-lower", "target": {"kind": "random", "m": 6},
+           "params": {"n": 1, "gamma_schedule": {"type": "entropy-scaled", "k": -2000}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_bad_flags_exit_1_and_help_exits_0(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from lipwidth import (
 )
 from lipwidth import spaces
 from lipwidth.case_studies import UniformBasisSet
-from lipwidth.spaces import DENSE_LIMIT, NORM_KINDS
+from lipwidth.covering import _first_index, covering_lower_bound, greedy_packing, inner_entropy
+from lipwidth.spaces import BLOCK_ELEMS, DENSE_LIMIT, NORM_KINDS
 
 
 def unit_step_vector(space, a):
@@ -243,3 +245,104 @@ def test_base_dist_rows_serves_one_row_without_copy():
     row = basis.dist_row(3)
     basis.dist_row = lambda i: row
     assert np.shares_memory(basis.dist_rows(3, 4), row)
+
+
+def _unique_positive(ps):
+    vals = np.unique(ps.matrix()[np.tri(ps.size, k=-1, dtype=bool)])
+    return vals[vals > 0.0]
+
+
+@pytest.mark.parametrize("block_elems", [8, 64, 1000])
+def test_distinct_distances_equal_unique_across_block_edges(block_elems, monkeypatch):
+    # the in-place radii equal np.unique of the triangle without zeros, bit for
+    # bit, with blocks of 1, 8 and 125 values: runs of equal grid distances
+    # and of zeros from repeated points cross the block edges
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(block_elems)
+    sets = []
+    for kind in ("l1", "linf"):
+        for size in (30, 101, 257):
+            sets.append(PointSet(NormedSpace(2, kind), rng.integers(0, 5, (size, 2))))
+    pts = rng.uniform(-1, 1, size=(257, 3))
+    pts[128] = pts[0]
+    sets.append(PointSet(NormedSpace(3, "l2"), pts))
+    sets.append(PointSet(lp_space(2, 2), np.repeat(rng.uniform(-1, 1, (3, 2)), 8, axis=0)))
+    for ps in sets:
+        ref = _unique_positive(ps)
+        assert ps.distinct_distances().tobytes() == ref.tobytes(), (ps.space.kind, ps.size)
+    grid = sets[2]  # 257 points in l1 take 9 distances
+    runs = np.unique(grid.matrix()[np.tri(grid.size, k=-1, dtype=bool)], return_counts=True)[1]
+    assert runs.min() > max(1, block_elems // 8)
+
+
+def test_distinct_distances_of_equal_points_are_empty(monkeypatch):
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", 64)
+    ps = PointSet(lp_space(2, 1), np.ones((40, 2)))
+    assert ps.distinct_distances().size == 0
+    est = inner_entropy(ps, 2)
+    assert (est.lower, est.upper, est.upper_witness) == (0.0, 0.0, {"kind": "singleton"})
+
+
+def _entropy_oracle(ps, n):
+    """The bisection of ``inner_entropy`` past the exact size, over radii
+    concatenated as [0, *np.unique(triangle)[> 0]]."""
+    budget = 1 << n
+    radii = np.concatenate(([0.0], _unique_positive(ps)))
+
+    def probe(i):
+        return radii[i] if i else 0.5 * radii[1]
+
+    packs, counts = {}, {}
+
+    def fits(i):
+        packs[i] = greedy_packing(ps, probe(i), stop_above=budget)
+        return packs[i].maximal
+
+    def clears(i):
+        counts[i] = covering_lower_bound(ps, probe(i), stop_above=budget)
+        return counts[i] <= budget
+
+    top = radii.size - 1
+    up = _first_index(fits, top)
+    if up == top:
+        fits(top)
+    low = _first_index(clears, up)
+    return (float(radii[low]), float(radii[up]), list(packs[up].indices),
+            float(radii[low - 1]) if low else None, counts[low - 1] if low else None)
+
+
+def test_inner_entropy_matches_concatenated_radii_oracle():
+    rng = np.random.default_rng(21)
+    for trial in range(8):
+        size = int(rng.integers(21, 601))
+        kind = ("l1", "l2", "linf")[trial % 3]
+        pts = rng.uniform(-1, 1, size=(size, 2))
+        if trial % 2:
+            pts = np.round(pts * 4)  # a grid with many equal distances
+        ps = PointSet(NormedSpace(2, kind), pts)
+        for n in range(6):
+            if 1 << n >= size:
+                continue
+            est = inner_entropy(ps, n)
+            got = (est.lower, est.upper, est.upper_witness["centers"],
+                   est.lower_witness["eps"], est.lower_witness["count"])
+            assert got == _entropy_oracle(ps, n), (trial, size, kind, n)
+            assert est.upper_witness["eps"] == est.upper
+
+
+def test_radii_and_entropy_search_hold_one_triangle():
+    # past the matrix, the radii and both searches of every n hold one sorted
+    # triangle plus a dedupe block and the lower-bound scan's boolean blocks
+    m = 2048
+    ps = PointSet(lp_space(3, 2), np.random.default_rng(11).uniform(-1, 1, size=(m, 3)))
+    ps.matrix()
+    tracemalloc.start()
+    try:
+        ps.distinct_distances()
+        for n in (3, 6):
+            inner_entropy(ps, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    triangle = m * (m - 1) // 2 * 8
+    assert peak < 1.25 * triangle + 2 * BLOCK_ELEMS, peak / triangle

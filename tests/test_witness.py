@@ -31,6 +31,11 @@ _RUNS = {
                                             "grid": 64}, {"n": 4}),
     "width-lower-log": ("width-lower", _LOG, {"n": 2, "gamma": 1.0}),
     "width-lower-power": ("width-lower", _POWER, {"n": 1, "gamma": 1.0}),
+    # past the exact size: the upper witness is a maximal packing's centers
+    "entropy-cloud-l2": ("entropy", {"kind": "random", "m": 300, "dim": 2, "norm": "l2"},
+                         {"n": 3}),
+    "entropy-cloud-linf": ("entropy", {"kind": "random", "m": 300, "dim": 2, "norm": "linf"},
+                           {"n": 3}),
 }
 _RUNS.update({f"case-study-{name}": ("case-study", dict(study.audit_inputs[0],
                                                           kind="case-study", name=name),
@@ -98,6 +103,12 @@ def _flip(field):
     return tamper
 
 
+def _centers(make):
+    def tamper(cert, fset):
+        cert["witness"]["upper"]["centers"] = make(cert)
+    return tamper
+
+
 # key -> (run, tampering that must make the recheck fail)
 _TAMPER = {
     "inner_entropy": ("entropy", _scale("upper", 0.99)),
@@ -124,6 +135,10 @@ _EXTRA = [
     ("dyadic-bump-map", "case-study-log-sequence", _scale("value", 0.99)),
     ("affine-ball-from-subspace", "case-study-diagonal", _scale("value", 0.99)),
     ("orthogonal-projection", "case-study-diagonal", _scale("value", 0.99)),
+    # a bracket the search still confirms, with a witness that is no cover
+    # of at most 2**n balls: one point 2**n times, or 50 centers
+    ("inner_entropy", "entropy-cloud-l2", _centers(lambda cert: [0] * 2 ** cert["n"])),
+    ("inner_entropy", "entropy-cloud-linf", _centers(lambda cert: list(range(50)))),
 ]
 
 
