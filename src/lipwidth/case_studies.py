@@ -14,6 +14,7 @@ Families:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,8 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .covering import coverage_assignment, inner_entropy
-from .lipmaps import SequenceBumpSum, build_sequence_bump_map
-from .spaces import FiniteSet, NormedSpace, PointSet, PreconditionError, step_space
+from .lipmaps import (SequenceBumpSum, allocate_dyadic_cubes, audit_cube_allocation,
+                      build_sequence_bump_map, bump_levels)
+from .spaces import (BLOCK_ELEMS, REL_TOL, FiniteSet, NormedSpace, PointSet,
+                     PreconditionError, step_space)
 from .widths import (WidthCertificate, best_coordinate_subspace, kolmogorov_comparison,
                      kolmogorov_upper, width_lower_certified)
 
@@ -189,8 +192,11 @@ def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: i
         raise PreconditionError("sigma_1 must not exceed gamma/2")
     rhs_log2 = n * math.log2(gamma / 2.0)
     if total_terms <= EXACT_SUM_LIMIT:
+        # fsum takes the terms a block at a time, so no list of all 10**6 floats exists
         sig = sigma_values(spec, total_terms)
-        lhs = float(math.fsum((sig ** n).tolist()))
+        step = BLOCK_ELEMS // 8
+        lhs = math.fsum(itertools.chain.from_iterable(
+            (sig[i : i + step] ** n).tolist() for i in range(0, total_terms, step)))
         method = "exact-sum"
         pieces = {}
     elif spec.generator == "log":
@@ -278,11 +284,20 @@ def sequence_width_upper(spec_generator: str, gamma: float, n: int,
 
 
 def recheck_dyadic_bump_map(cert: dict, fset=None) -> bool:
-    """The volume condition holds again at the recorded inputs, and value >= sigma_N."""
+    """The volume condition holds again at the recorded inputs, value >= sigma_N,
+    and the map rebuilt from the materialised bumps has audited disjoint cubes
+    and the recorded declared constant, at most gamma."""
     w = cert["witness"]
     spec = SequenceSetSpec(w["generator"], 2, w["c"])
-    return (volume_condition(spec, cert["gamma"], cert["n"], w["total_terms"]).holds
-            and cert["value"] >= sigma_at(spec, w["total_terms"]))
+    gamma, n = cert["gamma"], cert["n"]
+    if not (volume_condition(spec, gamma, n, w["total_terms"]).holds
+            and cert["value"] >= sigma_at(spec, w["total_terms"])):
+        return False
+    sig = sigma_values(spec, w["materialized"])
+    bmap = SequenceBumpSum(allocate_dyadic_cubes(n, bump_levels(sig, gamma)), sig)
+    declared = bmap.declared_lipschitz()
+    return (audit_cube_allocation(bmap.alloc) and declared == w["declared_constant"]
+            and declared <= gamma * (1.0 + REL_TOL))
 
 
 # --- log-decay sharpness -----------------------------------------------------

@@ -96,8 +96,11 @@ def packing_is_maximal(fset: FiniteSet, pack: PackingResult) -> bool:
 
 
 def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
-    """Nearest-center assignment; raises if some point is farther than eps."""
+    """Nearest-center assignment; raises if some point is farther than eps,
+    or if a center is not an integer index into the set."""
     centers = np.asarray(centers)
+    if centers.dtype.kind not in "iu" or np.any(centers < 0) or np.any(centers >= fset.size):
+        raise PreconditionError(f"centers must be point indices in [0, {fset.size})")
     assign = np.empty(fset.size, dtype=int)
     for lo, block in row_blocks(fset):
         d = block[:, centers]

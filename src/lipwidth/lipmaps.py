@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spaces import NormedSpace, PreconditionError, REL_TOL
+from .spaces import NormedSpace, PreconditionError, REL_TOL, block_rows
 
 DISJOINT_CHECK_LIMIT = 2048  # pairwise disjointness audit cap (O(m^2))
 BALL_SLACK = 1e-9            # admission slack for "candidate inside the ball"
@@ -410,23 +410,50 @@ class CubeAllocation:
         return -1.0 + self.cells * side
 
 
-def _deinterleave(codes: np.ndarray, dim: int, digits: int) -> np.ndarray:
-    """Per-axis coordinates of int64 Morton codes of ``digits`` dim-bit digits.
+def _spread_tables(dim: int) -> tuple:
+    """Per code byte k, the 256 bit-spreads of that byte's Morton bits.
 
-    Axis 0 is the high bit of each digit.
+    Code bit p is bit p // dim of axis dim - 1 - p % dim (axis 0 is the high
+    bit of each digit).  Entry v of table k holds every set bit of byte value
+    v moved to that axis's ``64 // dim``-bit lane, so OR-ing one entry per
+    byte leaves each axis's cell in its own lane.  Bits past the 62 // dim
+    digits an int64 code can hold get no entry, so every entry stays below
+    2**63.
     """
-    cells = np.zeros((len(codes), dim), dtype=np.int64)
-    axis_bit = np.arange(dim - 1, -1, -1)
-    for b in range(digits):
-        bits = codes[:, None] >> (b * dim + axis_bit)
-        bits &= 1
-        bits <<= b
-        cells |= bits
-    return cells
+    lane = 64 // dim
+    weight = np.array([1 << ((dim - 1 - p % dim) * lane + p // dim)
+                       if p < dim * (62 // dim) else 0 for p in range(64)], dtype=np.int64)
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    return tuple(bits @ w for w in weight.reshape(8, 8))
 
 
-def _zorder_cells(dim: int, digits: int, start: int, count: int) -> np.ndarray:
-    """Cells of the Morton codes ``start, ..., start + count - 1``.
+def _deinterleave(codes: np.ndarray, dim: int, digits: int, out: np.ndarray) -> None:
+    """Write the per-axis coordinates of int64 Morton codes of ``digits``
+    dim-bit digits (``digits <= 62 // dim``) into ``out``, shape
+    ``(len(codes), dim)``.  Axis 0 is the high bit of each digit.
+
+    One table lookup per code byte gathers every axis into its lane of one
+    accumulator; one shift and mask per axis then fills its column.
+    """
+    lane = 64 // dim
+    acc = np.zeros_like(codes)
+    byte = np.empty_like(codes)
+    spread = np.empty_like(codes)
+    tables = _spread_tables(dim)
+    for k in range(-(-dim * digits // 8)):
+        np.right_shift(codes, 8 * k, out=byte)
+        byte &= 0xFF
+        np.take(tables[k], byte, out=spread, mode="clip")  # unbuffered; bytes are in range
+        acc |= spread
+    for a in range(dim):
+        np.right_shift(acc, a * lane, out=byte)
+        byte &= (1 << digits) - 1
+        out[:, a] = byte
+
+
+def _zorder_cells(dim: int, digits: int, start: int, out: np.ndarray) -> None:
+    """Write the cells of the Morton codes ``start, ..., start + len(out) - 1``
+    into ``out``, in chunks of at most ``BLOCK_ELEMS`` entries.
 
     The low digits (at most 62 bits) are de-interleaved in int64.  Wider
     codes take their few high digits from Python ints, one per distinct
@@ -434,15 +461,20 @@ def _zorder_cells(dim: int, digits: int, start: int, count: int) -> np.ndarray:
     """
     low = min(digits, 62 // dim)
     mask = (1 << (dim * low)) - 1
-    codes = (start & mask) + np.arange(count, dtype=np.int64)
-    cells = _deinterleave(codes & mask, dim, low)
-    if digits > low:
-        carry = codes >> (dim * low)
-        for c in np.unique(carry).tolist():
-            high = (start >> (dim * low)) + c
-            cells[carry == c] |= [sum(((high >> (b * dim + dim - 1 - a)) & 1) << (b + low)
-                                      for b in range(digits - low)) for a in range(dim)]
-    return cells
+    step = block_rows(dim)
+    for lo in range(0, len(out), step):
+        cells = out[lo : lo + step]
+        codes = np.arange((start & mask) + lo, (start & mask) + lo + len(cells),
+                          dtype=np.int64)
+        if digits > low:
+            carry = codes >> (dim * low)
+            codes &= mask
+        _deinterleave(codes, dim, low, cells)
+        if digits > low:
+            for c in np.unique(carry).tolist():
+                high = (start >> (dim * low)) + c
+                cells[carry == c] |= [sum(((high >> (b * dim + dim - 1 - a)) & 1) << (b + low)
+                                          for b in range(digits - low)) for a in range(dim)]
 
 
 def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
@@ -454,8 +486,13 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
     sum_{i<j} 2**(dim*(l_j - l_i)), and its cell is that offset's bits
     de-interleaved.  Sides never grow, so every block is aligned, and the
     running offset fits under 2**(dim*(l_max+1)) exactly when the volumes do.
+    Beyond the returned arrays the build holds O(``BLOCK_ELEMS``) scratch.
     """
-    levels = np.asarray([int(l) for l in levels], dtype=np.int64)
+    levels = np.asarray(levels)
+    if levels.dtype.kind not in "iu" and not np.all(
+            np.isfinite(levels) & (levels == np.floor(levels))):
+        raise PreconditionError("levels must be integers")
+    levels = levels.astype(np.int64, copy=False)
     if np.any(levels < 0):
         raise PreconditionError("levels must be nonnegative")
     if np.any(np.diff(levels) < 0):
@@ -477,7 +514,7 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
     cells = np.empty((len(levels), dim), dtype=np.int64)
     pos = 0
     for l, c, start in zip(distinct.tolist(), counts.tolist(), starts):
-        cells[pos : pos + c] = _zorder_cells(dim, l + 1, start, c)
+        _zorder_cells(dim, l + 1, start, cells[pos : pos + c])
         pos += c
     return CubeAllocation(dim=dim, levels=levels, cells=cells)
 
@@ -531,8 +568,12 @@ class SequenceBumpSum(LipschitzMap):
         self.sigmas = np.asarray(sigmas, dtype=float)
         if len(self.sigmas) != alloc.count:
             raise ValueError("one amplitude per cube required")
-        self._centers = alloc.centers()
         self._radii = 0.5 * alloc.sides()
+
+    @cached_property
+    def _centers(self) -> np.ndarray:
+        """Cube centres, made on the first evaluation."""
+        return self.alloc.centers()
 
     @cached_property
     def _lut(self) -> dict[int, dict[tuple, int]]:
@@ -631,7 +672,7 @@ def build_sequence_bump_map(sigmas_prefix, gamma: float, dim: int,
             "partial prefix requires a caller-certified volume condition"
         )
     levels = bump_levels(sig, gamma)
-    alloc = allocate_dyadic_cubes(dim, levels.tolist())
+    alloc = allocate_dyadic_cubes(dim, levels)
     bmap = SequenceBumpSum(alloc, sig)
     if bmap.declared_lipschitz() > gamma * (1.0 + REL_TOL):
         raise BoundViolation("declared constant exceeds requested gamma")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,3 +294,17 @@ def test_octahedron_set_geometry():
     assert oset.size == 16
     scale = 1.0 / math.sqrt(math.log2(9))
     assert np.allclose(np.linalg.norm(oset.points, axis=1), scale)
+
+
+def test_exact_volume_sum_streams_its_terms():
+    # the same terms as one list of 10^6 floats, fed to fsum a block at a time
+    spec = SequenceSetSpec("power", 2, 1.0)
+    want = math.fsum((sigma_values(spec, 10 ** 6) ** 2).tolist())
+    tracemalloc.start()
+    try:
+        cond = volume_condition(spec, 4.0, 2, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cond.method == "exact-sum" and cond.lhs_upper == want
+    assert peak < 24e6, peak

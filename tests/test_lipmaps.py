@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lipwidth import lipmaps, spaces
 from lipwidth import (
     AffineBallMap,
     BoundViolation,
@@ -276,6 +278,93 @@ def test_allocate_codes_wider_than_63_bits():
     alloc = allocate_dyadic_cubes(13, levels)
     assert audit_cube_allocation(alloc)
     assert np.array_equal(alloc.cells, greedy_cells(13, levels))
+
+
+def test_allocate_in_small_blocks_ends_chunks_mid_level(monkeypatch):
+    # the 65-bit case and log-decay levels in dim 6, with blocks of a few rows
+    j = np.arange(1, 2001, dtype=float)
+    levels = bump_levels(1.0 / np.log2(j + 1.0), 3.0)
+    want = {dim: allocate_dyadic_cubes(dim, levels).cells for dim in (6, 13)}
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", 40)
+    for dim in (6, 13):
+        assert np.array_equal(allocate_dyadic_cubes(dim, levels).cells, want[dim])
+    assert np.array_equal(want[13], greedy_cells(13, levels.tolist()))
+
+
+def test_allocate_refuses_non_integer_levels():
+    with pytest.raises(PreconditionError, match="integers"):
+        allocate_dyadic_cubes(1, [1.7, 1.2])
+    with pytest.raises(PreconditionError, match="integers"):
+        allocate_dyadic_cubes(2, np.array([0.0, np.nan]))
+    # integral floats are levels
+    assert np.array_equal(allocate_dyadic_cubes(1, [1.0, 1.0]).cells, [[0], [1]])
+
+
+def deinterleave_per_bit(codes, dim, digits):
+    """Reference de-interleave: one (count, dim) int64 pass per digit."""
+    cells = np.zeros((len(codes), dim), dtype=np.int64)
+    axis_bit = np.arange(dim - 1, -1, -1)
+    for b in range(digits):
+        bits = codes[:, None] >> (b * dim + axis_bit)
+        bits &= 1
+        bits <<= b
+        cells |= bits
+    return cells
+
+
+def zorder_cells_python(dim, digits, start, count):
+    """Reference Z-order cells from Python ints, one bit at a time."""
+    return np.array([[sum(((code >> (b * dim + dim - 1 - a)) & 1) << b for b in range(digits))
+                      for a in range(dim)] for code in range(start, start + count)],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("dim", range(1, 14))
+def test_deinterleave_matches_per_bit_oracle(dim):
+    rng = np.random.default_rng(dim)
+    widest = 62 // dim  # codes up to the 62-bit boundary
+    for digits in (1, (widest + 1) // 2, widest):
+        top = 1 << (dim * digits)
+        codes = np.concatenate([[0, top - 1], rng.integers(0, top, size=3000)])
+        out = np.empty((len(codes), dim), dtype=np.int64)
+        lipmaps._deinterleave(codes, dim, digits, out)
+        assert np.array_equal(out, deinterleave_per_bit(codes, dim, digits))
+
+
+@pytest.mark.parametrize("block_elems", [1 << 20, 40])
+@pytest.mark.parametrize("dim", range(1, 14))
+def test_zorder_cells_match_python_oracle(monkeypatch, dim, block_elems):
+    # 300 codes up to the 62-bit boundary, then 300 wider codes whose high
+    # digit carries over mid-run; small blocks end chunks inside the run
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", block_elems)
+    low = 62 // dim
+    for digits, start in ((low, (1 << (dim * low)) - 300),
+                          (low + 1, (1 << (dim * (low + 1))) - (1 << (dim * low)) - 150)):
+        out = np.empty((300, dim), dtype=np.int64)
+        lipmaps._zorder_cells(dim, digits, start, out)
+        assert np.array_equal(out, zorder_cells_python(dim, digits, start, 300))
+
+
+def test_allocate_scratch_stays_within_half_the_output():
+    # the benchmark's log-sequence map: 4 * 10^5 cubes in dim 8 at gamma = 3
+    j = np.arange(1, 4 * 10 ** 5 + 1, dtype=float)
+    levels = bump_levels(1.0 / np.log2(j + 1.0), 3.0)
+    tracemalloc.start()
+    try:
+        alloc = allocate_dyadic_cubes(8, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = alloc.cells.nbytes + alloc.levels.nbytes
+    assert peak < 1.5 * out, peak / out
+
+
+def test_sequence_bump_map_makes_centres_on_first_evaluation():
+    m = build_sequence_bump_map(np.array([0.5, 0.25, 0.125]), 2.0, 1, 3)
+    assert m.declared_lipschitz() == 2.0
+    assert "_centers" not in vars(m)
+    assert m.evaluate(m.alloc.centers()[1]) == (1, 0.25)
+    assert "_centers" in vars(m)
 
 
 def test_bump_levels_bracket():

@@ -105,7 +105,13 @@ def _flip(field):
 
 def _centers(make):
     def tamper(cert, fset):
-        cert["witness"]["upper"]["centers"] = make(cert)
+        cert["witness"]["upper"]["centers"] = make(cert, fset)
+    return tamper
+
+
+def _scale_witness(field, factor):
+    def tamper(cert, fset):
+        cert["witness"][field] *= factor
     return tamper
 
 
@@ -137,8 +143,16 @@ _EXTRA = [
     ("orthogonal-projection", "case-study-diagonal", _scale("value", 0.99)),
     # a bracket the search still confirms, with a witness that is no cover
     # of at most 2**n balls: one point 2**n times, or 50 centers
-    ("inner_entropy", "entropy-cloud-l2", _centers(lambda cert: [0] * 2 ** cert["n"])),
-    ("inner_entropy", "entropy-cloud-linf", _centers(lambda cert: list(range(50)))),
+    ("inner_entropy", "entropy-cloud-l2", _centers(lambda cert, fset: [0] * 2 ** cert["n"])),
+    ("inner_entropy", "entropy-cloud-linf", _centers(lambda cert, fset: list(range(50)))),
+    # a run's second tampering adds a label to its test id: the same cover
+    # with every center shifted below zero, so that no center names a point
+    ("inner_entropy", "entropy-cloud-l2", _centers(
+        lambda cert, fset: [c - fset.size for c in cert["witness"]["upper"]["centers"]]),
+     "negative-centers"),
+    # the map rebuilt from the materialised bumps has the recorded constant
+    ("dyadic-bump-map", "case-study-log-sequence", _scale_witness("declared_constant", 1.01),
+     "declared-constant"),
 ]
 
 
@@ -147,8 +161,8 @@ def test_tamper_table_covers_every_key():
 
 
 @pytest.mark.parametrize("key,run,tamper",
-                         [(k, r, t) for k, (r, t) in _TAMPER.items()] + _EXTRA,
-                         ids=list(_TAMPER) + [f"{k}-{r}" for k, r, _ in _EXTRA])
+                         [(k, r, t) for k, (r, t) in _TAMPER.items()] + [e[:3] for e in _EXTRA],
+                         ids=list(_TAMPER) + ["-".join(e[:2] + e[3:]) for e in _EXTRA])
 def test_tampered_certificate_fails_its_recheck(reports, key, run, tamper):
     cfg = _config(run)
     try:  # the set --verify-witness rebuilds
