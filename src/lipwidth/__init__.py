@@ -29,7 +29,6 @@ from .lipmaps import (
     AffineBallMap,
     BoundViolation,
     BumpSum,
-    ConstantMap,
     CubeAllocation,
     LipschitzMap,
     PiecewiseLinearPath,
@@ -45,7 +44,6 @@ from .widths import (
     TransferReport,
     WidthCertificate,
     carl_transfer_check,
-    carl_transfer_powerlog,
     fixed_width_upper,
     kolmogorov_comparison,
     kolmogorov_upper,

@@ -1,11 +1,14 @@
 """Constructive Lipschitz maps with declared, verifiable constants.
 
-Variants: constant maps, bump sums over disjoint balls (including the
-regular-grid cube family and the dyadic-cube sequence family), piecewise
-linear paths, affine ball maps into a linear subspace, and ReLU nets
-(delegated to :mod:`lipwidth.relunet`).  They share one base,
-:class:`LipschitzMap`: a domain space whose unit ball is sampled and whose
-norm measures separations, and a target space that measures image distances.
+Three families carry the upper bounds: bump sums on the cubes of a regular
+grid (:class:`BumpSum`, entropy covers to width bounds), affine maps on the
+unit ball of a linear subspace (:class:`AffineBallMap`, Kolmogorov bounds to
+Lipschitz-width bounds) and bump sums on dyadic cubes
+(:class:`SequenceBumpSum`, sequence sets).  :class:`PiecewiseLinearPath`
+joins ordered covering points.  They share one base, :class:`LipschitzMap`:
+a domain whose unit ball is sampled and whose norm measures separations
+(the sup-norm cube, except for the affine maps), and a target space that
+measures image distances.
 
 The dyadic cubes of the sequence family are placed in Z-order (Morton order)
 in closed form; see :func:`allocate_dyadic_cubes`.
@@ -25,7 +28,7 @@ import numpy as np
 
 from .spaces import NormedSpace, PreconditionError, REL_TOL, block_rows
 
-DISJOINT_CHECK_LIMIT = 2048  # pairwise disjointness audit cap (O(m^2))
+DISJOINT_CHECK_LIMIT = 2048  # cap of the O(m^2) float overlap cross-check
 BALL_SLACK = 1e-9            # admission slack for "candidate inside the ball"
 PAIR_CHUNK = 1024            # pairs drawn per seeded chunk in empirical_lipschitz
 
@@ -34,32 +37,18 @@ class BoundViolation(AssertionError):
     """An empirical ratio exceeded a declared Lipschitz constant."""
 
 
-def _rejection_sample(rng, count, dim, norm_fn) -> np.ndarray:
-    """Rejection from the cube; fine for the low dimensions it is used in."""
-    out = np.empty((count, dim))
-    got = 0
-    while got < count:
-        cand = rng.uniform(-1.0, 1.0, size=(4 * (count - got) + 8, dim))
-        keep = cand[np.asarray(norm_fn(cand)) <= 1.0]
-        take = min(len(keep), count - got)
-        out[got : got + take] = keep[:take]
-        got += take
-    return out
-
-
 class LipschitzMap:
-    """A map on the unit ball of ``domain_space`` into ``target_space``.
+    """A map on the sup-norm unit ball [-1, 1]^domain_dim into ``target_space``.
 
-    Subclasses provide ``evaluate_batch``, ``declared_lipschitz`` and
-    ``to_json``.  By default separations are measured in ``domain_space``,
-    samples are drawn from its unit ball (the cube for linf, rejection from
-    the cube otherwise) and images are compared in ``target_space``.
+    Subclasses provide ``evaluate_batch`` and ``declared_lipschitz``.
+    Separations are measured in the sup norm, samples are drawn uniformly
+    from the cube, and images are compared in ``target_space``.
     """
 
-    def __init__(self, domain_space: NormedSpace, target_space: NormedSpace):
-        self.domain_space = domain_space
+    def __init__(self, domain_dim: int, target_space: NormedSpace):
+        self.domain_space = NormedSpace(domain_dim, "linf")
         self.target_space = target_space
-        self.domain_dim = domain_space.dim
+        self.domain_dim = domain_dim
 
     def evaluate(self, y: np.ndarray):
         return self.evaluate_batch(np.asarray(y, dtype=float)[None, :])[0]
@@ -74,94 +63,43 @@ class LipschitzMap:
         return np.asarray(self.domain_space.norm(np.asarray(ys, dtype=float)))
 
     def sample_domain(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.domain_space.kind == "linf":
-            return rng.uniform(-1.0, 1.0, size=(count, self.domain_dim))
-        return _rejection_sample(rng, count, self.domain_dim, self.domain_space.norm)
+        return rng.uniform(-1.0, 1.0, size=(count, self.domain_dim))
 
     def target_dist_batch(self, u, v) -> np.ndarray:
         return np.asarray(self.target_space.norm(np.asarray(u) - np.asarray(v)))
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
-class ConstantMap(LipschitzMap):
-    """Maps the whole ball to one target point; 0-Lipschitz."""
-
-    def __init__(self, value, target_space: NormedSpace, domain_dim: int = 1,
-                 domain_kind: str = "linf"):
-        super().__init__(NormedSpace(domain_dim, domain_kind), target_space)
-        self.value = np.asarray(value, dtype=float)
-
-    def evaluate_batch(self, ys):
-        return np.broadcast_to(self.value, (len(ys),) + self.value.shape).copy()
-
-    def declared_lipschitz(self) -> float:
-        return 0.0
-
-    def to_json(self):
-        return {"variant": "constant", "value": self.value.tolist(),
-                "target_space": self.target_space.to_json(),
-                "domain_dim": self.domain_dim, "domain_kind": self.domain_space.kind}
-
 
 class BumpSum(LipschitzMap):
-    """Sum of cone bumps supported on pairwise disjoint open balls.
+    """Cone bumps on the 2**(k n) cubes of side 2**(1-k) tiling [-1, 1]^n.
 
-    Each bump j contributes ``(1 - |y_j - y|/rho_j)_+ * payload_j`` where
-    ``payload_j = sigma_j * f_j`` is stored as one target vector so that the
-    map reproduces its targets bit-exactly at the centers.  The declared
-    constant is ``max_j ||payload_j|| / rho_j``.
-
-    ``grid_k`` marks the regular-cube family (centers on the 2**k grid of
-    [-1,1]^n, all radii 2**-k) and enables O(n) point location; disjointness
-    is audited for other maps of at most ``DISJOINT_CHECK_LIMIT`` bumps.
+    Cube j (row-major, see :func:`grid_centers`) has center ``centers[j]``
+    and sup-norm radius ``radius = 2**-k``; its bump is
+    ``(1 - |y - centers[j]|_inf / radius)_+ * payloads[j]``.  Each payload is
+    one target vector, so the map reproduces it bit-exactly at the cube's
+    center.  The declared constant is ``max_j ||payload_j|| / radius``.
     """
 
-    def __init__(self, domain_space: NormedSpace, centers, radii, payloads,
-                 target_space: NormedSpace, grid_k: Optional[int] = None):
-        super().__init__(domain_space, target_space)
-        self.centers = np.asarray(centers, dtype=float)
-        self.radii = np.asarray(radii, dtype=float)
+    def __init__(self, k: int, n: int, payloads, target_space: NormedSpace):
+        if k < 1 or n < 1:
+            raise PreconditionError("k and n must be positive")
+        if k * n > 24:
+            raise PreconditionError(f"size guard: k*n = {k * n} > 24")
+        super().__init__(n, target_space)
+        self.k = k
         self.payloads = np.asarray(payloads, dtype=float)
-        self.grid_k = grid_k
-        if self.centers.shape[0] != self.radii.shape[0] or \
-           self.centers.shape[0] != self.payloads.shape[0]:
-            raise ValueError("centers/radii/payloads length mismatch")
-        if np.any(self.radii <= 0):
-            raise PreconditionError("bump radii must be positive")
-        if grid_k is None and len(self.radii) <= DISJOINT_CHECK_LIMIT:
-            self._audit_disjoint()
-
-    def _audit_disjoint(self):
-        m = len(self.radii)
-        for i in range(m):
-            d = np.asarray(self.domain_space.norm(self.centers - self.centers[i]))
-            need = (self.radii + self.radii[i]) * (1.0 - 1e-12)
-            bad = np.nonzero(d < need)[0]
-            bad = bad[bad != i]
-            if bad.size:
-                j = int(bad[0])
-                raise PreconditionError(
-                    f"bumps {i} and {j} overlap: |y_i-y_j|={d[j]} < {self.radii[i]}+{self.radii[j]}"
-                )
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.asarray(self.target_space.norm(self.payloads))
+        want = 1 << (k * n)
+        if self.payloads.shape[0] != want:
+            raise PreconditionError(f"need exactly {want} targets, got {self.payloads.shape[0]}")
+        self.centers = grid_centers(k, n)
+        self.radius = 2.0 ** (-k)
 
     def declared_lipschitz(self) -> float:
-        if len(self.radii) == 0:
-            return 0.0
-        return float((self.amplitudes / self.radii).max())
-
-    def _weights(self, y) -> np.ndarray:
-        d = np.asarray(self.domain_space.norm(self.centers - np.asarray(y, dtype=float)))
-        return np.maximum(0.0, 1.0 - d / self.radii)
+        amplitudes = np.asarray(self.target_space.norm(self.payloads))
+        return float((amplitudes / self.radius).max())
 
     def grid_cell(self, ys: np.ndarray) -> np.ndarray:
-        """Flat cube index per point for the regular-grid family."""
-        k = self.grid_k
+        """Flat cube index per point: one floor per axis."""
+        k = self.k
         side = 2.0 ** (1 - k)
         idx = np.floor((np.asarray(ys) + 1.0) / side).astype(int)
         np.clip(idx, 0, (1 << k) - 1, out=idx)
@@ -172,29 +110,17 @@ class BumpSum(LipschitzMap):
 
     def evaluate_batch(self, ys):
         ys = np.asarray(ys, dtype=float)
-        if self.grid_k is not None:
-            flat = self.grid_cell(ys)
-            c = self.centers[flat]
-            d = np.asarray(self.domain_space.norm(ys - c))
-            w = np.maximum(0.0, 1.0 - d / self.radii[flat])
-            return w[:, None] * self.payloads[flat]
-        out = np.zeros((ys.shape[0], self.payloads.shape[1]))
-        for i, y in enumerate(ys):
-            out[i] = self._weights(y) @ self.payloads
-        return out
-
-    def to_json(self):
-        return {"variant": "bump-sum", "domain_space": self.domain_space.to_json(),
-                "target_space": self.target_space.to_json(),
-                "centers": self.centers.tolist(), "radii": self.radii.tolist(),
-                "payloads": self.payloads.tolist(), "grid_k": self.grid_k}
+        flat = self.grid_cell(ys)
+        d = np.asarray(self.domain_space.norm(ys - self.centers[flat]))
+        w = np.maximum(0.0, 1.0 - d / self.radius)
+        return w[:, None] * self.payloads[flat]
 
 
 class PiecewiseLinearPath(LipschitzMap):
     """Continuous piecewise linear map [-1,1] -> X through given values."""
 
     def __init__(self, knots, values, target_space: NormedSpace):
-        super().__init__(NormedSpace(1, "linf"), target_space)
+        super().__init__(1, target_space)
         self.knots = np.asarray(knots, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if len(self.knots) < 2:
@@ -213,11 +139,6 @@ class PiecewiseLinearPath(LipschitzMap):
         s = ((t - t0) / (t1 - t0))[:, None]
         return (1.0 - s) * self.values[j] + s * self.values[j + 1]
 
-    def to_json(self):
-        return {"variant": "path", "knots": self.knots.tolist(),
-                "values": self.values.tolist(),
-                "target_space": self.target_space.to_json()}
-
 
 class AffineBallMap(LipschitzMap):
     """y -> g0 + gamma * (y @ basis) on the unit ball of a target subspace.
@@ -226,6 +147,7 @@ class AffineBallMap(LipschitzMap):
     norm of the embedded vector, so the map is gamma-Lipschitz exactly.
     No :class:`NormedSpace` kind expresses that pulled-back norm, so this
     map has no ``domain_space`` and overrides the norm and the sampler.
+    At ``gamma = 0`` it is the constant map onto ``g0``.
     """
 
     def __init__(self, g0, gamma: float, basis, target_space: NormedSpace):
@@ -264,42 +186,6 @@ class AffineBallMap(LipschitzMap):
         norms = np.where(norms == 0, 1.0, norms)
         scale = rng.uniform(size=count) ** (1.0 / n)
         return raw * (scale / norms)[:, None]
-
-    def to_json(self):
-        return {"variant": "affine-ball", "g0": self.g0.tolist(),
-                "gamma": self.gamma, "basis": self.basis.tolist(),
-                "target_space": self.target_space.to_json()}
-
-
-class ReluParamMap(LipschitzMap):
-    """Parameter-to-function view of a constant-width ReLU net.
-
-    Domain: the sup-norm unit ball of parameter vectors.  Images live in
-    C([0,1]^d) represented by values on the config's tensor grid, compared
-    in the sup norm; the declared constant is the exact recursion bound.
-    """
-
-    def __init__(self, config):
-        from . import relunet
-
-        self._rn = relunet
-        self.config = config
-        self._grid = relunet.input_grid(config)
-        self._trace = relunet.lip_bound(config)
-        super().__init__(
-            NormedSpace(relunet.param_count(config.d, config.width, config.depth), "linf"),
-            NormedSpace(self._grid.shape[0], "linf"))
-
-    def evaluate_batch(self, ys):
-        return self._rn._batched_forward(self.config, np.asarray(ys, dtype=float),
-                                         self._grid)
-
-    def declared_lipschitz(self) -> float:
-        return float(self._trace.final)
-
-    def to_json(self):
-        return {"variant": "relu", "d": self.config.d, "width": self.config.width,
-                "depth": self.config.depth, "grid": self.config.grid}
 
 
 def empirical_lipschitz(map_: LipschitzMap, seed: int, pairs: int) -> float:
@@ -362,18 +248,7 @@ def build_entropy_map(targets, k: int, n: int, target_space: NormedSpace) -> Bum
     Requires exactly 2**(k n) targets; the declared constant is
     2**k * max_j ||target_j||.
     """
-    if k < 1 or n < 1:
-        raise PreconditionError("k and n must be positive")
-    if k * n > 24:
-        raise PreconditionError(f"size guard: k*n = {k * n} > 24")
-    targets = np.asarray(targets, dtype=float)
-    want = 1 << (k * n)
-    if targets.shape[0] != want:
-        raise PreconditionError(f"need exactly {want} targets, got {targets.shape[0]}")
-    centers = grid_centers(k, n)
-    radii = np.full(want, 2.0 ** (-k))
-    return BumpSum(NormedSpace(n, "linf"), centers, radii, targets,
-                   target_space, grid_k=k)
+    return BumpSum(k, n, targets, target_space)
 
 
 # ---------------------------------------------------------------------------
@@ -522,25 +397,30 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
 def audit_cube_allocation(alloc: CubeAllocation) -> bool:
     """Independent disjointness/containment audit.
 
-    Always checks the exact integer-cell structure (no duplicate cells and
-    no allocated cube nested in another); for allocations of at most
+    Always checks the exact integer-cell structure in numpy: every cell lies
+    in its level's grid, and, one distinct level at a time, no cell of the
+    level repeats or holds a finer cube (shifted down to the level, a finer
+    cube's cell is its ancestor there).  For allocations of at most
     ``DISJOINT_CHECK_LIMIT`` cubes it also runs the O(N^2) open-interval
     overlap test in float arithmetic, which is exact here because every
     coordinate is a dyadic rational.
     """
-    seen = set()
-    keys = list(zip(alloc.levels.tolist(), map(tuple, alloc.cells.tolist())))
-    for l, cell in keys:
-        if any(c < 0 or c >= (1 << (l + 1)) for c in cell):
+    levels, cells = alloc.levels, alloc.cells
+    if alloc.count and (levels.min() < 0 or cells.min() < 0):
+        return False
+    for l in np.unique(levels).tolist():
+        rows = cells[levels == l]
+        if int(rows.max()) >> (l + 1):
+            return False  # a cell outside the level's grid
+        finer = levels > l
+        both = np.concatenate([rows, cells[finer] >> (levels[finer] - l)[:, None]])
+        ancestor = np.arange(len(both)) >= len(rows)
+        order = np.lexsort([ancestor, *both.T])
+        both, ancestor = both[order], ancestor[order]
+        # equal rows sort together with the level's own cell first; a cell
+        # equal to its successor repeats, or holds a finer cube
+        if np.any((both[1:] == both[:-1]).all(axis=1) & ~ancestor[:-1]):
             return False
-        if (l, cell) in seen:
-            return False
-        seen.add((l, cell))
-    for l, cell in keys:
-        for lv in range(l - 1, -1, -1):
-            anc = tuple(c >> (l - lv) for c in cell)
-            if (lv, anc) in seen:
-                return False
     if alloc.count <= DISJOINT_CHECK_LIMIT:
         lo = alloc.lower_corners()
         hi = lo + alloc.sides()[:, None]
@@ -563,7 +443,7 @@ class SequenceBumpSum(LipschitzMap):
 
     def __init__(self, alloc: CubeAllocation, sigmas):
         # the target is the sequence space; images are compared by sparse_dist
-        super().__init__(NormedSpace(alloc.dim, "linf"), None)
+        super().__init__(alloc.dim, None)
         self.alloc = alloc
         self.sigmas = np.asarray(sigmas, dtype=float)
         if len(self.sigmas) != alloc.count:
@@ -621,12 +501,6 @@ class SequenceBumpSum(LipschitzMap):
     def target_dist_batch(self, us, vs):
         return np.asarray([self.sparse_dist(u, v) for u, v in zip(us, vs)])
 
-    def to_json(self):
-        return {"variant": "sequence-bump-sum", "dim": self.alloc.dim,
-                "levels": self.alloc.levels.tolist(),
-                "cells": self.alloc.cells.tolist(),
-                "sigmas": self.sigmas.tolist()}
-
 
 def bump_levels(sigmas, gamma: float) -> np.ndarray:
     """Levels l_j with 2**(-l_j - 1) < 2 sigma_j / gamma <= 2**(-l_j)."""
@@ -677,32 +551,3 @@ def build_sequence_bump_map(sigmas_prefix, gamma: float, dim: int,
     if bmap.declared_lipschitz() > gamma * (1.0 + REL_TOL):
         raise BoundViolation("declared constant exceeds requested gamma")
     return bmap
-
-
-def map_from_json(doc: dict, ):
-    """Inverse of the per-variant ``to_json`` serialisations."""
-    variant = doc["variant"]
-    if variant == "constant":
-        return ConstantMap(np.asarray(doc["value"]), NormedSpace.from_json(doc["target_space"]),
-                           domain_dim=doc["domain_dim"], domain_kind=doc["domain_kind"])
-    if variant == "bump-sum":
-        return BumpSum(NormedSpace.from_json(doc["domain_space"]), doc["centers"],
-                       doc["radii"], doc["payloads"],
-                       NormedSpace.from_json(doc["target_space"]), grid_k=doc.get("grid_k"))
-    if variant == "path":
-        return PiecewiseLinearPath(doc["knots"], doc["values"],
-                                   NormedSpace.from_json(doc["target_space"]))
-    if variant == "affine-ball":
-        return AffineBallMap(doc["g0"], doc["gamma"], doc["basis"],
-                             NormedSpace.from_json(doc["target_space"]))
-    if variant == "sequence-bump-sum":
-        alloc = CubeAllocation(dim=doc["dim"],
-                               levels=np.asarray(doc["levels"], dtype=np.int64),
-                               cells=np.asarray(doc["cells"], dtype=np.int64))
-        return SequenceBumpSum(alloc, doc["sigmas"])
-    if variant == "relu":
-        from .relunet import ReLUNetConfig
-
-        return ReluParamMap(ReLUNetConfig(d=doc["d"], width=doc["width"],
-                                          depth=doc["depth"], grid=doc.get("grid")))
-    raise ValueError(f"unknown map variant {variant!r}")

@@ -10,7 +10,6 @@ blocks instead of one row at a time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -101,14 +100,6 @@ class NormedSpace:
     def dist(self, x, y) -> float | np.ndarray:
         return self.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
-    def to_json(self) -> dict:
-        doc = {"dim": self.dim, "norm": {"kind": self.kind}}
-        if self.weights is not None:
-            doc["norm"]["weights"] = list(self.weights)
-        if self.cell_edges is not None:
-            doc["norm"]["cell_edges"] = list(self.cell_edges)
-        return doc
-
     @classmethod
     def from_json(cls, doc: dict) -> "NormedSpace":
         norm = doc["norm"]
@@ -197,7 +188,7 @@ class PointSet(FiniteSet):
     one (it must agree with the space norm; tests audit this).
     """
 
-    def __init__(self, space: NormedSpace, points, labels=None, dist_matrix=None):
+    def __init__(self, space: NormedSpace, points, dist_matrix=None):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array")
@@ -209,7 +200,6 @@ class PointSet(FiniteSet):
             )
         self.space = space
         self.points = pts
-        self.labels = list(labels) if labels is not None else None
         self.size = pts.shape[0]
         self._matrix = None
         self._distinct = None
@@ -294,26 +284,9 @@ class PointSet(FiniteSet):
     def translated(self, center) -> "PointSet":
         return PointSet(self.space, self.points - np.asarray(center, dtype=float))
 
-    def to_json(self) -> dict:
-        doc = {"space": self.space.to_json(), "points": self.points.tolist()}
-        if self.labels is not None:
-            doc["labels"] = self.labels
-        return doc
-
     @classmethod
     def from_json(cls, doc: dict) -> "PointSet":
-        return cls(
-            NormedSpace.from_json(doc["space"]),
-            np.asarray(doc["points"], dtype=float),
-            labels=doc.get("labels"),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "PointSet":
-        return cls.from_json(json.loads(text))
+        return cls(NormedSpace.from_json(doc["space"]), np.asarray(doc["points"], dtype=float))
 
 
 def diameter(fset: FiniteSet) -> float:

@@ -391,13 +391,3 @@ def carl_transfer_check(n: int, gamma: float, width_value: float,
         contradiction=eta >= implied,
         vacuous=vacuous,
     )
-
-
-def carl_transfer_powerlog(n: int, gamma: float, c0: float, alpha: float,
-                           beta: float, entropy_lower: Callable[[int], float],
-                           rad_bound: Optional[float] = None) -> TransferReport:
-    """Transfer check for width bounds of the shape c0 * (log2 n)^beta / n^alpha."""
-    if n < 2:
-        raise PreconditionError("need n >= 2 for a log-power bound")
-    delta = c0 * math.log2(n) ** beta / n ** alpha
-    return carl_transfer_check(n, gamma, delta, entropy_lower, rad_bound=rad_bound)

@@ -9,9 +9,7 @@ from lipwidth import lipmaps, spaces
 from lipwidth import (
     AffineBallMap,
     BoundViolation,
-    BumpSum,
-    ConstantMap,
-    NormedSpace,
+    CubeAllocation,
     PiecewiseLinearPath,
     allocate_dyadic_cubes,
     audit_cube_allocation,
@@ -21,50 +19,45 @@ from lipwidth import (
     empirical_lipschitz,
     lp_space,
 )
-from lipwidth.lipmaps import ReluParamMap, bump_levels, grid_centers, map_from_json
-from lipwidth.relunet import ReLUNetConfig
+from lipwidth.lipmaps import bump_levels, grid_centers
 from lipwidth.spaces import PreconditionError
 
 L2 = lp_space(3, 2)
 
 
 def two_bump_map():
-    domain = lp_space(2, "inf")
-    centers = [[-0.5, 0.0], [0.5, 0.0]]
-    radii = [0.3, 0.2]
-    payloads = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
-    return BumpSum(domain, centers, radii, payloads, L2)
+    # the 16 cubes of side 1/2 tiling [-1, 1]^2 (k = 2): cube 5, centred at
+    # (-0.25, -0.25), and cube 15, centred at (0.75, 0.75), carry payloads;
+    # the other 14 carry zero
+    payloads = np.zeros((16, 3))
+    payloads[5] = [1.0, 0.0, 0.0]
+    payloads[15] = [0.0, 2.0, 0.0]
+    return build_entropy_map(payloads, 2, 2, L2)
+
+
+def constant_map(value, domain_dim):
+    """The constant map onto ``value``: an affine ball map at gamma = 0."""
+    value = np.asarray(value, dtype=float)
+    return AffineBallMap(value, 0.0, np.eye(len(value))[:domain_dim], lp_space(len(value), 2))
 
 
 def test_bump_value_at_center_is_exact_payload():
     m = two_bump_map()
-    out = m.evaluate(np.array([-0.5, 0.0]))
+    out = m.evaluate(np.array([-0.25, -0.25]))
     assert np.array_equal(out, np.array([1.0, 0.0, 0.0]))  # bit exact
 
 
 def test_bump_zero_outside_all_balls():
     m = two_bump_map()
-    assert np.all(m.evaluate(np.array([0.0, 0.9])) == 0.0)
-    assert np.all(m.evaluate(np.array([-0.5, 0.31])) == 0.0)
-
-
-def test_bump_overlap_rejected():
-    domain = lp_space(1, "inf")
-    with pytest.raises(PreconditionError):
-        BumpSum(domain, [[0.0], [0.25]], [0.2, 0.2], [[1.0], [1.0]], lp_space(1, 2))
-
-
-def test_bump_touching_balls_allowed():
-    # open balls sharing a boundary point are disjoint
-    domain = lp_space(1, "inf")
-    BumpSum(domain, [[-0.5], [0.5]], [0.5, 0.5], [[1.0], [1.0]], lp_space(1, 2))
+    assert np.all(m.evaluate(np.array([0.0, 0.9])) == 0.0)  # inside a zero cube
+    assert np.all(m.evaluate(np.array([-0.5, -0.25])) == 0.0)  # on cube 5's boundary
 
 
 def test_declared_constants():
-    assert ConstantMap(np.zeros(3), L2).declared_lipschitz() == 0.0
-    domain = lp_space(1, "inf")
-    m = BumpSum(domain, [[-0.5], [0.5]], [0.5, 0.5], [[1.0], [2.0]], lp_space(1, 2))
-    assert m.declared_lipschitz() == pytest.approx(4.0)  # max(1/0.5, 2/0.5)
+    assert constant_map(np.zeros(3), 2).declared_lipschitz() == 0.0
+    m = build_entropy_map([[1.0], [2.0]], 1, 1, lp_space(1, 2))
+    assert m.declared_lipschitz() == 4.0  # max(1/0.5, 2/0.5)
+    assert two_bump_map().declared_lipschitz() == 8.0  # 2/0.25
 
 
 def test_path_midpoint_interpolation():
@@ -103,13 +96,14 @@ def test_path_covers_within_delta():
 
 
 def test_empirical_below_declared_constant_map():
-    m = ConstantMap(np.array([1.0, 2.0, 3.0]), L2, domain_dim=2)
+    m = constant_map([1.0, 2.0, 3.0], 2)
     assert empirical_lipschitz(m, seed=1, pairs=500) == 0.0
 
 
 def test_empirical_single_bump_approaches_one():
-    domain = lp_space(1, "inf")
-    m = BumpSum(domain, [[0.0]], [1.0], [[1.0]], lp_space(1, 2))
+    # one bump of height 1/2 on [-1, 0], none on [0, 1]: slope 1
+    m = build_entropy_map([[0.5], [0.0]], 1, 1, lp_space(1, 2))
+    assert m.declared_lipschitz() == 1.0
     emp = empirical_lipschitz(m, seed=123, pairs=10 ** 4)
     assert 0.9 <= emp <= 1.0 + 1e-9
 
@@ -122,19 +116,19 @@ def test_empirical_deterministic_in_seed():
 
 
 def test_bump_four_case_stratification():
-    # same ball / both outside / one in one out / two different balls
+    # same cube / both in zero cubes / loaded cube to zero cube / two loaded cubes
     m = two_bump_map()
     lam = m.declared_lipschitz()
     rng = np.random.default_rng(77)
     pts = rng.uniform(-1, 1, size=(4000, 2))
-    d_to = [np.abs(pts - np.array(c)).max(axis=1) for c in ([-0.5, 0.0], [0.5, 0.0])]
-    in0 = d_to[0] < 0.3
-    in1 = d_to[1] < 0.2
+    cube = m.grid_cell(pts)
+    in0, in1 = cube == 5, cube == 15
+    zero = ~in0 & ~in1
     cases = {
-        "same-ball": (in0, in0),
-        "both-outside": (~in0 & ~in1, ~in0 & ~in1),
-        "in-out": (in0, ~in0 & ~in1),
-        "two-balls": (in0, in1),
+        "same-cube": (in0, in0),
+        "zero-cube": (zero, zero),
+        "cube-to-zero": (in0, zero),
+        "cube-to-cube": (in0, in1),
     }
     for name, (sel_a, sel_b) in cases.items():
         a = pts[sel_a][:50]
@@ -153,7 +147,7 @@ def test_entropy_map_grid_k1_n1():
     targets = np.array([[2.0], [4.0]])
     m = build_entropy_map(targets, 1, 1, lp_space(1, 2))
     assert np.allclose(m.centers, [[-0.5], [0.5]])
-    assert np.all(m.radii == 0.5)
+    assert m.radius == 0.5
     assert np.array_equal(m.evaluate(np.array([-0.5])), targets[0])
     assert np.array_equal(m.evaluate(np.array([0.5])), targets[1])
 
@@ -300,6 +294,65 @@ def test_allocate_refuses_non_integer_levels():
     assert np.array_equal(allocate_dyadic_cubes(1, [1.0, 1.0]).cells, [[0], [1]])
 
 
+def audit_cells_python(alloc):
+    """Reference exact audit: one (level, cell) tuple per cube in a set."""
+    seen = set()
+    keys = list(zip(alloc.levels.tolist(), map(tuple, alloc.cells.tolist())))
+    for l, cell in keys:
+        if any(c < 0 or c >= 1 << (l + 1) for c in cell) or (l, cell) in seen:
+            return False
+        seen.add((l, cell))
+    return not any((lv, tuple(c >> (l - lv) for c in cell)) in seen
+                   for l, cell in keys for lv in range(l))
+
+
+BAD_ALLOCATIONS = {  # (levels, cells) in dim 2
+    "duplicate-cell": ([1, 2, 2], [[0, 1], [6, 6], [6, 6]]),
+    # level-2 cell (1, 1) lies in the level-0 cube (0, 0), [-1, 0]^2
+    "nested-cube": ([0, 1, 2], [[0, 0], [2, 3], [1, 1]]),
+    "outside-grid": ([1, 2], [[0, 0], [8, 0]]),  # the level-2 grid is 0..7
+    "negative-cell": ([1, 1], [[0, 0], [-1, 2]]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ALLOCATIONS))
+def test_audit_rejects_bad_allocation(monkeypatch, case):
+    levels, cells = BAD_ALLOCATIONS[case]
+    alloc = CubeAllocation(dim=2, levels=np.array(levels, dtype=np.int64),
+                           cells=np.array(cells, dtype=np.int64))
+    assert not audit_cells_python(alloc)
+    assert not audit_cube_allocation(alloc)
+    monkeypatch.setattr(lipmaps, "DISJOINT_CHECK_LIMIT", 0)  # the exact part alone
+    assert not audit_cube_allocation(alloc)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_audit_agrees_with_python_reference(seed):
+    # a Z-order allocation with one cube moved: onto another cube's cell, to
+    # a random cell of its level (possibly off the grid), or inside a coarser cube
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    levels = np.sort(rng.integers(0, 4, size=int(rng.integers(2, 40))))
+    levels = levels[np.cumsum(2.0 ** (-dim * levels)) <= 2 ** dim]  # the prefix that fits
+    alloc = allocate_dyadic_cubes(dim, levels)
+    cells = alloc.cells.copy()
+    i, j = (int(x) for x in rng.integers(0, len(levels), size=2))
+    move = int(rng.integers(3))
+    if move == 0:
+        levels[j], cells[j] = levels[i], cells[i]
+    elif move == 1:
+        cells[j] = rng.integers(-1, (2 << int(levels[j])) + 1, size=dim)
+    elif levels[j] > levels[i]:
+        shift = int(levels[j] - levels[i])
+        cells[j] = (cells[i] << shift) + rng.integers(0, 1 << shift, size=dim)
+    bad = CubeAllocation(dim=dim, levels=levels, cells=cells)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lipmaps, "DISJOINT_CHECK_LIMIT", 0)
+        assert audit_cube_allocation(bad) == audit_cells_python(bad)
+    assert audit_cube_allocation(bad) == audit_cells_python(bad)
+
+
 def deinterleave_per_bit(codes, dim, digits):
     """Reference de-interleave: one (count, dim) int64 pass per digit."""
     cells = np.zeros((len(codes), dim), dtype=np.int64)
@@ -415,45 +468,15 @@ def test_affine_ball_map_exact_gamma():
     assert emp == pytest.approx(2.5, rel=1e-9)
 
 
-def test_map_json_roundtrip():
-    maps = [
-        ConstantMap(np.array([1.0, 0.0, 0.0]), L2, domain_dim=2),
-        two_bump_map(),
-        build_path_map([np.zeros(3), np.ones(3)], L2),
-        build_sequence_bump_map(np.array([0.5, 0.25]), 2.0, 1, 2),
-    ]
-    for m in maps:
-        back = map_from_json(m.to_json())
-        y = np.zeros(m.domain_dim) + 0.1
-        a, b = m.evaluate(y), back.evaluate(y)
-        if isinstance(a, tuple) or a is None:
-            assert a == b
-        else:
-            assert np.allclose(a, b)
-
-
-def test_relu_param_map_adapter():
-    from lipwidth.relunet import lip_bound
-
-    cfg = ReLUNetConfig(d=1, width=2, depth=2, grid=64)
-    m = ReluParamMap(cfg)
-    assert m.declared_lipschitz() == float(lip_bound(cfg).final)
-    emp = empirical_lipschitz(m, seed=8, pairs=500)
-    assert emp <= m.declared_lipschitz()
-    back = map_from_json(m.to_json())
-    y = np.full(m.domain_dim, 0.5)
-    assert np.allclose(m.evaluate(y), back.evaluate(y))
-
-
 def test_empirical_raises_on_false_declaration():
-    class Lying(ConstantMap):
+    class Lying(AffineBallMap):
         def evaluate_batch(self, ys):
             return np.asarray(ys, dtype=float) @ np.ones((self.domain_dim, 3))
 
         def declared_lipschitz(self):
             return 1e-6
 
-    m = Lying(np.zeros(3), L2, domain_dim=2)
+    m = Lying(np.zeros(3), 0.0, np.eye(3)[:2], L2)
     with pytest.raises(BoundViolation):
         empirical_lipschitz(m, seed=0, pairs=200)
 
@@ -461,13 +484,11 @@ def test_empirical_raises_on_false_declaration():
 def _variants():
     basis = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 2)))[0].T
     return {
-        "constant": ConstantMap(np.array([1.0, 0.0, 0.0]), L2, domain_dim=2, domain_kind="l2"),
         "bump-sum": two_bump_map(),
         "path": build_path_map([np.zeros(3), np.ones(3), -np.ones(3)], L2),
         "affine-ball": AffineBallMap(np.ones(3), 1.5, basis, lp_space(3, 1)),
         "sequence-bump-sum": build_sequence_bump_map(np.array([0.5, 0.3, 0.2, 0.2, 0.1]),
                                                      2.0, 2, 5),
-        "relu": ReluParamMap(ReLUNetConfig(d=1, width=2, depth=2, grid=16)),
     }
 
 
@@ -477,17 +498,11 @@ def test_map_base_contract(variant):
     ys = m.sample_domain(np.random.default_rng(11), 64)
     assert ys.shape == (64, m.domain_dim)
     assert np.all(m.domain_norm_batch(ys) <= 1.0 + 1e-12)
-    doc = m.to_json()
-    assert doc["variant"] == variant
-    back = map_from_json(doc)
-    assert back.to_json() == doc
     for y in ys[:16]:
-        one, again, restored = m.evaluate(y), m.evaluate_batch(y[None])[0], back.evaluate(y)
+        one, again = m.evaluate(y), m.evaluate_batch(y[None])[0]
         if isinstance(one, np.ndarray):
-            # the restored arrays may differ in memory layout, and BLAS
-            # rounding with it
-            assert np.array_equal(one, again) and np.allclose(one, restored, rtol=1e-12)
+            assert np.array_equal(one, again)
         else:  # sparse (index, value) image or None
-            assert one == again == restored
-    dist = m.target_dist_batch(m.evaluate_batch(ys), back.evaluate_batch(ys))
+            assert one == again
+    dist = m.target_dist_batch(m.evaluate_batch(ys), [m.evaluate(y) for y in ys])
     assert np.all(dist <= 1e-12)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lipwidth import relunet
-from lipwidth.lipmaps import ReluParamMap
 from lipwidth.relunet import (
     FORWARD_BLOCK,
     ReLUNetConfig,
@@ -181,8 +180,7 @@ def test_grid_shapes():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_batched_forward_matches_pointwise_forward(monkeypatch, seed):
-    # every row and grid point of the batched pass, and of the ReLU parameter
-    # map, equals the per-point net.  With blocks of 4 rows, T = 11 spans
+    # every row and grid point of the batched pass equals the per-point net.  With blocks of 4 rows, T = 11 spans
     # three blocks and the last one is ragged.  d = 2 on a 7-point grid gives
     # P = 49, so rows of P float64 entries (392 B) do not tile 4 KiB pages.
     rng = np.random.default_rng(seed)
@@ -197,12 +195,11 @@ def test_batched_forward_matches_pointwise_forward(monkeypatch, seed):
         for block in (FORWARD_BLOCK, 4 * cfg.width * X.shape[0]):
             monkeypatch.setattr(relunet, "FORWARD_BLOCK", block)
             for ys in (pool[:0], pool[:1], pool[:6], pool[::3], pool[:11]):  # strided 4
-                for out in (_batched_forward(cfg, ys, X),
-                            ReluParamMap(cfg).evaluate_batch(ys)):
-                    assert out.shape == (ys.shape[0], X.shape[0])
-                    for t, y in enumerate(ys):
-                        want = [forward(cfg, y, x) for x in X]
-                        assert np.allclose(out[t], want, rtol=0, atol=1e-12)
+                out = _batched_forward(cfg, ys, X)
+                assert out.shape == (ys.shape[0], X.shape[0])
+                for t, y in enumerate(ys):
+                    want = [forward(cfg, y, x) for x in X]
+                    assert np.allclose(out[t], want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape,grid", [((1, 2, 3), 3), ((2, 3, 2), 7), ((3, 3, 5), None)])

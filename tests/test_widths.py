@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from lipwidth import (
-    ConstantMap,
+    AffineBallMap,
     NormedSpace,
     PointSet,
     build_entropy_map,
     carl_transfer_check,
-    carl_transfer_powerlog,
     fixed_width_upper,
     inner_entropy,
     kolmogorov_comparison,
@@ -48,13 +47,14 @@ def test_fixed_width_constant_map_radius_band():
     ps = PointSet(lp_space(3, 2), rng.normal(size=(20, 3)))
     rb = radius_upper(ps)
     center = rb.center_point
-    cert = fixed_width_upper(ps, ConstantMap(center, ps.space, domain_dim=2), np.zeros((20, 2)))
+    const = AffineBallMap(center, 0.0, np.eye(3)[:2], ps.space)  # the constant map onto center
+    cert = fixed_width_upper(ps, const, np.zeros((20, 2)))
     assert rb.lower - 1e-12 <= cert.value <= rb.upper + 1e-12
 
 
 def test_fixed_width_candidate_outside_ball():
     ps = PointSet(lp_space(2, 2), [[0.0, 0.0]])
-    m = ConstantMap(np.zeros(2), ps.space, domain_dim=2)
+    m = AffineBallMap(np.zeros(2), 0.0, np.eye(2), ps.space)
     with pytest.raises(PreconditionError):
         fixed_width_upper(ps, m, [[2.0, 0.0]])
 
@@ -195,12 +195,6 @@ def test_carl_transfer_flags_fabricated_bound():
 def test_carl_transfer_vacuous_radius_bound():
     rep = carl_transfer_check(6, 3.0, 1.0, log_entropy_lower, rad_bound=1.0)
     assert rep.vacuous and not rep.contradiction
-
-
-def test_carl_transfer_powerlog_wrapper():
-    rep = carl_transfer_powerlog(64, 3.0, 1.0, 1.0, 0.0, log_entropy_lower)
-    assert rep.width_value == pytest.approx(1.0 / 64)
-    assert rep.entropy_index == math.ceil(64 * math.log2(3 * 3.0 * 64))
 
 
 def test_carl_transfer_geometric_gamma_schedule():
