@@ -107,6 +107,13 @@ class SequenceSet(FiniteSet):
             row[m] = 0.0
         return row
 
+    def dist_rows(self, lo: int, hi: int) -> np.ndarray:
+        # d(i, j) = sigmas[min(i, j, M - 1)] off the diagonal, the origin M included
+        k = np.minimum(np.arange(self.size), len(self.sigmas) - 1)
+        rows = self.sigmas[np.minimum.outer(k[lo:hi], k)]
+        rows[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        return rows
+
     def diameter(self) -> float:
         return float(self.sigmas[0])
 
@@ -405,6 +412,11 @@ class UniformBasisSet(FiniteSet):
         row = np.full(self.size, self._d)
         row[i] = 0.0
         return row
+
+    def dist_rows(self, lo: int, hi: int) -> np.ndarray:
+        rows = np.full((hi - lo, self.size), self._d)
+        rows[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        return rows
 
     def diameter(self) -> float:
         return self._d if self.size > 1 else 0.0

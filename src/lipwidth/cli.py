@@ -159,7 +159,10 @@ def _target_set(target: Optional[dict], seed: int) -> FiniteSet:
         raise UsageError("this command needs a target")
     kind = target.get("kind")
     if kind == "points":
-        return PointSet.from_json({"space": target["space"], "points": target["points"]})
+        try:
+            return PointSet.from_json({"space": target["space"], "points": target["points"]})
+        except ValueError as exc:  # a malformed target, not a numeric failure
+            raise UsageError(f"bad points target: {exc}") from exc
     if kind == "random":
         rng = np.random.default_rng(seed)
         dim = int(target.get("dim", 2))

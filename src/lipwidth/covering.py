@@ -243,28 +243,34 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
     the set contains two of them; any eps-cover then needs one ball per
     collected point.  Subsumes the packing-at-2*eps bound.
 
-    Points are admitted in index order.  Rows are scanned in blocks that
-    start one row after each admission and double up to the block budget;
-    a rejected row stays rejected, since ``near`` only grows.
+    Points are admitted in index order, and each row is read at most once,
+    in blocks of ``block_rows`` consecutive rows.  A point already in
+    ``near`` lies in its own ball (d(i, i) = 0), so it is rejected without
+    reading its row: each block reads only its rows outside ``near``.  A
+    witness admitted inside a block rejects the block's later rows whose
+    balls meet its own, found from the block's boolean rows in hand.
     """
     m = fset.size
     near = np.zeros(m, dtype=bool)  # centers c with a collected witness in B(c, eps)
-    cap = block_rows(m)
+    step = block_rows(m)
     count = 0
-    q, rows = 0, 1
-    while q < m:
-        hi = min(q + rows, m)
-        within = fset.dist_rows(q, hi) <= eps
-        free = ~np.any(within & near, axis=1)
-        if not free.any():
-            q, rows = hi, min(2 * rows, cap)
-            continue
-        r = int(np.argmax(free))
-        count += 1
-        if stop_above is not None and count > stop_above:
-            return count
-        near |= within[r]
-        q, rows = q + r + 1, 1
+    lo = 0
+    while lo < m:
+        lo += int(near[lo:].argmin())  # the first row outside near
+        if near[lo]:
+            break
+        hi = min(lo + step, m)
+        within = fset.dist_rows(lo, hi)[np.flatnonzero(~near[lo:hi])] <= eps
+        free = ~(within & near).any(axis=1)
+        for k in np.flatnonzero(free):
+            if not free[k]:
+                continue
+            count += 1
+            if stop_above is not None and count > stop_above:
+                return count
+            near |= within[k]
+            free[k + 1:] &= ~(within[k + 1:] & within[k]).any(axis=1)
+        lo = hi
     return count
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import spaces
 from .spaces import PreconditionError
 
 # Default sup-norm grid resolution per axis, by input dimension.
@@ -24,10 +25,6 @@ DEFAULT_GRID = {1: 256, 2: 16, 3: 8}
 
 # Parameter pairs per falsification chunk; chunk i draws from seed ^ i.
 VERIFY_CHUNK = 512
-
-# Entries per layer buffer of the batched forward pass: 512 KiB of float64,
-# so a block's two buffers fit in a core's L2 cache.
-FORWARD_BLOCK = 2 ** 16
 
 # A 4 KiB page and half of it, in float64 entries.
 _PAGE, _HALF_PAGE = 512, 256
@@ -169,14 +166,14 @@ def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray,
                      track_layers: bool = False):
     """Outputs (T, P) for T parameter vectors over P grid points.
 
-    Rows go through the net in blocks of FORWARD_BLOCK // (W P), so a block's
-    (rows, W, P) activations stay in cache whatever T is.  In each block,
-    layer 0 is one GEMM over the shared grid, later layers alternate between
-    two reused buffers, and the last layer writes into the block's output
-    rows.  No row's arithmetic depends on the blocking."""
+    Rows go through the net in blocks of ``spaces.BLOCK_ELEMS // (W P)``, so
+    a block's (rows, W, P) activations stay in cache whatever T is.  In each
+    block, layer 0 is one GEMM over the shared grid, later layers alternate
+    between two reused buffers, and the last layer writes into the block's
+    output rows.  No row's arithmetic depends on the blocking."""
     T, P, W = ys.shape[0], X.shape[0], cfg.width
     slices = layer_slices(cfg)
-    block = max(1, min(T, FORWARD_BLOCK // (W * P)))
+    block = max(1, min(T, spaces.BLOCK_ELEMS // (W * P)))
     first, second = _layer_buffers(block * W * P)
     out = np.empty((T, 1, P))  # a 1 x P matrix per row: the last GEMM's out=
     layer_max = [0.0] * cfg.depth  # h >= 0 after each ReLU

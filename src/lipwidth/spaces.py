@@ -2,10 +2,10 @@
 
 A :class:`NormedSpace` fixes the ambient norm; a :class:`FiniteSet` is the
 computational stand-in for a compact set.  Distances are served row by row,
-or as blocks of consecutive rows (``dist_rows``) sized to a fixed element
-budget, so that closed-form (oracle) sets can avoid materialising either the
-coordinates or the full distance matrix, and full scans run over a few
-blocks instead of one row at a time.
+or as blocks of consecutive rows (``dist_rows``) of at most ``BLOCK_ELEMS``
+(2^16) entries, so that closed-form (oracle) sets can avoid materialising
+either the coordinates or the full distance matrix, and scans run over
+L2-sized blocks instead of one row at a time.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ TOL_ZERO = 1e-12
 REL_TOL = 1e-9
 # Largest set for which a dense pairwise distance matrix is cached.
 DENSE_LIMIT = 4096
-# Elements (rows x points) per block of distance rows.
-BLOCK_ELEMS = 1 << 20
+# Elements (rows x points) per block of distance rows: 512 KiB of float64,
+# so a block stays in a core's L2 cache.  Scans and the ReLU forward pass
+# read it through this module at call time.
+BLOCK_ELEMS = 1 << 16
 
 NORM_KINDS = ("l1", "l2", "linf", "wlinf", "l1step")
 # Norms that sum over coordinates; the others take the maximum.
@@ -216,34 +218,44 @@ class PointSet(FiniteSet):
         numpy adds fewer than 8 terms in order, so the coordinate-wise
         accumulation equals ``space.norm`` bit for bit for the max norms at
         any dimension and for the sum norms below dimension 8.  Sum norms in
-        dimension 8 and up take the broadcast norm instead, over as many rows
-        at a time as keep the (rows, size, dim) differences within the budget.
+        dimension 8 and up take the norm's own sum over the last axis instead,
+        over as many rows at a time as keep the (rows, size, dim) differences
+        in one reused buffer within the budget (one row at least).
         """
         space, pts = self.space, self.points
         if out is None:
             out = np.empty((hi - lo, self.size))
-        if space.kind in SUM_NORMS and space.dim >= 8:
-            step = max(1, BLOCK_ELEMS // (self.size * space.dim))
-            for i in range(lo, hi, step):
-                j = min(i + step, hi)
-                out[i - lo : j - lo] = space.norm(pts[i:j, None, :] - pts[None, :, :])
-            return out
         scale = space.weights if space.kind == "wlinf" else None
         if space.kind == "l1step":
             scale = np.diff(np.asarray(space.cell_edges))
-        combine = np.add if space.kind in SUM_NORMS else np.maximum
-        tmp = np.empty_like(out) if space.dim > 1 else None
-        for k in range(space.dim):
-            term = tmp if k else out
-            np.subtract.outer(pts[lo:hi, k], pts[:, k], out=term)
+
+        def magnitude(term, s):
+            """|x|, or x^2 for l2, times the coordinate scale s: in place."""
             if space.kind == "l2":
                 np.multiply(term, term, out=term)
             else:
                 np.abs(term, out=term)
-            if scale is not None:
-                term *= scale[k]
-            if k:
-                combine(out, term, out=out)
+            if s is not None:
+                term *= s
+
+        if space.kind in SUM_NORMS and space.dim >= 8:
+            step = max(1, BLOCK_ELEMS // (self.size * space.dim))
+            diff = np.empty((min(step, hi - lo), self.size, space.dim))
+            for i in range(lo, hi, step):
+                j = min(i + step, hi)
+                d = diff[: j - i]
+                np.subtract(pts[i:j, None, :], pts[None, :, :], out=d)
+                magnitude(d, scale)
+                d.sum(axis=-1, out=out[i - lo : j - lo])
+        else:
+            combine = np.add if space.kind in SUM_NORMS else np.maximum
+            tmp = np.empty_like(out) if space.dim > 1 else None
+            for k in range(space.dim):
+                term = tmp if k else out
+                np.subtract.outer(pts[lo:hi, k], pts[:, k], out=term)
+                magnitude(term, None if scale is None else scale[k])
+                if k:
+                    combine(out, term, out=out)
         if space.kind == "l2":
             np.sqrt(out, out=out)
         return out

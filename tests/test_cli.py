@@ -210,6 +210,46 @@ def test_schema_violations_exit_1(tmp_path, capsys, cfg):
     assert "usage error" in capsys.readouterr().err
 
 
+def _points(points, dim=2, **norm):
+    return {"kind": "points", "space": {"dim": dim, "norm": {"kind": "l2", **norm}},
+            "points": points}
+
+
+# points targets the schema lets through but no PointSet can be built from
+_MALFORMED_POINTS = {
+    "ragged-rows": _points([[0.0, 0.0], [1.0]]),
+    "width-not-dim": _points([[0.0, 0.0], [1.0, 1.0]], dim=3),
+    "wlinf-without-weights": _points([[0.0, 0.0], [1.0, 1.0]], kind="wlinf"),
+    "wlinf-zero-weight": _points([[0.0, 0.0], [1.0, 1.0]], kind="wlinf",
+                                 weights=[1.0, 0.0]),
+    "l1step-two-edges": _points([[0.0, 0.0], [1.0, 1.0]], kind="l1step",
+                                cell_edges=[0.0, 2.0]),
+    "no-points": _points([]),
+}
+
+
+@pytest.mark.parametrize("via", ["config", "target-json"])
+@pytest.mark.parametrize("target", list(_MALFORMED_POINTS.values()), ids=list(_MALFORMED_POINTS))
+def test_malformed_points_target_exits_1(tmp_path, capsys, via, target):
+    if via == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "entropy", "target": target,
+                                    "params": {"n": 1}}))
+        argv = ["--config", str(path)]
+    else:
+        argv = ["entropy", "--n", "1", "--target-json", json.dumps(target)]
+    assert _exit_code(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_points_target_above_dense_limit_still_exits_3(capsys):
+    # a well-formed target the entropy search refuses is a numeric failure
+    pts = np.random.default_rng(0).uniform(-1, 1, size=(4097, 1)).tolist()
+    argv = ["entropy", "--n", "1", "--target-json", json.dumps(_points(pts, dim=1))]
+    assert _exit_code(argv) == 3
+    assert "dense distance matrix refused" in capsys.readouterr().err
+
+
 def test_gamma_schedule_underflow_exits_3(tmp_path, capsys):
     # a positive schedule whose gamma underflows to 0 is a numeric failure
     cfg = {"command": "width-lower", "target": {"kind": "random", "m": 6},

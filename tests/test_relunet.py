@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lipwidth import relunet
+from lipwidth import relunet, spaces
 from lipwidth.relunet import (
-    FORWARD_BLOCK,
     ReLUNetConfig,
     _batched_forward,
     closed_form_constant,
@@ -192,8 +191,8 @@ def test_batched_forward_matches_pointwise_forward(monkeypatch, seed):
         X = input_grid(cfg)
         npar = param_count(cfg.d, cfg.width, cfg.depth)
         pool = rng.uniform(-1, 1, size=(12, npar))
-        for block in (FORWARD_BLOCK, 4 * cfg.width * X.shape[0]):
-            monkeypatch.setattr(relunet, "FORWARD_BLOCK", block)
+        for block in (spaces.BLOCK_ELEMS, 4 * cfg.width * X.shape[0]):
+            monkeypatch.setattr(spaces, "BLOCK_ELEMS", block)
             for ys in (pool[:0], pool[:1], pool[:6], pool[::3], pool[:11]):  # strided 4
                 out = _batched_forward(cfg, ys, X)
                 assert out.shape == (ys.shape[0], X.shape[0])
@@ -204,16 +203,16 @@ def test_batched_forward_matches_pointwise_forward(monkeypatch, seed):
 
 @pytest.mark.parametrize("shape,grid", [((1, 2, 3), 3), ((2, 3, 2), 7), ((3, 3, 5), None)])
 def test_forward_rows_do_not_depend_on_blocking(monkeypatch, shape, grid):
-    # 2.5 blocks at the real FORWARD_BLOCK give the same bits as one row per
+    # 2.5 blocks at the real BLOCK_ELEMS give the same bits as one row per
     # call, and the same bits and layer maxima as one block
     cfg = ReLUNetConfig(*shape, grid=grid)
     X = input_grid(cfg)
-    T = 5 * FORWARD_BLOCK // (2 * cfg.width * X.shape[0])
+    T = 5 * spaces.BLOCK_ELEMS // (2 * cfg.width * X.shape[0])
     ys = np.random.default_rng(T).uniform(-1, 1, size=(T, param_count(*shape)))
     out, layer_max = _batched_forward(cfg, ys, X, track_layers=True)
     rows = [_batched_forward(cfg, y[None], X) for y in ys[::7]]
     assert np.array_equal(out[::7], np.vstack(rows))
-    monkeypatch.setattr(relunet, "FORWARD_BLOCK", T * cfg.width * X.shape[0])
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", T * cfg.width * X.shape[0])
     one, one_max = _batched_forward(cfg, ys, X, track_layers=True)
     assert np.array_equal(out, one) and layer_max == one_max
 

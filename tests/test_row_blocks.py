@@ -160,7 +160,7 @@ def test_scans_on_sequence_set():
 def test_scans_above_dense_limit_build_no_matrix(monkeypatch):
     rng = np.random.default_rng(11)
     ps = PointSet(NormedSpace(1, "l2"), rng.uniform(-1, 1, size=(DENSE_LIMIT + 4, 1)))
-    # 0.002 admits hundreds of witnesses, so blocks restart at one row often
+    # 0.002 admits hundreds of witnesses, some of them in the middle of a block
     assert_scans_match(ps, [0.3], bound_radii=[0.002])
     assert ps._matrix is None
     # with small row blocks the greedy cover holds O(m) memory: no m x m ball matrix
@@ -174,6 +174,64 @@ def test_scans_above_dense_limit_build_no_matrix(monkeypatch):
     assert cover.center_indices == oracle_greedy_cover(ps, 0.3)
     assert peak < ps.size ** 2 // 8, peak
     assert ps._matrix is None
+
+
+@pytest.mark.parametrize("block_elems", [64, 1 << 10])
+def test_lower_bound_matches_oracle_in_small_blocks(monkeypatch, block_elems):
+    # blocks of one row up to 21 rows, with witnesses admitted mid-block
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", block_elems)
+    cloud = small_cloud()
+    seq = sequence_set(SequenceSetSpec(generator="log", truncation=300))
+    rng = np.random.default_rng(11)
+    big = PointSet(NormedSpace(1, "l2"), rng.uniform(-1, 1, size=(DENSE_LIMIT + 4, 1)))
+    cases = [
+        (cloud, [float(eps) for eps in cloud.distinct_distances()[::10]]),
+        (UniformBasisSet(300), [0.5, math.sqrt(2.0)]),  # at 0.5 every row is admitted
+        (seq, [float(seq.sigmas[k]) for k in (0, 7, 120, 299)]),
+        (big, [0.3, 0.002]),
+    ]
+    for fset, radii in cases:
+        for eps in radii:
+            for stop in (None, 1, 8):
+                got = covering_lower_bound(fset, eps, stop)
+                assert got == oracle_lower_bound(fset, eps, stop), (fset.size, eps, stop)
+    assert big._matrix is None
+
+
+def rows_read(fset, eps):
+    """Row indices of the blocks ``covering_lower_bound`` asks for, in order."""
+    spans = []
+    real = fset.dist_rows
+    fset.dist_rows = lambda lo, hi: spans.append((lo, hi)) or real(lo, hi)
+    try:
+        count = covering_lower_bound(fset, eps)
+    finally:
+        del fset.dist_rows
+    return count, [i for lo, hi in spans for i in range(lo, hi)]
+
+
+def test_lower_bound_reads_each_row_once_and_skips_near(monkeypatch):
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", 1 << 10)
+    basis = UniformBasisSet(300)  # 3 rows a block
+    count, rows = rows_read(basis, 0.5)
+    assert count == 300 and rows == list(range(300))
+    # one ball holds the whole cloud: no row is read past its witness's block
+    cloud = small_cloud()
+    count, rows = rows_read(cloud, cloud.diameter())
+    assert count == 1 and rows == list(range(spaces.block_rows(cloud.size)))
+    for eps in cloud.distinct_distances()[::10]:
+        count, rows = rows_read(cloud, float(eps))
+        assert rows == sorted(set(rows)), eps  # no row twice
+
+
+@pytest.mark.parametrize("fset", [UniformBasisSet(300),
+                                  sequence_set(SequenceSetSpec(generator="log", truncation=300))],
+                         ids=["basis", "log-sequence"])
+def test_oracle_block_kernels_equal_stacked_rows(fset):
+    m = fset.size  # the sequence set's last row is the origin
+    for lo, hi in ((0, 1), (150, 151), (m - 1, m), (0, 40), (120, 161), (m - 7, m), (0, m)):
+        want = np.stack([fset.dist_row(i) for i in range(lo, hi)])
+        assert fset.dist_rows(lo, hi).tobytes() == want.tobytes(), (lo, hi)
 
 
 def test_cover_masks_match_rows():
