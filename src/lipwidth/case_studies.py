@@ -41,20 +41,17 @@ EXACT_SUM_LIMIT = 10 ** 6
 class SequenceSetSpec:
     """sigma generator plus truncation for {sigma_j e_j} union {0}."""
 
-    generator: str  # "log" | "power" | "custom"
+    generator: str  # "log" | "power"
     truncation: int
     c: float = 1.0  # power-decay exponent
-    values: Optional[tuple] = None  # custom finite list
 
     def __post_init__(self):
-        if self.generator not in ("log", "power", "custom"):
-            raise ValueError("generator must be log/power/custom")
+        if self.generator not in ("log", "power"):
+            raise ValueError("generator must be log/power")
         if self.truncation < 2:
             raise PreconditionError("truncation must be at least 2")
         if self.generator == "power" and self.c <= 0:
             raise PreconditionError("power generator needs c > 0")
-        if self.generator == "custom" and not self.values:
-            raise PreconditionError("custom generator needs explicit values")
 
 
 def sigma_at(spec: SequenceSetSpec, j: int) -> float:
@@ -63,18 +60,14 @@ def sigma_at(spec: SequenceSetSpec, j: int) -> float:
         raise ValueError("indices are 1-based")
     if spec.generator == "log":
         return 1.0 / math.log2(j + 1)
-    if spec.generator == "power":
-        return float(j) ** (-spec.c)
-    return float(spec.values[j - 1])
+    return float(j) ** (-spec.c)
 
 
 def sigma_values(spec: SequenceSetSpec, count: int) -> np.ndarray:
     j = np.arange(1, count + 1, dtype=float)
     if spec.generator == "log":
         return 1.0 / np.log2(j + 1.0)
-    if spec.generator == "power":
-        return j ** (-spec.c)
-    return np.asarray(spec.values[:count], dtype=float)
+    return j ** (-spec.c)
 
 
 class SequenceSet(FiniteSet):
@@ -164,13 +157,9 @@ def sequence_packing_count_log2(spec: SequenceSetSpec, t: float) -> float:
             count = max(0, math.ceil(2.0 ** x - 1.0) - 1)
             return math.log2(count + 1)
         return x  # log2(2**x - 2 + 1) ~ x, and x >= 50 makes the -1 negligible
-    if spec.generator == "power":
-        # sigma_j > t  iff  j < t**(-1/c)
-        x = t ** (-1.0 / spec.c)
-        count = max(0, math.ceil(x) - 1)
-        return math.log2(count + 1)
-    sig = np.asarray(spec.values, dtype=float)
-    return math.log2(int((sig > t).sum()) + 1)
+    # power: sigma_j > t  iff  j < t**(-1/c)
+    count = max(0, math.ceil(t ** (-1.0 / spec.c)) - 1)
+    return math.log2(count + 1)
 
 
 @dataclass(frozen=True)
@@ -222,17 +211,13 @@ def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: i
             "tail": math.fsum(hi),
         }
         method = "dyadic-block"
-    elif spec.generator == "power":
+    else:  # power
         if spec.c * n <= 1:
             raise PreconditionError("integral tail bound needs c*n > 1")
         n0 = max(1, math.floor(1.0 / spec.c))
         lhs = n0 + n0 / (spec.c * n - 1.0)
         pieces = {"n0": n0}
         method = "integral-tail"
-    else:
-        raise PreconditionError(
-            "no closed-form majorant for a custom generator beyond the exact range"
-        )
     holds = math.log(lhs) <= rhs_log2 * math.log(2.0) + 1e-12 if lhs > 0 else True
     return VolumeCondition(holds=holds, lhs_upper=lhs, rhs_log2=rhs_log2,
                            method=method, n=n, total_terms=total_terms, pieces=pieces)
@@ -241,18 +226,15 @@ def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: i
 def sequence_width_upper(spec_generator: str, gamma: float, n: int,
                          total_terms: int, c: float = 1.0,
                          max_bumps: int = EXACT_SUM_LIMIT,
-                         value_override: Optional[float] = None
-                         ) -> tuple[WidthCertificate, SequenceBumpSum]:
+                         value_override: Optional[float] = None) -> WidthCertificate:
     """Upper certificate d_n^gamma <= sigma_N for a sequence set.
 
-    Verifies the volume condition for all N = total_terms, materialises the
-    first min(N, max_bumps) bumps of the dyadic construction, and reports
-    sigma_N (bumps beyond the materialised prefix only improve the map).
+    Verifies the volume condition for all N = total_terms (the only check of
+    it), materialises the first min(N, max_bumps) bumps of the dyadic
+    construction, and reports sigma_N (bumps beyond the materialised prefix
+    only improve the map).
     """
-    spec = SequenceSetSpec(generator=spec_generator, truncation=2, c=c) \
-        if spec_generator != "custom" else None
-    if spec is None:
-        raise PreconditionError("custom generators not supported here")
+    spec = SequenceSetSpec(generator=spec_generator, truncation=2, c=c)
     cond = volume_condition(spec, gamma, n, total_terms)
     if not cond.holds:
         raise PreconditionError(
@@ -260,13 +242,12 @@ def sequence_width_upper(spec_generator: str, gamma: float, n: int,
             f"rhs_log2={cond.rhs_log2}"
         )
     prefix = min(total_terms, max_bumps)
-    bmap = build_sequence_bump_map(sigma_values(spec, prefix), gamma, n,
-                                   total_terms, volume_certified=True)
+    bmap = build_sequence_bump_map(sigma_values(spec, prefix), gamma, n)
     sigma_n_val = sigma_at(spec, total_terms)
     value = sigma_n_val if value_override is None else value_override
     if value < sigma_n_val * (1.0 - 1e-12):
         raise PreconditionError("certificate value below the certified error bound")
-    cert = WidthCertificate(
+    return WidthCertificate(
         quantity="lipschitz_width",
         n=n,
         gamma=gamma,
@@ -287,7 +268,6 @@ def sequence_width_upper(spec_generator: str, gamma: float, n: int,
             },
         },
     )
-    return cert, bmap
 
 
 def recheck_dyadic_bump_map(cert: dict, fset=None) -> bool:
@@ -338,9 +318,9 @@ def log_sequence_certificates(n: int, gamma: float = 3.0,
         raise PreconditionError("gamma >= 3 required here")
     total = (n + 1) ** n
     rate_value = 1.0 / (n * math.log2(n + 1))
-    upper, _ = sequence_width_upper("log", gamma, n, total,
-                                    max_bumps=max_bumps,
-                                    value_override=rate_value)
+    upper = sequence_width_upper("log", gamma, n, total,
+                                 max_bumps=max_bumps,
+                                 value_override=rate_value)
     spec = SequenceSetSpec(generator="log", truncation=2 ** min(n + 4, 14))
     sset = sequence_set(spec)
     lower = width_lower_certified(sset, n, gamma, count_log2=sset.packing_count_log2)
@@ -387,9 +367,7 @@ def power_collapse_index(c: float, gamma: float) -> int:
 def power_width_upper(c: float, gamma: float, n: int, total_terms: int,
                       max_bumps: int = EXACT_SUM_LIMIT) -> WidthCertificate:
     """Upper certificate sigma_N = N^-c for the power-decay set."""
-    cert, _ = sequence_width_upper("power", gamma, n, total_terms, c=c,
-                                   max_bumps=max_bumps)
-    return cert
+    return sequence_width_upper("power", gamma, n, total_terms, c=c, max_bumps=max_bumps)
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +376,14 @@ def power_width_upper(c: float, gamma: float, n: int, total_terms: int,
 
 
 class UniformBasisSet(FiniteSet):
-    """{scale * e_1, ..., scale * e_count} in l2: all distances scale*sqrt(2)."""
+    """{e_1, ..., e_count} in l2: all distances sqrt(2)."""
 
-    def __init__(self, count: int, scale: float = 1.0):
+    def __init__(self, count: int):
         if count < 1:
             raise PreconditionError("need at least one point")
         self.size = count
-        self.scale = float(scale)
         self.space = NormedSpace(count, "l2")
-        self._d = self.scale * math.sqrt(2.0)
+        self._d = math.sqrt(2.0)
 
     def dist_row(self, i: int) -> np.ndarray:
         row = np.full(self.size, self._d)

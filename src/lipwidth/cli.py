@@ -193,8 +193,6 @@ class CaseStudy:
     audit_inputs: tuple
     # target -> set, for entropy, packing, the width commands and --verify-witness
     make_set: Optional[Callable[[dict], FiniteSet]] = None
-    # width-lower takes its packing counts from the set's closed form
-    closed_form_counts: bool = False
     # (name, predicate on the certificates) checks that ``audit-all`` adds
     audit_checks: tuple = ()
     # (set, n) -> (certificate, approximants): the study's own Kolmogorov projector
@@ -204,10 +202,10 @@ class CaseStudy:
 _CASES = {
     "log-sequence": CaseStudy(
         cs.certify_log_sequence, ({}, {"n": 6, "gamma": 3.0, "max_bumps": 10 ** 4}),
-        make_set=partial(cs.sequence_target_set, "log"), closed_form_counts=True),
+        make_set=partial(cs.sequence_target_set, "log")),
     "power-sequence": CaseStudy(
         cs.certify_power_sequence, ({}, {"c": 1.0, "gamma": 4.0, "max_bumps": 10 ** 3}),
-        make_set=partial(cs.sequence_target_set, "power"), closed_form_counts=True),
+        make_set=partial(cs.sequence_target_set, "power")),
     "transport": CaseStudy(
         cs.certify_transport,
         ({"grid": 256}, {"n_values": [1, 3, 6], "n_values_kolmogorov": [16]}),
@@ -297,8 +295,8 @@ def _run_width_lower(cfg, seed):
         if gamma <= 0:
             raise PreconditionError("the target's diameter is zero, so the default "
                                     "gamma = 2 * radius is 0; pass gamma")
-    study = _study_of(cfg.get("target"))
-    count_log2 = fset.packing_count_log2 if study and study.closed_form_counts else None
+    # a set with a closed-form packing count (the sequence sets) needs no packing
+    count_log2 = getattr(fset, "packing_count_log2", None)
     cert = _jsonify(width_lower_certified(fset, n, gamma, count_log2=count_log2).to_json())
     return [cert], [{"name": "width-lower", "passed": recheck(cert, fset)}]
 

@@ -176,7 +176,7 @@ def exact_min_cover(masks: list[int], m: int, limit: Optional[int] = None):
     def dfs(uncovered: int, picked: list[int]):
         nonlocal best_size, best_sol, cap
         if uncovered == 0:
-            if len(picked) < cap or (len(picked) < best_size):
+            if len(picked) < cap:
                 best_size = len(picked)
                 best_sol = tuple(sorted(picked))
                 cap = min(cap, best_size)

@@ -516,38 +516,22 @@ def bump_levels(sigmas, gamma: float) -> np.ndarray:
     return np.maximum(-exp.astype(np.int64) + (mant == 0.5), 0)
 
 
-def build_sequence_bump_map(sigmas_prefix, gamma: float, dim: int,
-                            total_terms: int, volume_certified: bool = False
-                            ) -> SequenceBumpSum:
+def build_sequence_bump_map(sigmas, gamma: float, dim: int) -> SequenceBumpSum:
     """Dyadic-cube bump sum approximating a coordinate-sequence set.
 
-    ``sigmas_prefix`` are the materialised amplitudes (first min(N, cap)
-    terms); ``total_terms`` is the full N backing the volume condition.
-    When the prefix is the whole sequence the condition is checked right
-    here; otherwise the caller must certify it and pass
-    ``volume_certified=True``.
+    ``sigmas`` are the materialised amplitudes, a prefix of the sequence.
+    The volume condition of the whole sequence is the caller's to certify
+    (``case_studies.volume_condition``); the prefix's cubes must fit, or
+    :func:`allocate_dyadic_cubes` raises.
     """
-    sig = np.asarray(sigmas_prefix, dtype=float)
+    sig = np.asarray(sigmas, dtype=float)
     if sig.size == 0:
         raise PreconditionError("empty amplitude prefix")
     if np.any(np.diff(sig) > 0):
         raise PreconditionError("amplitudes must be nonincreasing")
     if sig[0] > gamma / 2.0 + 1e-15:
         raise PreconditionError(f"sigma_1 = {sig[0]} exceeds gamma/2 = {gamma / 2.0}")
-    if len(sig) == total_terms:
-        lhs = float(np.sum(sig ** dim))
-        rhs = (gamma / 2.0) ** dim
-        if lhs > rhs * (1.0 + 1e-12):
-            raise PreconditionError(
-                f"volume condition failed: sum sigma^n = {lhs} > (gamma/2)^n = {rhs}"
-            )
-    elif not volume_certified:
-        raise PreconditionError(
-            "partial prefix requires a caller-certified volume condition"
-        )
-    levels = bump_levels(sig, gamma)
-    alloc = allocate_dyadic_cubes(dim, levels)
-    bmap = SequenceBumpSum(alloc, sig)
+    bmap = SequenceBumpSum(allocate_dyadic_cubes(dim, bump_levels(sig, gamma)), sig)
     if bmap.declared_lipschitz() > gamma * (1.0 + REL_TOL):
         raise BoundViolation("declared constant exceeds requested gamma")
     return bmap

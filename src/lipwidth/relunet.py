@@ -162,9 +162,9 @@ def _layer_buffers(n: int):
     return ws[:n], ws[n + gap:]
 
 
-def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray,
-                     track_layers: bool = False):
-    """Outputs (T, P) for T parameter vectors over P grid points.
+def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray):
+    """Outputs (T, P) for T parameter vectors over P grid points, and the
+    largest activation after each hidden layer.
 
     Rows go through the net in blocks of ``spaces.BLOCK_ELEMS // (W P)``, so
     a block's (rows, W, P) activations stay in cache whatever T is.  In each
@@ -190,13 +190,11 @@ def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray,
                 h, buf = buf, h
             h += y[:, b][:, :, None]
             np.maximum(h, 0.0, out=h)
-            if track_layers:
-                layer_max[j] = max(layer_max[j], float(h.max()))
+            layer_max[j] = max(layer_max[j], float(h.max()))
         a, b, rows, cols = slices[-1]
         np.matmul(y[:, a].reshape(B, rows, cols), h, out=out[t0:t0 + B])
         out[t0:t0 + B, 0] += y[:, b]
-    out = out[:, 0, :]
-    return (out, layer_max) if track_layers else out
+    return out[:, 0, :], layer_max
 
 
 @dataclass(frozen=True)
@@ -234,8 +232,7 @@ def verify_lipschitz(cfg: ReLUNetConfig, seed: int, trials: int) -> VerifyResult
         ya = rng.uniform(-1.0, 1.0, size=(take, npar))
         yb = rng.uniform(-1.0, 1.0, size=(take, npar))
         sep = np.abs(ya - yb).max(axis=1)
-        out, layer_max = _batched_forward(cfg, np.concatenate((ya, yb)), X,
-                                          track_layers=True)
+        out, layer_max = _batched_forward(cfg, np.concatenate((ya, yb)), X)
         for j, seen in enumerate(layer_max):
             layer_seen[j] = max(layer_seen[j], seen)
             if seen > trace.output_bounds[j] + 1e-9:

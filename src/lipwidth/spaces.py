@@ -99,9 +99,6 @@ class NormedSpace:
             out = (np.abs(x) * dx).sum(axis=-1)
         return float(out) if out.ndim == 0 else out
 
-    def dist(self, x, y) -> float | np.ndarray:
-        return self.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-
     @classmethod
     def from_json(cls, doc: dict) -> "NormedSpace":
         norm = doc["norm"]
@@ -156,9 +153,6 @@ class FiniteSet:
         if hi - lo == 1:
             return self.dist_row(lo)[None]
         return np.stack([self.dist_row(i) for i in range(lo, hi)])
-
-    def dist(self, i: int, j: int) -> float:
-        return float(self.dist_row(i)[j])
 
     def diameter(self) -> float:
         return max(float(block.max()) for _, block in row_blocks(self))

@@ -107,8 +107,7 @@ def width_upper_from_entropy(pset: PointSet, k: int, n: int,
         # a set of coincident points ("singleton") is covered by its first point
         centers = ent.upper_witness.get("centers", [0])
         assign = coverage_assignment(pset, centers, ent.upper)
-    shifted = pset.translated(rb.center_point if rb.center_point is not None
-                              else pset.points[rb.center_index])
+    shifted = pset.translated(rb.center_point)
     targets = shifted.points[centers]
     pad = np.repeat(targets[:1], budget - len(centers), axis=0)
     targets = np.concatenate([targets, pad], axis=0)
@@ -152,11 +151,11 @@ def recheck_entropy_map(cert: dict, fset: FiniteSet) -> bool:
             and cert["gamma"] >= 2.0 ** w["k"] * radius_upper(fset).upper)
 
 
-def default_eps_grid(diam: float, count: int = 64, span: float = 2.0 ** 16) -> np.ndarray:
-    """Log-spaced certificate grid over [diam/span, diam]."""
+def default_eps_grid(diam: float) -> np.ndarray:
+    """64 log-spaced certificate radii over [diam / 2**16, diam]."""
     if diam <= 0:
         raise PreconditionError("degenerate set: diameter is zero")
-    return np.geomspace(diam / span, diam, count)
+    return np.geomspace(diam / 2.0 ** 16, diam, 64)
 
 
 def width_lower_certified(fset: FiniteSet, n: int, gamma: float,
@@ -275,14 +274,14 @@ def recheck_orthogonal_projection(cert: dict, fset: PointSet) -> bool:
     return again.n <= cert["n"] and again.value <= cert["value"]
 
 
-def best_coordinate_subspace(pset: PointSet, n: int, max_enum: int = 200000
-                             ) -> tuple[WidthCertificate, tuple]:
-    """Best axis-aligned n-dimensional subspace by exhaustive enumeration."""
+def best_coordinate_subspace(pset: PointSet, n: int) -> tuple[WidthCertificate, tuple]:
+    """Best axis-aligned n-dimensional subspace by exhaustive enumeration of
+    at most 200000 subspaces."""
     import itertools as it
 
     dim = pset.space.dim
     combos = math.comb(dim, n)
-    if combos > max_enum:
+    if combos > 200000:
         raise PreconditionError(f"{combos} coordinate subspaces is too many")
     best = None
     best_idx = None
@@ -317,9 +316,7 @@ def kolmogorov_comparison(pset: PointSet, dn_upper: WidthCertificate,
         if pset.space.kind != "l2":
             raise PreconditionError("supply g0 explicitly outside l2 spaces")
         q = orthonormalize(basis)
-        center = rb.center_point if rb.center_point is not None else \
-            pset.points[rb.center_index]
-        g0 = (center @ q.T) @ q
+        g0 = (rb.center_point @ q.T) @ q
         basis = q
     g0 = np.asarray(g0, dtype=float)
     if gamma == 0.0:
@@ -361,12 +358,10 @@ class TransferReport:
     entropy_lower_at_index: float
     margin: float
     contradiction: bool
-    vacuous: bool
 
 
 def carl_transfer_check(n: int, gamma: float, width_value: float,
-                        entropy_lower: Callable[[int], float],
-                        rad_bound: Optional[float] = None) -> TransferReport:
+                        entropy_lower: Callable[[int], float]) -> TransferReport:
     """Check a claimed width bound against a certified entropy lower envelope.
 
     A width bound d_n^gamma < delta forces N_{2 delta} <= (3 gamma/delta)^n
@@ -379,7 +374,6 @@ def carl_transfer_check(n: int, gamma: float, width_value: float,
     index = int(math.ceil(n * math.log2(3.0 * gamma / width_value)))
     implied = 2.0 * width_value
     eta = float(entropy_lower(index))
-    vacuous = rad_bound is not None and width_value >= rad_bound
     return TransferReport(
         n=n,
         gamma=gamma,
@@ -389,5 +383,4 @@ def carl_transfer_check(n: int, gamma: float, width_value: float,
         entropy_lower_at_index=eta,
         margin=implied - eta,
         contradiction=eta >= implied,
-        vacuous=vacuous,
     )

@@ -41,8 +41,8 @@ def test_sequence_distance_formula():
     sig = ss.sigmas
     for i in range(6):
         for j in range(i + 1, 6):
-            assert ss.dist(i, j) == sig[i]  # = sigma_{min(i,j)+1}
-        assert ss.dist(i, 6) == sig[i]  # distance to the origin point
+            assert ss.dist_row(i)[j] == sig[i]  # = sigma_{min(i,j)+1}
+        assert ss.dist_row(i)[6] == sig[i]  # distance to the origin point
 
 
 def test_sequence_distances_match_dense_linf():
@@ -69,10 +69,9 @@ def ss_scale(spec):
 
 
 def test_sequence_rejects_nondecreasing():
-    with pytest.raises(PreconditionError):
-        SequenceSetSpec(generator="custom", truncation=3, values=(0.5, 0.5, 0.4))
-        sequence_set(SequenceSetSpec(generator="custom", truncation=3,
-                                     values=(0.5, 0.5, 0.4)))
+    # j ** -1e-300 rounds to 1.0 for every j: the sigmas do not decrease
+    with pytest.raises(PreconditionError, match="strictly decreasing"):
+        sequence_set(SequenceSetSpec(generator="power", truncation=3, c=1e-300))
 
 
 def test_packing_count_log2_matches_direct_count():
@@ -130,15 +129,10 @@ def test_volume_condition_power_tail():
 
 
 def test_volume_condition_gate_sigma1():
-    spec = SequenceSetSpec(generator="custom", truncation=2, values=(3.0, 1.0))
-    with pytest.raises(PreconditionError):
-        volume_condition(spec, 4.0, 2, 2)
-
-
-def test_volume_condition_custom_needs_exact_range():
-    spec = SequenceSetSpec(generator="custom", truncation=2, values=(0.5, 0.4))
-    with pytest.raises(PreconditionError):
-        volume_condition(spec, 2.0, 2, 10 ** 7)
+    # sigma_1 = 1 > gamma/2 = 0.75
+    spec = SequenceSetSpec(generator="log", truncation=2)
+    with pytest.raises(PreconditionError, match="sigma_1"):
+        volume_condition(spec, 1.5, 2, 2)
 
 
 # --- log-decay sharpness ------------------------------------------------------
@@ -217,7 +211,7 @@ def test_basis_cloud_distances():
     cloud = basis_cloud(3)
     assert cloud.size == 9
     assert cloud.diameter() == pytest.approx(math.sqrt(2.0))
-    assert cloud.dist(0, 5) == pytest.approx(math.sqrt(2.0))
+    assert cloud.dist_row(0)[5] == pytest.approx(math.sqrt(2.0))
 
 
 # --- transport manifold ---------------------------------------------------------
@@ -228,8 +222,8 @@ def test_transport_distances_match_step_norm():
     # oracle: exact step-function L1 norm of the coordinate difference
     for i, j in ((0, 10), (5, 40), (30, 31)):
         direct = float(ts.space.norm(ts.points[i] - ts.points[j]))
-        assert ts.dist(i, j) == pytest.approx(direct, abs=1e-12)
-        assert ts.dist(i, j) == pytest.approx(2 * abs(ts.params[i] - ts.params[j]), abs=1e-12)
+        assert ts.dist_row(i)[j] == pytest.approx(direct, abs=1e-12)
+        assert ts.dist_row(i)[j] == pytest.approx(2 * abs(ts.params[i] - ts.params[j]), abs=1e-12)
 
 
 def test_transport_entropy_brackets():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lipwidth.cli import (
+    _CASES,
     UsageError,
     canonical_report,
     certificates_csv,
@@ -582,8 +583,15 @@ def _cloud(m, dim, norm):
     return {"kind": "random", "m": m, "dim": dim, "norm": norm}
 
 
-# sha256 of the canonical reports of seeded clouds; any change in a distance
-# or a scan that moves one bit of a certificate moves these
+def _study(name):
+    target, params = _CASES[name].audit_inputs
+    return {"command": "case-study", "target": dict(target, kind="case-study", name=name),
+            "params": params, "verify_witness": True}
+
+
+# sha256 of the canonical reports of seeded clouds, of each case study at its
+# audit inputs and of audit-all; any change in a distance or a scan that moves
+# one bit of a certificate moves these
 _GOLDEN = {
     "entropy-l2-1500": (
         {"command": "entropy", "seed": 11, "target": _cloud(1500, 3, "l2"),
@@ -608,6 +616,27 @@ _GOLDEN = {
         {"command": "width-lower", "seed": 15, "target": _cloud(800, 3, "l1"),
          "params": {"n": 2}, "verify_witness": True},
         "5bc1a8d7ae9ca42e500a90e6e9378321f96957f78968bbfff9c6c867815a58e2"),
+    "case-study-log-sequence-witness": (
+        _study("log-sequence"),
+        "1686f443e2cf6897e4bf02dbfbb7770fa0b11b706b8bb62a8efbfd47558eaa22"),
+    "case-study-power-sequence-witness": (
+        _study("power-sequence"),
+        "96503a7bf71e32bc511755c86120ddd2201672f5a3e2dee4342cc4185fb74b58"),
+    "case-study-transport-witness": (
+        _study("transport"),
+        "958c529e1c560af8cd9519290e068f508a2fe5d6d587b026daf891ba10016991"),
+    "case-study-diagonal-witness": (
+        _study("diagonal"),
+        "59bd499e0aadce6257576657bf9bba1a842e250f22584d4b49a7edc6aa476ce5"),
+    "case-study-orthonormal-basis-witness": (
+        _study("orthonormal-basis"),
+        "50d4afcfc7c802f608a2146595fe2b3c22a88cc3524e95ccc29d810e85d40619"),
+    "case-study-cross-polytope-witness": (
+        _study("cross-polytope"),
+        "0ea38ad3f986007e664df02fd206c2bda4d136dfdc245c62e8b1d654417cc283"),
+    "audit-all-seed7": (
+        {"command": "audit-all", "seed": 7},
+        "5f7a59a17f3df721638219e3c7fb2968155adb635cad5a68c502f09afabed3c9"),
 }
 
 

@@ -51,7 +51,7 @@ def test_packing_maximality_random_cloud():
     for i in range(ps.size):
         if i in pack.indices:
             continue
-        dmin = min(ps.dist(i, j) for j in pack.indices)
+        dmin = min(ps.dist_row(i)[j] for j in pack.indices)
         assert dmin <= 0.3 * (1 + 1e-12)
 
 
@@ -81,7 +81,7 @@ def test_cover_sequence_truncation_budget():
     eps = float(ss.sigmas[2 ** n - 1])
     centers = np.arange(2 ** n)
     for i in range(ss.size):
-        assert min(ss.dist(i, int(c)) for c in centers) <= eps + 1e-15
+        assert ss.dist_row(i)[centers].min() <= eps + 1e-15
     cov = minimal_inner_covering(ss, eps)
     assert cov.size <= 2 ** n
 

@@ -413,7 +413,7 @@ def test_allocate_scratch_stays_within_half_the_output():
 
 
 def test_sequence_bump_map_makes_centres_on_first_evaluation():
-    m = build_sequence_bump_map(np.array([0.5, 0.25, 0.125]), 2.0, 1, 3)
+    m = build_sequence_bump_map(np.array([0.5, 0.25, 0.125]), 2.0, 1)
     assert m.declared_lipschitz() == 2.0
     assert "_centers" not in vars(m)
     assert m.evaluate(m.alloc.centers()[1]) == (1, 0.25)
@@ -434,7 +434,7 @@ def test_bump_levels_bracket():
 
 def test_sequence_bump_map_geometric():
     sig = np.array([0.5, 0.25, 0.125])
-    m = build_sequence_bump_map(sig, 2.0, 1, 3)
+    m = build_sequence_bump_map(sig, 2.0, 1)
     assert m.declared_lipschitz() <= 2.0 + 1e-12
     # hits sigma_j e_j at each cube center
     for j in range(3):
@@ -444,8 +444,8 @@ def test_sequence_bump_map_geometric():
 
 
 def test_sequence_bump_map_violating_volume():
-    with pytest.raises(PreconditionError):
-        build_sequence_bump_map(np.array([1.0, 1.0 - 1e-9, 1.0 - 2e-9]), 2.0, 1, 3)
+    with pytest.raises(PreconditionError, match="volume"):
+        build_sequence_bump_map(np.array([1.0, 1.0 - 1e-9, 1.0 - 2e-9]), 2.0, 1)
 
 
 def test_log_decay_levels_allocate_in_dim_6():
@@ -488,7 +488,7 @@ def _variants():
         "path": build_path_map([np.zeros(3), np.ones(3), -np.ones(3)], L2),
         "affine-ball": AffineBallMap(np.ones(3), 1.5, basis, lp_space(3, 1)),
         "sequence-bump-sum": build_sequence_bump_map(np.array([0.5, 0.3, 0.2, 0.2, 0.1]),
-                                                     2.0, 2, 5),
+                                                     2.0, 2),
     }
 
 

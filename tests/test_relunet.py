@@ -194,7 +194,7 @@ def test_batched_forward_matches_pointwise_forward(monkeypatch, seed):
         for block in (spaces.BLOCK_ELEMS, 4 * cfg.width * X.shape[0]):
             monkeypatch.setattr(spaces, "BLOCK_ELEMS", block)
             for ys in (pool[:0], pool[:1], pool[:6], pool[::3], pool[:11]):  # strided 4
-                out = _batched_forward(cfg, ys, X)
+                out, _ = _batched_forward(cfg, ys, X)
                 assert out.shape == (ys.shape[0], X.shape[0])
                 for t, y in enumerate(ys):
                     want = [forward(cfg, y, x) for x in X]
@@ -209,11 +209,11 @@ def test_forward_rows_do_not_depend_on_blocking(monkeypatch, shape, grid):
     X = input_grid(cfg)
     T = 5 * spaces.BLOCK_ELEMS // (2 * cfg.width * X.shape[0])
     ys = np.random.default_rng(T).uniform(-1, 1, size=(T, param_count(*shape)))
-    out, layer_max = _batched_forward(cfg, ys, X, track_layers=True)
-    rows = [_batched_forward(cfg, y[None], X) for y in ys[::7]]
+    out, layer_max = _batched_forward(cfg, ys, X)
+    rows = [_batched_forward(cfg, y[None], X)[0] for y in ys[::7]]
     assert np.array_equal(out[::7], np.vstack(rows))
     monkeypatch.setattr(spaces, "BLOCK_ELEMS", T * cfg.width * X.shape[0])
-    one, one_max = _batched_forward(cfg, ys, X, track_layers=True)
+    one, one_max = _batched_forward(cfg, ys, X)
     assert np.array_equal(out, one) and layer_max == one_max
 
 

@@ -192,11 +192,6 @@ def test_carl_transfer_flags_fabricated_bound():
     assert rep.contradiction
 
 
-def test_carl_transfer_vacuous_radius_bound():
-    rep = carl_transfer_check(6, 3.0, 1.0, log_entropy_lower, rad_bound=1.0)
-    assert rep.vacuous and not rep.contradiction
-
-
 def test_carl_transfer_geometric_gamma_schedule():
     # width bound at gamma_n = C' n^delta lambda^n lands the entropy index
     # near c*n^2, and the log-sequence envelope stays consistent

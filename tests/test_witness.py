@@ -88,7 +88,7 @@ def _scale(field, factor):
 
 def _packing_eps_to_min_separation(cert, fset):
     idx = cert["indices"]
-    cert["eps"] = min(fset.dist(a, b) for k, a in enumerate(idx) for b in idx[k + 1:])
+    cert["eps"] = min(fset.dist_row(a)[b] for k, a in enumerate(idx) for b in idx[k + 1:])
 
 
 def _shift(field, delta):
