@@ -2,8 +2,8 @@
 
 Reports are JSON; a CSV projection of the certificate table is available
 for plotting.  Two runs with the same config and seed produce byte-identical
-canonical reports (the ``meta`` block with wall clock and timestamp is
-excluded from the canonical form).
+canonical reports (the ``meta`` block with wall clock, timestamp and the
+falsifier's thread count is excluded from the canonical form).
 
 Exit codes: 0 all audited inequalities pass, 1 usage error, 2 inequality
 violation, 3 numeric failure.
@@ -478,6 +478,7 @@ def run(cfg: dict) -> dict:
         "meta": {
             "wall_clock_s": time.perf_counter() - start,
             "timestamp": datetime.now(timezone.utc).isoformat(),
+            "workers": rn.worker_count(),  # threads relu-verify may use here
         },
     }
     return report

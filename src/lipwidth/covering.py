@@ -28,6 +28,9 @@ from .spaces import FiniteSet, PreconditionError, block_rows, row_blocks
 N_EXACT = 20
 # Strictness slack for the packing inequality "distance > eps".
 PACK_SLACK = 1e-12
+# Indices per window of the packing scan: one vector test finds the window's
+# candidates, and only those are visited in Python.
+_PACK_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,16 @@ def greedy_packing(fset: FiniteSet, eps: float, stop_above: Optional[int] = None
     m = fset.size
     mind = np.full(m, np.inf)
     chosen: list[int] = []
-    for i in range(m):
-        if mind[i] > thr:
-            chosen.append(i)
-            if stop_above is not None and len(chosen) > stop_above:
-                return PackingResult(eps, tuple(chosen), len(chosen), maximal=False)
-            np.minimum(mind, fset.dist_row(i), out=mind)
+    for lo in range(0, m, _PACK_WINDOW):
+        # distances only shrink mind, so a point that is no candidate at the
+        # window's start is never admitted; a candidate is tested again
+        for k in (mind[lo:lo + _PACK_WINDOW] > thr).nonzero()[0].tolist():
+            i = lo + k
+            if mind[i] > thr:
+                chosen.append(i)
+                if stop_above is not None and len(chosen) > stop_above:
+                    return PackingResult(eps, tuple(chosen), len(chosen), maximal=False)
+                np.minimum(mind, fset.dist_row(i), out=mind)
     return PackingResult(eps, tuple(chosen), len(chosen), maximal=True)
 
 

@@ -12,6 +12,8 @@ computed in exact integer arithmetic, and C_n < (2d+4) * n * W**n.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -162,7 +164,15 @@ def _layer_buffers(n: int):
     return ws[:n], ws[n + gap:]
 
 
-def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray):
+def _workspace(cfg: ReLUNetConfig, rows: int, P: int) -> tuple:
+    """The layer buffers and output rows of a forward pass over at most
+    ``rows`` parameter rows on P grid points, for reuse across calls."""
+    block = max(1, min(rows, spaces.BLOCK_ELEMS // (cfg.width * P)))
+    first, second = _layer_buffers(block * cfg.width * P)
+    return first, second, np.empty((rows, 1, P))
+
+
+def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray, ws=None):
     """Outputs (T, P) for T parameter vectors over P grid points, and the
     largest activation after each hidden layer.
 
@@ -170,12 +180,14 @@ def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray):
     a block's (rows, W, P) activations stay in cache whatever T is.  In each
     block, layer 0 is one GEMM over the shared grid, later layers alternate
     between two reused buffers, and the last layer writes into the block's
-    output rows.  No row's arithmetic depends on the blocking."""
+    output rows.  No row's arithmetic depends on the blocking.  ``ws``, from
+    ``_workspace`` for at least T rows, holds the buffers and the outputs;
+    without it they are allocated for this call."""
     T, P, W = ys.shape[0], X.shape[0], cfg.width
     slices = layer_slices(cfg)
     block = max(1, min(T, spaces.BLOCK_ELEMS // (W * P)))
-    first, second = _layer_buffers(block * W * P)
-    out = np.empty((T, 1, P))  # a 1 x P matrix per row: the last GEMM's out=
+    first, second, out = ws if ws is not None else _workspace(cfg, T, P)
+    out = out[:T]  # a 1 x P matrix per row: the last GEMM's out=
     layer_max = [0.0] * cfg.depth  # h >= 0 after each ReLU
     for t0 in range(0, T, block):
         y = ys[t0:t0 + block]
@@ -197,6 +209,49 @@ def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray):
     return out[:, 0, :], layer_max
 
 
+def worker_count() -> int:
+    """Threads the falsifier may use: the CPUs in this process's affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _falsify_chunks(cfg: ReLUNetConfig, seed: int, trials: int, X: np.ndarray,
+                    chunks: range) -> tuple:
+    """Largest ratio and per-layer maxima over the chunks ``chunks``.
+
+    Chunk i holds pairs i * VERIFY_CHUNK onwards and draws them from
+    ``seed ^ i``, ya then yb.  Its pairs go through ``_batched_forward`` a
+    block at a time, the block's ya rows followed by the same pairs' yb rows,
+    and each block is reduced to its pairs' sup |Phi(ya) - Phi(yb)| while it
+    is in cache.  One workspace serves every block."""
+    npar, P = param_count(cfg.d, cfg.width, cfg.depth), X.shape[0]
+    pairs = max(1, spaces.BLOCK_ELEMS // (cfg.width * P) // 2)
+    ws = _workspace(cfg, 2 * pairs, P)
+    ys = np.empty((2 * pairs, npar))
+    best = 0.0
+    layer_seen = [0.0] * cfg.depth
+    for widx in chunks:
+        take = min(VERIFY_CHUNK, trials - widx * VERIFY_CHUNK)
+        rng = np.random.default_rng((int(seed) ^ widx) & 0xFFFFFFFFFFFFFFFF)
+        ya = rng.uniform(-1.0, 1.0, size=(take, npar))
+        yb = rng.uniform(-1.0, 1.0, size=(take, npar))
+        sep = np.abs(ya - yb).max(axis=1)
+        diff = np.empty(take)  # sup over the grid of |Phi(ya) - Phi(yb)|
+        for p0 in range(0, take, pairs):
+            B = min(pairs, take - p0)
+            ys[:B] = ya[p0:p0 + B]
+            ys[B:2 * B] = yb[p0:p0 + B]
+            out, layer_max = _batched_forward(cfg, ys[:2 * B], X, ws)
+            layer_seen = [max(s, m) for s, m in zip(layer_seen, layer_max)]
+            delta = np.subtract(out[:B], out[B:], out=out[:B])
+            np.abs(delta, out=delta).max(axis=1, out=diff[p0:p0 + B])
+        ok = sep > 0
+        if np.any(ok):
+            best = max(best, float((diff[ok] / sep[ok]).max()))
+    return best, layer_seen
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     config: ReLUNetConfig
@@ -209,43 +264,56 @@ class VerifyResult:
     layer_max_observed: tuple = field(default=(), compare=False)
 
 
+def _run_workers(work, workers: int) -> list:
+    """[work(0), ..., work(workers - 1)]: the first on the calling thread, each
+    other on a thread of its own.  Every thread is joined before this returns
+    or raises, and the first error raised in a worker is raised here."""
+    results = [None] * workers
+    errors = []
+
+    def guarded(w):
+        try:
+            results[w] = work(w)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        results[0] = work(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def verify_lipschitz(cfg: ReLUNetConfig, seed: int, trials: int) -> VerifyResult:
     """Falsification test of the recursion constant on sampled parameter pairs.
 
     Per pair: sup over the input grid of |Phi(y) - Phi(y')| divided by
     ||y - y'||_inf.  The grid under-approximates the true sup, which only
     makes the test direction (ratio <= bound) conservative.
+
+    Pairs come in chunks of ``VERIFY_CHUNK``, chunk i drawn from seed ^ i.
+    The chunks are dealt round-robin to ``worker_count()`` threads (never
+    more threads than chunks; one worker starts none), and the ratio and the
+    layer maxima are maxima over the workers, so every result is bit for bit
+    the same for any number of workers.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     trace = lip_bound(cfg)
     X = input_grid(cfg)
-    npar = param_count(cfg.d, cfg.width, cfg.depth)
-    best = 0.0
-    layer_seen = [0.0] * cfg.depth
-    layer_ok = True
-    done = 0
-    widx = 0
-    while done < trials:
-        take = min(VERIFY_CHUNK, trials - done)
-        rng = np.random.default_rng((int(seed) ^ widx) & 0xFFFFFFFFFFFFFFFF)
-        ya = rng.uniform(-1.0, 1.0, size=(take, npar))
-        yb = rng.uniform(-1.0, 1.0, size=(take, npar))
-        sep = np.abs(ya - yb).max(axis=1)
-        out, layer_max = _batched_forward(cfg, np.concatenate((ya, yb)), X)
-        for j, seen in enumerate(layer_max):
-            layer_seen[j] = max(layer_seen[j], seen)
-            if seen > trace.output_bounds[j] + 1e-9:
-                layer_ok = False
-        diff = out[:take]  # |Phi(ya) - Phi(yb)|, in place over the ya rows
-        diff -= out[take:]
-        diff = np.abs(diff, out=diff).max(axis=1)
-        del out  # one chunk's outputs alive at a time
-        ok = sep > 0
-        if np.any(ok):
-            best = max(best, float((diff[ok] / sep[ok]).max()))
-        done += take
-        widx += 1
+    chunks = -(-trials // VERIFY_CHUNK)
+    workers = min(worker_count(), chunks)
+    parts = _run_workers(
+        lambda w: _falsify_chunks(cfg, seed, trials, X, range(w, chunks, workers)), workers)
+    best = max(ratio for ratio, _ in parts)
+    layer_seen = tuple(max(col) for col in zip(*(seen for _, seen in parts)))
+    layer_ok = not any(seen > cap + 1e-9 for seen, cap in zip(layer_seen, trace.output_bounds))
     return VerifyResult(
         config=cfg,
         trials=trials,
@@ -254,7 +322,7 @@ def verify_lipschitz(cfg: ReLUNetConfig, seed: int, trials: int) -> VerifyResult
         coarse=trace.coarse,
         passed=best <= trace.final and layer_ok,
         layer_bound_ok=layer_ok,
-        layer_max_observed=tuple(layer_seen),
+        layer_max_observed=layer_seen,
     )
 
 

@@ -117,6 +117,18 @@ def test_report_canonical_excludes_meta():
     assert json.loads(canon)["version"] == report["version"]
 
 
+def test_meta_records_the_falsifier_workers_outside_the_canonical_form(monkeypatch):
+    from lipwidth import relunet
+
+    monkeypatch.setattr(relunet, "worker_count", lambda: 3)
+    report = run({"command": "relu-verify", "seed": 2,
+                  "params": {"d": 1, "width": 2, "depth": 1, "trials": 600}})
+    assert report["meta"]["workers"] == 3
+    assert "workers" not in canonical_report(report)
+    monkeypatch.setattr(relunet, "worker_count", lambda: 1)
+    assert canonical_report(run(report["config"])) == canonical_report(report)
+
+
 def test_random_target_deterministic_given_seed():
     cfg = {"command": "packing", "seed": 9,
            "target": {"kind": "random", "m": 12, "dim": 2, "norm": "linf"}}

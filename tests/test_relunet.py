@@ -1,9 +1,15 @@
+import importlib.util
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lipwidth
+import lipwidth.cli  # the tracer patches every layer, cli included
 from lipwidth import relunet, spaces
 from lipwidth.relunet import (
     ReLUNetConfig,
@@ -139,6 +145,23 @@ def test_layer_audit_covers_last_hidden_layer(monkeypatch, depth):
     assert res.layer_max_observed[-1] > 0
 
 
+def test_layer_audit_sees_the_second_workers_chunks(monkeypatch):
+    # 1100 trials are chunks 0, 1, 2; with two workers chunk 1 is the second's
+    real = relunet.lip_bound
+
+    def zero_last(cfg):
+        trace = real(cfg)
+        return replace(trace, output_bounds=trace.output_bounds[:-1] + (0,))
+
+    monkeypatch.setattr(relunet, "lip_bound", zero_last)
+    monkeypatch.setattr(relunet, "worker_count", lambda: 2)
+    cfg = ReLUNetConfig(d=1, width=2, depth=3)
+    res = verify_lipschitz(cfg, seed=1, trials=1100)
+    assert not res.layer_bound_ok and not res.passed
+    _, second = relunet._falsify_chunks(cfg, 1, 1100, input_grid(cfg), range(1, 3, 2))
+    assert second[-1] > 0
+
+
 def test_verify_lipschitz_deterministic():
     cfg = ReLUNetConfig(d=2, width=3, depth=2)
     a = verify_lipschitz(cfg, seed=5, trials=700)
@@ -223,6 +246,91 @@ def test_verify_lipschitz_memory_does_not_grow_with_the_chunk():
     tracemalloc.start()
     try:
         verify_lipschitz(ReLUNetConfig(3, 3, 5), seed=1, trials=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 10 ** 6
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3), (2, 3, 2)])
+def test_verify_lipschitz_does_not_depend_on_the_worker_count(monkeypatch, shape):
+    # 8 workers exceed the chunks of every trial count here; a short switch
+    # interval makes the threads interleave often
+    cfg = ReLUNetConfig(*shape)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for trials in (1, 511, 512, 513, 1030, 4096):
+            results = []
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(relunet, "worker_count", lambda: workers)
+                results.append(verify_lipschitz(cfg, seed=trials, trials=trials))
+            one = results[0]
+            for res in results[1:]:
+                assert repr(res.max_ratio) == repr(one.max_ratio)
+                assert res.layer_max_observed == one.layer_max_observed
+                assert res.layer_bound_ok == one.layer_bound_ok and res.passed == one.passed
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 2])
+def test_worker_error_reaches_the_caller_and_no_thread_outlives_it(monkeypatch, chunk):
+    # chunk 0 runs on the calling thread, chunks 1 and 2 on the other two
+    cfg = ReLUNetConfig(d=2, width=2, depth=2)
+    npar = param_count(2, 2, 2)
+    first = np.random.default_rng(5 ^ chunk).uniform(-1.0, 1.0, size=(512, npar))[0]
+    real = relunet._batched_forward
+
+    def failing(cfg, ys, X, ws=None):
+        if np.array_equal(ys[0], first):
+            raise FloatingPointError(f"chunk {chunk}")
+        return real(cfg, ys, X, ws)
+
+    monkeypatch.setattr(relunet, "_batched_forward", failing)
+    monkeypatch.setattr(relunet, "worker_count", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"chunk {chunk}"):
+        verify_lipschitz(cfg, seed=5, trials=1500)
+    assert threading.active_count() == before
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_verify_records_one_span_from_the_calling_thread(monkeypatch):
+    # the tracer keeps one span stack per process, so worker threads must
+    # call nothing it patches
+    tracing = _load_tracing()
+    monkeypatch.setattr(relunet, "worker_count", lambda: 2)
+    tracer = tracing.Tracer()
+    patcher = tracing.Patcher(lipwidth, tracer)
+    patcher.install()
+    try:
+        res = lipwidth.relunet.verify_lipschitz(ReLUNetConfig(2, 2, 2), seed=3, trials=1100)
+    finally:
+        patcher.restore()
+    assert res.passed
+    assert [rec[0] for rec in tracer.spans] == ["relunet.verify"]
+    assert tracer.counts["relunet.pairs"] == 1100
+    for i, (_, start, end, parent, _, _) in enumerate(tracer.spans):
+        assert start <= end
+        if parent >= 0:
+            assert parent < i
+            assert tracer.spans[parent][1] <= start and end <= tracer.spans[parent][2]
+
+
+def test_verify_lipschitz_memory_with_two_workers(monkeypatch):
+    # both workers' buffers count: each holds one chunk's draws and one workspace
+    monkeypatch.setattr(relunet, "worker_count", lambda: 2)
+    tracemalloc.start()
+    try:
+        verify_lipschitz(ReLUNetConfig(3, 3, 5), seed=1, trials=4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

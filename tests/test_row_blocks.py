@@ -59,6 +59,19 @@ def oracle_greedy_cover(fset, eps):
     return tuple(centers)
 
 
+def oracle_packing(fset, eps, stop_above=None):
+    thr = eps * (1.0 + PACK_SLACK)
+    mind = np.full(fset.size, np.inf)
+    chosen = []
+    for i in range(fset.size):
+        if mind[i] > thr:
+            chosen.append(i)
+            if stop_above is not None and len(chosen) > stop_above:
+                return PackingResult(eps, tuple(chosen), len(chosen), maximal=False)
+            np.minimum(mind, fset.dist_row(i), out=mind)
+    return PackingResult(eps, tuple(chosen), len(chosen), maximal=True)
+
+
 def oracle_is_maximal(fset, pack):
     thr = pack.eps * (1.0 + PACK_SLACK)
     idx = np.asarray(pack.indices)
@@ -145,6 +158,24 @@ def assert_scans_match(fset, radii, bound_radii=()):
         if pack.size > 1:
             short = PackingResult(eps, pack.indices[:-1], pack.size - 1, True)
             assert packing_is_maximal(fset, short) == oracle_is_maximal(fset, short)
+
+
+@pytest.mark.parametrize("m", [255, 256, 257, 600])
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_windowed_packing_matches_per_index_scan(norm, m):
+    # windows of 256 indices end inside these sets; the radii run from one
+    # admission (the diameter) to nearly every point admitted
+    rng = np.random.default_rng(m)
+    ps = PointSet(NormedSpace(3, norm), rng.uniform(-1, 1, size=(m, 3)))
+    dist = ps.distinct_distances()
+    radii = np.quantile(dist[dist > 0], [0.0, 0.001, 0.01, 0.1, 0.5, 1.0])
+    sizes = set()
+    for eps in radii.tolist():
+        for stop in (None, 1, 8):
+            pack = greedy_packing(ps, eps, stop)
+            assert pack == oracle_packing(ps, eps, stop), (eps, stop)
+            sizes.add(pack.size)
+    assert 1 in sizes and max(sizes) > m // 2
 
 
 def test_scans_on_uniform_basis_set():
