@@ -113,6 +113,9 @@ class SequenceSet(FiniteSet):
     def distinct_distances(self) -> np.ndarray:
         return np.unique(self.sigmas)
 
+    def points_apart(self) -> bool:
+        return True  # every distance is some sigma_j > 0
+
     def packing_count_log2(self, t: float) -> float:
         """``sequence_packing_count_log2`` of the generator: no truncation needed."""
         return sequence_packing_count_log2(self.spec, t)
@@ -400,6 +403,9 @@ class UniformBasisSet(FiniteSet):
 
     def distinct_distances(self) -> np.ndarray:
         return np.asarray([self._d]) if self.size > 1 else np.asarray([])
+
+    def points_apart(self) -> bool:
+        return True
 
 
 def basis_cloud(m: int) -> UniformBasisSet:

@@ -164,6 +164,9 @@ def exact_min_cover(masks: list[int], m: int, limit: Optional[int] = None):
         for c in coverers[e]:
             acc |= masks[c]
         comask[e] = acc
+    # every coverer of an uncovered element covers it, so an element's degree
+    # among the useful centers is its full coverer count
+    branch_order = sorted(range(m), key=lambda e: (len(coverers[e]), e))
 
     # Greedy upper bound (max fresh coverage, lowest index on ties).
     chosen = []
@@ -190,14 +193,7 @@ def exact_min_cover(masks: list[int], m: int, limit: Optional[int] = None):
             return
         if len(picked) + _witness_lower_bound(uncovered, comask) >= cap:
             return
-        w = uncovered
-        branch_e, branch_deg = -1, m + 1
-        while w:
-            e = (w & -w).bit_length() - 1
-            deg = sum(1 for c in coverers[e] if masks[c] & uncovered)
-            if deg < branch_deg:
-                branch_e, branch_deg = e, deg
-            w &= w - 1
+        branch_e = next(e for e in branch_order if uncovered >> e & 1)
         cands = sorted(
             (c for c in coverers[branch_e]),
             key=lambda c: (-(masks[c] & uncovered).bit_count(), c),
@@ -255,7 +251,7 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
     ``near`` lies in its own ball (d(i, i) = 0), so it is rejected without
     reading its row: each block reads only its rows outside ``near``.  A
     witness admitted inside a block rejects the block's later rows whose
-    balls meet its own, found from the block's boolean rows in hand.
+    balls meet its own, read from the block's boolean rows at its ball's columns.
     """
     m = fset.size
     near = np.zeros(m, dtype=bool)  # centers c with a collected witness in B(c, eps)
@@ -275,8 +271,9 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
             count += 1
             if stop_above is not None and count > stop_above:
                 return count
-            near |= within[k]
-            free[k + 1:] &= ~(within[k + 1:] & within[k]).any(axis=1)
+            ball = np.flatnonzero(within[k])  # the columns of its own ball
+            near[ball] = True
+            free[k + 1:] &= ~within[k + 1:, ball].any(axis=1)
         lo = hi
     return count
 
@@ -313,7 +310,10 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     is r_j where a lower bound on the covering number at r_{j-1} exceeded
     2**n: the covering number is constant on [r_{j-1}, r_j), so no smaller
     radius has such a cover.  Sets of at most N_EXACT points decide both with
-    the exact cover, and lower == upper.
+    the exact cover, and lower == upper.  The bottom radius r_0 is decided in
+    closed form when ``fset.points_apart()`` is True: below r_1 each ball holds
+    only its center, so a cover needs all m > 2**n balls and the lower bound
+    stops at 2**n + 1 witnesses.  Other sets probe r_0 like any radius.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
@@ -328,6 +328,7 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
         return EntropyEstimate(n, 0.0, 0.0, exact=True,
                                upper_witness={"kind": "singleton"})
     exact = m <= N_EXACT
+    apart = fset.points_apart()
 
     def radius(i: int) -> float:
         return float(dist[i - 1]) if i else 0.0
@@ -340,7 +341,9 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
 
     def fits(i: int) -> bool:
         """Some cover at r_i has at most 2**n balls; it is kept in ``covers``."""
-        if exact:
+        if i == 0 and apart:
+            covers[0] = None
+        elif exact:
             found = exact_min_cover(_cover_masks(fset, probe(i)), m, limit=budget)
             covers[i] = None if found is None else found[1]
         else:
@@ -359,7 +362,8 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
 
         def clears(i: int) -> bool:
             """The lower bound on N at r_i is at most 2**n (kept in ``counts``)."""
-            counts[i] = covering_lower_bound(fset, probe(i), stop_above=budget)
+            counts[i] = (budget + 1 if i == 0 and apart
+                         else covering_lower_bound(fset, probe(i), stop_above=budget))
             return counts[i] <= budget
 
         # at r_up a cover of at most 2**n balls exists, so the bound clears there

@@ -136,14 +136,21 @@ class FiniteSet:
     """Base class: a finite metric sample with row-wise distance access.
 
     Subclasses must provide ``size``, ``space``, and ``dist_row``, and may
-    override ``dist_rows`` with a block kernel and ``diameter`` and
-    ``distinct_distances`` with closed forms.  A set holds no search state:
-    entropy searches for every n read one array of distinct distances, which
-    a subclass may keep (a dense set: its matrix plus m(m-1)/2 values).
+    override ``dist_rows`` with a block kernel and ``diameter``,
+    ``distinct_distances`` and ``points_apart`` with closed forms.  A set
+    holds no search state: entropy searches for every n read one array of
+    distinct distances, which a subclass may keep (a dense set: its matrix
+    plus m(m-1)/2 values).
     """
 
     size: int
     space: NormedSpace
+
+    def points_apart(self) -> Optional[bool]:
+        """Whether every two distinct points are at a positive distance; None
+        when the set does not know.  The entropy search decides its bottom
+        radius in closed form only on True."""
+        return None
 
     def dist_row(self, i: int) -> np.ndarray:
         raise NotImplementedError
@@ -161,11 +168,16 @@ class FiniteSet:
         """Sorted distinct positive distances, the radii entropy searches bisect:
         ``np.unique`` of the strict lower triangle (distances are symmetric)
         without its zeros, compacted in place."""
+        return self._sorted_triangle()[0]
+
+    def _sorted_triangle(self) -> tuple:
+        """(distinct positive distances, whether the triangle held no zero)."""
         vals = np.empty(self.size * (self.size - 1) // 2)
         for lo, block in row_blocks(self):
             for i, row in enumerate(block, start=lo):
                 vals[i * (i - 1) // 2 : i * (i + 1) // 2] = row[:i]
         vals.sort()
+        apart = not (vals.size and vals[0] == 0.0)  # zeros sort first
         kept, prev = 0, 0.0  # distances are >= 0: zeros go with the repeats
         step = max(1, BLOCK_ELEMS // 8)  # BLOCK_ELEMS bytes, so a block's copy stays small
         for lo in range(0, vals.size, step):
@@ -174,7 +186,7 @@ class FiniteSet:
             prev = blk[-1]
             vals[kept : kept + new.size] = new  # kept <= lo: never past the read
             kept += new.size
-        return vals[:kept]
+        return vals[:kept], apart
 
 
 class PointSet(FiniteSet):
@@ -198,7 +210,7 @@ class PointSet(FiniteSet):
         self.points = pts
         self.size = pts.shape[0]
         self._matrix = None
-        self._distinct = None
+        self._distinct = self._apart = None
         if dist_matrix is not None:
             m = np.asarray(dist_matrix, dtype=float)
             if m.shape != (self.size, self.size):
@@ -284,8 +296,13 @@ class PointSet(FiniteSet):
     def distinct_distances(self) -> np.ndarray:
         if self._distinct is None:
             self.matrix()  # refused above DENSE_LIMIT
-            self._distinct = super().distinct_distances()
+            self._distinct, self._apart = self._sorted_triangle()
         return self._distinct
+
+    def points_apart(self) -> bool:
+        """From the distances, not the coordinates: a distance of 0.0 coincides."""
+        self.distinct_distances()
+        return self._apart
 
     def translated(self, center) -> "PointSet":
         return PointSet(self.space, self.points - np.asarray(center, dtype=float))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lipwidth import NormedSpace, PointSet, minimal_inner_covering, radius_upper, spaces
-from lipwidth.case_studies import SequenceSetSpec, UniformBasisSet, sequence_set
+from lipwidth.case_studies import SequenceSetSpec, TransportSet, UniformBasisSet, sequence_set
 from lipwidth.covering import (
     N_EXACT,
     PACK_SLACK,
@@ -215,11 +215,13 @@ def test_lower_bound_matches_oracle_in_small_blocks(monkeypatch, block_elems):
     seq = sequence_set(SequenceSetSpec(generator="log", truncation=300))
     rng = np.random.default_rng(11)
     big = PointSet(NormedSpace(1, "l2"), rng.uniform(-1, 1, size=(DENSE_LIMIT + 4, 1)))
+    grid = TransportSet(200)  # a ball of radius 2j/200 holds 2j + 1 grid points
     cases = [
         (cloud, [float(eps) for eps in cloud.distinct_distances()[::10]]),
-        (UniformBasisSet(300), [0.5, math.sqrt(2.0)]),  # at 0.5 every row is admitted
+        (UniformBasisSet(300), [0.0, 0.5, math.sqrt(2.0)]),  # below sqrt(2) every row is admitted
         (seq, [float(seq.sigmas[k]) for k in (0, 7, 120, 299)]),
         (big, [0.3, 0.002]),
+        (grid, [0.0] + [float(grid.distinct_distances()[k]) for k in (0, 1, 4, 30)]),
     ]
     for fset, radii in cases:
         for eps in radii:
