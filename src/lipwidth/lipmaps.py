@@ -20,7 +20,6 @@ samples difference quotients and raises if one ever exceeds the declaration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -256,18 +255,33 @@ def build_entropy_map(targets, k: int, n: int, target_space: NormedSpace) -> Bum
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CubeAllocation:
     """Disjoint dyadic cubes inside [-1, 1]^dim.
 
     Cube j sits at integer cell ``cells[j]`` of the level ``levels[j]`` grid:
     side 2**-level, lower corner -1 + cell * side.  All coordinates are
-    dyadic rationals, hence exact in binary floating point.
+    dyadic rationals, hence exact in binary floating point.  Without explicit
+    ``cells`` the cubes take the Z-order placement of
+    :func:`allocate_dyadic_cubes`, and the cells are made on first access;
+    ``count``, ``sides()`` and a bump map's declared constant need only the
+    levels.
     """
 
-    dim: int
-    levels: np.ndarray
-    cells: np.ndarray
+    def __init__(self, dim: int, levels: np.ndarray, cells: Optional[np.ndarray] = None):
+        self.dim = dim
+        self.levels = levels
+        if cells is not None:
+            self.cells = cells  # an instance value shadows the Z-order cells below
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Z-order cells of the levels, in O(``BLOCK_ELEMS``) scratch."""
+        cells = np.empty((self.count, self.dim), dtype=np.int64)
+        pos = 0
+        for l, c, start in _zorder_runs(self.dim, self.levels)[0]:
+            _zorder_cells(self.dim, l + 1, start, cells[pos : pos + c])
+            pos += c
+        return cells
 
     @property
     def count(self) -> int:
@@ -352,6 +366,19 @@ def _zorder_cells(dim: int, digits: int, start: int, out: np.ndarray) -> None:
                                           for b in range(digits - low)) for a in range(dim)]
 
 
+def _zorder_runs(dim: int, levels: np.ndarray) -> tuple:
+    """One (level, count, Morton offset of its first cube) per distinct
+    ascending level; then the offset past the last cube, and its level."""
+    distinct, counts = np.unique(levels, return_counts=True)
+    runs, offset, prev = [], 0, 0
+    for l, c in zip(distinct.tolist(), counts.tolist()):
+        offset <<= dim * (l - prev)
+        runs.append((l, c, offset))
+        offset += c
+        prev = l
+    return runs, offset, prev
+
+
 def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
     """Disjoint dyadic cubes with sides 2**-level, placed in Z-order.
 
@@ -360,8 +387,9 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
     (Morton) curve through the level-l_j cells: it starts at offset
     sum_{i<j} 2**(dim*(l_j - l_i)), and its cell is that offset's bits
     de-interleaved.  Sides never grow, so every block is aligned, and the
-    running offset fits under 2**(dim*(l_max+1)) exactly when the volumes do.
-    Beyond the returned arrays the build holds O(``BLOCK_ELEMS``) scratch.
+    running offset fits under 2**(dim*(l_max+1)) exactly when the volumes do,
+    which is checked here.  The cells are de-interleaved only when first read
+    (an evaluation or an audit), in O(``BLOCK_ELEMS``) scratch beyond them.
     """
     levels = np.asarray(levels)
     if levels.dtype.kind not in "iu" and not np.all(
@@ -372,26 +400,15 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
         raise PreconditionError("levels must be nonnegative")
     if np.any(np.diff(levels) < 0):
         raise PreconditionError("levels must be ascending (sides nonincreasing)")
-    distinct, counts = np.unique(levels, return_counts=True)
-    starts, offset, prev = [], 0, 0
-    for l, c in zip(distinct.tolist(), counts.tolist()):
-        offset <<= dim * (l - prev)
-        starts.append(offset)
-        offset += c
-        prev = l
-    cap = 1 << (dim * (prev + 1))
+    offset, top = _zorder_runs(dim, levels)[1:]
+    cap = 1 << (dim * (top + 1))
     if offset > cap:
         frac = math.exp(math.log(offset) - math.log(cap))
         raise PreconditionError(
             f"volume condition violated: sum 2^(-dim*level) exceeds 2^dim "
             f"(ratio {frac})"
         )
-    cells = np.empty((len(levels), dim), dtype=np.int64)
-    pos = 0
-    for l, c, start in zip(distinct.tolist(), counts.tolist(), starts):
-        _zorder_cells(dim, l + 1, start, cells[pos : pos + c])
-        pos += c
-    return CubeAllocation(dim=dim, levels=levels, cells=cells)
+    return CubeAllocation(dim=dim, levels=levels)
 
 
 def audit_cube_allocation(alloc: CubeAllocation) -> bool:

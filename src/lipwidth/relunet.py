@@ -138,12 +138,6 @@ def lip_bound(cfg: ReLUNetConfig) -> LipBoundTrace:
     )
 
 
-def closed_form_constant(cfg: ReLUNetConfig, j: int) -> int:
-    """Unrolled form W^j (d+1) + j (d+2) W^j + sum_{k<j} W^k of the recursion."""
-    d, W = cfg.d, cfg.width
-    return W ** j * (d + 1) + j * (d + 2) * W ** j + sum(W ** k for k in range(j))
-
-
 def input_grid(cfg: ReLUNetConfig) -> np.ndarray:
     """Tensor sampling grid of [0,1]^d, (G^d, d)."""
     g = cfg.grid_points

@@ -1,0 +1,24 @@
+"""Closed forms and dense views that only the tests compare the package with."""
+
+import numpy as np
+
+
+def sequence_dense_points(ss) -> np.ndarray:
+    """The points of a ``SequenceSet`` as dense rows: sigma_j e_j, then the origin."""
+    m = len(ss.sigmas)
+    pts = np.zeros((m + 1, m))
+    pts[np.arange(m), np.arange(m)] = ss.sigmas
+    return pts
+
+
+def diagonal_member(y: np.ndarray) -> bool:
+    """``y`` lies in the weighted-l1 ball sum_j |y_j| sqrt(log2(j+1)) <= 1."""
+    w = np.sqrt(np.log2(np.arange(1, len(y) + 1) + 1.0))
+    return float(np.abs(y) @ w) <= 1.0 + 1e-12
+
+
+def closed_form_constant(cfg, j: int) -> int:
+    """Unrolled form W^j (d+1) + j (d+2) W^j + sum_{k<j} W^k of the
+    ``relunet.lip_bound`` recursion."""
+    d, W = cfg.d, cfg.width
+    return W ** j * (d + 1) + j * (d + 2) * W ** j + sum(W ** k for k in range(j))

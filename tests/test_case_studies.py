@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipwidth import PointSet, inner_entropy, lp_space
 from lipwidth.case_studies import (
@@ -13,6 +14,7 @@ from lipwidth.case_studies import (
     cross_polytope_width,
     diagonal_reference_upper,
     diagonal_set,
+    exact_sum,
     log_sequence_certificates,
     log_sequence_entropy_lower,
     octahedron_set,
@@ -30,6 +32,7 @@ from lipwidth.case_studies import (
     volume_condition,
 )
 from lipwidth.spaces import PreconditionError
+from oracles import diagonal_member, sequence_dense_points
 
 
 # --- sequence sets -----------------------------------------------------------
@@ -48,7 +51,7 @@ def test_sequence_distance_formula():
 def test_sequence_distances_match_dense_linf():
     spec = SequenceSetSpec(generator="power", truncation=9, c=0.7)
     ss = sequence_set(spec)
-    dense = PointSet(lp_space(9, "inf"), ss.dense_points())
+    dense = PointSet(lp_space(9, "inf"), sequence_dense_points(ss))
     for i in range(ss.size):
         assert np.allclose(ss.dist_row(i), dense.dist_row(i))
 
@@ -271,7 +274,7 @@ def test_diagonal_membership_and_reference():
     dset = diagonal_set(spec)
     assert dset.size == 32
     for p in dset.points[:4]:
-        assert spec.member(p)
+        assert diagonal_member(p)
     assert diagonal_reference_upper(4) == pytest.approx(1.0 / math.sqrt(math.log2(6)))
 
 
@@ -291,7 +294,8 @@ def test_octahedron_set_geometry():
 
 
 def test_exact_volume_sum_streams_its_terms():
-    # the same terms as one list of 10^6 floats, fed to fsum a block at a time
+    # fsum of the 10^6 terms as one list is the oracle; volume_condition makes
+    # and sums them a block at a time
     spec = SequenceSetSpec("power", 2, 1.0)
     want = math.fsum((sigma_values(spec, 10 ** 6) ** 2).tolist())
     tracemalloc.start()
@@ -302,3 +306,95 @@ def test_exact_volume_sum_streams_its_terms():
         tracemalloc.stop()
     assert cond.method == "exact-sum" and cond.lhs_upper == want
     assert peak < 24e6, peak
+
+
+# --- exact sum ---------------------------------------------------------------
+
+
+def assert_sum_is_fsum(blocks):
+    """exact_sum of the blocks has the bits of fsum of their terms in order."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    want = math.fsum(np.concatenate([np.zeros(0), *blocks]).tolist())
+    assert exact_sum(blocks).hex() == want.hex()
+
+
+def random_blocks(rng, terms):
+    cuts = np.sort(rng.integers(0, len(terms) + 1, size=int(rng.integers(0, 5))))
+    return np.split(terms, cuts)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_sum_is_fsum_on_random_sorted_and_shuffled_terms(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 500))
+    terms = rng.random(k) * 10.0 ** rng.integers(-40, 40, size=k)
+    for order in (terms, np.sort(terms)[::-1], rng.permutation(terms)):
+        assert_sum_is_fsum(random_blocks(rng, order))
+
+
+def test_exact_sum_of_zeros_subnormals_and_single_terms():
+    rng = np.random.default_rng(7)
+    tiny = np.float64(5e-324)
+    smallest_normal = np.float64(2.0 ** -1022)
+    subnormals = rng.integers(1, 1 << 52, size=1000).view(np.float64)
+    assert_sum_is_fsum([np.zeros(50)])
+    assert_sum_is_fsum([[tiny]])
+    assert_sum_is_fsum([[tiny] * 7, subnormals, [0.0, smallest_normal]])
+    assert_sum_is_fsum([np.sort(np.concatenate([subnormals, [smallest_normal] * 3]))])
+    for x in (1.0, 0.1, tiny, smallest_normal - tiny, np.finfo(float).max):
+        assert_sum_is_fsum([[x]])
+    # ties round to even once, at the end: 1 + 2^-53 and 1 + 2^-53 + 2^-106
+    assert exact_sum([[1.0, 2.0 ** -53]]) == 1.0
+    assert exact_sum([[1.0, 2.0 ** -53], [2.0 ** -106]]) == 1.0 + 2.0 ** -52
+
+
+def test_exact_sum_of_empty_blocks():
+    assert exact_sum([]) == 0.0
+    assert exact_sum([np.zeros(0), []]) == 0.0
+    assert_sum_is_fsum([[], [0.5, 0.25], np.zeros(0), [3.0], []])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_sum_is_fsum_over_the_whole_exponent_range(seed):
+    # every exponent field from subnormal to 2040 (sums stay finite)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2041 << 52, size=30)
+    bits[:2] = [0, (2041 << 52) - 1]
+    assert_sum_is_fsum(random_blocks(rng, bits.view(np.float64)))
+
+
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                max_size=60), st.integers(1, 61))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_is_fsum_or_both_overflow(terms, step):
+    terms = np.abs(np.array(terms, dtype=float))  # +0.0 for a drawn -0.0
+    blocks = [terms[i : i + step] for i in range(0, len(terms), step)]
+    try:
+        want = math.fsum(terms.tolist())
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            exact_sum(blocks)
+        return
+    assert exact_sum(blocks).hex() == want.hex()
+
+
+def test_exact_sum_of_the_power_terms_at_odd_block_sizes():
+    terms = sigma_values(SequenceSetSpec("power", 2, 1.0), 10 ** 6) ** 2
+    want = math.fsum(terms.tolist())
+    for step in (997, 8191, 123457, 10 ** 6):
+        blocks = (terms[i : i + step] for i in range(0, len(terms), step))
+        assert exact_sum(blocks) == want
+
+
+def test_exact_sum_of_a_block_longer_than_a_slice():
+    # one run of equal fields across the slice edge, then runs of every size
+    rng = np.random.default_rng(3)
+    size = (1 << 20) + 3
+    assert_sum_is_fsum([1.0 + rng.random(size)])
+    assert_sum_is_fsum([np.sort(rng.random(size) * 2.0 ** rng.integers(-60, 60, size=size))])
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, math.inf, math.nan])
+def test_exact_sum_refuses_negative_and_non_finite_terms(bad):
+    with pytest.raises(PreconditionError, match="nonnegative finite"):
+        exact_sum([[1.0, 2.0], [0.5, bad, 0.25]])

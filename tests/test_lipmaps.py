@@ -405,6 +405,7 @@ def test_allocate_scratch_stays_within_half_the_output():
     tracemalloc.start()
     try:
         alloc = allocate_dyadic_cubes(8, levels)
+        alloc.cells  # made on first access
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -506,3 +507,60 @@ def test_map_base_contract(variant):
             assert one == again
     dist = m.target_dist_batch(m.evaluate_batch(ys), [m.evaluate(y) for y in ys])
     assert np.all(dist <= 1e-12)
+
+
+@pytest.fixture
+def zorder_calls(monkeypatch):
+    """The start offsets ``lipmaps._zorder_cells`` is called with."""
+    calls = []
+    zorder_cells = lipmaps._zorder_cells
+
+    def counted(dim, digits, start, out):
+        calls.append(start)
+        zorder_cells(dim, digits, start, out)
+
+    monkeypatch.setattr(lipmaps, "_zorder_cells", counted)
+    return calls
+
+
+def test_sequence_bump_map_makes_cells_on_first_use(zorder_calls):
+    # the benchmark's log-sequence map: 4 * 10^5 bumps in dim 8 at gamma = 3
+    j = np.arange(1, 4 * 10 ** 5 + 1, dtype=float)
+    sig = 1.0 / np.log2(j + 1.0)
+    tracemalloc.start()
+    try:
+        m = build_sequence_bump_map(sig, 3.0, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
+    assert m.alloc.count == len(sig) and m.declared_lipschitz() <= 3.0
+    assert zorder_calls == [] and "cells" not in vars(m.alloc)
+    assert m.locate(m.alloc.centers()[-1]) == len(sig) - 1
+    assert zorder_calls
+
+
+def test_allocation_cells_on_first_read_match_greedy(zorder_calls):
+    j = np.arange(1, 2001, dtype=float)
+    log_levels = bump_levels(1.0 / np.log2(j + 1.0), 3.0).tolist()
+    packed = [0] * 3 + [1] * 3 + [2] * 4
+    for dim, levels in ((13, log_levels), (2, packed), (6, log_levels)):
+        alloc = allocate_dyadic_cubes(dim, levels)
+        assert zorder_calls == []
+        assert np.array_equal(alloc.cells, greedy_cells(dim, levels))
+        assert zorder_calls and alloc.cells is alloc.cells  # made once
+        zorder_calls.clear()
+        assert audit_cube_allocation(alloc)
+    with pytest.raises(PreconditionError, match="volume"):
+        allocate_dyadic_cubes(2, packed + [2])
+    assert zorder_calls == []
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_case_study_builds_cells_only_to_verify(zorder_calls, verify):
+    from lipwidth.cli import run
+    report = run({"command": "case-study", "verify_witness": verify,
+                  "target": {"kind": "case-study", "name": "log-sequence"},
+                  "params": {"n": 5, "gamma": 3.0, "max_bumps": 1000}})
+    assert report["passed"]
+    assert bool(zorder_calls) == verify

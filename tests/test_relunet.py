@@ -14,7 +14,6 @@ from lipwidth import relunet, spaces
 from lipwidth.relunet import (
     ReLUNetConfig,
     _batched_forward,
-    closed_form_constant,
     forward,
     input_grid,
     layer_output_bound,
@@ -24,6 +23,7 @@ from lipwidth.relunet import (
     verify_lipschitz,
 )
 from lipwidth.spaces import PreconditionError
+from oracles import closed_form_constant
 
 
 def test_param_count_examples():
