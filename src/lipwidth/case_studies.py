@@ -194,9 +194,6 @@ class VolumeCondition:
     lhs_upper: float
     rhs_log2: float
     method: str  # "exact-sum" | "dyadic-block" | "integral-tail"
-    n: int
-    total_terms: int
-    pieces: dict
 
 
 def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: int
@@ -206,8 +203,8 @@ def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: i
     Up to 10**6 terms, :func:`exact_sum` adds them exactly, a block of
     ``BLOCK_ELEMS // 8`` at a time, and rounds once (the float ``math.fsum``
     gives); beyond that the log generator uses the dyadic block majorant
-    sum_k 2^k k^-n (reported with its three-range split) and the power
-    generator uses the integral tail bound n0 + n0/(c n - 1).
+    sum_k 2^k k^-n and the power generator uses the integral tail bound
+    n0 + n0/(c n - 1).
     """
     if sigma_at(spec, 1) > gamma / 2.0 + 1e-15:
         raise PreconditionError("sigma_1 must not exceed gamma/2")
@@ -218,33 +215,21 @@ def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: i
         step = BLOCK_ELEMS // 8
         lhs = exact_sum(sig[i : i + step] ** n for i in range(0, total_terms, step))
         method = "exact-sum"
-        pieces = {}
     elif spec.generator == "log":
         # blocks j in [2^k, 2^(k+1)): 2^k terms, each at most k^-n (k >= 1)
         j_top = math.floor(math.log2(total_terms)) + 1
         terms = [math.exp(k * math.log(2.0) - n * math.log(k)) for k in range(1, j_top)]
         lhs = 1.0 + math.fsum(terms)
-        lo = [t for k, t in zip(range(1, j_top), terms) if k <= n / math.log(4.0)]
-        mid = [t for k, t in zip(range(1, j_top), terms)
-               if n / math.log(4.0) < k <= n / math.log(2.0)]
-        hi = [t for k, t in zip(range(1, j_top), terms) if k > n / math.log(2.0)]
-        pieces = {
-            "blocks": j_top - 1,
-            "head": 1.0 + math.fsum(lo),
-            "valley": math.fsum(mid),
-            "tail": math.fsum(hi),
-        }
         method = "dyadic-block"
     else:  # power
         if spec.c * n <= 1:
             raise PreconditionError("integral tail bound needs c*n > 1")
         n0 = max(1, math.floor(1.0 / spec.c))
         lhs = n0 + n0 / (spec.c * n - 1.0)
-        pieces = {"n0": n0}
         method = "integral-tail"
     holds = math.log(lhs) <= rhs_log2 * math.log(2.0) + 1e-12 if lhs > 0 else True
     return VolumeCondition(holds=holds, lhs_upper=lhs, rhs_log2=rhs_log2,
-                           method=method, n=n, total_terms=total_terms, pieces=pieces)
+                           method=method)
 
 
 def sequence_width_upper(spec_generator: str, gamma: float, n: int,
@@ -345,12 +330,13 @@ def log_sequence_certificates(n: int, gamma: float = 3.0,
     upper = sequence_width_upper("log", gamma, n, total,
                                  max_bumps=max_bumps,
                                  value_override=rate_value)
-    spec = SequenceSetSpec(generator="log", truncation=2 ** min(n + 4, 14))
-    sset = sequence_set(spec)
-    lower = width_lower_certified(sset, n, gamma, count_log2=sset.packing_count_log2)
+    # the lower certificate reads only the diameter sigma_1 and the closed-form
+    # packing counts, so the entropy set serves it whatever its truncation
     ent_spec = SequenceSetSpec(generator="log", truncation=2 ** min(n + 2, 14))
-    ent = inner_entropy(sequence_set(ent_spec), n)
-    sigma_exact = sigma_at(spec, 2 ** n)
+    sset = sequence_set(ent_spec)
+    lower = width_lower_certified(sset, n, gamma, count_log2=sset.packing_count_log2)
+    ent = inner_entropy(sset, n)
+    sigma_exact = sigma_at(ent_spec, 2 ** n)
     return LogSequenceReport(
         n=n,
         gamma=gamma,

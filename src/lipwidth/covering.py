@@ -17,8 +17,9 @@ by branch and bound; on larger sets every reported bound is witnessed:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -283,22 +284,6 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
 # ---------------------------------------------------------------------------
 
 
-def _first_index(holds: Callable[[int], bool], hi: int) -> int:
-    """Smallest i in [0, hi] with holds(i), by bisection.
-
-    holds(hi) is taken as given and never evaluated.  A positive result i
-    means holds(i - 1) was evaluated and was false.
-    """
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     """Certified bracket [lower, upper] for the inner entropy number.
 
@@ -352,7 +337,9 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
         return covers[i] is not None
 
     top = dist.size  # one ball covers the set at its diameter
-    up = _first_index(fits, top)
+    # bisect_left never calls its key at ``top``; a positive index i means
+    # the key was false at i - 1
+    up = bisect_left(range(top), True, key=fits)
     if up == top:
         fits(top)
     if exact:
@@ -367,7 +354,7 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
             return counts[i] <= budget
 
         # at r_up a cover of at most 2**n balls exists, so the bound clears there
-        low = _first_index(clears, up)
+        low = bisect_left(range(up), True, key=clears)
         count = counts.get(low - 1)
     kind = "exact-cover" if exact else "maximal-packing-cover"
     return EntropyEstimate(

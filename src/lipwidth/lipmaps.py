@@ -299,52 +299,12 @@ class CubeAllocation:
         return -1.0 + self.cells * side
 
 
-def _spread_tables(dim: int) -> tuple:
-    """Per code byte k, the 256 bit-spreads of that byte's Morton bits.
-
-    Code bit p is bit p // dim of axis dim - 1 - p % dim (axis 0 is the high
-    bit of each digit).  Entry v of table k holds every set bit of byte value
-    v moved to that axis's ``64 // dim``-bit lane, so OR-ing one entry per
-    byte leaves each axis's cell in its own lane.  Bits past the 62 // dim
-    digits an int64 code can hold get no entry, so every entry stays below
-    2**63.
-    """
-    lane = 64 // dim
-    weight = np.array([1 << ((dim - 1 - p % dim) * lane + p // dim)
-                       if p < dim * (62 // dim) else 0 for p in range(64)], dtype=np.int64)
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    return tuple(bits @ w for w in weight.reshape(8, 8))
-
-
-def _deinterleave(codes: np.ndarray, dim: int, digits: int, out: np.ndarray) -> None:
-    """Write the per-axis coordinates of int64 Morton codes of ``digits``
-    dim-bit digits (``digits <= 62 // dim``) into ``out``, shape
-    ``(len(codes), dim)``.  Axis 0 is the high bit of each digit.
-
-    One table lookup per code byte gathers every axis into its lane of one
-    accumulator; one shift and mask per axis then fills its column.
-    """
-    lane = 64 // dim
-    acc = np.zeros_like(codes)
-    byte = np.empty_like(codes)
-    spread = np.empty_like(codes)
-    tables = _spread_tables(dim)
-    for k in range(-(-dim * digits // 8)):
-        np.right_shift(codes, 8 * k, out=byte)
-        byte &= 0xFF
-        np.take(tables[k], byte, out=spread, mode="clip")  # unbuffered; bytes are in range
-        acc |= spread
-    for a in range(dim):
-        np.right_shift(acc, a * lane, out=byte)
-        byte &= (1 << digits) - 1
-        out[:, a] = byte
-
-
 def _zorder_cells(dim: int, digits: int, start: int, out: np.ndarray) -> None:
     """Write the cells of the Morton codes ``start, ..., start + len(out) - 1``
     into ``out``, in chunks of at most ``BLOCK_ELEMS`` entries.
 
-    The low digits (at most 62 bits) are de-interleaved in int64.  Wider
+    The low digits (at most 62 bits) are de-interleaved in int64, one bit
+    per (digit, axis) pass; axis 0 is the high bit of each digit.  Wider
     codes take their few high digits from Python ints, one per distinct
     carry out of the low part.
     """
@@ -358,7 +318,10 @@ def _zorder_cells(dim: int, digits: int, start: int, out: np.ndarray) -> None:
         if digits > low:
             carry = codes >> (dim * low)
             codes &= mask
-        _deinterleave(codes, dim, low, cells)
+        cells[:] = 0
+        for b in range(low):
+            for a in range(dim):
+                cells[:, a] |= ((codes >> (b * dim + dim - 1 - a)) & 1) << b
         if digits > low:
             for c in np.unique(carry).tolist():
                 high = (start >> (dim * low)) + c

@@ -116,7 +116,6 @@ class LipBoundTrace:
     constants: tuple          # C_0..C_n, exact ints
     final: int                # C_n
     coarse: int               # (2d+4) * n * W^n
-    coarse_coeff: int         # 2d+4
 
 
 def lip_bound(cfg: ReLUNetConfig) -> LipBoundTrace:
@@ -125,8 +124,7 @@ def lip_bound(cfg: ReLUNetConfig) -> LipBoundTrace:
     consts = [d + 1]
     for j in range(1, n + 1):
         consts.append(W * consts[-1] + (d + 2) * W ** j + 1)
-    coeff = 2 * d + 4
-    coarse = coeff * n * W ** n
+    coarse = (2 * d + 4) * n * W ** n
     if consts[-1] >= coarse:
         raise AssertionError("recursion constant not below the coarse bound")
     return LipBoundTrace(
@@ -134,7 +132,6 @@ def lip_bound(cfg: ReLUNetConfig) -> LipBoundTrace:
         constants=tuple(consts),
         final=consts[-1],
         coarse=coarse,
-        coarse_coeff=coeff,
     )
 
 

@@ -107,10 +107,6 @@ def test_volume_condition_block_bound():
         assert cond.method == "dyadic-block"
         assert cond.holds
         assert cond.lhs_upper < 6.0 + 2.0 * math.e
-        pieces = cond.pieces
-        assert pieces["head"] + pieces["valley"] + pieces["tail"] == pytest.approx(
-            cond.lhs_upper, rel=1e-12
-        )
 
 
 def test_volume_condition_block_dominates_exact():

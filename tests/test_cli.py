@@ -294,6 +294,17 @@ def _exit_code(argv):
         return exc.code
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--n", "1", "--target-json", '{"kind": "random", "m": 6}'],
+    ["audit-all"],
+    ["relu-verify", "--d", "1", "--width", "2", "--depth", "1", "--trials", "10"],
+], ids=["entropy-random", "audit-all", "relu-verify"])
+def test_negative_seed_is_usage_error(capsys, argv):
+    # seeds are U64: numpy refuses a negative one, and relu-verify would mask it
+    assert _exit_code(argv + ["--seed=-1"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 _RANDOM6 = json.dumps({"kind": "random", "m": 6})
 _NON_FINITE_FLAGS = {
     "eps-inf": ["packing", "--eps", "inf", "--target-json", _RANDOM6],

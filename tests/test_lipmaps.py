@@ -374,14 +374,18 @@ def zorder_cells_python(dim, digits, start, count):
 
 @pytest.mark.parametrize("dim", range(1, 14))
 def test_deinterleave_matches_per_bit_oracle(dim):
+    # runs of int64 codes from random starts, at 1, half and all of the
+    # digits below the 62-bit boundary; the last run ends at the top code
     rng = np.random.default_rng(dim)
-    widest = 62 // dim  # codes up to the 62-bit boundary
+    widest = 62 // dim
     for digits in (1, (widest + 1) // 2, widest):
         top = 1 << (dim * digits)
-        codes = np.concatenate([[0, top - 1], rng.integers(0, top, size=3000)])
-        out = np.empty((len(codes), dim), dtype=np.int64)
-        lipmaps._deinterleave(codes, dim, digits, out)
-        assert np.array_equal(out, deinterleave_per_bit(codes, dim, digits))
+        count = min(top, 600)
+        for start in (0, int(rng.integers(0, top - count + 1)), top - count):
+            out = np.empty((count, dim), dtype=np.int64)
+            lipmaps._zorder_cells(dim, digits, start, out)
+            codes = np.arange(start, start + count, dtype=np.int64)
+            assert np.array_equal(out, deinterleave_per_bit(codes, dim, digits))
 
 
 @pytest.mark.parametrize("block_elems", [1 << 20, 40])
@@ -558,9 +562,14 @@ def test_allocation_cells_on_first_read_match_greedy(zorder_calls):
 
 @pytest.mark.parametrize("verify", [False, True])
 def test_case_study_builds_cells_only_to_verify(zorder_calls, verify):
-    from lipwidth.cli import run
-    report = run({"command": "case-study", "verify_witness": verify,
-                  "target": {"kind": "case-study", "name": "log-sequence"},
-                  "params": {"n": 5, "gamma": 3.0, "max_bumps": 1000}})
-    assert report["passed"]
-    assert bool(zorder_calls) == verify
+    # the sequence studies at the inputs audit-all runs them at; the
+    # benchmark's case-study jobs run them without --verify-witness
+    from lipwidth.cli import _CASES, run
+    for name in ("log-sequence", "power-sequence"):
+        target, params = _CASES[name].audit_inputs
+        report = run({"command": "case-study", "verify_witness": verify,
+                      "target": dict(target, kind="case-study", name=name),
+                      "params": params})
+        assert report["passed"]
+        assert bool(zorder_calls) == verify
+        zorder_calls.clear()

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lipwidth import (
 )
 from lipwidth import spaces
 from lipwidth.case_studies import UniformBasisSet
-from lipwidth.covering import _first_index, covering_lower_bound, greedy_packing, inner_entropy
+from lipwidth.covering import covering_lower_bound, greedy_packing, inner_entropy
 from lipwidth.spaces import BLOCK_ELEMS, DENSE_LIMIT, NORM_KINDS
 
 
@@ -310,10 +311,10 @@ def _entropy_oracle(ps, n):
         return counts[i] <= budget
 
     top = radii.size - 1
-    up = _first_index(fits, top)
+    up = bisect_left(range(top), True, key=fits)
     if up == top:
         fits(top)
-    low = _first_index(clears, up)
+    low = bisect_left(range(up), True, key=clears)
     return (float(radii[low]), float(radii[up]), list(packs[up].indices),
             float(radii[low - 1]) if low else None, counts[low - 1] if low else None)
 
