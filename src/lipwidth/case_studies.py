@@ -86,24 +86,12 @@ class SequenceSet(FiniteSet):
         self.spec = spec
         self.size = len(sig) + 1
         self.space = NormedSpace(len(sig), "linf")
-
-    def dist_row(self, i: int) -> np.ndarray:
-        m = len(self.sigmas)
-        row = np.empty(self.size)
-        if i < m:
-            row[:i] = self.sigmas[:i]
-            row[i] = 0.0
-            row[i + 1 :] = self.sigmas[i]
-        else:
-            row[:m] = self.sigmas
-            row[m] = 0.0
-        return row
+        self._amp = np.append(sig, sig[-1])  # sigma_1..sigma_M, and sigma_M for the origin
 
     def dist_rows(self, lo: int, hi: int) -> np.ndarray:
-        # d(i, j) = sigmas[min(i, j, M - 1)] off the diagonal, the origin M included
-        k = np.minimum(np.arange(self.size), len(self.sigmas) - 1)
-        rows = self.sigmas[np.minimum.outer(k[lo:hi], k)]
-        rows[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        # sigma decreases, so d(i, j) = sigma_{min(i,j)+1} = max(amp_i, amp_j) for i != j
+        rows = np.maximum.outer(self._amp[lo:hi], self._amp)
+        rows.reshape(-1)[lo :: self.size + 1] = 0.0  # entries (i - lo, i): the diagonal
         return rows
 
     def diameter(self) -> float:
@@ -334,7 +322,7 @@ def log_sequence_certificates(n: int, gamma: float = 3.0,
     # packing counts, so the entropy set serves it whatever its truncation
     ent_spec = SequenceSetSpec(generator="log", truncation=2 ** min(n + 2, 14))
     sset = sequence_set(ent_spec)
-    lower = width_lower_certified(sset, n, gamma, count_log2=sset.packing_count_log2)
+    lower = width_lower_certified(sset, n, gamma)
     ent = inner_entropy(sset, n)
     sigma_exact = sigma_at(ent_spec, 2 ** n)
     return LogSequenceReport(
@@ -395,14 +383,9 @@ class UniformBasisSet(FiniteSet):
         self.space = NormedSpace(count, "l2")
         self._d = math.sqrt(2.0)
 
-    def dist_row(self, i: int) -> np.ndarray:
-        row = np.full(self.size, self._d)
-        row[i] = 0.0
-        return row
-
     def dist_rows(self, lo: int, hi: int) -> np.ndarray:
         rows = np.full((hi - lo, self.size), self._d)
-        rows[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        rows.reshape(-1)[lo :: self.size + 1] = 0.0  # entries (i - lo, i): the diagonal
         return rows
 
     def diameter(self) -> float:

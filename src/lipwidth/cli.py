@@ -83,9 +83,10 @@ def _check(value, schema: dict, path: str) -> None:
 
     Covers the JSON Schema subset that config.schema.json uses: type, enum,
     const, required, properties, additionalProperties: false, items, minimum,
-    exclusiveMinimum, allOf and if/then.  JSON booleans are neither integers
-    nor numbers.  Beyond JSON Schema, numbers must be finite: RFC 8259 JSON
-    has no inf or nan, though float flags and ``json.load`` accept them.
+    maximum, exclusiveMinimum, allOf and if/then.  JSON booleans are neither
+    integers nor numbers.  Beyond JSON Schema, numbers must be finite: RFC
+    8259 JSON has no inf or nan, though float flags and ``json.load`` accept
+    them.
     """
     kind = schema.get("type")
     if kind is not None and (not isinstance(value, _JSON_TYPES[kind]) or (
@@ -99,6 +100,8 @@ def _check(value, schema: dict, path: str) -> None:
         raise UsageError(f"{path} must be {schema['const']!r}, not {value!r}")
     if "minimum" in schema and value < schema["minimum"]:
         raise UsageError(f"{path} must be >= {schema['minimum']}")
+    if "maximum" in schema and value > schema["maximum"]:
+        raise UsageError(f"{path} must be <= {schema['maximum']}")
     if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
         raise UsageError(f"{path} must be > {schema['exclusiveMinimum']}")
     if isinstance(value, dict):
@@ -295,9 +298,7 @@ def _run_width_lower(cfg, seed):
         if gamma <= 0:
             raise PreconditionError("the target's diameter is zero, so the default "
                                     "gamma = 2 * radius is 0; pass gamma")
-    # a set with a closed-form packing count (the sequence sets) needs no packing
-    count_log2 = getattr(fset, "packing_count_log2", None)
-    cert = _jsonify(width_lower_certified(fset, n, gamma, count_log2=count_log2).to_json())
+    cert = _jsonify(width_lower_certified(fset, n, gamma).to_json())
     return [cert], [{"name": "width-lower", "passed": recheck(cert, fset)}]
 
 

@@ -1,11 +1,11 @@
 """Normed spaces, finite point clouds, and elementary size measures.
 
 A :class:`NormedSpace` fixes the ambient norm; a :class:`FiniteSet` is the
-computational stand-in for a compact set.  Distances are served row by row,
-or as blocks of consecutive rows (``dist_rows``) of at most ``BLOCK_ELEMS``
-(2^16) entries, so that closed-form (oracle) sets can avoid materialising
-either the coordinates or the full distance matrix, and scans run over
-L2-sized blocks instead of one row at a time.
+computational stand-in for a compact set.  Distances are served as blocks of
+consecutive rows (``dist_rows``) of at most ``BLOCK_ELEMS`` (2^16) entries, a
+row being a one-row block, so that closed-form (oracle) sets can avoid
+materialising either the coordinates or the full distance matrix, and scans
+run over L2-sized blocks instead of one row at a time.
 """
 
 from __future__ import annotations
@@ -133,10 +133,10 @@ def row_blocks(fset: FiniteSet):
 
 
 class FiniteSet:
-    """Base class: a finite metric sample with row-wise distance access.
+    """Base class: a finite metric sample with block-wise distance access.
 
-    Subclasses must provide ``size``, ``space``, and ``dist_row``, and may
-    override ``dist_rows`` with a block kernel and ``diameter``,
+    Subclasses must provide ``size``, ``space``, and the block kernel
+    ``dist_rows``; a row is a one-row block.  They may override ``diameter``,
     ``distinct_distances`` and ``points_apart`` with closed forms.  A set
     holds no search state: entropy searches for every n read one array of
     distinct distances, which a subclass may keep (a dense set: its matrix
@@ -152,14 +152,12 @@ class FiniteSet:
         radius in closed form only on True."""
         return None
 
-    def dist_row(self, i: int) -> np.ndarray:
+    def dist_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Distance rows lo..hi-1 as one (hi - lo, size) array."""
         raise NotImplementedError
 
-    def dist_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Distance rows lo..hi-1 as one (hi - lo, size) array; one row is a view."""
-        if hi - lo == 1:
-            return self.dist_row(lo)[None]
-        return np.stack([self.dist_row(i) for i in range(lo, hi)])
+    def dist_row(self, i: int) -> np.ndarray:
+        return self.dist_rows(i, i + 1)[0]
 
     def diameter(self) -> float:
         return max(float(block.max()) for _, block in row_blocks(self))
@@ -285,9 +283,6 @@ class PointSet(FiniteSet):
         if self._matrix is not None:
             return self._matrix[lo:hi]
         return self._rows(lo, hi)
-
-    def dist_row(self, i: int) -> np.ndarray:
-        return self.dist_rows(i, i + 1)[0]
 
     def dist_to(self, x) -> np.ndarray:
         """Distances from an arbitrary ambient point to every set point."""

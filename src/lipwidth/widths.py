@@ -158,27 +158,21 @@ def default_eps_grid(diam: float) -> np.ndarray:
     return np.geomspace(diam / 2.0 ** 16, diam, 64)
 
 
-def width_lower_certified(fset: FiniteSet, n: int, gamma: float,
-                          eps_grid=None,
-                          count_log2: Optional[Callable[[float], float]] = None
-                          ) -> WidthCertificate:
-    """Lower certificate: d_n^gamma >= eps whenever N_{2 eps} > (3 gamma/eps)^n.
+def width_lower_certified(fset: FiniteSet, n: int, gamma: float) -> WidthCertificate:
+    """Lower certificate: d_n^gamma >= eps whenever N_{2 eps} > (3 gamma/eps)^n,
+    tried at each radius of ``default_eps_grid``, largest first.
 
     The outer covering number is lower-bounded by a maximal packing at
     4*eps (two points more than 4*eps apart cannot share a 2*eps outer
-    ball).  ``count_log2`` may supply log2 of a certified packing count in
-    closed form, for generator-backed sets whose witnesses are too large
-    to materialise.
+    ball).  A set that defines ``packing_count_log2`` (the sequence sets)
+    supplies log2 of a certified packing count in closed form instead, as
+    its witnesses are too large to materialise.
     """
     if gamma <= 0:
         raise PreconditionError("gamma must be positive")
-    if eps_grid is None:
-        eps_grid = default_eps_grid(fset.diameter())
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if eps_grid.size == 0 or np.any(eps_grid <= 0):
-        raise PreconditionError("eps grid must hold positive values")
+    count_log2 = getattr(fset, "packing_count_log2", None)
     max_countable = math.log2(fset.size + 1)
-    for eps in sorted(eps_grid, reverse=True):
+    for eps in default_eps_grid(fset.diameter())[::-1]:
         thr_log2 = n * math.log2(3.0 * gamma / eps)
         if count_log2 is not None:
             have = count_log2(4.0 * eps)

@@ -300,9 +300,13 @@ def _exit_code(argv):
     ["relu-verify", "--d", "1", "--width", "2", "--depth", "1", "--trials", "10"],
 ], ids=["entropy-random", "audit-all", "relu-verify"])
 def test_negative_seed_is_usage_error(capsys, argv):
-    # seeds are U64: numpy refuses a negative one, and relu-verify would mask it
+    # seeds are U64: numpy refuses a negative one, and relu-verify would mask
+    # 2^64 to 0; the largest U64 runs
     assert _exit_code(argv + ["--seed=-1"]) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
+    assert _exit_code(argv + [f"--seed={2 ** 64}"]) == 1
+    assert f"seed must be <= {2 ** 64 - 1}" in capsys.readouterr().err
+    assert _exit_code(argv + [f"--seed={2 ** 64 - 1}"]) == 0
 
 
 _RANDOM6 = json.dumps({"kind": "random", "m": 6})
@@ -463,6 +467,7 @@ def test_validator_agrees_with_jsonschema():
          "target": {"kind": "random", "m": 15, "dim": 2, "norm": "l2"},
          "params": {"n": 2, "gamma_schedule": {"type": "entropy-scaled", "k": 1}}},
         {"command": "audit-all", "seed": 7, "out": "reports", "format": "both"},
+        {"command": "relu-verify", "seed": 2 ** 64 - 1},
     ]
     rejected = list(_SCHEMA_VIOLATIONS.values()) + [
         {}, [], {"command": "frobnicate"}, {"command": "entropy", "bogus": 1},
@@ -470,6 +475,7 @@ def test_validator_agrees_with_jsonschema():
         {"command": "entropy", "format": "xml"},
         {"command": "entropy", "seed": True},
         {"command": "entropy", "seed": 1.5},
+        {"command": "entropy", "seed": 2 ** 64},
         {"command": "entropy", "target": dict(points, points=[[1.0, "x"]])},
     ]
     reference = jsonschema.Draft7Validator(CONFIG_SCHEMA)
@@ -578,6 +584,20 @@ def test_width_lower_ignores_case_study_name_on_other_targets():
     assert cert["value"] == 0.0
     assert cert["witness"]["count_source"] == "none-qualified"
     assert report["passed"]
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_width_lower_on_random_target_never_reports_closed_form(norm):
+    # a random cloud has no closed-form count: its certificates pack or are vacuous
+    sources = set()
+    for seed, params in ((0, {"n": 1, "gamma": 0.05}), (1, {"n": 2, "gamma": 0.05}),
+                         (2, {"n": 1}), (3, {"n": 3, "gamma": 1.0})):
+        report = run({"command": "width-lower", "seed": seed, "params": params,
+                      "target": {"kind": "random", "m": 30, "dim": 2, "norm": norm},
+                      "verify_witness": True})
+        assert report["passed"]
+        sources.add(report["certificates"][0]["witness"]["count_source"])
+    assert "closed-form" not in sources and "materialized-packing" in sources
 
 
 @pytest.mark.parametrize("params", [{"n": 1, "subspace_axes": [5]}, {"n": 3}],

@@ -24,6 +24,7 @@ from lipwidth.covering import (
     packing_is_maximal,
 )
 from lipwidth.spaces import DENSE_LIMIT, PreconditionError
+from oracles import sequence_dense_points
 
 # ---------------------------------------------------------------------------
 # per-row oracles
@@ -257,14 +258,28 @@ def test_lower_bound_reads_each_row_once_and_skips_near(monkeypatch):
         assert rows == sorted(set(rows)), eps  # no row twice
 
 
-@pytest.mark.parametrize("fset", [UniformBasisSet(300),
-                                  sequence_set(SequenceSetSpec(generator="log", truncation=300))],
-                         ids=["basis", "log-sequence"])
-def test_oracle_block_kernels_equal_stacked_rows(fset):
+def _basis_dense(basis):
+    return math.sqrt(2.0) * (1.0 - np.eye(basis.size))
+
+
+def _sequence_dense(ss):
+    pts = sequence_dense_points(ss)
+    space = NormedSpace(pts.shape[1], "linf")
+    return np.stack([space.norm(pts - p) for p in pts])
+
+
+@pytest.mark.parametrize("fset,dense", [
+    (UniformBasisSet(300), _basis_dense),
+    (sequence_set(SequenceSetSpec(generator="log", truncation=300)), _sequence_dense),
+], ids=["basis", "log-sequence"])
+def test_oracle_block_kernels_equal_dense_distances(fset, dense):
+    # the closed-form blocks against the distances of the dense points
     m = fset.size  # the sequence set's last row is the origin
+    want = dense(fset)
     for lo, hi in ((0, 1), (150, 151), (m - 1, m), (0, 40), (120, 161), (m - 7, m), (0, m)):
-        want = np.stack([fset.dist_row(i) for i in range(lo, hi)])
-        assert fset.dist_rows(lo, hi).tobytes() == want.tobytes(), (lo, hi)
+        assert fset.dist_rows(lo, hi).tobytes() == want[lo:hi].tobytes(), (lo, hi)
+    for i in (0, 150, m - 1):
+        assert fset.dist_row(i).tobytes() == want[i].tobytes(), i
 
 
 def test_cover_masks_match_rows():

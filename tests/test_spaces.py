@@ -17,7 +17,6 @@ from lipwidth import (
     step_space,
 )
 from lipwidth import spaces
-from lipwidth.case_studies import UniformBasisSet
 from lipwidth.covering import covering_lower_bound, greedy_packing, inner_entropy
 from lipwidth.spaces import BLOCK_ELEMS, DENSE_LIMIT, NORM_KINDS
 
@@ -242,17 +241,6 @@ def test_dist_rows_of_dense_set_slices_the_cache():
     block = ps.dist_rows(5, 9)
     assert np.shares_memory(block, ps._matrix)
     assert np.array_equal(block, ps.matrix()[5:9])
-
-
-def test_base_dist_rows_serves_one_row_without_copy():
-    # the base class's stacking fallback; the oracle sets have block kernels
-    class RowOnly(spaces.FiniteSet):
-        size = 12
-
-    basis = RowOnly()
-    row = UniformBasisSet(12).dist_row(3)
-    basis.dist_row = lambda i: row
-    assert np.shares_memory(basis.dist_rows(3, 4), row)
 
 
 def _unique_positive(ps):

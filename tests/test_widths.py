@@ -24,13 +24,13 @@ from lipwidth.case_studies import (
     UniformBasisSet,
     diagonal_reference_upper,
     diagonal_set,
-    sequence_packing_count_log2,
     sequence_set,
     cross_polytope_width,
     octahedron_set,
 )
 from lipwidth.spaces import PreconditionError
 from lipwidth.widths import best_coordinate_subspace, default_eps_grid
+from oracles import sequence_dense_points
 
 
 def test_fixed_width_zero_on_own_covering():
@@ -110,19 +110,22 @@ def test_width_lower_sound_below_upper():
 
 
 def test_width_lower_closed_form_counts_log_sequence():
-    # materialised packings can never clear the (3 gamma/eps)^n threshold,
-    # but generator counts of the untruncated set can
-    spec = SequenceSetSpec(generator="log", truncation=2 ** 14)
-    sset = sequence_set(spec)
-    cert_mat = width_lower_certified(sset, 4, 3.0)
-    assert cert_mat.value == 0.0
-    cert = width_lower_certified(
-        sset, 4, 3.0, count_log2=lambda t: sequence_packing_count_log2(spec, t)
-    )
+    # the set's generator counts of the untruncated set clear the
+    # (3 gamma/eps)^n threshold
+    sset = sequence_set(SequenceSetSpec(generator="log", truncation=2 ** 14))
+    cert = width_lower_certified(sset, 4, 3.0)
+    assert cert.witness["count_source"] == "closed-form"
     assert cert.value > 0.0
     # soundness: the closed-form count at the chosen eps clears the threshold
     w = cert.witness
     assert w["count_log2"] > w["threshold_log2"]
+    # materialised packings of a dense copy of a truncation, which has no
+    # closed form, never can
+    dense = PointSet(NormedSpace(63, "linf"), sequence_dense_points(
+        sequence_set(SequenceSetSpec(generator="log", truncation=63))))
+    cert_mat = width_lower_certified(dense, 4, 3.0)
+    assert cert_mat.witness["count_source"] == "none-qualified"
+    assert cert_mat.value == 0.0
 
 
 def test_width_lower_basis_cloud_positive():
