@@ -680,6 +680,20 @@ _GOLDEN = {
     "audit-all-seed7": (
         {"command": "audit-all", "seed": 7},
         "5f7a59a17f3df721638219e3c7fb2968155adb635cad5a68c502f09afabed3c9"),
+    # each moves if its study's default truncation (256, 64) or grid (1024) moves
+    "entropy-power-sequence-c05-witness": (
+        {"command": "entropy", "seed": 0,
+         "target": {"kind": "case-study", "name": "power-sequence", "c": 0.5},
+         "params": {"n_values": [2, 8]}, "verify_witness": True},
+        "b23fdfab97a59fcb521dc9e6a136de055b4b59764bc33c4421821edb1088b2a1"),
+    "entropy-transport-default-grid-witness": (
+        {"command": "entropy", "seed": 0, "target": {"kind": "case-study", "name": "transport"},
+         "params": {"n_values": [3, 10]}, "verify_witness": True},
+        "8e8158a8d423c54425a2c46dda2cd0d6bebc44c1cee94f83b53a2867bc41a13c"),
+    "packing-diagonal-default-truncation-witness": (
+        {"command": "packing", "seed": 0, "target": {"kind": "case-study", "name": "diagonal"},
+         "verify_witness": True},
+        "6ce7c46a224ce3ea474d55c2beda8b2fe95e42df9b5f6a54673f9f97023d0fb9"),
 }
 
 
