@@ -287,55 +287,42 @@ def recheck_dyadic_bump_map(cert: dict, fset=None) -> bool:
 # --- log-decay sharpness -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogSequenceReport:
-    n: int
-    gamma: float
-    upper: WidthCertificate
-    lower: WidthCertificate
-    entropy_bracket: tuple
-    entropy_spec: SequenceSetSpec  # the set the bracket is taken on
-    entropy_exact: float      # sigma_{2^n}, the exact inner entropy number
-    entropy_rate: float       # 1/n, the headline rate
-    rate_ratio: float         # upper.value / entropy_rate
-
-
 def log_sequence_certificates(n: int, gamma: float = 3.0,
-                              max_bumps: int = EXACT_SUM_LIMIT) -> LogSequenceReport:
-    """Two-sided width certificates for the log-decay sequence set.
+                              max_bumps: int = EXACT_SUM_LIMIT) -> tuple[list, list]:
+    """Two-sided width certificates for the log-decay sequence set, the
+    entropy bracket on a materialised truncation, and their audits.
 
     Upper: sigma_N with N = (n+1)^n, reported at the rate value
     1/(n log2(n+1)) >= sigma_N.  Lower: covering-count certificate with
     packing counts taken from the generator's closed form (any truncation
     large enough to materialise the witness would need ~2**(1/eps) points).
+    The entropy reference is sigma_{2^n}, the exact inner entropy number.
     """
     if n < 5:
         raise PreconditionError("the sharpness construction needs n >= 5")
     if gamma < 3.0:
         raise PreconditionError("gamma >= 3 required here")
-    total = (n + 1) ** n
     rate_value = 1.0 / (n * math.log2(n + 1))
-    upper = sequence_width_upper("log", gamma, n, total,
-                                 max_bumps=max_bumps,
-                                 value_override=rate_value)
+    upper = sequence_width_upper("log", gamma, n, (n + 1) ** n,
+                                 max_bumps=max_bumps, value_override=rate_value)
     # the lower certificate reads only the diameter sigma_1 and the closed-form
     # packing counts, so the entropy set serves it whatever its truncation
     ent_spec = SequenceSetSpec(generator="log", truncation=2 ** min(n + 2, 14))
     sset = sequence_set(ent_spec)
     lower = width_lower_certified(sset, n, gamma)
     ent = inner_entropy(sset, n)
-    sigma_exact = sigma_at(ent_spec, 2 ** n)
-    return LogSequenceReport(
-        n=n,
-        gamma=gamma,
-        upper=upper,
-        lower=lower,
-        entropy_bracket=(ent.lower, ent.upper),
-        entropy_spec=ent_spec,
-        entropy_exact=sigma_exact,
-        entropy_rate=1.0 / n,
-        rate_ratio=upper.value / (1.0 / n),
-    )
+    ref = sigma_at(ent_spec, 2 ** n)
+    certs = [upper.to_json(), lower.to_json(),
+             {"quantity": "inner_entropy", "n": n, "lower": ent.lower, "upper": ent.upper,
+              "reference": ref,
+              "set": {"generator": "log", "truncation": ent_spec.truncation}}]
+    audits = [
+        {"name": "upper-equals-rate", "passed": abs(upper.value - rate_value) <= 1e-12},
+        {"name": "entropy-bracket-contains-reference", "passed":
+            ent.lower <= ref * (1 + 1e-9) and ent.upper >= ref * (1 - 1e-9)},
+        {"name": "lower-positive-below-upper", "passed": 0 < lower.value <= upper.value},
+    ]
+    return certs, audits
 
 
 # --- power-decay collapse ----------------------------------------------------
@@ -360,12 +347,6 @@ def power_collapse_index(c: float, gamma: float) -> int:
         n += 1
         if n > 10 ** 6:
             raise PreconditionError("no collapse index found below 10^6")
-
-
-def power_width_upper(c: float, gamma: float, n: int, total_terms: int,
-                      max_bumps: int = EXACT_SUM_LIMIT) -> WidthCertificate:
-    """Upper certificate sigma_N = N^-c for the power-decay set."""
-    return sequence_width_upper("power", gamma, n, total_terms, c=c, max_bumps=max_bumps)
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +384,15 @@ def basis_cloud(m: int) -> UniformBasisSet:
     return UniformBasisSet(2 ** m + 1)
 
 
-@dataclass(frozen=True)
-class BasisThresholdReport:
-    m: int
-    gamma: float
-    s: int
-    threshold_lhs: float   # sqrt(2) / (12 gamma)
-    threshold_rhs: float   # 4 * 2**(-m/s)
-    regime_certified: bool  # lhs > rhs forces 3 d_s^gamma >= sqrt(2)
-    entropy_value: float    # sqrt(2), all k <= m
-    entropy_brackets: dict
-
-
 def orthonormal_basis_report(m: int, gamma: float, s: int,
-                             entropy_ks: Optional[list] = None) -> BasisThresholdReport:
-    """Entropy saturation and width threshold for the basis cloud.
+                             entropy_ks: Optional[list] = None) -> dict:
+    """The ``basis_threshold`` certificate: entropy saturation and width
+    threshold for the basis cloud.
 
     All pairwise distances equal sqrt(2), so every inner entropy number up
     to index m equals sqrt(2).  When sqrt(2)/(12 gamma) > 4 * 2**(-m/s) the
-    packing argument certifies 3 d_s^gamma >= sqrt(2); otherwise no claim.
+    packing argument certifies 3 d_s^gamma >= sqrt(2) (``regime_certified``);
+    otherwise no claim.
     """
     if m < 1 or s < 1:
         raise PreconditionError("m and s must be positive")
@@ -432,14 +403,10 @@ def orthonormal_basis_report(m: int, gamma: float, s: int,
     brackets = {}
     for k in ks:
         est = inner_entropy(cloud, k)
-        brackets[int(k)] = (est.lower, est.upper)
-    return BasisThresholdReport(
-        m=m, gamma=gamma, s=s,
-        threshold_lhs=lhs, threshold_rhs=rhs,
-        regime_certified=lhs > rhs,
-        entropy_value=math.sqrt(2.0),
-        entropy_brackets=brackets,
-    )
+        brackets[str(k)] = [est.lower, est.upper]
+    return {"quantity": "basis_threshold", "m": m, "gamma": gamma, "s": s,
+            "threshold_lhs": lhs, "threshold_rhs": rhs, "regime_certified": lhs > rhs,
+            "entropy_brackets": brackets}
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +447,8 @@ class TransportSet(PointSet):
         return basis
 
 
-@dataclass(frozen=True)
-class TransportSpec:
-    grid: int = 1024
-
-    def __post_init__(self):
-        if self.grid < 2:
-            raise PreconditionError("grid must be at least 2")
-
-
-def transport_set(spec: TransportSpec) -> TransportSet:
-    return TransportSet(spec.grid)
+def transport_set(grid: int) -> TransportSet:
+    return TransportSet(grid)
 
 
 def transport_reference() -> dict:
@@ -564,19 +522,12 @@ def recheck_affine_ball(cert: dict, fset: FiniteSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalSetSpec:
-    """Vertices +-e_j / sqrt(log2(j+1)) of the weighted-l1 ball sample."""
-
-    truncation: int = 64
-
-    def __post_init__(self):
-        if self.truncation < 2:
-            raise PreconditionError("truncation must be at least 2")
-
-
-def diagonal_set(spec: DiagonalSetSpec) -> PointSet:
-    m = spec.truncation
+def diagonal_set(truncation: int) -> PointSet:
+    """Vertices +-e_j / sqrt(log2(j+1)), j <= truncation, of the weighted-l1
+    ball sample."""
+    if truncation < 2:
+        raise PreconditionError("truncation must be at least 2")
+    m = truncation
     w = np.sqrt(np.log2(np.arange(1, m + 1) + 1.0))
     pts = np.concatenate([np.diag(1.0 / w), np.diag(-1.0 / w)], axis=0)
     return PointSet(NormedSpace(m, "l2"), pts)
@@ -606,46 +557,15 @@ def octahedron_set(n: int) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# Case-study runs: target -> set, and (target, params) -> (certificates,
-# audits) for ``case-study run`` and ``audit-all``, each followed by the
-# rechecks of the certificates it builds.
+# Case-study runs: (target or set, params) -> (certificates, audits) for
+# ``case-study run`` and ``audit-all``, each followed by the rechecks of the
+# certificates it builds.
 # ---------------------------------------------------------------------------
 
 
-def sequence_target_set(generator: str, target: dict) -> SequenceSet:
-    return sequence_set(SequenceSetSpec(generator=generator,
-                                        truncation=int(target.get("truncation", 256)),
-                                        c=float(target.get("c", 1.0))))
-
-
-def transport_target_set(target: dict) -> TransportSet:
-    return transport_set(TransportSpec(grid=int(target.get("grid", 1024))))
-
-
-def diagonal_target_set(target: dict) -> PointSet:
-    return diagonal_set(DiagonalSetSpec(int(target.get("truncation", 64))))
-
-
 def certify_log_sequence(target, params):
-    n = int(params.get("n", 6))
-    gamma = float(params.get("gamma", 3.0))
-    rep = log_sequence_certificates(n, gamma,
-                                    max_bumps=int(params.get("max_bumps", 10 ** 5)))
-    certs = [rep.upper.to_json(), rep.lower.to_json(),
-             {"quantity": "inner_entropy", "n": n,
-              "lower": rep.entropy_bracket[0], "upper": rep.entropy_bracket[1],
-              "reference": rep.entropy_exact,
-              "set": {"generator": "log", "truncation": rep.entropy_spec.truncation}}]
-    audits = [
-        {"name": "upper-equals-rate", "passed":
-            abs(rep.upper.value - 1.0 / (n * math.log2(n + 1))) <= 1e-12},
-        {"name": "entropy-bracket-contains-reference", "passed":
-            rep.entropy_bracket[0] <= rep.entropy_exact * (1 + 1e-9)
-            and rep.entropy_bracket[1] >= rep.entropy_exact * (1 - 1e-9)},
-        {"name": "lower-positive-below-upper", "passed":
-            0 < rep.lower.value <= rep.upper.value},
-    ]
-    return certs, audits
+    return log_sequence_certificates(int(params.get("n", 6)), float(params.get("gamma", 3.0)),
+                                     max_bumps=int(params.get("max_bumps", 10 ** 5)))
 
 
 def recheck_entropy(cert: dict, fset: FiniteSet) -> bool:
@@ -670,8 +590,8 @@ def certify_power_sequence(target, params):
     certs = [{"quantity": "collapse_index", "c": c, "gamma": gamma, "n1": n1}]
     audits = []
     for total in (10 ** 3, 10 ** 6):
-        cert = power_width_upper(c, gamma, n1, total,
-                                 max_bumps=int(params.get("max_bumps", 10 ** 5)))
+        cert = sequence_width_upper("power", gamma, n1, total, c=c,
+                                    max_bumps=int(params.get("max_bumps", 10 ** 5)))
         certs.append(cert.to_json())
         audits.append({"name": f"upper-sigma-N{total}", "passed":
                        cert.value <= float(total) ** (-c) * (1 + 1e-12)})
@@ -682,8 +602,7 @@ def recheck_collapse_index(cert: dict, fset=None) -> bool:
     return cert["n1"] == power_collapse_index(cert["c"], cert["gamma"])
 
 
-def certify_transport(target, params):
-    tset = transport_target_set(target)
+def certify_transport(tset: TransportSet, params):
     refs = transport_reference()
     certs, audits = [], []
     for n in params.get("n_values", [1, 3, 8]):
@@ -706,8 +625,7 @@ def certify_transport(target, params):
     return certs, audits
 
 
-def certify_diagonal(target, params):
-    dset = diagonal_target_set(target)
+def certify_diagonal(dset: PointSet, params):
     certs, audits = [], []
     for n in params.get("n_values", [4, 8, 16]):
         cert, approx = kolmogorov_upper(dset, range(int(n)))
@@ -723,28 +641,23 @@ def certify_diagonal(target, params):
 
 
 def certify_orthonormal_basis(target, params):
-    m = int(params.get("m", 14))
-    gamma = float(params.get("gamma", 2.0 * math.sqrt(2.0)))
-    s = int(params.get("s", 2))
-    rep = orthonormal_basis_report(m, gamma, s)
-    cert = {"quantity": "basis_threshold", "m": m, "gamma": gamma, "s": s,
-            "threshold_lhs": rep.threshold_lhs,
-            "threshold_rhs": rep.threshold_rhs,
-            "regime_certified": rep.regime_certified,
-            "entropy_brackets": {str(k): list(v)
-                                 for k, v in rep.entropy_brackets.items()}}
-    ok = all(lo <= rep.entropy_value * (1 + 1e-9) and hi >= rep.entropy_value * (1 - 1e-9)
-             for lo, hi in rep.entropy_brackets.values())
+    cert = orthonormal_basis_report(int(params.get("m", 14)),
+                                    float(params.get("gamma", 2.0 * math.sqrt(2.0))),
+                                    int(params.get("s", 2)))
+    root2 = math.sqrt(2.0)
+    ok = all(lo <= root2 * (1 + 1e-9) and hi >= root2 * (1 - 1e-9)
+             for lo, hi in cert["entropy_brackets"].values())
     return [cert], [{"name": "entropy-saturates", "passed": ok}]
 
 
 def recheck_basis_threshold(cert: dict, fset=None) -> bool:
-    """The report, computed again, has the same regime flag and narrower brackets."""
-    brackets = {int(k): v for k, v in cert["entropy_brackets"].items()}
-    rep = orthonormal_basis_report(cert["m"], cert["gamma"], cert["s"], sorted(brackets))
-    return cert["regime_certified"] == rep.regime_certified and all(
-        lo <= rep.entropy_brackets[k][0] and hi >= rep.entropy_brackets[k][1]
-        for k, (lo, hi) in brackets.items())
+    """The certificate, computed again, has the same regime flag and narrower
+    brackets."""
+    again = orthonormal_basis_report(cert["m"], cert["gamma"], cert["s"],
+                                     sorted(int(k) for k in cert["entropy_brackets"]))
+    return cert["regime_certified"] == again["regime_certified"] and all(
+        lo <= again["entropy_brackets"][k][0] and hi >= again["entropy_brackets"][k][1]
+        for k, (lo, hi) in cert["entropy_brackets"].items())
 
 
 def certify_cross_polytope(target, params):

@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import cache
 from importlib import resources
 from typing import Callable, Optional
 
@@ -202,20 +202,33 @@ class CaseStudy:
     kolmogorov: Optional[Callable] = None
 
 
+def _sequence_set(generator: str, target: dict) -> FiniteSet:
+    return cs.sequence_set(cs.SequenceSetSpec(generator, target.get("truncation", 256),
+                                              float(target.get("c", 1.0))))
+
+
+def _transport_set(target: dict) -> FiniteSet:
+    return cs.transport_set(target.get("grid", 1024))
+
+
+def _diagonal_set(target: dict) -> FiniteSet:
+    return cs.diagonal_set(target.get("truncation", 64))
+
+
 _CASES = {
     "log-sequence": CaseStudy(
         cs.certify_log_sequence, ({}, {"n": 6, "gamma": 3.0, "max_bumps": 10 ** 4}),
-        make_set=partial(cs.sequence_target_set, "log")),
+        make_set=lambda target: _sequence_set("log", target)),
     "power-sequence": CaseStudy(
         cs.certify_power_sequence, ({}, {"c": 1.0, "gamma": 4.0, "max_bumps": 10 ** 3}),
-        make_set=partial(cs.sequence_target_set, "power")),
+        make_set=lambda target: _sequence_set("power", target)),
     "transport": CaseStudy(
-        cs.certify_transport,
+        lambda target, params: cs.certify_transport(_transport_set(target), params),
         ({"grid": 256}, {"n_values": [1, 3, 6], "n_values_kolmogorov": [16]}),
-        make_set=cs.transport_target_set, kolmogorov=cs.transport_kolmogorov_upper),
+        make_set=_transport_set, kolmogorov=cs.transport_kolmogorov_upper),
     "diagonal": CaseStudy(
-        cs.certify_diagonal, ({"truncation": 48}, {"n_values": [8]}),
-        make_set=cs.diagonal_target_set),
+        lambda target, params: cs.certify_diagonal(_diagonal_set(target), params),
+        ({"truncation": 48}, {"n_values": [8]}), make_set=_diagonal_set),
     "orthonormal-basis": CaseStudy(
         cs.certify_orthonormal_basis, ({}, {"m": 10, "s": 1}),
         audit_checks=(("regime-certified", lambda certs: certs[0]["regime_certified"]),)),

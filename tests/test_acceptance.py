@@ -97,17 +97,17 @@ def test_criterion_03_entropy_map_pipeline():
 def test_criterion_04_log_sequence_separation():
     t0 = time.perf_counter()
     for n in (6, 8, 10):
-        rep = cs.log_sequence_certificates(n, 3.0)
+        (upper, lower, ent), _ = cs.log_sequence_certificates(n, 3.0)
         rate_upper = 1.0 / (n * math.log2(n + 1))
-        assert rep.upper.value == pytest.approx(rate_upper, rel=1e-12)
+        assert upper["value"] == pytest.approx(rate_upper, rel=1e-12)
         # headline separation: the width beats the 1/n entropy rate by the log
-        ratio = rep.upper.value / rep.entropy_rate
+        ratio = upper["value"] / (1.0 / n)
         assert ratio <= (1.0 / math.log2(n + 1)) * (1 + 1e-6)
         # the computed bracket pins the exact entropy number sigma_{2^n}
-        lo, hi = rep.entropy_bracket
-        assert _contains(lo, hi, rep.entropy_exact)
-        assert rep.lower.value > 0.0
-        assert rep.lower.value <= rep.upper.value
+        assert ent["reference"] == pytest.approx(1.0 / math.log2(2 ** n + 1), rel=1e-14)
+        assert _contains(ent["lower"], ent["upper"], ent["reference"])
+        assert lower["value"] > 0.0
+        assert lower["value"] <= upper["value"]
     _report(4, "log-sequence width/entropy separation at n in {6,8,10}",
             time.perf_counter() - t0, 120)
 
@@ -121,7 +121,7 @@ def test_criterion_05_power_sequence_collapse():
     assert lhs(n1) <= 2.0 ** n1
     assert all(lhs(n) <= 2.0 ** n for n in range(n1, n1 + 50))
     for total, cap in ((10 ** 3, 1e-3), (10 ** 6, 1e-6)):
-        cert = cs.power_width_upper(1.0, 4.0, n1, total)
+        cert = cs.sequence_width_upper("power", 4.0, n1, total, c=1.0)
         assert cert.value <= cap * (1 + 1e-12)
     _report(5, "power-sequence width collapse (c=1, gamma=4)",
             time.perf_counter() - t0, 60)
@@ -129,7 +129,7 @@ def test_criterion_05_power_sequence_collapse():
 
 def test_criterion_06_transport_references():
     t0 = time.perf_counter()
-    tset = cs.transport_set(cs.TransportSpec(grid=1024))
+    tset = cs.transport_set(1024)
     refs = cs.transport_reference()
     for n in range(1, 9):
         est = inner_entropy(tset, n)
@@ -144,13 +144,13 @@ def test_criterion_06_transport_references():
 
 def test_criterion_07_kolmogorov_comparison():
     t0 = time.perf_counter()
-    dset = cs.diagonal_set(cs.DiagonalSetSpec(64))
+    dset = cs.diagonal_set(64)
     for n in (4, 8, 16):
         basis = np.eye(dset.space.dim)[:n]
         dn, proj = kolmogorov_upper(dset, range(n))
         comp = kolmogorov_comparison(dset, dn, basis, proj)
         assert comp.value <= dn.value + 1e-9
-    tset = cs.transport_set(cs.TransportSpec(grid=1024))
+    tset = cs.transport_set(1024)
     for n in (4, 16, 64):
         dn, _ = cs.transport_kolmogorov_upper(tset, n)
         comp = cs.transport_comparison(tset, n)
@@ -196,9 +196,10 @@ def test_criterion_10_orthonormal_basis_threshold():
     t0 = time.perf_counter()
     rep = cs.orthonormal_basis_report(14, 2.0 * math.sqrt(2.0), 2,
                                       entropy_ks=list(range(1, 15)))
-    assert rep.threshold_lhs > rep.threshold_rhs  # 1/24 > 1/32
-    assert rep.regime_certified
-    for k, (lo, hi) in rep.entropy_brackets.items():
+    assert rep["threshold_lhs"] > rep["threshold_rhs"]  # 1/24 > 1/32
+    assert rep["regime_certified"]
+    assert len(rep["entropy_brackets"]) == 14
+    for k, (lo, hi) in rep["entropy_brackets"].items():
         assert _contains(lo, hi, math.sqrt(2.0)), (k, lo, hi)
     _report(10, "orthonormal-basis threshold and entropy saturation",
             time.perf_counter() - t0, 10)

@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lipwidth import PointSet, inner_entropy, lp_space
 from lipwidth.case_studies import (
-    DiagonalSetSpec,
     SequenceSetSpec,
-    TransportSpec,
     basis_cloud,
     cross_polytope_width,
     diagonal_reference_upper,
@@ -20,9 +18,9 @@ from lipwidth.case_studies import (
     octahedron_set,
     orthonormal_basis_report,
     power_collapse_index,
-    power_width_upper,
     sequence_set,
     sequence_packing_count_log2,
+    sequence_width_upper,
     sigma_at,
     sigma_values,
     transport_comparison,
@@ -138,13 +136,15 @@ def test_volume_condition_gate_sigma1():
 
 
 def test_log_sequence_certificates_n6():
-    rep = log_sequence_certificates(6, 3.0, max_bumps=10 ** 4)
-    assert rep.upper.value == pytest.approx(1.0 / (6 * math.log2(7)), rel=1e-14)
-    assert rep.entropy_exact == pytest.approx(1.0 / math.log2(65), rel=1e-14)
-    lo, hi = rep.entropy_bracket
-    assert lo <= rep.entropy_exact * (1 + 1e-9) and hi >= rep.entropy_exact * (1 - 1e-9)
-    assert 0.0 < rep.lower.value <= rep.upper.value
-    assert rep.rate_ratio == pytest.approx(1.0 / math.log2(7), rel=1e-12)
+    (upper, lower, ent), audits = log_sequence_certificates(6, 3.0, max_bumps=10 ** 4)
+    assert upper["value"] == pytest.approx(1.0 / (6 * math.log2(7)), rel=1e-14)
+    assert ent["reference"] == pytest.approx(1.0 / math.log2(65), rel=1e-14)
+    lo, hi = ent["lower"], ent["upper"]
+    assert lo <= ent["reference"] * (1 + 1e-9) and hi >= ent["reference"] * (1 - 1e-9)
+    assert 0.0 < lower["value"] <= upper["value"]
+    # the width over the 1/n entropy rate
+    assert upper["value"] / (1.0 / 6) == pytest.approx(1.0 / math.log2(7), rel=1e-12)
+    assert all(a["passed"] for a in audits)
 
 
 def test_log_sequence_needs_n_at_least_5():
@@ -181,7 +181,7 @@ def test_power_collapse_index_boundary():
 def test_power_width_upper_decays():
     n1 = power_collapse_index(1.0, 4.0)
     for total, cap in ((10 ** 3, 1e-3), (10 ** 6, 1e-6)):
-        cert = power_width_upper(1.0, 4.0, n1, total, max_bumps=10 ** 3)
+        cert = sequence_width_upper("power", 4.0, n1, total, c=1.0, max_bumps=10 ** 3)
         assert cert.value <= cap * (1 + 1e-12)
     # the volume condition also passes by exact summation at both totals
     spec = SequenceSetSpec(generator="power", truncation=2, c=1.0)
@@ -194,16 +194,17 @@ def test_power_width_upper_decays():
 
 def test_basis_report_threshold_m14():
     rep = orthonormal_basis_report(14, 2.0 * math.sqrt(2.0), 2, entropy_ks=[1, 7])
-    assert rep.threshold_lhs == pytest.approx(1.0 / 24.0)
-    assert rep.threshold_rhs == pytest.approx(1.0 / 32.0)
-    assert rep.regime_certified
-    for lo, hi in rep.entropy_brackets.values():
+    assert rep["threshold_lhs"] == pytest.approx(1.0 / 24.0)
+    assert rep["threshold_rhs"] == pytest.approx(1.0 / 32.0)
+    assert rep["regime_certified"]
+    assert sorted(rep["entropy_brackets"]) == ["1", "7"]
+    for lo, hi in rep["entropy_brackets"].values():
         assert lo <= math.sqrt(2.0) * (1 + 1e-9) and hi >= math.sqrt(2.0) * (1 - 1e-9)
 
 
 def test_basis_report_vacuous_regime():
     rep = orthonormal_basis_report(3, 1e6, 1, entropy_ks=[1])
-    assert not rep.regime_certified
+    assert not rep["regime_certified"]
 
 
 def test_basis_cloud_distances():
@@ -217,7 +218,7 @@ def test_basis_cloud_distances():
 
 
 def test_transport_distances_match_step_norm():
-    ts = transport_set(TransportSpec(grid=64))
+    ts = transport_set(64)
     # oracle: exact step-function L1 norm of the coordinate difference
     for i, j in ((0, 10), (5, 40), (30, 31)):
         direct = float(ts.space.norm(ts.points[i] - ts.points[j]))
@@ -226,7 +227,7 @@ def test_transport_distances_match_step_norm():
 
 
 def test_transport_entropy_brackets():
-    ts = transport_set(TransportSpec(grid=1024))
+    ts = transport_set(1024)
     refs = transport_reference()
     for n in (1, 2, 5):
         est = inner_entropy(ts, n)
@@ -236,7 +237,7 @@ def test_transport_entropy_brackets():
 
 
 def test_transport_kolmogorov_formula_vs_vectors():
-    ts = transport_set(TransportSpec(grid=128))
+    ts = transport_set(128)
     for n in (4, 16):
         cert, coeffs = transport_kolmogorov_upper(ts, n)
         basis = ts.cell_basis(n)
@@ -247,7 +248,7 @@ def test_transport_kolmogorov_formula_vs_vectors():
 
 
 def test_transport_comparison_below_kolmogorov():
-    ts = transport_set(TransportSpec(grid=256))
+    ts = transport_set(256)
     for n in (4, 16):
         dn, _ = transport_kolmogorov_upper(ts, n)
         comp = transport_comparison(ts, n)
@@ -266,12 +267,16 @@ def test_transport_reference_consistency():
 
 
 def test_diagonal_membership_and_reference():
-    spec = DiagonalSetSpec(16)
-    dset = diagonal_set(spec)
+    dset = diagonal_set(16)
     assert dset.size == 32
     for p in dset.points[:4]:
         assert diagonal_member(p)
     assert diagonal_reference_upper(4) == pytest.approx(1.0 / math.sqrt(math.log2(6)))
+
+
+def test_diagonal_set_needs_two_coordinates():
+    with pytest.raises(PreconditionError, match="at least 2"):
+        diagonal_set(1)
 
 
 def test_cross_polytope_values():

@@ -24,7 +24,6 @@ from lipwidth.covering import (
 )
 from lipwidth.case_studies import (
     SequenceSetSpec,
-    TransportSpec,
     UniformBasisSet,
     sequence_set,
     transport_set,
@@ -213,7 +212,7 @@ def test_inner_entropy_zero_when_budget_covers():
 
 
 def test_inner_entropy_transport_bracket():
-    ts = transport_set(TransportSpec(grid=1024))
+    ts = transport_set(1024)
     est = inner_entropy(ts, 3)
     ref = 0.25  # 2^{-n+1}
     assert est.lower <= ref * (1 + 1e-9) <= est.upper * (1 + 2e-9)
@@ -315,7 +314,7 @@ def shortcut_cases():
     for truncation in (9, 16, 33, 64):
         sets.append(sequence_set(SequenceSetSpec(generator="log", truncation=truncation)))
     sets += [UniformBasisSet(1), UniformBasisSet(2), UniformBasisSet(40),
-             transport_set(TransportSpec(grid=64))]
+             transport_set(64)]
     return sets
 
 

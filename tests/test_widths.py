@@ -19,7 +19,6 @@ from lipwidth import (
     width_upper_from_entropy,
 )
 from lipwidth.case_studies import (
-    DiagonalSetSpec,
     SequenceSetSpec,
     UniformBasisSet,
     diagonal_reference_upper,
@@ -144,7 +143,7 @@ def test_default_eps_grid_span():
 
 
 def test_kolmogorov_diagonal_reference():
-    dset = diagonal_set(DiagonalSetSpec(40))
+    dset = diagonal_set(40)
     for n in (2, 5, 9):
         basis = np.eye(40)[:n]
         cert, proj = kolmogorov_upper(dset, range(n))
