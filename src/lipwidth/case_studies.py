@@ -440,22 +440,29 @@ class TransportSet(PointSet):
         """Indicators of [2j/n, 2(j+1)/n) expressed on the space grid."""
         if (2 * self.grid) % n != 0:
             raise PreconditionError("n must divide the number of grid cells")
-        per = (2 * self.grid) // n
-        basis = np.zeros((n, 2 * self.grid))
-        for j in range(n):
-            basis[j, j * per : (j + 1) * per] = 1.0
-        return basis
+        return np.repeat(np.eye(n), (2 * self.grid) // n, axis=1)
 
 
 def transport_set(grid: int) -> TransportSet:
     return TransportSet(grid)
 
 
+def transport_entropy(grid: int, n: int) -> float:
+    """Inner entropy number of the grid + 1 samples: the least radius at
+    which 2**n balls centred on samples cover them.
+
+    Samples sit 2/grid apart on a line, so a ball of radius 2t/grid covers
+    2t + 1 of them, and the least t with 2**n (2t + 1) >= grid + 1 is
+    ceil(((grid + 1)/2**n - 1)/2); it is 0 once 2**n >= grid + 1.
+    """
+    balls = 2 ** n
+    return 2.0 * max(0, -((balls - grid - 1) // (2 * balls))) / grid
+
+
 def transport_reference() -> dict:
-    """Closed-form reference values (the Kolmogorov lower is recorded, not
+    """Closed-form Kolmogorov references (the lower one is recorded, not
     recomputed)."""
     return {
-        "entropy": lambda n: 2.0 ** (-n + 1),
         "kolmogorov_upper": lambda n: 4.0 / n,
         "kolmogorov_lower": lambda n: 1.0 / (n + 1),
     }
@@ -469,6 +476,8 @@ def transport_kolmogorov_upper(tset: TransportSet, n: int
     chi_a meets the cells [2j/n, 2(j+1)/n) from j1 to j2, and the L1 error
     of its approximant is (a - 2 j1/n) + (2 (j2+1)/n - a - 1).
     """
+    if n < 1:
+        raise PreconditionError(f"the n-cell approximants need n >= 1, not {n}")
     a, cells = tset.params, np.arange(n)
     j1 = np.minimum(np.floor(a * n / 2.0).astype(int), n - 1)
     j2 = np.minimum(np.floor((a + 1.0) * n / 2.0).astype(int), n - 1)
@@ -493,16 +502,10 @@ def transport_comparison(tset: TransportSet, n: int) -> WidthCertificate:
     dn, coeffs = transport_kolmogorov_upper(tset, n)
     basis = tset.cell_basis(n)
     approx = coeffs @ basis
-    # pick the reference origin with the smallest reach among a few candidates
-    cand_idx = [tset.size // 2, 0, tset.size - 1]
-    best_g0 = None
-    best_reach = math.inf
-    for ci in cand_idx:
-        g0 = approx[ci]
-        reach = float(np.asarray(tset.space.norm(approx - g0)).max())
-        if reach < best_reach:
-            best_reach, best_g0 = reach, g0
-    return kolmogorov_comparison(tset, dn, basis, approx, g0=best_g0)
+    # the reference origin with the smallest reach among a few candidates (the first on ties)
+    g0 = min((approx[i] for i in (tset.size // 2, 0, tset.size - 1)),
+             key=lambda g: float(np.asarray(tset.space.norm(approx - g)).max()))
+    return kolmogorov_comparison(tset, dn, basis, approx, g0=g0)
 
 
 def recheck_affine_ball(cert: dict, fset: FiniteSet) -> bool:
@@ -607,7 +610,7 @@ def certify_transport(tset: TransportSet, params):
     certs, audits = [], []
     for n in params.get("n_values", [1, 3, 8]):
         est = inner_entropy(tset, int(n))
-        ref = refs["entropy"](int(n))
+        ref = transport_entropy(tset.grid, int(n))
         certs.append({"quantity": "inner_entropy", "n": int(n),
                       "lower": est.lower, "upper": est.upper, "reference": ref})
         audits.append({"name": f"entropy-contains-ref-n{n}", "passed":
@@ -628,6 +631,9 @@ def certify_transport(tset: TransportSet, params):
 def certify_diagonal(dset: PointSet, params):
     certs, audits = [], []
     for n in params.get("n_values", [4, 8, 16]):
+        if n > dset.space.dim:
+            raise PreconditionError(f"n = {n} exceeds the diagonal set's truncation "
+                                    f"{dset.space.dim}")
         cert, approx = kolmogorov_upper(dset, range(int(n)))
         comp = kolmogorov_comparison(dset, cert, np.eye(dset.space.dim)[: int(n)], approx)
         certs += [cert.to_json(), comp.to_json()]

@@ -556,12 +556,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> dict:
     if args.config:
-        with open(args.config) as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config is not valid JSON: {exc}") from exc
-        return cfg
+        try:
+            with open(args.config) as fh:
+                return json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc.strerror}") from exc
+        except ValueError as exc:  # JSON or UTF-8 decoding
+            raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not args.command:
         raise UsageError("no command given (and no --config)")
     if args.command == "case-study" and args.name is None:

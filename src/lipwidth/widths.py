@@ -33,8 +33,8 @@ class WidthCertificate:
             raise ValueError("unknown width quantity")
         if self.direction not in ("upper", "lower"):
             raise ValueError("direction must be upper or lower")
-        if self.value < 0:
-            raise ValueError("width bounds are nonnegative")
+        if not 0 <= self.value < math.inf:  # nan fails too
+            raise ValueError(f"width bounds are finite and nonnegative, not {self.value}")
 
     def to_json(self) -> dict:
         return {

@@ -24,6 +24,7 @@ from lipwidth.case_studies import (
     sigma_at,
     sigma_values,
     transport_comparison,
+    transport_entropy,
     transport_kolmogorov_upper,
     transport_reference,
     transport_set,
@@ -228,10 +229,9 @@ def test_transport_distances_match_step_norm():
 
 def test_transport_entropy_brackets():
     ts = transport_set(1024)
-    refs = transport_reference()
     for n in (1, 2, 5):
         est = inner_entropy(ts, n)
-        ref = refs["entropy"](n)
+        ref = transport_entropy(1024, n)
         assert est.lower <= ref * (1 + 1e-9)
         assert est.upper >= ref * (1 - 1e-9)
 
@@ -256,8 +256,14 @@ def test_transport_comparison_below_kolmogorov():
 
 
 def test_transport_reference_consistency():
+    # the entropy reference is the exact cover radius of the grid + 1 samples
+    for grid in range(2, 19):
+        ts = transport_set(grid)
+        for n in range(6):
+            est = inner_entropy(ts, n)
+            assert est.exact and est.lower == est.upper
+            assert transport_entropy(grid, n) == pytest.approx(est.upper, abs=1e-15), (grid, n)
     refs = transport_reference()
-    assert refs["entropy"](3) == pytest.approx(0.25)
     assert refs["kolmogorov_lower"](1) == 0.5
     assert refs["kolmogorov_upper"](1) == 4.0
     assert refs["kolmogorov_lower"](1) <= refs["kolmogorov_upper"](1)

@@ -622,6 +622,40 @@ def test_default_radius_on_zero_diameter_names_the_cause(capsys, command, flag):
     assert "diameter is zero" in err and f"pass {flag}" in err
 
 
+@pytest.mark.parametrize("grid", [8, 16, 32])
+def test_transport_study_on_small_grids_passes(capsys, grid):
+    # its entropy reference is the exact radius of 2**n balls on the grid
+    assert main(["case-study", "run", "transport", "--target-json",
+                 json.dumps({"grid": grid})]) == 0
+    report = json.loads(capsys.readouterr().out)
+    ents = [c for c in report["certificates"] if c["quantity"] == "inner_entropy"]
+    assert [c["n"] for c in ents] == [1, 3, 8]
+    assert all(c["lower"] <= c["reference"] <= c["upper"] for c in ents)
+
+
+def test_kolmogorov_n0_on_transport_is_numeric_failure(capsys):
+    target = {"kind": "case-study", "name": "transport", "grid": 8}
+    assert main(["kolmogorov", "--n", "0", "--target-json", json.dumps(target)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "n >= 1" in err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    assert main(["--config", str(tmp_path / "missing.json")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "missing.json" in err and "Traceback" not in err
+
+
+def test_diagonal_n_past_truncation_is_numeric_failure(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "case-study", "params": {"n_values": [8]},
+                                "target": {"kind": "case-study", "name": "diagonal",
+                                           "truncation": 4}}))
+    assert main(["--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "n = 8" in err and "truncation 4" in err and "Traceback" not in err
+
+
 def _cloud(m, dim, norm):
     return {"kind": "random", "m": m, "dim": dim, "norm": norm}
 
@@ -667,7 +701,7 @@ _GOLDEN = {
         "96503a7bf71e32bc511755c86120ddd2201672f5a3e2dee4342cc4185fb74b58"),
     "case-study-transport-witness": (
         _study("transport"),
-        "958c529e1c560af8cd9519290e068f508a2fe5d6d587b026daf891ba10016991"),
+        "01d24231f48cbfdacbd07bdc9cb032141a4035dce012c20058c0bc2e708884e4"),
     "case-study-diagonal-witness": (
         _study("diagonal"),
         "59bd499e0aadce6257576657bf9bba1a842e250f22584d4b49a7edc6aa476ce5"),
@@ -679,7 +713,7 @@ _GOLDEN = {
         "0ea38ad3f986007e664df02fd206c2bda4d136dfdc245c62e8b1d654417cc283"),
     "audit-all-seed7": (
         {"command": "audit-all", "seed": 7},
-        "5f7a59a17f3df721638219e3c7fb2968155adb635cad5a68c502f09afabed3c9"),
+        "d43a7dffecf5709877656ac238050deb347268d4c02648587a9bd26e12027851"),
     # each moves if its study's default truncation (256, 64) or grid (1024) moves
     "entropy-power-sequence-c05-witness": (
         {"command": "entropy", "seed": 0,

@@ -26,6 +26,7 @@ from lipwidth.case_studies import (
     SequenceSetSpec,
     UniformBasisSet,
     sequence_set,
+    transport_entropy,
     transport_set,
 )
 from lipwidth.spaces import PreconditionError
@@ -214,8 +215,9 @@ def test_inner_entropy_zero_when_budget_covers():
 def test_inner_entropy_transport_bracket():
     ts = transport_set(1024)
     est = inner_entropy(ts, 3)
-    ref = 0.25  # 2^{-n+1}
+    ref = 0.25  # 2^{-n+1}: the radius of 2^{n-1} balls, which the greedy upper end reaches
     assert est.lower <= ref * (1 + 1e-9) <= est.upper * (1 + 2e-9)
+    assert est.lower <= transport_entropy(1024, 3) == 0.125 <= est.upper  # 2^n balls
 
 
 def test_inner_entropy_monotone_in_n():

@@ -7,6 +7,7 @@ from lipwidth import (
     AffineBallMap,
     NormedSpace,
     PointSet,
+    WidthCertificate,
     build_entropy_map,
     carl_transfer_check,
     fixed_width_upper,
@@ -30,6 +31,12 @@ from lipwidth.case_studies import (
 from lipwidth.spaces import PreconditionError
 from lipwidth.widths import best_coordinate_subspace, default_eps_grid
 from oracles import sequence_dense_points
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-12])
+def test_width_certificate_refuses_non_finite_or_negative_values(value):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        WidthCertificate("kolmogorov_width", 1, None, value, "upper")
 
 
 def test_fixed_width_zero_on_own_covering():
