@@ -502,7 +502,8 @@ def transport_comparison(tset: TransportSet, n: int) -> WidthCertificate:
     dn, coeffs = transport_kolmogorov_upper(tset, n)
     basis = tset.cell_basis(n)
     approx = coeffs @ basis
-    # the reference origin with the smallest reach among a few candidates (the first on ties)
+    # the reference origin with the smallest reach among a few candidates, the
+    # first on ties
     g0 = min((approx[i] for i in (tset.size // 2, 0, tset.size - 1)),
              key=lambda g: float(np.asarray(tset.space.norm(approx - g)).max()))
     return kolmogorov_comparison(tset, dn, basis, approx, g0=g0)
@@ -530,10 +531,9 @@ def diagonal_set(truncation: int) -> PointSet:
     ball sample."""
     if truncation < 2:
         raise PreconditionError("truncation must be at least 2")
-    m = truncation
-    w = np.sqrt(np.log2(np.arange(1, m + 1) + 1.0))
+    w = np.sqrt(np.log2(np.arange(1, truncation + 1) + 1.0))
     pts = np.concatenate([np.diag(1.0 / w), np.diag(-1.0 / w)], axis=0)
-    return PointSet(NormedSpace(m, "l2"), pts)
+    return PointSet(NormedSpace(truncation, "l2"), pts)
 
 
 def diagonal_reference_upper(n: int) -> float:

@@ -561,7 +561,7 @@ def _config_from_args(args) -> dict:
                 return json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config {args.config}: {exc.strerror}") from exc
-        except ValueError as exc:  # JSON or UTF-8 decoding
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not args.command:
         raise UsageError("no command given (and no --config)")

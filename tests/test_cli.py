@@ -640,20 +640,36 @@ def test_kolmogorov_n0_on_transport_is_numeric_failure(capsys):
     assert out == "" and "n >= 1" in err
 
 
-def test_missing_config_file_is_usage_error(tmp_path, capsys):
-    assert main(["--config", str(tmp_path / "missing.json")]) == 1
-    err = capsys.readouterr().err
-    assert "usage error" in err and "missing.json" in err and "Traceback" not in err
-
-
-def test_diagonal_n_past_truncation_is_numeric_failure(tmp_path, capsys):
+@pytest.mark.parametrize("content,says", [(None, "cannot read config"),
+                                          (b"\xff\xfe{", "not valid JSON")],
+                         ids=["missing", "not-utf8"])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, content, says):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"command": "case-study", "params": {"n_values": [8]},
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and says in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_diagonal_n_past_truncation_is_numeric_failure(tmp_path, capsys, n):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "case-study", "params": {"n_values": [n]},
                                 "target": {"kind": "case-study", "name": "diagonal",
                                            "truncation": 4}}))
     assert main(["--config", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "n = 8" in err and "truncation 4" in err and "Traceback" not in err
+    assert f"n = {n}" in err and "truncation 4" in err and "Traceback" not in err
+
+
+def test_case_study_sets_take_their_defaults_from_the_row():
+    log, power = (_CASES[name].make_set({}) for name in ("log-sequence", "power-sequence"))
+    assert log.size == power.size == 257
+    assert np.array_equal(power.sigmas, 1.0 / np.arange(1, 257))  # c = 1
+    assert _CASES["transport"].make_set({}).grid == 1024
+    assert _CASES["diagonal"].make_set({}).space.dim == 64
+    assert _CASES["transport"].make_set({"grid": 8}).size == 9
 
 
 def _cloud(m, dim, norm):
