@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covering import coverage_assignment, inner_entropy
+from .covering import ball_disjoint, coverage_assignment, inner_entropy
 from .lipmaps import (SequenceBumpSum, allocate_dyadic_cubes, audit_cube_allocation,
                       build_sequence_bump_map, bump_levels)
 from .spaces import (BLOCK_ELEMS, REL_TOL, FiniteSet, NormedSpace, PointSet,
@@ -97,11 +97,12 @@ class SequenceSet(FiniteSet):
     def diameter(self) -> float:
         return float(self.sigmas[0])
 
-    def distinct_distances(self) -> np.ndarray:
-        return np.unique(self.sigmas)
-
-    def points_apart(self) -> bool:
-        return True  # every distance is some sigma_j > 0
+    def entropy_witnesses(self, n: int) -> tuple:
+        """e_n = sigma_{2^n}, as d(i, j) = max(sigma_i, sigma_j) is an ultrametric:
+        the first 2**n points cover within it, and below it no ball holds two of
+        the 2**n + 1 points they and the origin make."""
+        k = 2 ** n
+        return float(self.sigmas[k - 1]), np.arange(k), np.append(np.arange(k), self.size - 1)
 
     def packing_count_log2(self, t: float) -> float:
         """``sequence_packing_count_log2`` of the generator: no truncation needed."""
@@ -120,9 +121,7 @@ def log_sequence_entropy_lower(index: int) -> float:
     """
     if index < 1:
         raise PreconditionError("index must be positive")
-    if index >= 60:
-        return 0.5 / index  # log2(2^k + 1) == k to double precision
-    return 0.5 / math.log2(2.0 ** index + 1.0)
+    return 0.5 * sigma_at(SequenceSetSpec("log", 2), 2 ** index)
 
 
 def sequence_packing_count_log2(spec: SequenceSetSpec, t: float) -> float:
@@ -289,14 +288,15 @@ def recheck_dyadic_bump_map(cert: dict, fset=None) -> bool:
 
 def log_sequence_certificates(n: int, gamma: float = 3.0,
                               max_bumps: int = EXACT_SUM_LIMIT) -> tuple[list, list]:
-    """Two-sided width certificates for the log-decay sequence set, the
-    entropy bracket on a materialised truncation, and their audits.
+    """Two-sided width certificates for the log-decay sequence set, its
+    entropy number, and their audits.
 
     Upper: sigma_N with N = (n+1)^n, reported at the rate value
     1/(n log2(n+1)) >= sigma_N.  Lower: covering-count certificate with
     packing counts taken from the generator's closed form (any truncation
     large enough to materialise the witness would need ~2**(1/eps) points).
-    The entropy reference is sigma_{2^n}, the exact inner entropy number.
+    The entropy number of the untruncated set is sigma_{2^n} (see
+    ``SequenceSet.entropy_witnesses``).
     """
     if n < 5:
         raise PreconditionError("the sharpness construction needs n >= 5")
@@ -305,21 +305,15 @@ def log_sequence_certificates(n: int, gamma: float = 3.0,
     rate_value = 1.0 / (n * math.log2(n + 1))
     upper = sequence_width_upper("log", gamma, n, (n + 1) ** n,
                                  max_bumps=max_bumps, value_override=rate_value)
-    # the lower certificate reads only the diameter sigma_1 and the closed-form
-    # packing counts, so the entropy set serves it whatever its truncation
-    ent_spec = SequenceSetSpec(generator="log", truncation=2 ** min(n + 2, 14))
-    sset = sequence_set(ent_spec)
-    lower = width_lower_certified(sset, n, gamma)
-    ent = inner_entropy(sset, n)
-    ref = sigma_at(ent_spec, 2 ** n)
+    # the lower certificate reads only sigma_1 and the closed-form packing counts
+    spec = SequenceSetSpec(generator="log", truncation=2)
+    lower = width_lower_certified(sequence_set(spec), n, gamma)
+    ent = sigma_at(spec, 2 ** n)
     certs = [upper.to_json(), lower.to_json(),
-             {"quantity": "inner_entropy", "n": n, "lower": ent.lower, "upper": ent.upper,
-              "reference": ref,
-              "set": {"generator": "log", "truncation": ent_spec.truncation}}]
+             {"quantity": "inner_entropy", "n": n, "lower": ent, "upper": ent,
+              "reference": ent, "set": {"generator": "log"}}]
     audits = [
         {"name": "upper-equals-rate", "passed": abs(upper.value - rate_value) <= 1e-12},
-        {"name": "entropy-bracket-contains-reference", "passed":
-            ent.lower <= ref * (1 + 1e-9) and ent.upper >= ref * (1 - 1e-9)},
         {"name": "lower-positive-below-upper", "passed": 0 < lower.value <= upper.value},
     ]
     return certs, audits
@@ -372,11 +366,10 @@ class UniformBasisSet(FiniteSet):
     def diameter(self) -> float:
         return self._d if self.size > 1 else 0.0
 
-    def distinct_distances(self) -> np.ndarray:
-        return np.asarray([self._d]) if self.size > 1 else np.asarray([])
-
-    def points_apart(self) -> bool:
-        return True
+    def entropy_witnesses(self, n: int) -> tuple:
+        """e_n = sqrt(2): one ball of that radius covers, and below it each ball
+        holds only its center."""
+        return self._d, np.zeros(1, dtype=int), np.arange(2 ** n + 1)
 
 
 def basis_cloud(m: int) -> UniformBasisSet:
@@ -436,6 +429,14 @@ class TransportSet(PointSet):
         super().__init__(space, pts, dist_matrix=dmat)
         self.params = params
 
+    def entropy_witnesses(self, n: int) -> tuple:
+        """e_n = ``transport_entropy``: centers 2t + 1 samples apart cover, and
+        below 2t/grid a ball spans 2t - 1 samples, so none holds two of 2**n + 1
+        samples 2t - 1 apart (as t is least, 2**n (2t - 1) <= grid)."""
+        t, g = _half_width(self.grid, n), self.grid
+        return (transport_entropy(g, n), np.minimum(np.arange(t, g + t + 1, 2 * t + 1), g),
+                np.arange(2 ** n + 1) * (2 * t - 1))
+
     def cell_basis(self, n: int) -> np.ndarray:
         """Indicators of [2j/n, 2(j+1)/n) expressed on the space grid."""
         if (2 * self.grid) % n != 0:
@@ -447,16 +448,19 @@ def transport_set(grid: int) -> TransportSet:
     return TransportSet(grid)
 
 
+def _half_width(grid: int, n: int) -> int:
+    """The least t >= 0 with 2**n (2t + 1) >= grid + 1."""
+    return max(0, -((2 ** n - grid - 1) // 2 ** (n + 1)))
+
+
 def transport_entropy(grid: int, n: int) -> float:
     """Inner entropy number of the grid + 1 samples: the least radius at
     which 2**n balls centred on samples cover them.
 
     Samples sit 2/grid apart on a line, so a ball of radius 2t/grid covers
-    2t + 1 of them, and the least t with 2**n (2t + 1) >= grid + 1 is
-    ceil(((grid + 1)/2**n - 1)/2); it is 0 once 2**n >= grid + 1.
+    2t + 1 of them, and the least such radius has t = ``_half_width``.
     """
-    balls = 2 ** n
-    return 2.0 * max(0, -((balls - grid - 1) // (2 * balls))) / grid
+    return 2.0 * _half_width(grid, n) / grid
 
 
 def transport_reference() -> dict:
@@ -566,24 +570,33 @@ def octahedron_set(n: int) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
+def n_values(params: dict, default: list) -> list:
+    """The n a run takes: ``n_values``, else its one ``n``, else ``default``."""
+    return params.get("n_values", [params["n"]] if "n" in params else default)
+
+
 def certify_log_sequence(target, params):
     return log_sequence_certificates(int(params.get("n", 6)), float(params.get("gamma", 3.0)),
                                      max_bumps=int(params.get("max_bumps", 10 ** 5)))
 
 
 def recheck_entropy(cert: dict, fset: FiniteSet) -> bool:
-    """Any ``inner_entropy`` bracket, this study's or another command's: a new
-    search of ``fset`` (or of the sequence set named by ``set``) finds a
-    bracket inside the recorded one, and the upper witness's centers, when
-    recorded, are at most 2**n and cover ``fset`` at ``upper`` (a missed point
-    raises)."""
-    est = inner_entropy(sequence_set(SequenceSetSpec(**cert["set"])) if "set" in cert
-                        else fset, cert["n"])
-    centers = cert.get("witness", {}).get("upper", {}).get("centers")
+    """Any ``inner_entropy`` bracket holds sigma_{2^n} of the untruncated sequence
+    set named by ``set``, or a new ``inner_entropy`` of ``fset``.  Recorded
+    centers are at most 2**n and cover ``fset`` at ``upper`` (a missed point
+    raises); no ball below ``lower`` holds two of more than 2**n points."""
+    if "set" in cert:
+        sigma = sigma_at(SequenceSetSpec(truncation=2, **cert["set"]), 2 ** cert["n"])
+        return cert["lower"] <= sigma <= cert["upper"]
+    est, witness = inner_entropy(fset, cert["n"]), cert.get("witness", {})
+    centers = witness.get("upper", {}).get("centers")
     if centers is not None:
         coverage_assignment(fset, centers, cert["upper"])
+    points = witness.get("lower", {}).get("points")
     return (cert["lower"] <= est.lower and cert["upper"] >= est.upper
-            and (centers is None or len(centers) <= 2 ** cert["n"]))
+            and (centers is None or len(centers) <= 2 ** cert["n"])
+            and (points is None or (len(points) > 2 ** cert["n"]
+                                    and ball_disjoint(fset, points, cert["lower"]))))
 
 
 def certify_power_sequence(target, params):
@@ -608,13 +621,11 @@ def recheck_collapse_index(cert: dict, fset=None) -> bool:
 def certify_transport(tset: TransportSet, params):
     refs = transport_reference()
     certs, audits = [], []
-    for n in params.get("n_values", [1, 3, 8]):
+    for n in n_values(params, [1, 3, 8]):
         est = inner_entropy(tset, int(n))
-        ref = transport_entropy(tset.grid, int(n))
-        certs.append({"quantity": "inner_entropy", "n": int(n),
-                      "lower": est.lower, "upper": est.upper, "reference": ref})
-        audits.append({"name": f"entropy-contains-ref-n{n}", "passed":
-                       est.lower <= ref * (1 + 1e-9) and est.upper >= ref * (1 - 1e-9)})
+        certs.append(dict(est.to_json(), reference=transport_entropy(tset.grid, int(n))))
+        audits.append({"name": f"entropy-cover-n{n}",
+                       "passed": recheck_entropy(certs[-1], tset)})
     for n in params.get("n_values_kolmogorov", [4, 16]):
         cert, _ = transport_kolmogorov_upper(tset, int(n))
         certs.append(cert.to_json())
@@ -630,14 +641,15 @@ def certify_transport(tset: TransportSet, params):
 
 def certify_diagonal(dset: PointSet, params):
     certs, audits = [], []
-    for n in params.get("n_values", [4, 8, 16]):
+    for n in n_values(params, [4, 8, 16]):
         if n > dset.space.dim:
             raise PreconditionError(f"n = {n} exceeds the diagonal set's truncation "
                                     f"{dset.space.dim}")
         cert, approx = kolmogorov_upper(dset, range(int(n)))
         comp = kolmogorov_comparison(dset, cert, np.eye(dset.space.dim)[: int(n)], approx)
         certs += [cert.to_json(), comp.to_json()]
-        ref = diagonal_reference_upper(int(n))
+        # span{e_1..e_n} holds the whole truncation once n reaches it
+        ref = diagonal_reference_upper(int(n)) if n < dset.space.dim else 0.0
         audits += [
             {"name": f"kolmogorov-matches-ref-n{n}", "passed":
                 abs(cert.value - ref) <= 1e-9},
@@ -668,7 +680,7 @@ def recheck_basis_threshold(cert: dict, fset=None) -> bool:
 
 def certify_cross_polytope(target, params):
     certs, audits = [], []
-    for n in params.get("n_values", [1, 2, 4]):
+    for n in n_values(params, [1, 2, 4]):
         val = cross_polytope_width(int(n))
         certs.append({"quantity": "kolmogorov_width", "n": int(n),
                       "value": val, "direction": "reference"})

@@ -259,16 +259,10 @@ def _study_of(target: Optional[dict]) -> Optional[CaseStudy]:
 
 def _run_entropy(cfg, seed):
     fset = _target_set(cfg.get("target"), seed)
-    params = cfg.get("params", {})
-    ns = params.get("n_values", [params.get("n", 3)])
-    certs, audits = [], []
-    for n in ns:
-        est = inner_entropy(fset, int(n))
-        certs.append({"quantity": "inner_entropy", "n": int(n), "lower": est.lower,
-                      "upper": est.upper, "exact": est.exact,
-                      "witness": {"upper": est.upper_witness, "lower": est.lower_witness}})
-        audits.append({"name": f"entropy-bracket-n{n}", "passed": est.lower <= est.upper})
-    return certs, audits
+    ests = [inner_entropy(fset, int(n)) for n in cs.n_values(cfg.get("params", {}), [3])]
+    return ([est.to_json() for est in ests],
+            [{"name": f"entropy-bracket-n{est.n}", "passed": est.lower <= est.upper}
+             for est in ests])
 
 
 def _run_packing(cfg, seed):
@@ -381,16 +375,6 @@ def _run_audit_all(cfg, seed):
             if not sandwich_audit(ps, float(eps)).passed:
                 bad += 1
     audits.append({"name": "sandwich-random-sets", "passed": bad == 0, "violations": bad})
-
-    # entropy exactness on the log sequence set
-    ok = True
-    for n in (1, 2, 4, 6):
-        spec = cs.SequenceSetSpec(generator="log", truncation=2 ** (n + 2))
-        est = inner_entropy(cs.sequence_set(spec), n)
-        ref = cs.sigma_at(spec, 2 ** n)
-        ok &= est.lower <= ref * (1 + 1e-9) and est.upper >= ref * (1 - 1e-9)
-        ok &= (est.upper - est.lower) <= 1e-6 * ref
-    audits.append({"name": "entropy-exactness-log-sequence", "passed": bool(ok)})
 
     # entropy-map pipeline on random sets
     ok = True

@@ -62,6 +62,11 @@ class EntropyEstimate:
     upper_witness: dict = field(default_factory=dict, compare=False)
     lower_witness: dict = field(default_factory=dict, compare=False)
 
+    def to_json(self) -> dict:
+        return {"quantity": "inner_entropy", "n": self.n, "lower": self.lower,
+                "upper": self.upper, "exact": self.exact,
+                "witness": {"upper": self.upper_witness, "lower": self.lower_witness}}
+
 
 def greedy_packing(fset: FiniteSet, eps: float, stop_above: Optional[int] = None) -> PackingResult:
     """Sequential packing scan in point order; lowest index wins ties.
@@ -117,6 +122,14 @@ def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
             raise PreconditionError(f"point {lo + int(far[0])} not covered at eps={eps}")
         assign[lo : lo + len(block)] = d.argmin(axis=1)
     return assign
+
+
+def ball_disjoint(fset: FiniteSet, points, eps: float) -> bool:
+    """No inner ball of radius below eps holds two of the points (one pass over
+    the rows); a point named twice lies twice in its own ball, so it fails."""
+    cols = np.asarray(points, dtype=int)
+    thr = eps * (1.0 - PACK_SLACK)
+    return all(((block[:, cols] < thr).sum(axis=1) <= 1).all() for _, block in row_blocks(fset))
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +300,22 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
 def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     """Certified bracket [lower, upper] for the inner entropy number.
 
-    Covers and covering-number lower bounds depend on eps only through which
-    pairwise distances are <= eps, so the search bisects over the index of the
-    radii r_0 = 0 < r_1 < ..., where r_i is ``fset.distinct_distances()[i-1]``
-    (one array, read in place by every n).  ``upper`` is the first radius with
-    a cover of at most 2**n inner balls; that cover is its witness.  ``lower``
-    is r_j where a lower bound on the covering number at r_{j-1} exceeded
-    2**n: the covering number is constant on [r_{j-1}, r_j), so no smaller
-    radius has such a cover.  Sets of at most N_EXACT points decide both with
-    the exact cover, and lower == upper.  The bottom radius r_0 is decided in
-    closed form when ``fset.points_apart()`` is True: below r_1 each ball holds
-    only its center, so a cover needs all m > 2**n balls and the lower bound
-    stops at 2**n + 1 witnesses.  Other sets probe r_0 like any radius.
+    A set that defines ``entropy_witnesses(n)`` answers in closed form: e_n, at
+    most 2**n centers that cover it at e_n, and 2**n + 1 points no inner ball
+    of radius below e_n holds two of, so lower == upper == e_n.  On a point
+    cloud, covers and covering-number lower bounds depend on eps only through
+    which pairwise distances are <= eps, so the search bisects over the index
+    of the radii r_0 = 0 < r_1 < ..., where r_i is
+    ``fset.distinct_distances()[i-1]`` (one array, read in place by every n).
+    ``upper`` is the first radius with a cover of at most 2**n inner balls;
+    that cover is its witness.  ``lower`` is r_j where a lower bound on the
+    covering number at r_{j-1} exceeded 2**n: the covering number is constant
+    on [r_{j-1}, r_j), so no smaller radius has such a cover.  Sets of at most
+    N_EXACT points decide both with the exact cover, and lower == upper.  The
+    bottom radius r_0 is decided in closed form when ``fset.points_apart()``
+    is True: below r_1 each ball holds only its center, so a cover needs all
+    m > 2**n balls and the lower bound stops at 2**n + 1 witnesses.  Other
+    sets probe r_0 like any radius.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
@@ -308,6 +325,11 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
         # every point can be its own center
         return EntropyEstimate(n, 0.0, 0.0, exact=True,
                                upper_witness={"kind": "identity", "size": m})
+    if hasattr(fset, "entropy_witnesses"):
+        e, centers, points = fset.entropy_witnesses(n)
+        cover = {"kind": "closed-form-cover", "centers": centers.tolist()}
+        return EntropyEstimate(n, e, e, exact=True, upper_witness=cover, lower_witness={
+            "kind": "ball-disjoint-points", "points": points.tolist()})
     dist = fset.distinct_distances()
     if dist.size == 0:
         return EntropyEstimate(n, 0.0, 0.0, exact=True,

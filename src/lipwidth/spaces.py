@@ -136,21 +136,13 @@ class FiniteSet:
     """Base class: a finite metric sample with block-wise distance access.
 
     Subclasses must provide ``size``, ``space``, and the block kernel
-    ``dist_rows``; a row is a one-row block.  They may override ``diameter``,
-    ``distinct_distances`` and ``points_apart`` with closed forms.  A set
-    holds no search state: entropy searches for every n read one array of
-    distinct distances, which a subclass may keep (a dense set: its matrix
-    plus m(m-1)/2 values).
+    ``dist_rows`` (a row is a one-row block), and may override ``diameter``.
+    The entropy search runs on :class:`PointSet` only; other sets define
+    ``entropy_witnesses(n)``: entropy numbers in closed form, with witnesses.
     """
 
     size: int
     space: NormedSpace
-
-    def points_apart(self) -> Optional[bool]:
-        """Whether every two distinct points are at a positive distance; None
-        when the set does not know.  The entropy search decides its bottom
-        radius in closed form only on True."""
-        return None
 
     def dist_rows(self, lo: int, hi: int) -> np.ndarray:
         """Distance rows lo..hi-1 as one (hi - lo, size) array."""
@@ -161,30 +153,6 @@ class FiniteSet:
 
     def diameter(self) -> float:
         return max(float(block.max()) for _, block in row_blocks(self))
-
-    def distinct_distances(self) -> np.ndarray:
-        """Sorted distinct positive distances, the radii entropy searches bisect:
-        ``np.unique`` of the strict lower triangle (distances are symmetric)
-        without its zeros, compacted in place."""
-        return self._sorted_triangle()[0]
-
-    def _sorted_triangle(self) -> tuple:
-        """(distinct positive distances, whether the triangle held no zero)."""
-        vals = np.empty(self.size * (self.size - 1) // 2)
-        for lo, block in row_blocks(self):
-            for i, row in enumerate(block, start=lo):
-                vals[i * (i - 1) // 2 : i * (i + 1) // 2] = row[:i]
-        vals.sort()
-        apart = not (vals.size and vals[0] == 0.0)  # zeros sort first
-        kept, prev = 0, 0.0  # distances are >= 0: zeros go with the repeats
-        step = max(1, BLOCK_ELEMS // 8)  # BLOCK_ELEMS bytes, so a block's copy stays small
-        for lo in range(0, vals.size, step):
-            blk = vals[lo : lo + step]
-            new = blk[np.concatenate(([blk[0] > prev], blk[1:] > blk[:-1]))]
-            prev = blk[-1]
-            vals[kept : kept + new.size] = new  # kept <= lo: never past the read
-            kept += new.size
-        return vals[:kept], apart
 
 
 class PointSet(FiniteSet):
@@ -289,13 +257,31 @@ class PointSet(FiniteSet):
         return np.asarray(self.space.norm(self.points - np.asarray(x, dtype=float)))
 
     def distinct_distances(self) -> np.ndarray:
-        if self._distinct is None:
-            self.matrix()  # refused above DENSE_LIMIT
-            self._distinct, self._apart = self._sorted_triangle()
+        """Sorted distinct positive distances, the radii entropy searches bisect,
+        kept for every n: the strict lower triangle sorted and compacted in place."""
+        if self._distinct is not None:
+            return self._distinct
+        self.matrix()  # refused above DENSE_LIMIT
+        vals = np.empty(self.size * (self.size - 1) // 2)
+        for lo, block in row_blocks(self):
+            for i, row in enumerate(block, start=lo):
+                vals[i * (i - 1) // 2 : i * (i + 1) // 2] = row[:i]
+        vals.sort()
+        self._apart = not (vals.size and vals[0] == 0.0)  # zeros sort first
+        kept, prev = 0, 0.0  # distances are >= 0: zeros go with the repeats
+        step = max(1, BLOCK_ELEMS // 8)  # BLOCK_ELEMS bytes, so a block's copy stays small
+        for lo in range(0, vals.size, step):
+            blk = vals[lo : lo + step]
+            new = blk[np.concatenate(([blk[0] > prev], blk[1:] > blk[:-1]))]
+            prev = blk[-1]
+            vals[kept : kept + new.size] = new  # kept <= lo: never past the read
+            kept += new.size
+        self._distinct = vals[:kept]
         return self._distinct
 
     def points_apart(self) -> bool:
-        """From the distances, not the coordinates: a distance of 0.0 coincides."""
+        """No two points at distance 0.0 (from the distances, not the coordinates),
+        so the entropy search decides its bottom radius in closed form."""
         self.distinct_distances()
         return self._apart
 

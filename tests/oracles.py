@@ -11,6 +11,23 @@ def sequence_dense_points(ss) -> np.ndarray:
     return pts
 
 
+def dense_twin(fset):
+    """A ``PointSet`` with the distances of a closed-form set, so that the
+    generic entropy search runs on its shape.  The twin keeps the name of the
+    set it stands for (``twin_of``), and test ids name that shape."""
+    from lipwidth import PointSet, lp_space
+
+    name = type(fset).__name__
+    if name == "SequenceSet":
+        twin = PointSet(lp_space(len(fset.sigmas), "inf"), sequence_dense_points(fset))
+    elif name == "UniformBasisSet":
+        twin = PointSet(lp_space(fset.size, 2), np.eye(fset.size))
+    else:  # a TransportSet: its own points and closed-form matrix
+        twin = PointSet(fset.space, fset.points, dist_matrix=fset.matrix())
+    twin.twin_of = name
+    return twin
+
+
 def diagonal_member(y: np.ndarray) -> bool:
     """``y`` lies in the weighted-l1 ball sum_j |y_j| sqrt(log2(j+1)) <= 1."""
     w = np.sqrt(np.log2(np.arange(1, len(y) + 1) + 1.0))

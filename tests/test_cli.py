@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -663,6 +664,46 @@ def test_diagonal_n_past_truncation_is_numeric_failure(tmp_path, capsys, n):
     assert f"n = {n}" in err and "truncation 4" in err and "Traceback" not in err
 
 
+def test_diagonal_study_at_its_truncation_has_reference_zero():
+    # span{e_1..e_8} holds the whole truncation 8, so the residual is 0
+    report = run({"command": "case-study", "params": {"n_values": [8]},
+                  "target": {"kind": "case-study", "name": "diagonal", "truncation": 8}})
+    assert report["passed"] and report["certificates"][0]["value"] == 0.0
+
+
+def test_diagonal_study_runs_the_n_flag_alone(capsys):
+    assert main(["case-study", "run", "diagonal", "--target-json", '{"truncation": 8}',
+                 "--n", "8"]) == 0
+    assert {c["n"] for c in json.loads(capsys.readouterr().out)["certificates"]} == {8}
+
+
+@pytest.mark.parametrize("name,target,default", [
+    ("diagonal", {"truncation": 16}, {4, 8, 16}),
+    ("transport", {"grid": 64}, {1, 3, 8}),
+    ("cross-polytope", {}, {1, 2, 4})])
+def test_case_study_n_flag_replaces_the_default(capsys, name, target, default):
+    # n_values, else --n, else the default, as the entropy command reads them;
+    # transport's Kolmogorov certificates take n_values_kolmogorov instead
+    def ns(argv):
+        assert main(["case-study", "run", name, "--target-json", json.dumps(target), *argv]) == 0
+        return {c["n"] for c in json.loads(capsys.readouterr().out)["certificates"]
+                if name != "transport" or c["quantity"] == "inner_entropy"}
+
+    assert ns(["--n", "2"]) == {2}
+    assert ns([]) == default
+
+
+@pytest.mark.parametrize("n", [15, 20, 30])
+def test_log_sequence_study_past_any_truncation(n):
+    # the entropy number sigma_{2^n} comes from the generator, not a materialised set
+    report = run({"command": "case-study", "target": {"kind": "case-study", "name": "log-sequence"},
+                  "params": {"n": n, "gamma": 3.0, "max_bumps": 1000}, "verify_witness": True})
+    assert report["passed"]
+    ent = next(c for c in report["certificates"] if c["quantity"] == "inner_entropy")
+    assert ent["lower"] == ent["upper"] == 1.0 / math.log2(2 ** n + 1)
+    assert ent["set"] == {"generator": "log"}
+
+
 def test_case_study_sets_take_their_defaults_from_the_row():
     log, power = (_CASES[name].make_set({}) for name in ("log-sequence", "power-sequence"))
     assert log.size == power.size == 257
@@ -711,13 +752,13 @@ _GOLDEN = {
         "5bc1a8d7ae9ca42e500a90e6e9378321f96957f78968bbfff9c6c867815a58e2"),
     "case-study-log-sequence-witness": (
         _study("log-sequence"),
-        "1686f443e2cf6897e4bf02dbfbb7770fa0b11b706b8bb62a8efbfd47558eaa22"),
+        "ec8badb9131efca56613255462294863f106714280bedf41085f9d65c4d71994"),
     "case-study-power-sequence-witness": (
         _study("power-sequence"),
         "96503a7bf71e32bc511755c86120ddd2201672f5a3e2dee4342cc4185fb74b58"),
     "case-study-transport-witness": (
         _study("transport"),
-        "01d24231f48cbfdacbd07bdc9cb032141a4035dce012c20058c0bc2e708884e4"),
+        "5da8538327cf8bb101132969cb9ff7cae02b0699e96adfccde63d88ff305fae1"),
     "case-study-diagonal-witness": (
         _study("diagonal"),
         "59bd499e0aadce6257576657bf9bba1a842e250f22584d4b49a7edc6aa476ce5"),
@@ -729,17 +770,17 @@ _GOLDEN = {
         "0ea38ad3f986007e664df02fd206c2bda4d136dfdc245c62e8b1d654417cc283"),
     "audit-all-seed7": (
         {"command": "audit-all", "seed": 7},
-        "d43a7dffecf5709877656ac238050deb347268d4c02648587a9bd26e12027851"),
+        "eed1f738a0196e26ba673b75ca21e975ece9ca0e5b2be880f2a95de137c86eae"),
     # each moves if its study's default truncation (256, 64) or grid (1024) moves
     "entropy-power-sequence-c05-witness": (
         {"command": "entropy", "seed": 0,
          "target": {"kind": "case-study", "name": "power-sequence", "c": 0.5},
          "params": {"n_values": [2, 8]}, "verify_witness": True},
-        "b23fdfab97a59fcb521dc9e6a136de055b4b59764bc33c4421821edb1088b2a1"),
+        "ee0b10b15e36e92b5ca333561d06bb5d52f33419c934abf0a3a825acd1bc2538"),
     "entropy-transport-default-grid-witness": (
         {"command": "entropy", "seed": 0, "target": {"kind": "case-study", "name": "transport"},
          "params": {"n_values": [3, 10]}, "verify_witness": True},
-        "8e8158a8d423c54425a2c46dda2cd0d6bebc44c1cee94f83b53a2867bc41a13c"),
+        "16c696a3868e913a581081e684a245c9e20e6ba1ec484f06cce885a4215e0e86"),
     "packing-diagonal-default-truncation-witness": (
         {"command": "packing", "seed": 0, "target": {"kind": "case-study", "name": "diagonal"},
          "verify_witness": True},

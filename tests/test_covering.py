@@ -17,6 +17,8 @@ from lipwidth import (
 )
 from lipwidth.covering import (
     N_EXACT,
+    ball_disjoint,
+    coverage_assignment,
     covering_lower_bound,
     exact_min_cover,
     packing_is_maximal,
@@ -24,12 +26,14 @@ from lipwidth.covering import (
 )
 from lipwidth.case_studies import (
     SequenceSetSpec,
+    TransportSet,
     UniformBasisSet,
     sequence_set,
     transport_entropy,
     transport_set,
 )
-from lipwidth.spaces import PreconditionError
+from lipwidth.spaces import FiniteSet, PreconditionError
+from oracles import dense_twin
 
 
 def basis_cloud():
@@ -215,9 +219,7 @@ def test_inner_entropy_zero_when_budget_covers():
 def test_inner_entropy_transport_bracket():
     ts = transport_set(1024)
     est = inner_entropy(ts, 3)
-    ref = 0.25  # 2^{-n+1}: the radius of 2^{n-1} balls, which the greedy upper end reaches
-    assert est.lower <= ref * (1 + 1e-9) <= est.upper * (1 + 2e-9)
-    assert est.lower <= transport_entropy(1024, 3) == 0.125 <= est.upper  # 2^n balls
+    assert est.lower == est.upper == transport_entropy(1024, 3) == 0.125  # 2^n balls
 
 
 def test_inner_entropy_monotone_in_n():
@@ -274,14 +276,14 @@ def assert_same_estimate(got, want):
 def bottom_sets():
     """Sets of 2**n + 1 points, whose search at n reaches r_0."""
     rng = np.random.default_rng(12)
-    out = [UniformBasisSet(2 ** n + 1) for n in (1, 2, 4, 5, 7)]
+    out = [dense_twin(UniformBasisSet(2 ** n + 1)) for n in (1, 2, 4, 5, 7)]
     for n, norm in ((5, "l2"), (6, "linf"), (5, "l1")):
         out.append(PointSet(NormedSpace(2, norm), rng.uniform(-1, 1, size=(2 ** n + 1, 2))))
     return out
 
 
 def set_id(fset):
-    return f"{type(fset).__name__}-{fset.size}"
+    return f"{getattr(fset, 'twin_of', type(fset).__name__)}-{fset.size}"
 
 
 @pytest.mark.parametrize("fset", bottom_sets(), ids=set_id)
@@ -315,9 +317,9 @@ def shortcut_cases():
     sets.append(PointSet(lp_space(3, 1), pts))
     for truncation in (9, 16, 33, 64):
         sets.append(sequence_set(SequenceSetSpec(generator="log", truncation=truncation)))
-    sets += [UniformBasisSet(1), UniformBasisSet(2), UniformBasisSet(40),
-             transport_set(64)]
-    return sets
+    sets += [UniformBasisSet(1), UniformBasisSet(2), UniformBasisSet(40), transport_set(64)]
+    # the search runs on point clouds only: the closed-form sets by their twins
+    return [s if type(s) is PointSet else dense_twin(s) for s in sets]
 
 
 @pytest.mark.parametrize("fset", shortcut_cases(), ids=set_id)
@@ -343,6 +345,72 @@ def test_points_whose_distance_underflows_coincide(monkeypatch, m, n):
     est = inner_entropy(ps, n)
     assert est.lower == est.upper == 0.0  # 2**n balls hold the m - 1 locations
     assert_same_estimate(est, without_bottom_rule(monkeypatch, ps, n))
+
+
+def closed_form_sets():
+    """The three closed-form shapes, at sizes the dense search handles."""
+    for truncation in range(2, 131):
+        for gen, c in (("log", 1.0), ("power", 0.5), ("power", 2.0)):
+            yield sequence_set(SequenceSetSpec(gen, truncation, c))
+    for m in range(2, 41):
+        yield UniformBasisSet(m)
+    for grid in [*range(2, 70), 128, 256, 512]:
+        yield transport_set(grid)
+
+
+def test_closed_form_entropy_is_witnessed_and_matches_the_search_on_a_dense_twin():
+    checked = 0
+    for fset in closed_form_sets():
+        twin = dense_twin(fset)
+        # the transport matrix 2|a - b| rounds each parameter a = i/grid, so its
+        # distances sit within 1e-15 of 2t/grid; the other twins are exact
+        tol = 1e-15 if isinstance(fset, TransportSet) else 0.0
+        for n in range(math.ceil(math.log2(fset.size))):  # every n with 2**n < m
+            est, search = inner_entropy(fset, n), inner_entropy(twin, n)
+            assert est.exact and est.lower == est.upper, (set_id(fset), n)
+            # both witnesses hold on the set's own distances
+            centers, points = est.upper_witness["centers"], est.lower_witness["points"]
+            assert len(centers) <= 2 ** n < len(points) == 2 ** n + 1
+            coverage_assignment(fset, centers, est.upper)
+            assert ball_disjoint(fset, points, est.lower), (set_id(fset), n)
+            assert search.lower - tol <= est.lower <= search.upper + tol, (set_id(fset), n)
+            if search.exact:
+                assert abs(est.lower - search.lower) <= tol, (set_id(fset), n)
+            checked += 1
+    assert checked == 2942  # every n with 2**n < m on every set above
+
+
+@pytest.mark.parametrize("fset", [sequence_set(SequenceSetSpec("log", 64)),
+                                  sequence_set(SequenceSetSpec("power", 33, 0.5)),
+                                  UniformBasisSet(40), transport_set(64)], ids=set_id)
+def test_closed_form_sets_never_reach_the_search(monkeypatch, fset):
+    from lipwidth import covering
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generic search ran")
+
+    for name in ("greedy_packing", "covering_lower_bound", "exact_min_cover"):
+        monkeypatch.setattr(covering, name, refuse)
+    for n in range(math.ceil(math.log2(fset.size)) + 2):
+        est = inner_entropy(fset, n)
+        assert est.lower == est.upper
+
+
+def finite_set_classes(cls=FiniteSet):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("lipwidth."):
+            yield sub
+            yield from finite_set_classes(sub)
+
+
+def test_every_set_reaches_the_search_as_a_point_cloud_or_has_a_closed_form():
+    classes = list(finite_set_classes())
+    assert {c.__name__ for c in classes} >= {"PointSet", "SequenceSet", "UniformBasisSet",
+                                             "TransportSet"}
+    for cls in classes:
+        assert issubclass(cls, PointSet) or hasattr(cls, "entropy_witnesses"), cls
+    for attr in ("distinct_distances", "points_apart"):
+        assert [c for c in (FiniteSet, *classes) if attr in vars(c)] == [PointSet], attr
 
 
 def test_lipschitz_image_entropy_contraction():

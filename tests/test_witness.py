@@ -36,6 +36,9 @@ _RUNS = {
                          {"n": 3}),
     "entropy-cloud-linf": ("entropy", {"kind": "random", "m": 300, "dim": 2, "norm": "linf"},
                            {"n": 3}),
+    # a closed form answers: both witnesses are recorded
+    "entropy-transport": ("entropy", {"kind": "case-study", "name": "transport", "grid": 64},
+                          {"n_values": [2, 4]}),
 }
 _RUNS.update({f"case-study-{name}": ("case-study", dict(study.audit_inputs[0],
                                                           kind="case-study", name=name),
@@ -109,6 +112,12 @@ def _centers(make):
     return tamper
 
 
+def _lower_points(make):
+    def tamper(cert, fset):
+        cert["witness"]["lower"]["points"] = make(cert["witness"]["lower"]["points"])
+    return tamper
+
+
 def _scale_witness(field, factor):
     def tamper(cert, fset):
         cert["witness"][field] *= factor
@@ -150,6 +159,13 @@ _EXTRA = [
     ("inner_entropy", "entropy-cloud-l2", _centers(
         lambda cert, fset: [c - fset.size for c in cert["witness"]["upper"]["centers"]]),
      "negative-centers"),
+    # the closed-form bracket is confirmed again, so only its witnesses can fail:
+    # a cover with one center dropped, and a lower witness point moved next to
+    # another
+    ("inner_entropy", "entropy-transport", _centers(
+        lambda cert, fset: cert["witness"]["upper"]["centers"][:-1]), "center-dropped"),
+    ("inner_entropy", "entropy-transport", _lower_points(
+        lambda points: [points[0], points[0] + 1, *points[2:]]), "point-moved"),
     # the map rebuilt from the materialised bumps has the recorded constant
     ("dyadic-bump-map", "case-study-log-sequence", _scale_witness("declared_constant", 1.01),
      "declared-constant"),
