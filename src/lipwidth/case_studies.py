@@ -669,12 +669,15 @@ def certify_orthonormal_basis(target, params):
 
 
 def recheck_basis_threshold(cert: dict, fset=None) -> bool:
-    """The certificate, computed again, has the same regime flag and narrower
-    brackets."""
-    again = orthonormal_basis_report(cert["m"], cert["gamma"], cert["s"],
-                                     sorted(int(k) for k in cert["entropy_brackets"]))
+    """The certificate, computed again, has the same regime flag, and each
+    entropy bracket passes ``recheck_entropy`` on the cloud with the cloud's
+    own witnesses: its centers cover at the upper end, and no inner ball
+    below the lower end holds two of its points.  That reads (2**k + 1)
+    rows of the cloud for bracket k."""
+    cloud = basis_cloud(cert["m"])
+    again = orthonormal_basis_report(cert["m"], cert["gamma"], cert["s"], [])
     return cert["regime_certified"] == again["regime_certified"] and all(
-        lo <= again["entropy_brackets"][k][0] and hi >= again["entropy_brackets"][k][1]
+        recheck_entropy(dict(inner_entropy(cloud, int(k)).to_json(), lower=lo, upper=hi), cloud)
         for k, (lo, hi) in cert["entropy_brackets"].items())
 
 

@@ -50,6 +50,7 @@ CONFIG_SCHEMA = json.loads(
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
                "integer": int, "number": (int, float)}
+_NUMBER = {"type": "number"}
 
 
 def resolve_gamma(params: dict, fset=None) -> float:
@@ -116,8 +117,11 @@ def _check(value, schema: dict, path: str) -> None:
                 raise UsageError(f"unknown config field {path}.{key}")
     if isinstance(value, list) and "items" in schema:
         path += "[]"  # no per-item index: configs can carry 10^4 points
+        items = schema["items"]
+        plain = items == _NUMBER  # coordinates: a plain finite number needs no walk
         for item in value:
-            _check(item, schema["items"], path)
+            if not plain or type(item) not in (int, float) or not -math.inf < item < math.inf:
+                _check(item, items, path)
     for sub in schema.get("allOf", ()):
         _check(value, sub, path)
     if "if" in schema:
@@ -155,6 +159,16 @@ def _jsonify(obj):
 def canonical_report(report: dict) -> str:
     doc = {k: v for k, v in report.items() if k != "meta"}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def report_text(report: dict, canonical: str) -> str:
+    """The whole report: the canonical text with ``"meta":{...}`` appended as
+    its last member, so the report is encoded once (the bare canonical text
+    when there is no ``meta``)."""
+    if "meta" not in report:
+        return canonical
+    meta = json.dumps(report["meta"], sort_keys=True, separators=(",", ":"))
+    return f'{canonical[:-1]}{"," if len(canonical) > 2 else ""}"meta":{meta}}}'
 
 
 def _target_set(target: Optional[dict], seed: int) -> FiniteSet:
@@ -589,7 +603,8 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     out_format = cfg.get("format", "json")
-    text = json.dumps(report, indent=2, sort_keys=True)
+    canonical = canonical_report(report)
+    text = report_text(report, canonical)
     if cfg.get("out"):
         import os
 
@@ -599,7 +614,7 @@ def main(argv=None) -> int:
             with open(base + ".json", "w") as fh:
                 fh.write(text + "\n")
             with open(base + ".canonical.json", "w") as fh:
-                fh.write(canonical_report(report) + "\n")
+                fh.write(canonical + "\n")
         if out_format in ("csv", "both"):
             with open(base + ".csv", "w") as fh:
                 fh.write(certificates_csv(report))

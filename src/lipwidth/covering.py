@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import FiniteSet, PreconditionError, block_rows, row_blocks
+from .spaces import DENSE_LIMIT, FiniteSet, PreconditionError, block_rows, row_blocks
 
 # Exact set-cover threshold: above this, brackets fall back to witnesses.
 N_EXACT = 20
@@ -108,28 +108,86 @@ def packing_is_maximal(fset: FiniteSet, pack: PackingResult) -> bool:
     return True
 
 
+def _rows_of(fset: FiniteSet, idx: np.ndarray):
+    """(positions into ``idx``, the distance rows of those points), reading each
+    block of ``block_rows`` consecutive rows at most once, and only when it
+    holds one of the points.  Distances are symmetric, so row p also gives
+    d(c, p) for every point c."""
+    if idx.size == 0:
+        return
+    order = np.argsort(idx, kind="stable")
+    step = block_rows(fset.size)
+    for pos in np.split(order, np.flatnonzero(np.diff(idx[order] // step)) + 1):
+        lo, hi = int(idx[pos[0]]), int(idx[pos[-1]]) + 1
+        block = fset.dist_rows(lo, hi)
+        run = hi - lo == len(pos) and bool((np.diff(idx[pos]) == 1).all())
+        yield pos, block if run else block[idx[pos] - lo]
+
+
+def _indices(fset: FiniteSet, idx) -> np.ndarray:
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu" or np.any(idx < 0) or np.any(idx >= fset.size):
+        raise PreconditionError(f"witnesses must be point indices in [0, {fset.size})")
+    return idx.reshape(-1)
+
+
 def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
-    """Nearest-center assignment; raises if some point is farther than eps,
-    or if a center is not an integer index into the set."""
-    centers = np.asarray(centers)
-    if centers.dtype.kind not in "iu" or np.any(centers < 0) or np.any(centers >= fset.size):
-        raise PreconditionError(f"centers must be point indices in [0, {fset.size})")
-    assign = np.empty(fset.size, dtype=int)
-    for lo, block in row_blocks(fset):
-        d = block[:, centers]
-        far = np.flatnonzero(d.min(axis=1) > eps * (1.0 + PACK_SLACK))
-        if far.size:
-            raise PreconditionError(f"point {lo + int(far[0])} not covered at eps={eps}")
-        assign[lo : lo + len(block)] = d.argmin(axis=1)
+    """Nearest-center assignment, the first center in ``centers`` on ties; raises
+    if some point is farther than eps, or if a center is not an integer index
+    into the set.  It reads the centers' rows only."""
+    centers = _indices(fset, centers)
+    best = np.full(fset.size, np.inf)
+    assign = np.zeros(fset.size, dtype=int)
+    for pos, block in _rows_of(fset, centers):
+        first = np.argsort(pos, kind="stable")
+        pos, block = pos[first], block[first]
+        near = block.argmin(axis=0)
+        d, j = block[near, np.arange(fset.size)], pos[near]
+        better = (d < best) | ((d == best) & (j < assign))
+        best[better] = d[better]
+        assign[better] = j[better]
+    far = np.flatnonzero(best > eps * (1.0 + PACK_SLACK))
+    if far.size:
+        raise PreconditionError(f"point {int(far[0])} not covered at eps={eps}")
     return assign
 
 
 def ball_disjoint(fset: FiniteSet, points, eps: float) -> bool:
-    """No inner ball of radius below eps holds two of the points (one pass over
-    the rows); a point named twice lies twice in its own ball, so it fails."""
-    cols = np.asarray(points, dtype=int)
+    """No inner ball of radius below eps holds two of the points: every ball
+    the points' rows put them in is put there once.  It reads the points'
+    rows only; a point named twice lies twice in its own ball, so it fails."""
     thr = eps * (1.0 - PACK_SLACK)
-    return all(((block[:, cols] < thr).sum(axis=1) <= 1).all() for _, block in row_blocks(fset))
+    held = np.zeros(fset.size, dtype=bool)  # centers whose ball holds a point
+    hits = 0
+    for _, block in _rows_of(fset, _indices(fset, points)):
+        inside = block < thr
+        hits += int(np.count_nonzero(inside))
+        held |= np.logical_or.reduce(inside, axis=0)
+    return hits == int(np.count_nonzero(held))
+
+
+def farthest_first(fset: FiniteSet, k: int) -> tuple:
+    """Gonzalez's farthest-first traversal: (centers, insertion radii), at most k.
+
+    It starts at point 0, and each next center is a point farthest from the
+    centers before it, the lowest index on ties; its insertion radius is that
+    distance (inf for point 0).  The radii never increase, so the first j
+    centers cover the set at radius ``radii[j]`` and centers 0..j are pairwise
+    at least that far apart.  The traversal stops early once every point is
+    at distance 0 from a center.  It reads one distance row per center and
+    holds O(m) memory, never the matrix.
+    """
+    if k < 1:
+        raise PreconditionError("k must be positive")
+    near = np.full(fset.size, np.inf)  # distance to the nearest center so far
+    centers, radii = [], []
+    nxt = 0
+    while len(centers) < k and near[nxt] > 0:
+        centers.append(nxt)
+        radii.append(float(near[nxt]))
+        np.minimum(near, fset.dist_row(nxt), out=near)
+        nxt = int(np.argmax(near))  # the first maximum: lowest index on ties
+    return np.array(centers), np.array(radii)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +373,9 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     bottom radius r_0 is decided in closed form when ``fset.points_apart()``
     is True: below r_1 each ball holds only its center, so a cover needs all
     m > 2**n balls and the lower bound stops at 2**n + 1 witnesses.  Other
-    sets probe r_0 like any radius.
+    sets probe r_0 like any radius.  A point cloud of more than DENSE_LIMIT
+    points gets the farthest-first bracket of ``_traversal_bracket`` instead,
+    from 2**n + 1 distance rows and without the matrix.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
@@ -330,6 +390,8 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
         cover = {"kind": "closed-form-cover", "centers": centers.tolist()}
         return EntropyEstimate(n, e, e, exact=True, upper_witness=cover, lower_witness={
             "kind": "ball-disjoint-points", "points": points.tolist()})
+    if m > DENSE_LIMIT:
+        return _traversal_bracket(fset, n)
     dist = fset.distinct_distances()
     if dist.size == 0:
         return EntropyEstimate(n, 0.0, 0.0, exact=True,
@@ -387,6 +449,23 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
                        "eps": radius(low - 1) if low else None,
                        "count": int(count) if low else None},
     )
+
+
+def _traversal_bracket(fset: FiniteSet, n: int) -> EntropyEstimate:
+    """[R/2, R] from the farthest-first traversal, R the insertion radius of
+    its point 2**n + 1: the first 2**n centers cover the set at R, and with
+    that point they are 2**n + 1 points pairwise at least R apart, so no inner
+    ball of radius below R/2 holds two of them.  With fewer distinct points
+    than that, the centers cover the set at 0 and the bracket is [0, 0]."""
+    budget = 1 << n
+    centers, radii = farthest_first(fset, budget + 1)
+    r = float(radii[budget]) if len(centers) > budget else 0.0
+    first = centers[:budget].tolist()
+    cover = {"kind": "farthest-first-cover", "eps": r, "size": len(first), "centers": first}
+    if not r:
+        return EntropyEstimate(n, 0.0, 0.0, exact=True, upper_witness=cover)
+    return EntropyEstimate(n, r / 2, r, exact=False, upper_witness=cover, lower_witness={
+        "kind": "ball-disjoint-points", "eps": r / 2, "points": centers.tolist()})
 
 
 def recheck_packing(cert: dict, fset: FiniteSet) -> bool:

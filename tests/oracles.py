@@ -11,15 +11,18 @@ def sequence_dense_points(ss) -> np.ndarray:
     return pts
 
 
-def dense_twin(fset):
+def dense_twin(fset, own_matrix=False):
     """A ``PointSet`` with the distances of a closed-form set, so that the
     generic entropy search runs on its shape.  The twin keeps the name of the
-    set it stands for (``twin_of``), and test ids name that shape."""
+    set it stands for (``twin_of``), and test ids name that shape.  A sequence
+    twin computes its matrix from its points, unless ``own_matrix`` hands it
+    the set's own (a truncation of 1024 takes seconds in l-infinity)."""
     from lipwidth import PointSet, lp_space
 
     name = type(fset).__name__
     if name == "SequenceSet":
-        twin = PointSet(lp_space(len(fset.sigmas), "inf"), sequence_dense_points(fset))
+        twin = PointSet(lp_space(len(fset.sigmas), "inf"), sequence_dense_points(fset),
+                        dist_matrix=fset.dist_rows(0, fset.size) if own_matrix else None)
     elif name == "UniformBasisSet":
         twin = PointSet(lp_space(fset.size, 2), np.eye(fset.size))
     else:  # a TransportSet: its own points and closed-form matrix

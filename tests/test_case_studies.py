@@ -31,7 +31,7 @@ from lipwidth.case_studies import (
     volume_condition,
 )
 from lipwidth.spaces import PreconditionError
-from oracles import diagonal_member, sequence_dense_points
+from oracles import dense_twin, diagonal_member, sequence_dense_points
 
 
 # --- sequence sets -----------------------------------------------------------
@@ -59,7 +59,7 @@ def test_sequence_entropy_bracket_contains_sigma():
     for gen, c in (("log", 1.0), ("power", 0.5)):
         for n in (2, 3):
             spec = SequenceSetSpec(generator=gen, truncation=2 ** (n + 2), c=c)
-            est = inner_entropy(sequence_set(spec), n)
+            est = inner_entropy(dense_twin(sequence_set(spec)), n)  # the search
             ref = sigma_at(spec, 2 ** n)
             assert est.lower <= ref * (1 + 1e-9)
             assert est.upper >= ref * (1 - 1e-9)
@@ -228,9 +228,9 @@ def test_transport_distances_match_step_norm():
 
 
 def test_transport_entropy_brackets():
-    ts = transport_set(1024)
+    twin = dense_twin(transport_set(1024))  # the search, not the closed form
     for n in (1, 2, 5):
-        est = inner_entropy(ts, n)
+        est = inner_entropy(twin, n)
         ref = transport_entropy(1024, n)
         assert est.lower <= ref * (1 + 1e-9)
         assert est.upper >= ref * (1 - 1e-9)
@@ -256,11 +256,12 @@ def test_transport_comparison_below_kolmogorov():
 
 
 def test_transport_reference_consistency():
-    # the entropy reference is the exact cover radius of the grid + 1 samples
+    # the entropy reference is the exact cover radius of the grid + 1 samples,
+    # found by the exact search on the grid's dense twin
     for grid in range(2, 19):
-        ts = transport_set(grid)
+        twin = dense_twin(transport_set(grid))
         for n in range(6):
-            est = inner_entropy(ts, n)
+            est = inner_entropy(twin, n)
             assert est.exact and est.lower == est.upper
             assert transport_entropy(grid, n) == pytest.approx(est.upper, abs=1e-15), (grid, n)
     refs = transport_reference()

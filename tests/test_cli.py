@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +163,55 @@ def test_out_files_written(tmp_path):
     assert (tmp_path / "entropy-report.csv").exists()
 
 
+def test_report_json_is_the_canonical_text_with_meta_last(tmp_path, capsys):
+    argv = ["entropy", "--seed", "5", "--n", "2",
+            "--target-json", json.dumps({"kind": "random", "m": 9, "dim": 2})]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    canonical = (tmp_path / "entropy-report.canonical.json").read_text()
+    text = (tmp_path / "entropy-report.json").read_text()
+    assert text.startswith(canonical[:-2] + ',"meta":{') and text.endswith("}}\n")
+    report = json.loads(text)
+    assert list(report)[-1] == "meta"
+    assert {k: v for k, v in report.items() if k != "meta"} == json.loads(canonical)
+    assert set(report["meta"]) == {"wall_clock_s", "timestamp", "workers"}
+    assert main(argv) == 0  # stdout gets the same form (its config has no "out")
+    printed = capsys.readouterr().out
+    report = json.loads(printed)
+    assert list(report)[-1] == "meta"
+    assert printed.startswith(canonical_report(report)[:-1] + ',"meta":{')
+
+
+def test_report_without_meta_writes_both_files(monkeypatch, tmp_path):
+    from lipwidth import cli as climod
+
+    monkeypatch.setattr(climod, "run", lambda c: {"passed": True})
+    assert main(["packing", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "packing-report.json").read_text() == '{"passed":true}\n'
+    assert (tmp_path / "packing-report.canonical.json").read_text() == '{"passed":true}\n'
+
+
+@pytest.mark.parametrize("row,message", [
+    ([0.5, True], "config.target.points[][] must be of type number"),
+    ([0.5, None], "config.target.points[][] must be of type number"),
+    ([0.5, "x"], "config.target.points[][] must be of type number"),
+    ([0.5, float("nan")], "config.target.points[][] must be finite, not nan"),
+    ([float("inf"), 0.5], "config.target.points[][] must be finite, not inf"),
+    ([0.5, float("-inf")], "config.target.points[][] must be finite, not -inf")])
+def test_bad_coordinate_keeps_its_message_and_path(tmp_path, capsys, row, message):
+    # json.load reads NaN and Infinity, so only the check refuses them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "entropy", "target": _points([[0.1, 0.2], row]),
+                                "params": {"n": 1}}))
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_integer_coordinates_are_accepted(capsys):
+    target = _points([[0, 1], [2, 3], [-4, 5]])
+    assert main(["entropy", "--n", "1", "--target-json", json.dumps(target)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["target"]["points"][2] == [-4, 5]
+
+
 def test_exit_code_two_on_violation(monkeypatch):
     from lipwidth import cli as climod
 
@@ -256,12 +306,42 @@ def test_malformed_points_target_exits_1(tmp_path, capsys, via, target):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_points_target_above_dense_limit_still_exits_3(capsys):
-    # a well-formed target the entropy search refuses is a numeric failure
-    pts = np.random.default_rng(0).uniform(-1, 1, size=(4097, 1)).tolist()
-    argv = ["entropy", "--n", "1", "--target-json", json.dumps(_points(pts, dim=1))]
-    assert _exit_code(argv) == 3
-    assert "dense distance matrix refused" in capsys.readouterr().err
+def test_points_target_above_dense_limit_gets_a_traversal_bracket(monkeypatch, capsys):
+    # above DENSE_LIMIT the bracket is the farthest-first [R/2, R], from distance
+    # rows alone: no matrix, O(m) memory, and witnesses that --verify-witness
+    # re-checks and that a tampered bracket fails
+    from lipwidth import cli as climod, spaces
+
+    sets, real = [], climod._target_set
+    monkeypatch.setattr(climod, "_target_set", lambda t, s: sets.append(real(t, s)) or sets[-1])
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", 1 << 12)  # small row blocks
+    m = spaces.DENSE_LIMIT + 1
+    pts = np.random.default_rng(0).uniform(-1, 1, size=(m, 1))
+    argv = ["entropy", "--n", "3", "--verify-witness",
+            "--target-json", json.dumps(_points(pts.tolist(), dim=1))]
+    tracemalloc.start()
+    try:
+        code = _exit_code(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [a["name"] for a in report["audits"]] == ["entropy-bracket-n3",
+                                                     "witness-0-inner_entropy"]
+    assert all(a["passed"] for a in report["audits"])
+    cert = report["certificates"][0]
+    upper, lower = cert["witness"]["upper"], cert["witness"]["lower"]
+    assert upper["kind"] == "farthest-first-cover" and len(upper["centers"]) == 8
+    assert lower["kind"] == "ball-disjoint-points" and lower["points"][:8] == upper["centers"]
+    # R is an actual distance: the cover radius of the 8 centers, reached at point 9
+    gaps = np.abs(pts - pts[upper["centers"]].T).min(axis=1)
+    assert cert["upper"] == gaps.max() == gaps[lower["points"][8]]
+    assert cert["lower"] == cert["upper"] / 2 and not cert["exact"]
+    assert peak < m ** 2 // 8, peak
+    assert len(sets) == 2 and all(fset._matrix is None for fset in sets)
+    for key, factor in (("upper", 0.99), ("lower", 1.01)):
+        assert not climod.recheck(dict(cert, **{key: cert[key] * factor}), sets[0]), key
 
 
 def test_gamma_schedule_underflow_exits_3(tmp_path, capsys):

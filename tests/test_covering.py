@@ -15,12 +15,14 @@ from lipwidth import (
     minimal_inner_covering,
     sandwich_audit,
 )
+from lipwidth import covering
 from lipwidth.covering import (
     N_EXACT,
     ball_disjoint,
     coverage_assignment,
     covering_lower_bound,
     exact_min_cover,
+    farthest_first,
     packing_is_maximal,
     _cover_masks,
 )
@@ -28,11 +30,12 @@ from lipwidth.case_studies import (
     SequenceSetSpec,
     TransportSet,
     UniformBasisSet,
+    recheck_entropy,
     sequence_set,
     transport_entropy,
     transport_set,
 )
-from lipwidth.spaces import FiniteSet, PreconditionError
+from lipwidth.spaces import DENSE_LIMIT, FiniteSet, PreconditionError
 from oracles import dense_twin
 
 
@@ -411,6 +414,107 @@ def test_every_set_reaches_the_search_as_a_point_cloud_or_has_a_closed_form():
         assert issubclass(cls, PointSet) or hasattr(cls, "entropy_witnesses"), cls
     for attr in ("distinct_distances", "points_apart"):
         assert [c for c in (FiniteSet, *classes) if attr in vars(c)] == [PointSet], attr
+
+
+# ---------------------------------------------------------------------------
+# farthest-first traversal (Gonzalez) and the bracket it gives above DENSE_LIMIT
+# ---------------------------------------------------------------------------
+
+
+def oracle_farthest_first(fset, k):
+    """The traversal as a double loop over the distances: the first farthest
+    point (lowest index) joins, until k centers or all points lie on one."""
+    d = [fset.dist_row(i).tolist() for i in range(fset.size)]
+    centers, radii = [0], [math.inf]
+    while len(centers) < k:
+        best, arg = -1.0, None
+        for p in range(fset.size):
+            gap = min(d[p][c] for c in centers)
+            if gap > best:
+                best, arg = gap, p
+        if best == 0.0:
+            break
+        centers.append(arg)
+        radii.append(best)
+    return centers, radii
+
+
+def tied_clouds():
+    rng = np.random.default_rng(5)
+    grid = [[x, y] for x in range(4) for y in range(4)]  # l1 and linf distances tie
+    return [PointSet(lp_space(2, 1), grid), PointSet(lp_space(2, "inf"), grid[::-1]),
+            PointSet(lp_space(3, 2), rng.uniform(-1, 1, size=(40, 3))),
+            PointSet(lp_space(1, 1), rng.integers(0, 3, size=(25, 1))),  # repeats
+            UniformBasisSet(9), sequence_set(SequenceSetSpec("log", 30))]
+
+
+@pytest.mark.parametrize("fset", tied_clouds(), ids=set_id)
+def test_farthest_first_matches_the_double_loop(fset):
+    for k in (1, 2, 5, fset.size, fset.size + 3):
+        centers, radii = farthest_first(fset, k)
+        want_centers, want_radii = oracle_farthest_first(fset, k)
+        assert centers.tolist() == want_centers, k
+        assert radii.tolist() == want_radii, k
+
+
+@pytest.mark.parametrize("fset", tied_clouds(), ids=set_id)
+def test_farthest_first_radii_never_increase_and_longer_runs_extend_shorter(fset):
+    centers, radii = farthest_first(fset, fset.size)
+    assert np.all(np.diff(radii) <= 0)
+    for k in range(1, len(centers) + 1):
+        head, head_radii = farthest_first(fset, k)
+        assert head.tolist() == centers[:k].tolist()
+        assert head_radii.tolist() == radii[:k].tolist()
+    # the first j centers cover at radii[j], and the first j + 1 are that far apart
+    for j in range(1, len(centers)):
+        coverage_assignment(fset, centers[:j], radii[j])
+        assert ball_disjoint(fset, centers[: j + 1], radii[j] / 2)
+
+
+def big_cloud(m, distinct=None, seed=3):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, size=(m if distinct is None else distinct, 2))
+    if distinct is not None:
+        pts = pts[rng.integers(0, distinct, size=m)]
+    return PointSet(lp_space(2, 2), pts)
+
+
+def test_coincident_points_give_an_exact_zero_bracket_from_fewer_centers():
+    fset = big_cloud(DENSE_LIMIT + 3, distinct=5)
+    centers, radii = farthest_first(fset, 9)
+    assert len(centers) == 5 and len(set(centers.tolist())) == 5
+    est = inner_entropy(fset, 3)
+    assert (est.lower, est.upper, est.exact) == (0.0, 0.0, True)
+    assert est.upper_witness == {"kind": "farthest-first-cover", "eps": 0.0, "size": 5,
+                                 "centers": centers.tolist()}
+    assert recheck_entropy(est.to_json(), fset)
+    assert fset._matrix is None
+
+
+def test_above_dense_limit_the_bracket_is_half_the_traversal_radius(monkeypatch):
+    fset = big_cloud(DENSE_LIMIT + 1)
+    rows = []
+    real = fset.dist_rows
+    monkeypatch.setattr(fset, "dist_rows", lambda lo, hi: rows.append(hi - lo) or real(lo, hi))
+    for n in (0, 2, 5):
+        rows.clear()
+        est = inner_entropy(fset, n)
+        assert rows == [1] * (2 ** n + 1)  # one row per center, never a block
+        centers, radii = farthest_first(fset, 2 ** n + 1)
+        assert (est.lower, est.upper, est.exact) == (radii[-1] / 2, radii[-1], False)
+        assert est.upper_witness["centers"] == centers[:-1].tolist()
+        assert est.lower_witness == {"kind": "ball-disjoint-points", "eps": est.lower,
+                                     "points": centers.tolist()}
+        assert recheck_entropy(est.to_json(), fset)
+    assert fset._matrix is None
+
+
+def test_at_the_dense_limit_the_search_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(covering, "farthest_first", lambda *a: calls.append(a))
+    fset = big_cloud(DENSE_LIMIT)
+    est = inner_entropy(fset, 2)
+    assert calls == [] and est.upper_witness["kind"] == "maximal-packing-cover"
 
 
 def test_lipschitz_image_entropy_contraction():

@@ -18,6 +18,7 @@ from lipwidth.covering import (
     PACK_SLACK,
     PackingResult,
     _cover_masks,
+    ball_disjoint,
     coverage_assignment,
     covering_lower_bound,
     greedy_packing,
@@ -94,6 +95,13 @@ def oracle_assignment(fset, centers, eps):
             raise PreconditionError(f"point {i} not covered at eps={eps}")
         assign[i] = j
     return assign
+
+
+def oracle_ball_disjoint(fset, points, eps):
+    """Ball by ball: the row of each center counts the points inside it."""
+    thr = eps * (1.0 - PACK_SLACK)
+    return all(int((fset.dist_row(c)[list(points)] < thr).sum()) <= 1
+               for c in range(fset.size))
 
 
 def oracle_radius(fset):
@@ -256,6 +264,49 @@ def test_lower_bound_reads_each_row_once_and_skips_near(monkeypatch):
     for eps in cloud.distinct_distances()[::10]:
         count, rows = rows_read(cloud, float(eps))
         assert rows == sorted(set(rows)), eps  # no row twice
+
+
+@pytest.mark.parametrize("block_elems", [64, 1 << 10])
+def test_witness_checks_read_only_witness_rows_and_match_the_loops(monkeypatch, block_elems):
+    # coverage and ball checks read the witnesses' rows (distances are
+    # symmetric), each block once; centers come unsorted, repeated and across
+    # blocks, and ties go to the first center named, as in the per-point loop
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", block_elems)
+    cloud = small_cloud()  # points 4 and 40 coincide
+    grid = PointSet(NormedSpace(2, "l1"), [[x, y] for x in range(5) for y in range(5)])
+    seq = sequence_set(SequenceSetSpec(generator="log", truncation=60))
+    cases = [(cloud, [[4, 40], [40, 4, 17], [30, 2, 30, 47], list(range(0, 48, 5))]),
+             (grid, [[12], [24, 0, 12, 4, 20], [0, 24], [7, 7, 17], [2, 2, 4]]),
+             (UniformBasisSet(50), [[0], [49, 3], list(range(50))]),
+             (seq, [[60], [0, 60, 5], list(range(61))]),
+             (TransportSet(40), [[20], [0, 40, 13], list(range(0, 41, 3))])]
+    for fset, witnesses in cases:
+        step = spaces.block_rows(fset.size)
+        for idx in witnesses:
+            for eps in {float(d) for d in fset.dist_row(idx[0])[::7]} | {0.0, 1e9}:
+                spans = []
+                real = fset.dist_rows
+                fset.dist_rows = lambda lo, hi: spans.append((lo, hi)) or real(lo, hi)
+                try:
+                    try:
+                        got = coverage_assignment(fset, idx, eps)
+                    except PreconditionError as exc:
+                        got = str(exc)
+                    disjoint = ball_disjoint(fset, idx, eps)
+                finally:
+                    del fset.dist_rows
+                try:
+                    want = oracle_assignment(fset, idx, eps)
+                except PreconditionError as exc:
+                    assert got == str(exc)
+                else:
+                    assert np.array_equal(got, want), (fset.size, idx, eps)
+                assert disjoint == oracle_ball_disjoint(fset, idx, eps), (fset.size, idx, eps)
+                blocks = sorted({i // step for i in idx})
+                for lo, hi in spans:  # inside one block that holds a witness
+                    assert (hi - 1) // step == lo // step in blocks, (lo, hi)
+                    assert lo in idx and hi - 1 in idx
+                assert len(spans) == 2 * len(blocks)
 
 
 def _basis_dense(basis):

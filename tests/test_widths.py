@@ -28,7 +28,7 @@ from lipwidth.case_studies import (
     cross_polytope_width,
     octahedron_set,
 )
-from lipwidth.spaces import PreconditionError
+from lipwidth.spaces import DENSE_LIMIT, PreconditionError
 from lipwidth.widths import best_coordinate_subspace, default_eps_grid
 from oracles import sequence_dense_points
 
@@ -81,6 +81,17 @@ def test_width_upper_from_entropy_pipeline():
     assert cert.witness["realized_error"] <= ent.upper * (1 + 1e-9)
     assert cert.gamma == pytest.approx(2.0 * radius_upper(ps).upper)
     assert cert.witness["declared_constant"] <= cert.gamma * (1 + 1e-9)
+
+
+def test_width_upper_above_dense_limit_maps_onto_the_traversal_cover():
+    ps = PointSet(lp_space(2, 2),
+                  np.random.default_rng(4).uniform(-1, 1, size=(DENSE_LIMIT + 1, 2)))
+    cert = width_upper_from_entropy(ps, k=1, n=2)
+    ent = inner_entropy(ps, 2)
+    assert ent.upper_witness["kind"] == "farthest-first-cover"
+    assert cert.value == ent.upper
+    assert cert.witness["realized_error"] <= cert.value
+    assert ps._matrix is None
 
 
 def test_width_upper_monotone_in_n_and_k():

@@ -118,6 +118,12 @@ def _lower_points(make):
     return tamper
 
 
+def _basis_bracket(end, factor):
+    def tamper(cert, fset):
+        cert["entropy_brackets"][max(cert["entropy_brackets"], key=int)][end] *= factor
+    return tamper
+
+
 def _scale_witness(field, factor):
     def tamper(cert, fset):
         cert["witness"][field] *= factor
@@ -166,6 +172,9 @@ _EXTRA = [
         lambda cert, fset: cert["witness"]["upper"]["centers"][:-1]), "center-dropped"),
     ("inner_entropy", "entropy-transport", _lower_points(
         lambda points: [points[0], points[0] + 1, *points[2:]]), "point-moved"),
+    # the basis cloud's own witnesses hold at both ends of each bracket
+    ("basis_threshold", "case-study-orthonormal-basis", _basis_bracket(0, 1.01), "lower"),
+    ("basis_threshold", "case-study-orthonormal-basis", _basis_bracket(1, 0.99), "upper"),
     # the map rebuilt from the materialised bumps has the recorded constant
     ("dyadic-bump-map", "case-study-log-sequence", _scale_witness("declared_constant", 1.01),
      "declared-constant"),
