@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, case_studies as cs, relunet as rn
-from .covering import greedy_packing, inner_entropy, recheck_packing, sandwich_audit
+from .covering import inner_entropy, recheck_packing, sandwich_audit
 from .spaces import FiniteSet, NormedSpace, PointSet, PreconditionError, radius_upper
 from .widths import (
     carl_transfer_check,
@@ -289,8 +289,8 @@ def _run_packing(cfg, seed):
         if eps <= 0:
             raise PreconditionError("the target's diameter is zero, so the default "
                                     "eps = diameter/4 is 0; pass eps")
-    pack = greedy_packing(fset, eps)
     audit = sandwich_audit(fset, eps)
+    pack = audit.packing
     certs = [{"quantity": "packing", "eps": eps, "size": pack.size,
               "indices": list(pack.indices), "maximal": pack.maximal}]
     audits = [{"name": f"sandwich-eps{eps:.6g}", "passed": audit.passed,

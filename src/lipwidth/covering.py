@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import DENSE_LIMIT, FiniteSet, PreconditionError, block_rows, row_blocks
+from .spaces import DENSE_LIMIT, FiniteSet, PreconditionError, block_rows, row_spans
 
 # Exact set-cover threshold: above this, brackets fall back to witnesses.
 N_EXACT = 20
@@ -74,24 +74,30 @@ def greedy_packing(fset: FiniteSet, eps: float, stop_above: Optional[int] = None
     A point is admitted iff its distance to every admitted point exceeds
     eps (with a 1e-12 relative slack to avoid float equality ambiguity).
     Without ``stop_above`` the result is maximal, so its size is at most
-    P_eps and, the packing being an eps-cover, at least N_eps.
+    P_eps and, the packing being an eps-cover, at least N_eps.  An admitted
+    point whose row is not yet read reads it together with the rest of its
+    block, in one ``within`` call.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     thr = eps * (1.0 + PACK_SLACK)
-    m = fset.size
-    mind = np.full(m, np.inf)
+    m, step = fset.size, block_rows(fset.size)
+    far = np.ones(m, dtype=bool)  # farther than thr from every admitted point
     chosen: list[int] = []
+    start = end = 0  # ``beyond`` holds rows start..end-1
     for lo in range(0, m, _PACK_WINDOW):
-        # distances only shrink mind, so a point that is no candidate at the
+        # admissions only clear far, so a point that is no candidate at the
         # window's start is never admitted; a candidate is tested again
-        for k in (mind[lo:lo + _PACK_WINDOW] > thr).nonzero()[0].tolist():
-            i = lo + k
-            if mind[i] > thr:
-                chosen.append(i)
-                if stop_above is not None and len(chosen) > stop_above:
-                    return PackingResult(eps, tuple(chosen), len(chosen), maximal=False)
-                np.minimum(mind, fset.dist_row(i), out=mind)
+        for i in (lo + far[lo:lo + _PACK_WINDOW].nonzero()[0]).tolist():
+            if not far[i]:
+                continue
+            chosen.append(i)
+            if stop_above is not None and len(chosen) > stop_above:
+                return PackingResult(eps, tuple(chosen), len(chosen), maximal=False)
+            if i >= end:  # i's row and the rest of its block
+                start, end = i, min(i // step * step + step, m)
+                beyond = ~fset.within(slice(start, end), thr)
+            far &= beyond[i - start]
     return PackingResult(eps, tuple(chosen), len(chosen), maximal=True)
 
 
@@ -101,27 +107,26 @@ def packing_is_maximal(fset: FiniteSet, pack: PackingResult) -> bool:
     idx = np.asarray(pack.indices)
     packed = np.zeros(fset.size, dtype=bool)
     packed[idx] = True
-    for lo, block in row_blocks(fset):
-        admissible = block[:, idx].min(axis=1) > thr
-        if np.any(admissible & ~packed[lo : lo + len(block)]):
+    for lo, hi in row_spans(fset.size):
+        admissible = ~fset.within(slice(lo, hi), thr)[:, idx].any(axis=1)
+        if np.any(admissible & ~packed[lo:hi]):
             return False
     return True
 
 
 def _rows_of(fset: FiniteSet, idx: np.ndarray):
-    """(positions into ``idx``, the distance rows of those points), reading each
-    block of ``block_rows`` consecutive rows at most once, and only when it
-    holds one of the points.  Distances are symmetric, so row p also gives
-    d(c, p) for every point c."""
+    """(positions into ``idx``, the rows of those points) per block of
+    ``block_rows`` consecutive rows that holds one of them, in row order: a
+    slice when they are the block's whole run, else their ascending indices.
+    Distances are symmetric, so row p also gives d(c, p) for every point c."""
     if idx.size == 0:
         return
     order = np.argsort(idx, kind="stable")
     step = block_rows(fset.size)
     for pos in np.split(order, np.flatnonzero(np.diff(idx[order] // step)) + 1):
         lo, hi = int(idx[pos[0]]), int(idx[pos[-1]]) + 1
-        block = fset.dist_rows(lo, hi)
         run = hi - lo == len(pos) and bool((np.diff(idx[pos]) == 1).all())
-        yield pos, block if run else block[idx[pos] - lo]
+        yield pos, slice(lo, hi) if run else idx[pos]
 
 
 def _indices(fset: FiniteSet, idx) -> np.ndarray:
@@ -138,7 +143,8 @@ def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
     centers = _indices(fset, centers)
     best = np.full(fset.size, np.inf)
     assign = np.zeros(fset.size, dtype=int)
-    for pos, block in _rows_of(fset, centers):
+    for pos, rows in _rows_of(fset, centers):
+        block = fset.dist_at(rows)
         first = np.argsort(pos, kind="stable")
         pos, block = pos[first], block[first]
         near = block.argmin(axis=0)
@@ -159,8 +165,8 @@ def ball_disjoint(fset: FiniteSet, points, eps: float) -> bool:
     thr = eps * (1.0 - PACK_SLACK)
     held = np.zeros(fset.size, dtype=bool)  # centers whose ball holds a point
     hits = 0
-    for _, block in _rows_of(fset, _indices(fset, points)):
-        inside = block < thr
+    for _, rows in _rows_of(fset, _indices(fset, points)):
+        inside = fset.within(rows, thr, strict=True)
         hits += int(np.count_nonzero(inside))
         held |= np.logical_or.reduce(inside, axis=0)
     return hits == int(np.count_nonzero(held))
@@ -197,7 +203,7 @@ def farthest_first(fset: FiniteSet, k: int) -> tuple:
 
 def _cover_masks(fset: FiniteSet, eps: float) -> list[int]:
     """Bit p of mask c is set iff point p lies in the ball B(c, eps)."""
-    inside = fset.dist_rows(0, fset.size) <= eps
+    inside = fset.within(slice(0, fset.size), eps)
     return (inside @ (1 << np.arange(fset.size, dtype=np.int64))).tolist()
 
 
@@ -296,7 +302,8 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
         return CoveringResult(eps, centers, exact=True)
     # uncovered points in each ball; distances are symmetric, so a freshly
     # covered point p leaves exactly the balls its own row puts it in
-    gains = np.concatenate([(block <= eps).sum(axis=1) for _, block in row_blocks(fset)])
+    gains = np.concatenate([fset.within(slice(lo, hi), eps).sum(axis=1)
+                            for lo, hi in row_spans(m)])
     covered = np.zeros(m, dtype=bool)
     centers = []
     while not covered.all():
@@ -304,10 +311,10 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
         if gains[best_c] <= 0:
             raise PreconditionError("greedy cover stalled")  # cannot happen: c covers itself
         centers.append(best_c)
-        fresh = np.flatnonzero((fset.dist_row(best_c) <= eps) & ~covered)
+        fresh = np.flatnonzero(fset.within(slice(best_c, best_c + 1), eps)[0] & ~covered)
         covered[fresh] = True
-        for p in fresh:
-            gains -= fset.dist_row(p) <= eps
+        for _, rows in _rows_of(fset, fresh):
+            gains -= fset.within(rows, eps).sum(axis=0)
     return CoveringResult(eps, tuple(centers), exact=False)
 
 
@@ -335,7 +342,8 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
         if near[lo]:
             break
         hi = min(lo + step, m)
-        within = fset.dist_rows(lo, hi)[np.flatnonzero(~near[lo:hi])] <= eps
+        rows = lo + np.flatnonzero(~near[lo:hi])
+        within = fset.within(slice(lo, hi) if rows.size == hi - lo else rows, eps)
         free = ~(within & near).any(axis=1)
         for k in np.flatnonzero(free):
             if not free[k]:
@@ -472,7 +480,8 @@ def recheck_packing(cert: dict, fset: FiniteSet) -> bool:
     """The indices are pairwise more than eps apart and, if so claimed, maximal."""
     idx = cert["indices"]
     pack = PackingResult(cert["eps"], tuple(idx), cert["size"], cert["maximal"])
-    return (all(np.all(fset.dist_row(a)[idx[k + 1:]] > pack.eps) for k, a in enumerate(idx))
+    return (not any(fset.within(slice(a, a + 1), pack.eps)[0, idx[k + 1:]].any()
+                    for k, a in enumerate(idx))
             and pack.size == len(idx) and (not pack.maximal or packing_is_maximal(fset, pack)))
 
 
@@ -491,6 +500,7 @@ class SandwichAudit:
     pack_2eps: int
     checks: tuple
     passed: bool
+    packing: PackingResult = field(compare=False)  # the maximal packing at eps
 
 
 def sandwich_audit(fset: FiniteSet, eps: float) -> SandwichAudit:
@@ -528,4 +538,5 @@ def sandwich_audit(fset: FiniteSet, eps: float) -> SandwichAudit:
         pack_2eps=pack2.size,
         checks=checks,
         passed=all(c[-1] for c in checks),
+        packing=pack1,
     )

@@ -5,7 +5,9 @@ computational stand-in for a compact set.  Distances are served as blocks of
 consecutive rows (``dist_rows``) of at most ``BLOCK_ELEMS`` (2^16) entries, a
 row being a one-row block, so that closed-form (oracle) sets can avoid
 materialising either the coordinates or the full distance matrix, and scans
-run over L2-sized blocks instead of one row at a time.
+run over L2-sized blocks instead of one row at a time.  Scans ask whether
+distances lie within a radius through ``FiniteSet.within``, which answers
+exactly whatever a set caches.
 """
 
 from __future__ import annotations
@@ -19,12 +21,19 @@ import numpy as np
 TOL_ZERO = 1e-12
 # Relative tolerance used whenever two certified bounds are compared.
 REL_TOL = 1e-9
-# Largest set for which a dense pairwise distance matrix is cached.
+# Largest point cloud whose pairwise distances are cached.  A cloud handed an
+# exact matrix, or whose matrix fits in one block, caches float64; any other
+# caches each distance rounded to float32, m^2*4 B (64 MiB at 4096 points).
+# Rounding is monotone, so an entry below or above fl32(eps) decides its
+# comparison with eps; an entry equal to it is decided by the sorted radii or
+# by recomputing its row in float64 (``PointSet.within``).
 DENSE_LIMIT = 4096
-# Elements (rows x points) per block of distance rows: 512 KiB of float64,
-# so a block stays in a core's L2 cache.  Scans and the ReLU forward pass
-# read it through this module at call time.
+# Elements (rows x points) per block of distance rows: 512 KiB of float64
+# (256 KiB of a float32 cache), so a block stays in a core's L2 cache.  Scans
+# and the ReLU forward pass read it through this module at call time.
 BLOCK_ELEMS = 1 << 16
+# No float64 up to this rounds past float32's range.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 NORM_KINDS = ("l1", "l2", "linf", "wlinf", "l1step")
 # Norms that sum over coordinates; the others take the maximum.
@@ -120,16 +129,31 @@ def step_space(cell_edges: Sequence[float]) -> NormedSpace:
     return NormedSpace(dim=len(edges) - 1, kind="l1step", cell_edges=edges)
 
 
+def _float32(x: float) -> np.float32:
+    """x rounded to float32 as the cache rounds distances: past float32's
+    range to inf, without the cast's overflow warning."""
+    if abs(x) <= _FLOAT32_MAX:
+        return np.float32(x)
+    with np.errstate(over="ignore"):
+        return np.float32(x)
+
+
 def block_rows(size: int) -> int:
     """Rows per block of distance rows of a set of ``size`` points."""
     return max(1, BLOCK_ELEMS // size)
 
 
+def row_spans(size: int):
+    """(first row, end row) of each block of distance rows, in order."""
+    step = block_rows(size)
+    for lo in range(0, size, step):
+        yield lo, min(lo + step, size)
+
+
 def row_blocks(fset: FiniteSet):
     """(first row, block of distance rows) over the whole set, in order."""
-    step = block_rows(fset.size)
-    for lo in range(0, fset.size, step):
-        yield lo, fset.dist_rows(lo, min(lo + step, fset.size))
+    for lo, hi in row_spans(fset.size):
+        yield lo, fset.dist_rows(lo, hi)
 
 
 class FiniteSet:
@@ -151,15 +175,37 @@ class FiniteSet:
     def dist_row(self, i: int) -> np.ndarray:
         return self.dist_rows(i, i + 1)[0]
 
+    def dist_at(self, rows) -> np.ndarray:
+        """The distance rows named by a slice of consecutive rows or by an
+        ascending int array, which is read as the block from its first row to
+        its last."""
+        if isinstance(rows, slice):
+            return self.dist_rows(rows.start, rows.stop)
+        lo = int(rows[0])
+        return self.dist_rows(lo, int(rows[-1]) + 1)[rows - lo]
+
+    def within(self, rows, eps: float, strict: bool = False) -> np.ndarray:
+        """Boolean block of the rows that ``dist_at`` names: entry (k, j) says
+        whether d(row k, j) <= eps, or < eps when ``strict``.  Every scan
+        that compares distances with a radius asks here."""
+        block = self.dist_at(rows)
+        return block < eps if strict else block <= eps
+
+    def row_maxima(self) -> np.ndarray:
+        """Each point's largest distance to the set."""
+        return np.concatenate([block.max(axis=1) for _, block in row_blocks(self)])
+
     def diameter(self) -> float:
-        return max(float(block.max()) for _, block in row_blocks(self))
+        return float(self.row_maxima().max())
 
 
 class PointSet(FiniteSet):
     """Explicit point cloud in a normed space.
 
     A closed-form distance matrix may be injected by constructors that know
-    one (it must agree with the space norm; tests audit this).
+    one (it must agree with the space norm; tests audit this).  A cloud of at
+    most DENSE_LIMIT points caches its distances (``matrix``) and answers
+    ``within`` from the cache; ``dist_rows`` always returns exact float64 rows.
     """
 
     def __init__(self, space: NormedSpace, points, dist_matrix=None):
@@ -175,17 +221,17 @@ class PointSet(FiniteSet):
         self.space = space
         self.points = pts
         self.size = pts.shape[0]
-        self._matrix = None
-        self._distinct = self._apart = None
+        self._cache = self._row_max = self._distinct = self._apart = None
+        self._ties = (None, None, None)  # the last (eps, strict, _tie_side)
         if dist_matrix is not None:
             m = np.asarray(dist_matrix, dtype=float)
             if m.shape != (self.size, self.size):
                 raise ValueError("dist_matrix shape mismatch")
-            self._matrix = m
+            self._cache = m
 
-    def _rows(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Distance rows lo..hi-1, filled into a (hi - lo, size) block one
-        coordinate at a time.
+    def _rows(self, rows, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Distance rows of the points ``rows`` (a slice or an int array),
+        filled into a (rows, size) block one coordinate at a time.
 
         numpy adds fewer than 8 terms in order, so the coordinate-wise
         accumulation equals ``space.norm`` bit for bit for the max norms at
@@ -194,9 +240,10 @@ class PointSet(FiniteSet):
         over as many rows at a time as keep the (rows, size, dim) differences
         in one reused buffer within the budget (one row at least).
         """
-        space, pts = self.space, self.points
+        space, pts, sel = self.space, self.points, self.points[rows]
+        n = len(sel)
         if out is None:
-            out = np.empty((hi - lo, self.size))
+            out = np.empty((n, self.size))
         scale = space.weights if space.kind == "wlinf" else None
         if space.kind == "l1step":
             scale = np.diff(np.asarray(space.cell_edges))
@@ -212,19 +259,18 @@ class PointSet(FiniteSet):
 
         if space.kind in SUM_NORMS and space.dim >= 8:
             step = max(1, BLOCK_ELEMS // (self.size * space.dim))
-            diff = np.empty((min(step, hi - lo), self.size, space.dim))
-            for i in range(lo, hi, step):
-                j = min(i + step, hi)
-                d = diff[: j - i]
-                np.subtract(pts[i:j, None, :], pts[None, :, :], out=d)
+            diff = np.empty((min(step, n), self.size, space.dim))
+            for i in range(0, n, step):
+                d = diff[: min(step, n - i)]
+                np.subtract(sel[i : i + step, None, :], pts[None, :, :], out=d)
                 magnitude(d, scale)
-                d.sum(axis=-1, out=out[i - lo : j - lo])
+                d.sum(axis=-1, out=out[i : i + step])
         else:
             combine = np.add if space.kind in SUM_NORMS else np.maximum
             tmp = np.empty_like(out) if space.dim > 1 else None
             for k in range(space.dim):
                 term = tmp if k else out
-                np.subtract.outer(pts[lo:hi, k], pts[:, k], out=term)
+                np.subtract.outer(sel[:, k], pts[:, k], out=term)
                 magnitude(term, None if scale is None else scale[k])
                 if k:
                     combine(out, term, out=out)
@@ -233,24 +279,108 @@ class PointSet(FiniteSet):
         return out
 
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            if self.size > DENSE_LIMIT:
-                raise PreconditionError(
-                    f"dense distance matrix refused for {self.size} points"
-                )
-            out = np.empty((self.size, self.size))
-            step = block_rows(self.size)
-            for lo in range(0, self.size, step):
-                self._rows(lo, min(lo + step, self.size), out[lo : lo + step])
-            self._matrix = out
-        return self._matrix
+        """The distance cache, filled on first use and refused above
+        DENSE_LIMIT: float64 when the set was handed its matrix or the whole
+        matrix fits in one block (m^2 <= BLOCK_ELEMS), else every distance
+        rounded to float32."""
+        if self._cache is None:
+            self._fill(radii=False)
+        return self._cache
+
+    def _fill(self, radii: bool) -> Optional[np.ndarray]:
+        """One blocked pass over the exact distances: it fills an empty cache
+        and records each row's maximum, and with ``radii`` it returns the
+        strict lower triangle, row after row.  A float64 cache is read; a
+        float32 one is recomputed by the kernel, since its entries are not
+        the distances."""
+        m = self.size
+        if m > DENSE_LIMIT:
+            raise PreconditionError(f"dense distance matrix refused for {m} points")
+        cache, fresh = self._cache, self._cache is None
+        if fresh:
+            cache = np.empty((m, m), np.float64 if m * m <= BLOCK_ELEMS else np.float32)
+        buf = None if cache.dtype == np.float64 else np.empty((min(block_rows(m), m), m))
+        row_max = np.empty(m)
+        vals = np.empty(m * (m - 1) // 2) if radii else None
+        for lo, hi in row_spans(m):
+            if buf is None:
+                block = cache[lo:hi]
+                if fresh:
+                    self._rows(slice(lo, hi), block)
+            else:
+                block = self._rows(slice(lo, hi), buf[: hi - lo])
+                if fresh:
+                    with np.errstate(over="ignore"):  # past float32's range: inf
+                        cache[lo:hi] = block
+            block.max(axis=1, out=row_max[lo:hi])
+            if radii:  # row i's first i entries, at i(i-1)/2
+                for i, row in enumerate(block, start=lo):
+                    vals[i * (i - 1) // 2 : i * (i + 1) // 2] = row[:i]
+        self._cache, self._row_max = cache, row_max
+        return vals
 
     def dist_rows(self, lo: int, hi: int) -> np.ndarray:
-        if self._matrix is None and self.size <= DENSE_LIMIT:
+        return self.dist_at(slice(lo, hi))
+
+    def dist_at(self, rows) -> np.ndarray:
+        """As ``FiniteSet.dist_at``, but the kernel computes only the named rows."""
+        cache = self.matrix() if self.size * self.size <= BLOCK_ELEMS else self._cache
+        if cache is not None and cache.dtype == np.float64:
+            return cache[rows]
+        return self._rows(rows)
+
+    def within(self, rows, eps: float, strict: bool = False) -> np.ndarray:
+        """As ``FiniteSet.within``, from the cache.  A float32 cache decides
+        every entry f != fl32(eps): rounding is monotone, so f < fl32(eps)
+        means d < eps and f > fl32(eps) means d > eps.  An entry f ==
+        fl32(eps) (inf when eps is past float32's range) is a distance that
+        rounds as eps does.  When the sorted radii show that all such
+        distances lie on one side of eps, one comparison decides them too;
+        otherwise each row holding such an entry is recomputed in float64
+        and compared exactly."""
+        if self._cache is None and self.size <= DENSE_LIMIT:
             self.matrix()
-        if self._matrix is not None:
-            return self._matrix[lo:hi]
-        return self._rows(lo, hi)
+        cache = self._cache
+        if cache is None or cache.dtype == np.float64:
+            return super().within(rows, eps, strict)
+        block = cache[rows]
+        e = _float32(eps)
+        side = self._tie_side(eps, strict, e)
+        if side is not None:
+            return block <= e if side else block < e
+        out = block < e if strict else block <= e
+        for k in (block == e).any(axis=1).nonzero()[0].tolist():
+            i = rows.start + k if isinstance(rows, slice) else int(rows[k])
+            row = self._rows(slice(i, i + 1))[0]
+            out[k] = row < eps if strict else row <= eps
+        return out
+
+    def _tie_side(self, eps: float, strict: bool, e: np.float32) -> Optional[bool]:
+        """True when every distance that rounds to e = fl32(eps) lies within
+        eps, False when none does, from the sorted radii; None without them,
+        or when both kinds exist.  The distances that round to e form an
+        interval of the radii, so both kinds exist only if it holds the
+        largest distance within eps and the least beyond it."""
+        dist = self._distinct
+        if dist is None:
+            return None
+        if self._ties[:2] == (eps, strict):  # a scan asks at one radius many times
+            return self._ties[2]
+        zero_in = 0.0 < eps if strict else 0.0 <= eps  # d(i, i) = 0 is a distance too
+        k = int(np.searchsorted(dist, eps, side="left" if strict else "right"))
+        inside = dist[k - 1] if k else (0.0 if zero_in else None)
+        beyond = (dist[k] if k < dist.size else None) if zero_in else 0.0
+        tie_in = inside is not None and _float32(inside) == e
+        side = None if tie_in and beyond is not None and _float32(beyond) == e else tie_in
+        self._ties = (eps, strict, side)
+        return side
+
+    def row_maxima(self) -> np.ndarray:
+        if self.size > DENSE_LIMIT:
+            return super().row_maxima()
+        if self._row_max is None:
+            self._fill(radii=False)
+        return self._row_max
 
     def dist_to(self, x) -> np.ndarray:
         """Distances from an arbitrary ambient point to every set point."""
@@ -258,14 +388,12 @@ class PointSet(FiniteSet):
 
     def distinct_distances(self) -> np.ndarray:
         """Sorted distinct positive distances, the radii entropy searches bisect,
-        kept for every n: the strict lower triangle sorted and compacted in place."""
+        kept for every n: the strict lower triangle, collected by the pass that
+        fills the cache (or by one more pass over exact rows once a float32
+        cache exists), sorted and compacted in place."""
         if self._distinct is not None:
             return self._distinct
-        self.matrix()  # refused above DENSE_LIMIT
-        vals = np.empty(self.size * (self.size - 1) // 2)
-        for lo, block in row_blocks(self):
-            for i, row in enumerate(block, start=lo):
-                vals[i * (i - 1) // 2 : i * (i + 1) // 2] = row[:i]
+        vals = self._fill(radii=True)  # refused above DENSE_LIMIT
         vals.sort()
         self._apart = not (vals.size and vals[0] == 0.0)  # zeros sort first
         kept, prev = 0, 0.0  # distances are >= 0: zeros go with the repeats
@@ -323,7 +451,7 @@ def radius_upper(fset: FiniteSet) -> RadiusBound:
     """
     if fset.size < 1:
         raise PreconditionError("empty set")
-    fars = np.concatenate([block.max(axis=1) for _, block in row_blocks(fset)])
+    fars = fset.row_maxima()
     best_idx = int(np.argmin(fars))  # the first minimum, as a strict < scan keeps
     best = float(fars[best_idx])
     center_pt = None

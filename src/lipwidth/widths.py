@@ -96,10 +96,12 @@ def width_upper_from_entropy(pset: PointSet, k: int, n: int,
         raise PreconditionError("k and n must be positive")
     if k * n > 24:
         raise PreconditionError("size guard: k*n > 24")
+    # the entropy search first: the pass over the distances that collects its
+    # radii then records the row maxima the radius bound reads
+    ent = inner_entropy(pset, k * n)
     rb = radius_upper(pset)
     gamma = (2.0 ** k) * rb.upper
     budget = 1 << (k * n)
-    ent = inner_entropy(pset, k * n)
     if ent.upper_witness["kind"] == "identity":
         centers = list(range(pset.size))
         assign = np.arange(pset.size)

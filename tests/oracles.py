@@ -31,6 +31,28 @@ def dense_twin(fset, own_matrix=False):
     return twin
 
 
+def float64_reference(ps):
+    """``ps`` with every comparison read from a float64 matrix of its exact
+    distances: a cloud handed its matrix keeps it, so this is the reference
+    that a float32 cache with exact ties must agree with."""
+    from lipwidth import PointSet
+
+    return PointSet(ps.space, ps.points, dist_matrix=ps.dist_rows(0, ps.size))
+
+
+def space_of(kind, dim):
+    """A ``NormedSpace`` of each norm kind: fixed weights for wlinf, fixed
+    random cells for l1step."""
+    from lipwidth import NormedSpace, step_space
+
+    if kind == "wlinf":
+        return NormedSpace(dim, kind, weights=tuple(0.5 + 0.25 * k for k in range(dim)))
+    if kind == "l1step":
+        cuts = np.sort(np.random.default_rng(dim).uniform(0.0, 2.0, dim - 1))
+        return step_space(np.concatenate(([0.0], cuts, [2.0])))
+    return NormedSpace(dim, kind)
+
+
 def diagonal_member(y: np.ndarray) -> bool:
     """``y`` lies in the weighted-l1 ball sum_j |y_j| sqrt(log2(j+1)) <= 1."""
     w = np.sqrt(np.log2(np.arange(1, len(y) + 1) + 1.0))

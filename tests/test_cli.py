@@ -339,7 +339,7 @@ def test_points_target_above_dense_limit_gets_a_traversal_bracket(monkeypatch, c
     assert cert["upper"] == gaps.max() == gaps[lower["points"][8]]
     assert cert["lower"] == cert["upper"] / 2 and not cert["exact"]
     assert peak < m ** 2 // 8, peak
-    assert len(sets) == 2 and all(fset._matrix is None for fset in sets)
+    assert len(sets) == 2 and all(fset._cache is None for fset in sets)
     for key, factor in (("upper", 0.99), ("lower", 1.01)):
         assert not climod.recheck(dict(cert, **{key: cert[key] * factor}), sets[0]), key
 

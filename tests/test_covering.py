@@ -488,7 +488,7 @@ def test_coincident_points_give_an_exact_zero_bracket_from_fewer_centers():
     assert est.upper_witness == {"kind": "farthest-first-cover", "eps": 0.0, "size": 5,
                                  "centers": centers.tolist()}
     assert recheck_entropy(est.to_json(), fset)
-    assert fset._matrix is None
+    assert fset._cache is None
 
 
 def test_above_dense_limit_the_bracket_is_half_the_traversal_radius(monkeypatch):
@@ -506,7 +506,7 @@ def test_above_dense_limit_the_bracket_is_half_the_traversal_radius(monkeypatch)
         assert est.lower_witness == {"kind": "ball-disjoint-points", "eps": est.lower,
                                      "points": centers.tolist()}
         assert recheck_entropy(est.to_json(), fset)
-    assert fset._matrix is None
+    assert fset._cache is None
 
 
 def test_at_the_dense_limit_the_search_runs(monkeypatch):

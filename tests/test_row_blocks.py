@@ -202,7 +202,7 @@ def test_scans_above_dense_limit_build_no_matrix(monkeypatch):
     ps = PointSet(NormedSpace(1, "l2"), rng.uniform(-1, 1, size=(DENSE_LIMIT + 4, 1)))
     # 0.002 admits hundreds of witnesses, some of them in the middle of a block
     assert_scans_match(ps, [0.3], bound_radii=[0.002])
-    assert ps._matrix is None
+    assert ps._cache is None
     # with small row blocks the greedy cover holds O(m) memory: no m x m ball matrix
     monkeypatch.setattr(spaces, "BLOCK_ELEMS", 1 << 12)
     tracemalloc.start()
@@ -213,7 +213,7 @@ def test_scans_above_dense_limit_build_no_matrix(monkeypatch):
         tracemalloc.stop()
     assert cover.center_indices == oracle_greedy_cover(ps, 0.3)
     assert peak < ps.size ** 2 // 8, peak
-    assert ps._matrix is None
+    assert ps._cache is None
 
 
 @pytest.mark.parametrize("block_elems", [64, 1 << 10])
@@ -237,19 +237,19 @@ def test_lower_bound_matches_oracle_in_small_blocks(monkeypatch, block_elems):
             for stop in (None, 1, 8):
                 got = covering_lower_bound(fset, eps, stop)
                 assert got == oracle_lower_bound(fset, eps, stop), (fset.size, eps, stop)
-    assert big._matrix is None
+    assert big._cache is None
 
 
 def rows_read(fset, eps):
-    """Row indices of the blocks ``covering_lower_bound`` asks for, in order."""
-    spans = []
-    real = fset.dist_rows
-    fset.dist_rows = lambda lo, hi: spans.append((lo, hi)) or real(lo, hi)
+    """Indices of the rows ``covering_lower_bound`` asks ``within`` about, in order."""
+    asked = []
+    real = fset.within
+    fset.within = lambda rows, *a: asked.extend(np.arange(fset.size)[rows].tolist()) or real(rows, *a)
     try:
         count = covering_lower_bound(fset, eps)
     finally:
-        del fset.dist_rows
-    return count, [i for lo, hi in spans for i in range(lo, hi)]
+        del fset.within
+    return count, asked
 
 
 def test_lower_bound_reads_each_row_once_and_skips_near(monkeypatch):
@@ -285,16 +285,27 @@ def test_witness_checks_read_only_witness_rows_and_match_the_loops(monkeypatch, 
         for idx in witnesses:
             for eps in {float(d) for d in fset.dist_row(idx[0])[::7]} | {0.0, 1e9}:
                 spans = []
-                real = fset.dist_rows
-                fset.dist_rows = lambda lo, hi: spans.append((lo, hi)) or real(lo, hi)
+
+                def span(rows):
+                    if isinstance(rows, slice):
+                        spans.append((rows.start, rows.stop))
+                    else:
+                        spans.append((int(rows[0]), int(rows[-1]) + 1))
+
+                # the assignment reads distances, the ball check asks within
+                real_at, real_within = fset.dist_at, fset.within
+                fset.dist_at = lambda rows: span(rows) or real_at(rows)
                 try:
-                    try:
-                        got = coverage_assignment(fset, idx, eps)
-                    except PreconditionError as exc:
-                        got = str(exc)
+                    got = coverage_assignment(fset, idx, eps)
+                except PreconditionError as exc:
+                    got = str(exc)
+                finally:
+                    del fset.dist_at
+                fset.within = lambda rows, *a, **k: span(rows) or real_within(rows, *a, **k)
+                try:
                     disjoint = ball_disjoint(fset, idx, eps)
                 finally:
-                    del fset.dist_rows
+                    del fset.within
                 try:
                     want = oracle_assignment(fset, idx, eps)
                 except PreconditionError as exc:

@@ -19,6 +19,7 @@ from lipwidth import (
 from lipwidth import spaces
 from lipwidth.covering import covering_lower_bound, greedy_packing, inner_entropy
 from lipwidth.spaces import BLOCK_ELEMS, DENSE_LIMIT, NORM_KINDS
+from oracles import space_of
 
 
 def unit_step_vector(space, a):
@@ -194,15 +195,6 @@ def test_empty_set_rejected():
         step_space([0.0, 1.0])  # does not span [0, 2]
 
 
-def space_of(kind, dim):
-    if kind == "wlinf":
-        return NormedSpace(dim, kind, weights=tuple(0.5 + 0.25 * k for k in range(dim)))
-    if kind == "l1step":
-        cuts = np.sort(np.random.default_rng(dim).uniform(0.0, 2.0, dim - 1))
-        return step_space(np.concatenate(([0.0], cuts, [2.0])))
-    return NormedSpace(dim, kind)
-
-
 @pytest.mark.parametrize("kind", NORM_KINDS)
 def test_blocked_matrix_matches_one_broadcast(kind, monkeypatch):
     # the matrix is built one coordinate at a time, which equals the broadcast
@@ -218,7 +210,11 @@ def test_blocked_matrix_matches_one_broadcast(kind, monkeypatch):
             pts[size // 2] = pts[0]
             ps = PointSet(space, pts)
             full = np.asarray(space.norm(pts[:, None, :] - pts[None, :, :]))
-            assert np.array_equal(ps.matrix(), full), (dim, size)
+            assert np.array_equal(ps.dist_rows(0, size), full), (dim, size)
+            # past one block the cache holds the distances rounded to float32
+            cache = ps.matrix()
+            assert cache.dtype == (np.float64 if size <= 256 else np.float32), (dim, size)
+            assert np.array_equal(cache, full.astype(cache.dtype)), (dim, size)
             vals = np.unique(full[np.tri(size, k=-1, dtype=bool)])
             assert np.array_equal(ps.distinct_distances(), vals[vals > 0.0]), (dim, size)
 
@@ -233,18 +229,26 @@ def test_rows_above_dense_limit_match_norm(dim):
             assert np.array_equal(ps.dist_row(i), ps.space.norm(pts - pts[i])), (kind, i)
         block = ps.dist_rows(10, 13)
         assert np.array_equal(block, np.stack([ps.dist_row(i) for i in range(10, 13)]))
-        assert ps._matrix is None
+        assert ps._cache is None
 
 
-def test_dist_rows_of_dense_set_slices_the_cache():
-    ps = PointSet(NormedSpace(2, "l2"), np.random.default_rng(0).uniform(size=(40, 2)))
-    block = ps.dist_rows(5, 9)
-    assert np.shares_memory(block, ps._matrix)
-    assert np.array_equal(block, ps.matrix()[5:9])
+def test_dist_rows_slice_a_float64_cache_and_compute_past_it():
+    # one block holds 40 x 40 distances: the cache is exact and dist_rows
+    # slices it; 300 points cache float32, and dist_rows computes float64
+    rng = np.random.default_rng(0)
+    small = PointSet(NormedSpace(2, "l2"), rng.uniform(size=(40, 2)))
+    block = small.dist_rows(5, 9)
+    assert np.shares_memory(block, small.matrix()) and small.matrix().dtype == np.float64
+    big = PointSet(NormedSpace(2, "l2"), rng.uniform(size=(300, 2)))
+    block = big.dist_rows(5, 9)
+    assert block.dtype == np.float64 and not np.shares_memory(block, big.matrix())
+    assert np.array_equal(block, np.stack([big.space.norm(big.points - big.points[i])
+                                           for i in range(5, 9)]))
+    assert np.array_equal(big.matrix()[5:9], block.astype(np.float32))
 
 
 def _unique_positive(ps):
-    vals = np.unique(ps.matrix()[np.tri(ps.size, k=-1, dtype=bool)])
+    vals = np.unique(ps.dist_rows(0, ps.size)[np.tri(ps.size, k=-1, dtype=bool)])
     return vals[vals > 0.0]
 
 
@@ -267,7 +271,8 @@ def test_distinct_distances_equal_unique_across_block_edges(block_elems, monkeyp
         ref = _unique_positive(ps)
         assert ps.distinct_distances().tobytes() == ref.tobytes(), (ps.space.kind, ps.size)
     grid = sets[2]  # 257 points in l1 take 9 distances
-    runs = np.unique(grid.matrix()[np.tri(grid.size, k=-1, dtype=bool)], return_counts=True)[1]
+    runs = np.unique(grid.dist_rows(0, grid.size)[np.tri(grid.size, k=-1, dtype=bool)],
+                     return_counts=True)[1]
     assert runs.min() > max(1, block_elems // 8)
 
 

@@ -91,7 +91,7 @@ def test_width_upper_above_dense_limit_maps_onto_the_traversal_cover():
     assert ent.upper_witness["kind"] == "farthest-first-cover"
     assert cert.value == ent.upper
     assert cert.witness["realized_error"] <= cert.value
-    assert ps._matrix is None
+    assert ps._cache is None
 
 
 def test_width_upper_monotone_in_n_and_k():
