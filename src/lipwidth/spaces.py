@@ -25,15 +25,14 @@ REL_TOL = 1e-9
 # exact matrix, or whose matrix fits in one block, caches float64; any other
 # caches each distance rounded to float32, m^2*4 B (64 MiB at 4096 points).
 # Rounding is monotone, so an entry below or above fl32(eps) decides its
-# comparison with eps; an entry equal to it is decided by the sorted radii or
-# by recomputing its row in float64 (``PointSet.within``).
+# comparison with eps; entries equal to it are decided by the sorted radii when
+# those put every distance that rounds to fl32(eps) on one side of eps, else
+# by recomputing each in float64 (``PointSet.within``).
 DENSE_LIMIT = 4096
 # Elements (rows x points) per block of distance rows: 512 KiB of float64
 # (256 KiB of a float32 cache), so a block stays in a core's L2 cache.  Scans
 # and the ReLU forward pass read it through this module at call time.
 BLOCK_ELEMS = 1 << 16
-# No float64 up to this rounds past float32's range.
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 NORM_KINDS = ("l1", "l2", "linf", "wlinf", "l1step")
 # Norms that sum over coordinates; the others take the maximum.
@@ -132,8 +131,6 @@ def step_space(cell_edges: Sequence[float]) -> NormedSpace:
 def _float32(x: float) -> np.float32:
     """x rounded to float32 as the cache rounds distances: past float32's
     range to inf, without the cast's overflow warning."""
-    if abs(x) <= _FLOAT32_MAX:
-        return np.float32(x)
     with np.errstate(over="ignore"):
         return np.float32(x)
 
@@ -222,7 +219,11 @@ class PointSet(FiniteSet):
         self.points = pts
         self.size = pts.shape[0]
         self._cache = self._row_max = self._distinct = self._apart = None
-        self._ties = (None, None, None)  # the last (eps, strict, _tie_side)
+        # the cache's dtype: float64 when the set is handed its matrix or the
+        # whole matrix fits in one block, else every distance rounded to float32
+        exact = dist_matrix is not None or self.size * self.size <= BLOCK_ELEMS
+        self._dtype = np.float64 if exact else np.float32
+        self._ties = (None, None, None, None)  # the last (eps, strict) and _ties_at's answer
         if dist_matrix is not None:
             m = np.asarray(dist_matrix, dtype=float)
             if m.shape != (self.size, self.size):
@@ -279,10 +280,8 @@ class PointSet(FiniteSet):
         return out
 
     def matrix(self) -> np.ndarray:
-        """The distance cache, filled on first use and refused above
-        DENSE_LIMIT: float64 when the set was handed its matrix or the whole
-        matrix fits in one block (m^2 <= BLOCK_ELEMS), else every distance
-        rounded to float32."""
+        """The distance cache, of dtype ``_dtype``, filled on first use and
+        refused above DENSE_LIMIT."""
         if self._cache is None:
             self._fill(radii=False)
         return self._cache
@@ -298,8 +297,8 @@ class PointSet(FiniteSet):
             raise PreconditionError(f"dense distance matrix refused for {m} points")
         cache, fresh = self._cache, self._cache is None
         if fresh:
-            cache = np.empty((m, m), np.float64 if m * m <= BLOCK_ELEMS else np.float32)
-        buf = None if cache.dtype == np.float64 else np.empty((min(block_rows(m), m), m))
+            cache = np.empty((m, m), self._dtype)
+        buf = None if self._dtype == np.float64 else np.empty((min(block_rows(m), m), m))
         row_max = np.empty(m)
         vals = np.empty(m * (m - 1) // 2) if radii else None
         for lo, hi in row_spans(m):
@@ -324,9 +323,8 @@ class PointSet(FiniteSet):
 
     def dist_at(self, rows) -> np.ndarray:
         """As ``FiniteSet.dist_at``, but the kernel computes only the named rows."""
-        cache = self.matrix() if self.size * self.size <= BLOCK_ELEMS else self._cache
-        if cache is not None and cache.dtype == np.float64:
-            return cache[rows]
+        if self._dtype == np.float64:
+            return self.matrix()[rows]
         return self._rows(rows)
 
     def within(self, rows, eps: float, strict: bool = False) -> np.ndarray:
@@ -334,46 +332,48 @@ class PointSet(FiniteSet):
         every entry f != fl32(eps): rounding is monotone, so f < fl32(eps)
         means d < eps and f > fl32(eps) means d > eps.  An entry f ==
         fl32(eps) (inf when eps is past float32's range) is a distance that
-        rounds as eps does.  When the sorted radii show that all such
-        distances lie on one side of eps, one comparison decides them too;
-        otherwise each row holding such an entry is recomputed in float64
-        and compared exactly."""
-        if self._cache is None and self.size <= DENSE_LIMIT:
-            self.matrix()
-        cache = self._cache
-        if cache is None or cache.dtype == np.float64:
+        rounds as eps does.  When the sorted radii put every such distance on
+        one side of eps, one comparison decides them too; otherwise each one
+        is recomputed in float64, by the space's norm (which the kernel
+        equals bit for bit), and compared exactly, a bounded batch of pairs
+        at a time."""
+        if self._dtype == np.float64 or self.size > DENSE_LIMIT:
             return super().within(rows, eps, strict)
-        block = cache[rows]
-        e = _float32(eps)
-        side = self._tie_side(eps, strict, e)
+        block = self.matrix()[rows]
+        e, side = self._ties_at(eps, strict)
         if side is not None:
             return block <= e if side else block < e
         out = block < e if strict else block <= e
-        for k in (block == e).any(axis=1).nonzero()[0].tolist():
-            i = rows.start + k if isinstance(rows, slice) else int(rows[k])
-            row = self._rows(slice(i, i + 1))[0]
-            out[k] = row < eps if strict else row <= eps
+        k, j = np.divmod(np.flatnonzero(block == e), self.size)
+        i = rows.start + k if isinstance(rows, slice) else rows[k]
+        step = max(1, BLOCK_ELEMS // self.space.dim)
+        for lo in range(0, k.size, step):
+            at = slice(lo, lo + step)
+            d = self.space.norm(self.points[i[at]] - self.points[j[at]])
+            out[k[at], j[at]] = d < eps if strict else d <= eps
         return out
 
-    def _tie_side(self, eps: float, strict: bool, e: np.float32) -> Optional[bool]:
-        """True when every distance that rounds to e = fl32(eps) lies within
-        eps, False when none does, from the sorted radii; None without them,
-        or when both kinds exist.  The distances that round to e form an
-        interval of the radii, so both kinds exist only if it holds the
-        largest distance within eps and the least beyond it."""
-        dist = self._distinct
-        if dist is None:
-            return None
-        if self._ties[:2] == (eps, strict):  # a scan asks at one radius many times
-            return self._ties[2]
-        zero_in = 0.0 < eps if strict else 0.0 <= eps  # d(i, i) = 0 is a distance too
-        k = int(np.searchsorted(dist, eps, side="left" if strict else "right"))
-        inside = dist[k - 1] if k else (0.0 if zero_in else None)
-        beyond = (dist[k] if k < dist.size else None) if zero_in else 0.0
-        tie_in = inside is not None and _float32(inside) == e
-        side = None if tie_in and beyond is not None and _float32(beyond) == e else tie_in
-        self._ties = (eps, strict, side)
-        return side
+    def _ties_at(self, eps: float, strict: bool) -> tuple:
+        """(e, side) at the radius eps: e = fl32(eps), and side True when
+        every distance that rounds to e lies within eps, False when none
+        does, from the sorted radii; None when both kinds exist or the radii
+        are not known (None is always correct: ``within`` then recomputes
+        the ties).  The distances that round to e form an interval of the
+        radii, so both kinds exist only if it holds the largest distance
+        within eps and the least beyond it.  Kept for the last (eps, strict):
+        the entropy search's scans ask at one radius many times."""
+        if self._ties[:2] == (eps, strict):
+            return self._ties[2:]
+        e, side, dist = _float32(eps), None, self._distinct
+        if dist is not None:
+            zero_in = 0.0 < eps if strict else 0.0 <= eps  # d(i, i) = 0 is a distance too
+            k = int(np.searchsorted(dist, eps, side="left" if strict else "right"))
+            inside = dist[k - 1] if k else (0.0 if zero_in else None)
+            beyond = (dist[k] if k < dist.size else None) if zero_in else 0.0
+            tie_in = inside is not None and _float32(inside) == e
+            side = None if tie_in and beyond is not None and _float32(beyond) == e else tie_in
+        self._ties = (eps, strict, e, side)
+        return e, side
 
     def row_maxima(self) -> np.ndarray:
         if self.size > DENSE_LIMIT:

@@ -2,7 +2,7 @@
 
 Clouds of more than 256 points cache their distances rounded to float32; an
 entry equal to the rounded radius is decided by the sorted radii or by its
-row recomputed in float64.  Each scan and the entropy search must then give
+distance recomputed in float64.  Each scan and the entropy search must then give
 what they give on the same cloud handed its float64 matrix
 (``oracles.float64_reference``), witnesses included, at radii that are
 distances and at their float64 neighbours.

@@ -211,6 +211,9 @@ def test_blocked_matrix_matches_one_broadcast(kind, monkeypatch):
             ps = PointSet(space, pts)
             full = np.asarray(space.norm(pts[:, None, :] - pts[None, :, :]))
             assert np.array_equal(ps.dist_rows(0, size), full), (dim, size)
+            # and the norm of a batch of pairs, which decides float32 ties
+            i, j = np.divmod(np.arange(size * size), size)
+            assert np.array_equal(space.norm(pts[i] - pts[j]), full.ravel()), (dim, size)
             # past one block the cache holds the distances rounded to float32
             cache = ps.matrix()
             assert cache.dtype == (np.float64 if size <= 256 else np.float32), (dim, size)
