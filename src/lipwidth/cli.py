@@ -482,7 +482,8 @@ def run(cfg: dict) -> dict:
     certs, audits = _certify(cfg, seed)
     passed = all(a.get("passed", False) for a in audits) if audits else True
     report = {
-        "config": cfg,  # validated, so already JSON-safe
+        # validated, so already JSON-safe; where and how it is written is not echoed
+        "config": {k: v for k, v in cfg.items() if k not in ("out", "format")},
         "version": __version__,
         "certificates": certs,
         "audits": audits,

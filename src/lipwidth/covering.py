@@ -102,15 +102,12 @@ def greedy_packing(fset: FiniteSet, eps: float, stop_above: Optional[int] = None
 
 
 def packing_is_maximal(fset: FiniteSet, pack: PackingResult) -> bool:
-    """Independent maximality audit: no point admissible beyond the packing."""
-    thr = pack.eps * (1.0 + PACK_SLACK)
-    idx = np.asarray(pack.indices)
-    packed = np.zeros(fset.size, dtype=bool)
-    packed[idx] = True
-    for lo, hi in row_spans(fset.size):
-        admissible = ~fset.within(slice(lo, hi), thr)[:, idx].any(axis=1)
-        if np.any(admissible & ~packed[lo:hi]):
-            return False
+    """Independent maximality audit: no point admissible beyond the packing,
+    that is, the packed points cover the set at its radius (their rows only)."""
+    try:
+        coverage_assignment(fset, pack.indices, pack.eps)
+    except PreconditionError:
+        return False
     return True
 
 
@@ -161,12 +158,14 @@ def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
 def ball_disjoint(fset: FiniteSet, points, eps: float) -> bool:
     """No inner ball of radius below eps holds two of the points: every ball
     the points' rows put them in is put there once.  It reads the points'
-    rows only; a point named twice lies twice in its own ball, so it fails."""
-    thr = eps * (1.0 - PACK_SLACK)
+    rows only; a point named twice lies twice in its own ball, so it fails.
+    A distance is below eps * (1 - PACK_SLACK) iff it is at most the float
+    below that."""
+    thr = np.nextafter(eps * (1.0 - PACK_SLACK), -np.inf)
     held = np.zeros(fset.size, dtype=bool)  # centers whose ball holds a point
     hits = 0
     for _, rows in _rows_of(fset, _indices(fset, points)):
-        inside = fset.within(rows, thr, strict=True)
+        inside = fset.within(rows, thr)
         hits += int(np.count_nonzero(inside))
         held |= np.logical_or.reduce(inside, axis=0)
     return hits == int(np.count_nonzero(held))
@@ -377,13 +376,10 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     that cover is its witness.  ``lower`` is r_j where a lower bound on the
     covering number at r_{j-1} exceeded 2**n: the covering number is constant
     on [r_{j-1}, r_j), so no smaller radius has such a cover.  Sets of at most
-    N_EXACT points decide both with the exact cover, and lower == upper.  The
-    bottom radius r_0 is decided in closed form when ``fset.points_apart()``
-    is True: below r_1 each ball holds only its center, so a cover needs all
-    m > 2**n balls and the lower bound stops at 2**n + 1 witnesses.  Other
-    sets probe r_0 like any radius.  A point cloud of more than DENSE_LIMIT
-    points gets the farthest-first bracket of ``_traversal_bracket`` instead,
-    from 2**n + 1 distance rows and without the matrix.
+    N_EXACT points decide both with the exact cover, and lower == upper.  A
+    point cloud of more than DENSE_LIMIT points, or with no positive
+    distance, gets the farthest-first bracket of ``_traversal_bracket``
+    instead, from 2**n + 1 distance rows and without the matrix.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
@@ -398,14 +394,10 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
         cover = {"kind": "closed-form-cover", "centers": centers.tolist()}
         return EntropyEstimate(n, e, e, exact=True, upper_witness=cover, lower_witness={
             "kind": "ball-disjoint-points", "points": points.tolist()})
-    if m > DENSE_LIMIT:
+    if m > DENSE_LIMIT or fset.distinct_distances().size == 0:
         return _traversal_bracket(fset, n)
     dist = fset.distinct_distances()
-    if dist.size == 0:
-        return EntropyEstimate(n, 0.0, 0.0, exact=True,
-                               upper_witness={"kind": "singleton"})
     exact = m <= N_EXACT
-    apart = fset.points_apart()
 
     def radius(i: int) -> float:
         return float(dist[i - 1]) if i else 0.0
@@ -418,9 +410,7 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
 
     def fits(i: int) -> bool:
         """Some cover at r_i has at most 2**n balls; it is kept in ``covers``."""
-        if i == 0 and apart:
-            covers[0] = None
-        elif exact:
+        if exact:
             found = exact_min_cover(_cover_masks(fset, probe(i)), m, limit=budget)
             covers[i] = None if found is None else found[1]
         else:
@@ -441,8 +431,7 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
 
         def clears(i: int) -> bool:
             """The lower bound on N at r_i is at most 2**n (kept in ``counts``)."""
-            counts[i] = (budget + 1 if i == 0 and apart
-                         else covering_lower_bound(fset, probe(i), stop_above=budget))
+            counts[i] = covering_lower_bound(fset, probe(i), stop_above=budget)
             return counts[i] <= budget
 
         # at r_up a cover of at most 2**n balls exists, so the bound clears there
@@ -477,12 +466,14 @@ def _traversal_bracket(fset: FiniteSet, n: int) -> EntropyEstimate:
 
 
 def recheck_packing(cert: dict, fset: FiniteSet) -> bool:
-    """The indices are pairwise more than eps apart and, if so claimed, maximal."""
-    idx = cert["indices"]
+    """The indices are pairwise more than eps apart (each packed row is within
+    eps of its own point only) and, if so claimed, maximal."""
+    idx = _indices(fset, cert["indices"])
     pack = PackingResult(cert["eps"], tuple(idx), cert["size"], cert["maximal"])
-    return (not any(fset.within(slice(a, a + 1), pack.eps)[0, idx[k + 1:]].any()
-                    for k, a in enumerate(idx))
-            and pack.size == len(idx) and (not pack.maximal or packing_is_maximal(fset, pack)))
+    hits = sum(int(np.count_nonzero(fset.within(rows, pack.eps)[:, idx]))
+               for _, rows in _rows_of(fset, idx))
+    return (hits == idx.size == pack.size
+            and (not pack.maximal or packing_is_maximal(fset, pack)))
 
 
 # ---------------------------------------------------------------------------

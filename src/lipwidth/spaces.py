@@ -147,12 +147,6 @@ def row_spans(size: int):
         yield lo, min(lo + step, size)
 
 
-def row_blocks(fset: FiniteSet):
-    """(first row, block of distance rows) over the whole set, in order."""
-    for lo, hi in row_spans(fset.size):
-        yield lo, fset.dist_rows(lo, hi)
-
-
 class FiniteSet:
     """Base class: a finite metric sample with block-wise distance access.
 
@@ -181,16 +175,16 @@ class FiniteSet:
         lo = int(rows[0])
         return self.dist_rows(lo, int(rows[-1]) + 1)[rows - lo]
 
-    def within(self, rows, eps: float, strict: bool = False) -> np.ndarray:
+    def within(self, rows, eps: float) -> np.ndarray:
         """Boolean block of the rows that ``dist_at`` names: entry (k, j) says
-        whether d(row k, j) <= eps, or < eps when ``strict``.  Every scan
-        that compares distances with a radius asks here."""
-        block = self.dist_at(rows)
-        return block < eps if strict else block <= eps
+        whether d(row k, j) <= eps.  Every scan that compares distances with a
+        radius asks here; d < x is d <= the float below x."""
+        return self.dist_at(rows) <= eps
 
     def row_maxima(self) -> np.ndarray:
         """Each point's largest distance to the set."""
-        return np.concatenate([block.max(axis=1) for _, block in row_blocks(self)])
+        return np.concatenate([self.dist_rows(lo, hi).max(axis=1)
+                               for lo, hi in row_spans(self.size)])
 
     def diameter(self) -> float:
         return float(self.row_maxima().max())
@@ -218,12 +212,12 @@ class PointSet(FiniteSet):
         self.space = space
         self.points = pts
         self.size = pts.shape[0]
-        self._cache = self._row_max = self._distinct = self._apart = None
+        self._cache = self._row_max = self._distinct = None
         # the cache's dtype: float64 when the set is handed its matrix or the
         # whole matrix fits in one block, else every distance rounded to float32
         exact = dist_matrix is not None or self.size * self.size <= BLOCK_ELEMS
         self._dtype = np.float64 if exact else np.float32
-        self._ties = (None, None, None, None)  # the last (eps, strict) and _ties_at's answer
+        self._ties = (None, None, None)  # the last eps and _ties_at's answer
         if dist_matrix is not None:
             m = np.asarray(dist_matrix, dtype=float)
             if m.shape != (self.size, self.size):
@@ -327,7 +321,7 @@ class PointSet(FiniteSet):
             return self.matrix()[rows]
         return self._rows(rows)
 
-    def within(self, rows, eps: float, strict: bool = False) -> np.ndarray:
+    def within(self, rows, eps: float) -> np.ndarray:
         """As ``FiniteSet.within``, from the cache.  A float32 cache decides
         every entry f != fl32(eps): rounding is monotone, so f < fl32(eps)
         means d < eps and f > fl32(eps) means d > eps.  An entry f ==
@@ -338,41 +332,40 @@ class PointSet(FiniteSet):
         equals bit for bit), and compared exactly, a bounded batch of pairs
         at a time."""
         if self._dtype == np.float64 or self.size > DENSE_LIMIT:
-            return super().within(rows, eps, strict)
+            return super().within(rows, eps)
         block = self.matrix()[rows]
-        e, side = self._ties_at(eps, strict)
+        e, side = self._ties_at(eps)
         if side is not None:
             return block <= e if side else block < e
-        out = block < e if strict else block <= e
+        out = block <= e
         k, j = np.divmod(np.flatnonzero(block == e), self.size)
         i = rows.start + k if isinstance(rows, slice) else rows[k]
         step = max(1, BLOCK_ELEMS // self.space.dim)
         for lo in range(0, k.size, step):
             at = slice(lo, lo + step)
-            d = self.space.norm(self.points[i[at]] - self.points[j[at]])
-            out[k[at], j[at]] = d < eps if strict else d <= eps
+            out[k[at], j[at]] = self.space.norm(self.points[i[at]] - self.points[j[at]]) <= eps
         return out
 
-    def _ties_at(self, eps: float, strict: bool) -> tuple:
+    def _ties_at(self, eps: float) -> tuple:
         """(e, side) at the radius eps: e = fl32(eps), and side True when
         every distance that rounds to e lies within eps, False when none
         does, from the sorted radii; None when both kinds exist or the radii
         are not known (None is always correct: ``within`` then recomputes
         the ties).  The distances that round to e form an interval of the
         radii, so both kinds exist only if it holds the largest distance
-        within eps and the least beyond it.  Kept for the last (eps, strict):
-        the entropy search's scans ask at one radius many times."""
-        if self._ties[:2] == (eps, strict):
-            return self._ties[2:]
+        within eps and the least beyond it.  Kept for the last eps: the
+        entropy search's scans ask at one radius many times."""
+        if self._ties[0] == eps:
+            return self._ties[1:]
         e, side, dist = _float32(eps), None, self._distinct
         if dist is not None:
-            zero_in = 0.0 < eps if strict else 0.0 <= eps  # d(i, i) = 0 is a distance too
-            k = int(np.searchsorted(dist, eps, side="left" if strict else "right"))
+            zero_in = 0.0 <= eps  # d(i, i) = 0 is a distance too
+            k = int(np.searchsorted(dist, eps, side="right"))
             inside = dist[k - 1] if k else (0.0 if zero_in else None)
             beyond = (dist[k] if k < dist.size else None) if zero_in else 0.0
             tie_in = inside is not None and _float32(inside) == e
             side = None if tie_in and beyond is not None and _float32(beyond) == e else tie_in
-        self._ties = (eps, strict, e, side)
+        self._ties = (eps, e, side)
         return e, side
 
     def row_maxima(self) -> np.ndarray:
@@ -395,7 +388,6 @@ class PointSet(FiniteSet):
             return self._distinct
         vals = self._fill(radii=True)  # refused above DENSE_LIMIT
         vals.sort()
-        self._apart = not (vals.size and vals[0] == 0.0)  # zeros sort first
         kept, prev = 0, 0.0  # distances are >= 0: zeros go with the repeats
         step = max(1, BLOCK_ELEMS // 8)  # BLOCK_ELEMS bytes, so a block's copy stays small
         for lo in range(0, vals.size, step):
@@ -406,12 +398,6 @@ class PointSet(FiniteSet):
             kept += new.size
         self._distinct = vals[:kept]
         return self._distinct
-
-    def points_apart(self) -> bool:
-        """No two points at distance 0.0 (from the distances, not the coordinates),
-        so the entropy search decides its bottom radius in closed form."""
-        self.distinct_distances()
-        return self._apart
 
     def translated(self, center) -> "PointSet":
         return PointSet(self.space, self.points - np.asarray(center, dtype=float))

@@ -106,8 +106,7 @@ def width_upper_from_entropy(pset: PointSet, k: int, n: int,
         centers = list(range(pset.size))
         assign = np.arange(pset.size)
     else:
-        # a set of coincident points ("singleton") is covered by its first point
-        centers = ent.upper_witness.get("centers", [0])
+        centers = ent.upper_witness["centers"]
         assign = coverage_assignment(pset, centers, ent.upper)
     shifted = pset.translated(rb.center_point)
     targets = shifted.points[centers]

@@ -1,5 +1,7 @@
 """Closed forms and dense views that only the tests compare the package with."""
 
+from bisect import bisect_left
+
 import numpy as np
 
 
@@ -29,6 +31,52 @@ def dense_twin(fset, own_matrix=False):
         twin = PointSet(fset.space, fset.points, dist_matrix=fset.matrix())
     twin.twin_of = name
     return twin
+
+
+def unique_positive(ps) -> np.ndarray:
+    """The sorted distinct positive distances of a point cloud, by np.unique."""
+    vals = np.unique(ps.dist_rows(0, ps.size)[np.tri(ps.size, k=-1, dtype=bool)])
+    return vals[vals > 0.0]
+
+
+def entropy_search(ps, n):
+    """The bisection of ``inner_entropy`` on a cloud of at most DENSE_LIMIT
+    points with a positive distance and more than 2**n points, over radii
+    concatenated as [0, *unique_positive(ps)], r_0 probed at r_1 / 2 like
+    any radius: (lower, upper, upper centers, lower eps, lower count)."""
+    from lipwidth.covering import (N_EXACT, _cover_masks, covering_lower_bound,
+                                   exact_min_cover, greedy_packing)
+
+    budget = 1 << n
+    radii = np.concatenate(([0.0], unique_positive(ps)))
+    exact = ps.size <= N_EXACT
+
+    def probe(i):
+        return radii[i] if i else 0.5 * radii[1]
+
+    covers, counts = {}, {}
+
+    def fits(i):
+        if exact:
+            found = exact_min_cover(_cover_masks(ps, probe(i)), ps.size, limit=budget)
+            covers[i] = None if found is None else list(found[1])
+        else:
+            pack = greedy_packing(ps, probe(i), stop_above=budget)
+            covers[i] = list(pack.indices) if pack.maximal else None
+        return covers[i] is not None
+
+    def clears(i):
+        counts[i] = covering_lower_bound(ps, probe(i), stop_above=budget)
+        return counts[i] <= budget
+
+    top = radii.size - 1
+    up = bisect_left(range(top), True, key=fits)
+    if up == top:
+        fits(top)
+    low = up if exact else bisect_left(range(up), True, key=clears)
+    count = budget + 1 if exact else counts.get(low - 1)
+    return (float(radii[low]), float(radii[up]), covers[up],
+            float(radii[low - 1]) if low else None, count if low else None)
 
 
 def float64_reference(ps):

@@ -181,6 +181,20 @@ def test_report_json_is_the_canonical_text_with_meta_last(tmp_path, capsys):
     assert printed.startswith(canonical_report(report)[:-1] + ',"meta":{')
 
 
+def test_one_config_writes_one_canonical_report_wherever_it_goes(tmp_path):
+    cfg = {"command": "entropy", "seed": 5, "params": {"n_values": [1, 2]},
+           "target": {"kind": "random", "m": 9, "dim": 2}, "format": "both"}
+    texts = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(cfg, out=str(tmp_path / name))))
+        assert main(["--config", str(path)]) == 0
+        texts.append((tmp_path / name / "entropy-report.canonical.json").read_bytes())
+    assert texts[0] == texts[1]
+    # the config echoed without where and how the report is written
+    assert json.loads(texts[0])["config"] == {k: v for k, v in cfg.items() if k != "format"}
+
+
 def test_report_without_meta_writes_both_files(monkeypatch, tmp_path):
     from lipwidth import cli as climod
 
@@ -844,13 +858,13 @@ _GOLDEN = {
         "59bd499e0aadce6257576657bf9bba1a842e250f22584d4b49a7edc6aa476ce5"),
     "case-study-orthonormal-basis-witness": (
         _study("orthonormal-basis"),
-        "50d4afcfc7c802f608a2146595fe2b3c22a88cc3524e95ccc29d810e85d40619"),
+        "9991951235e1d8cab9fa6feeda9a37031b63a6ebb7d14bae8e69cc62b3160108"),
     "case-study-cross-polytope-witness": (
         _study("cross-polytope"),
         "0ea38ad3f986007e664df02fd206c2bda4d136dfdc245c62e8b1d654417cc283"),
     "audit-all-seed7": (
         {"command": "audit-all", "seed": 7},
-        "eed1f738a0196e26ba673b75ca21e975ece9ca0e5b2be880f2a95de137c86eae"),
+        "3e07589dc7070901447cf8ad597431a2ba50e6fc3f53b13ebe72d5a4c051b637"),
     # each moves if its study's default truncation (256, 64) or grid (1024) moves
     "entropy-power-sequence-c05-witness": (
         {"command": "entropy", "seed": 0,

@@ -36,7 +36,7 @@ from lipwidth.case_studies import (
     transport_set,
 )
 from lipwidth.spaces import DENSE_LIMIT, FiniteSet, PreconditionError
-from oracles import dense_twin
+from oracles import dense_twin, entropy_search
 
 
 def basis_cloud():
@@ -233,49 +233,6 @@ def test_inner_entropy_monotone_in_n():
         assert b <= a + 1e-9
 
 
-def record_calls_below(monkeypatch, r1):
-    """Wrap the three predicates; each call appends whether it probed below r_1.
-
-    The exact cover sees only masks: on a set whose points are apart, every
-    mask holds a single point exactly below r_1.
-    """
-    from lipwidth import covering
-
-    calls = []
-    packing, lower_bound, exact = (covering.greedy_packing, covering.covering_lower_bound,
-                                   covering.exact_min_cover)
-
-    def packing_spy(fset, eps, stop_above=None):
-        calls.append(eps < r1)
-        return packing(fset, eps, stop_above)
-
-    def lower_bound_spy(fset, eps, stop_above=None):
-        calls.append(eps < r1)
-        return lower_bound(fset, eps, stop_above)
-
-    def exact_spy(masks, m, limit=None):
-        calls.append(all(mask & (mask - 1) == 0 for mask in masks))
-        return exact(masks, m, limit)
-
-    monkeypatch.setattr(covering, "greedy_packing", packing_spy)
-    monkeypatch.setattr(covering, "covering_lower_bound", lower_bound_spy)
-    monkeypatch.setattr(covering, "exact_min_cover", exact_spy)
-    return calls
-
-
-def without_bottom_rule(monkeypatch, fset, n):
-    """``inner_entropy`` with the set declared as one whose points may coincide."""
-    with monkeypatch.context() as mp:
-        mp.setattr(fset, "points_apart", lambda: None)
-        return inner_entropy(fset, n)
-
-
-def assert_same_estimate(got, want):
-    assert got == want
-    assert got.upper_witness == want.upper_witness
-    assert got.lower_witness == want.lower_witness
-
-
 def bottom_sets():
     """Sets of 2**n + 1 points, whose search at n reaches r_0."""
     rng = np.random.default_rng(12)
@@ -290,23 +247,16 @@ def set_id(fset):
 
 
 @pytest.mark.parametrize("fset", bottom_sets(), ids=set_id)
-def test_inner_entropy_probes_no_radius_below_the_least_distance(monkeypatch, fset):
+def test_bottom_set_bracket_starts_at_the_least_distance(fset):
+    # no cover of 2**n balls exists below r_1, and the nearest pair shares a ball at r_1
     n = math.floor(math.log2(fset.size - 1))
-    assert fset.points_apart() is True
-    r1 = float(fset.distinct_distances()[0])
-    calls = record_calls_below(monkeypatch, r1)
-    want = without_bottom_rule(monkeypatch, fset, n)
-    assert any(calls)  # without the rule the search does probe below r_1
-    calls.clear()
     got = inner_entropy(fset, n)
-    assert calls and not any(calls)
-    assert_same_estimate(got, want)
-    assert got.lower == r1 and got.lower_witness == {
+    assert got.lower == float(fset.distinct_distances()[0]) and got.lower_witness == {
         "kind": "exact-cover" if fset.size <= N_EXACT else "ball-disjoint-witnesses",
         "eps": 0.0, "count": 2 ** n + 1}
 
 
-def shortcut_cases():
+def bracket_cases():
     rng = np.random.default_rng(31)
     sets = bottom_sets()
     for m in (2, 3, 9, 17, 20, 21, 40):  # both sides of the exact size
@@ -325,29 +275,31 @@ def shortcut_cases():
     return [s if type(s) is PointSet else dense_twin(s) for s in sets]
 
 
-@pytest.mark.parametrize("fset", shortcut_cases(), ids=set_id)
-def test_inner_entropy_equals_the_search_that_probes_r0(monkeypatch, fset):
+@pytest.mark.parametrize("fset", bracket_cases(), ids=set_id)
+def test_inner_entropy_equals_the_search_that_probes_r0(fset):
+    # both sides of the exact size, points apart and repeated: every bracket
+    # and witness is the test-side bisection's, which probes r_0 at r_1 / 2
     for n in range(math.ceil(math.log2(fset.size)) + 1):
-        assert_same_estimate(inner_entropy(fset, n), without_bottom_rule(monkeypatch, fset, n))
-
-
-def test_points_apart_unless_two_points_repeat():
-    for fset in shortcut_cases():
-        repeats = isinstance(fset, PointSet) and len(np.unique(fset.points, axis=0)) < fset.size
-        assert fset.points_apart() is (not repeats), set_id(fset)
+        est = inner_entropy(fset, n)
+        if 2 ** n >= fset.size:
+            assert est.upper_witness == {"kind": "identity", "size": fset.size}
+            continue
+        got = (est.lower, est.upper, est.upper_witness["centers"],
+               est.lower_witness["eps"], est.lower_witness["count"])
+        assert got == entropy_search(fset, n), n
 
 
 @pytest.mark.parametrize("m, n", [(17, 4), (33, 5)])
-def test_points_whose_distance_underflows_coincide(monkeypatch, m, n):
+def test_points_whose_distance_underflows_coincide(m, n):
     # (1e-170)^2 underflows, so the l2 distance of two different points is 0.0
     pts = np.random.default_rng(m).uniform(-1, 1, size=(m, 2))
     pts[0], pts[1] = (0.0, 0.0), (1e-170, 0.0)
     ps = PointSet(lp_space(2, 2), pts)
     assert ps.dist_row(0)[1] == 0.0 and not np.array_equal(ps.points[0], ps.points[1])
-    assert ps.points_apart() is False
     est = inner_entropy(ps, n)
     assert est.lower == est.upper == 0.0  # 2**n balls hold the m - 1 locations
-    assert_same_estimate(est, without_bottom_rule(monkeypatch, ps, n))
+    assert (est.lower, est.upper, est.upper_witness["centers"], est.lower_witness["eps"],
+            est.lower_witness["count"]) == entropy_search(ps, n)
 
 
 def closed_form_sets():
@@ -412,8 +364,7 @@ def test_every_set_reaches_the_search_as_a_point_cloud_or_has_a_closed_form():
                                              "TransportSet"}
     for cls in classes:
         assert issubclass(cls, PointSet) or hasattr(cls, "entropy_witnesses"), cls
-    for attr in ("distinct_distances", "points_apart"):
-        assert [c for c in (FiniteSet, *classes) if attr in vars(c)] == [PointSet], attr
+    assert [c for c in (FiniteSet, *classes) if "distinct_distances" in vars(c)] == [PointSet]
 
 
 # ---------------------------------------------------------------------------

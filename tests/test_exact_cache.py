@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from lipwidth import NormedSpace, PointSet, spaces
 from lipwidth.covering import (
+    PACK_SLACK,
     PackingResult,
     ball_disjoint,
     covering_lower_bound,
@@ -59,6 +60,24 @@ def assert_agrees(ps, n, pairs):
         eps = float(exact[pairs[0]]) or 1.0
         audit, want = sandwich_audit(fset, eps), sandwich_audit(ref, eps)
         assert (audit, audit.packing) == (want, want.packing)
+
+
+@pytest.mark.parametrize("m, radii_known", [(3, False), (300, True), (300, False)])
+def test_ball_disjoint_puts_a_pair_at_the_slack_radius_in_no_ball(m, radii_known):
+    # no ball below eps (1 - PACK_SLACK) holds a pair exactly that far apart, and
+    # one holds a pair a float nearer: on a float64 cache (3 points) and on a
+    # float32 one, where both distances round to the radius's float32 and no
+    # other does, so the sorted radii decide the pair, or else its recomputation
+    eps = 1.0
+    edge = eps * (1.0 - PACK_SLACK)
+    for gap, apart in ((edge, True), (np.nextafter(edge, -np.inf), False)):
+        pts = np.concatenate(([0.0, gap], 10.0 + 2.0 * np.arange(m - 2)))[:, None]
+        ps = PointSet(NormedSpace(1, "l1"), pts)
+        assert ps.dist_row(0)[1] == gap
+        assert ps.matrix().dtype == (np.float32 if m > 256 else np.float64)
+        if radii_known:
+            ps.distinct_distances()
+        assert ball_disjoint(ps, [0, 1], eps) is apart, (m, radii_known, gap)
 
 
 @st.composite

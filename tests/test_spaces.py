@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -17,9 +16,9 @@ from lipwidth import (
     step_space,
 )
 from lipwidth import spaces
-from lipwidth.covering import covering_lower_bound, greedy_packing, inner_entropy
+from lipwidth.covering import inner_entropy
 from lipwidth.spaces import BLOCK_ELEMS, DENSE_LIMIT, NORM_KINDS
-from oracles import space_of
+from oracles import entropy_search, space_of, unique_positive
 
 
 def unit_step_vector(space, a):
@@ -250,11 +249,6 @@ def test_dist_rows_slice_a_float64_cache_and_compute_past_it():
     assert np.array_equal(big.matrix()[5:9], block.astype(np.float32))
 
 
-def _unique_positive(ps):
-    vals = np.unique(ps.dist_rows(0, ps.size)[np.tri(ps.size, k=-1, dtype=bool)])
-    return vals[vals > 0.0]
-
-
 @pytest.mark.parametrize("block_elems", [8, 64, 1000])
 def test_distinct_distances_equal_unique_across_block_edges(block_elems, monkeypatch):
     # the in-place radii equal np.unique of the triangle without zeros, bit for
@@ -271,7 +265,7 @@ def test_distinct_distances_equal_unique_across_block_edges(block_elems, monkeyp
     sets.append(PointSet(NormedSpace(3, "l2"), pts))
     sets.append(PointSet(lp_space(2, 2), np.repeat(rng.uniform(-1, 1, (3, 2)), 8, axis=0)))
     for ps in sets:
-        ref = _unique_positive(ps)
+        ref = unique_positive(ps)
         assert ps.distinct_distances().tobytes() == ref.tobytes(), (ps.space.kind, ps.size)
     grid = sets[2]  # 257 points in l1 take 9 distances
     runs = np.unique(grid.dist_rows(0, grid.size)[np.tri(grid.size, k=-1, dtype=bool)],
@@ -283,36 +277,10 @@ def test_distinct_distances_of_equal_points_are_empty(monkeypatch):
     monkeypatch.setattr(spaces, "BLOCK_ELEMS", 64)
     ps = PointSet(lp_space(2, 1), np.ones((40, 2)))
     assert ps.distinct_distances().size == 0
-    est = inner_entropy(ps, 2)
-    assert (est.lower, est.upper, est.upper_witness) == (0.0, 0.0, {"kind": "singleton"})
-
-
-def _entropy_oracle(ps, n):
-    """The bisection of ``inner_entropy`` past the exact size, over radii
-    concatenated as [0, *np.unique(triangle)[> 0]]."""
-    budget = 1 << n
-    radii = np.concatenate(([0.0], _unique_positive(ps)))
-
-    def probe(i):
-        return radii[i] if i else 0.5 * radii[1]
-
-    packs, counts = {}, {}
-
-    def fits(i):
-        packs[i] = greedy_packing(ps, probe(i), stop_above=budget)
-        return packs[i].maximal
-
-    def clears(i):
-        counts[i] = covering_lower_bound(ps, probe(i), stop_above=budget)
-        return counts[i] <= budget
-
-    top = radii.size - 1
-    up = bisect_left(range(top), True, key=fits)
-    if up == top:
-        fits(top)
-    low = bisect_left(range(up), True, key=clears)
-    return (float(radii[low]), float(radii[up]), list(packs[up].indices),
-            float(radii[low - 1]) if low else None, counts[low - 1] if low else None)
+    est = inner_entropy(ps, 2)  # one traversal center covers the set at 0
+    assert (est.lower, est.upper, est.exact) == (0.0, 0.0, True)
+    assert est.upper_witness == {"kind": "farthest-first-cover", "eps": 0.0, "size": 1,
+                                 "centers": [0]}
 
 
 def test_inner_entropy_matches_concatenated_radii_oracle():
@@ -330,7 +298,7 @@ def test_inner_entropy_matches_concatenated_radii_oracle():
             est = inner_entropy(ps, n)
             got = (est.lower, est.upper, est.upper_witness["centers"],
                    est.lower_witness["eps"], est.lower_witness["count"])
-            assert got == _entropy_oracle(ps, n), (trial, size, kind, n)
+            assert got == entropy_search(ps, n), (trial, size, kind, n)
             assert est.upper_witness["eps"] == est.upper
 
 

@@ -66,10 +66,12 @@ def test_fixed_width_candidate_outside_ball():
 
 
 def test_width_upper_from_entropy_singleton():
-    ps = PointSet(lp_space(2, 2), [[0.4, -0.3]])
-    for k, n in ((1, 1), (2, 3)):
-        cert = width_upper_from_entropy(ps, k, n)
-        assert cert.value == 0.0
+    # one point, and five copies of it: more than 2**(k n) for (1, 1)
+    for m in (1, 5):
+        ps = PointSet(lp_space(2, 2), [[0.4, -0.3]] * m)
+        for k, n in ((1, 1), (2, 3)):
+            cert = width_upper_from_entropy(ps, k, n)
+            assert cert.value == 0.0
 
 
 def test_width_upper_from_entropy_pipeline():
