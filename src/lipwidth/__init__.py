@@ -38,7 +38,6 @@ from .lipmaps import (
     build_entropy_map,
     build_path_map,
     build_sequence_bump_map,
-    empirical_lipschitz,
 )
 from .widths import (
     TransferReport,

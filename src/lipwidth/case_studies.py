@@ -599,8 +599,7 @@ def recheck_entropy(cert: dict, fset: FiniteSet) -> bool:
                                     and ball_disjoint(fset, points, cert["lower"]))))
 
 
-def certify_power_sequence(target, params):
-    c = float(params.get("c", 1.0))
+def certify_power_sequence(c: float, params):
     gamma = float(params.get("gamma", 4.0))
     n1 = power_collapse_index(c, gamma)
     certs = [{"quantity": "collapse_index", "c": c, "gamma": gamma, "n1": n1}]

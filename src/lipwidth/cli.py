@@ -171,7 +171,8 @@ def report_text(report: dict, canonical: str) -> str:
     return f'{canonical[:-1]}{"," if len(canonical) > 2 else ""}"meta":{meta}}}'
 
 
-def _target_set(target: Optional[dict], seed: int) -> FiniteSet:
+def _target_set(cfg: dict, seed: int) -> FiniteSet:
+    target = cfg.get("target")
     if not target:
         raise UsageError("this command needs a target")
     kind = target.get("kind")
@@ -190,7 +191,7 @@ def _target_set(target: Optional[dict], seed: int) -> FiniteSet:
         study = _case_study(target)
         if study.make_set is None:
             raise UsageError(f"no set constructor for case study {target['name']!r}")
-        return study.make_set(target)
+        return study.make_set(target, cfg.get("params", {}))
     raise UsageError(f"unknown target kind {kind!r}")
 
 
@@ -208,17 +209,25 @@ class CaseStudy:
     certify: Callable[[dict, dict], tuple]
     # the (target, params) that ``audit-all`` runs ``certify`` at
     audit_inputs: tuple
-    # target -> set, for entropy, packing, the width commands and --verify-witness
-    make_set: Optional[Callable[[dict], FiniteSet]] = None
+    # (target, params) -> set, for entropy, packing, the width commands, --verify-witness
+    make_set: Optional[Callable[[dict, dict], FiniteSet]] = None
     # (name, predicate on the certificates) checks that ``audit-all`` adds
     audit_checks: tuple = ()
     # (set, n) -> (certificate, approximants): the study's own Kolmogorov projector
     kolmogorov: Optional[Callable] = None
 
 
-def _sequence_set(generator: str, target: dict) -> FiniteSet:
+def _sequence_c(target: dict, params: dict) -> float:
+    """A sequence study's exponent: ``params.c``, else ``target.c``, else 1.0."""
+    c = params.get("c", target.get("c", 1.0))
+    if c != target.get("c", c):
+        raise UsageError(f"params.c = {c} and target.c = {target['c']} disagree")
+    return float(c)
+
+
+def _sequence_set(generator: str, target: dict, params: dict) -> FiniteSet:
     return cs.sequence_set(cs.SequenceSetSpec(generator, target.get("truncation", 256),
-                                              float(target.get("c", 1.0))))
+                                              _sequence_c(target, params)))
 
 
 def _transport_set(target: dict) -> FiniteSet:
@@ -232,17 +241,20 @@ def _diagonal_set(target: dict) -> FiniteSet:
 _CASES = {
     "log-sequence": CaseStudy(
         cs.certify_log_sequence, ({}, {"n": 6, "gamma": 3.0, "max_bumps": 10 ** 4}),
-        make_set=lambda target: _sequence_set("log", target)),
+        make_set=lambda target, params: _sequence_set("log", target, params)),
     "power-sequence": CaseStudy(
-        cs.certify_power_sequence, ({}, {"c": 1.0, "gamma": 4.0, "max_bumps": 10 ** 3}),
-        make_set=lambda target: _sequence_set("power", target)),
+        lambda target, params: cs.certify_power_sequence(_sequence_c(target, params), params),
+        ({}, {"c": 1.0, "gamma": 4.0, "max_bumps": 10 ** 3}),
+        make_set=lambda target, params: _sequence_set("power", target, params)),
     "transport": CaseStudy(
         lambda target, params: cs.certify_transport(_transport_set(target), params),
         ({"grid": 256}, {"n_values": [1, 3, 6], "n_values_kolmogorov": [16]}),
-        make_set=_transport_set, kolmogorov=cs.transport_kolmogorov_upper),
+        make_set=lambda target, _: _transport_set(target),
+        kolmogorov=cs.transport_kolmogorov_upper),
     "diagonal": CaseStudy(
         lambda target, params: cs.certify_diagonal(_diagonal_set(target), params),
-        ({"truncation": 48}, {"n_values": [8]}), make_set=_diagonal_set),
+        ({"truncation": 48}, {"n_values": [8]}),
+        make_set=lambda target, _: _diagonal_set(target)),
     "orthonormal-basis": CaseStudy(
         cs.certify_orthonormal_basis, ({}, {"m": 10, "s": 1}),
         audit_checks=(("regime-certified", lambda certs: certs[0]["regime_certified"]),)),
@@ -272,7 +284,7 @@ def _study_of(target: Optional[dict]) -> Optional[CaseStudy]:
 
 
 def _run_entropy(cfg, seed):
-    fset = _target_set(cfg.get("target"), seed)
+    fset = _target_set(cfg, seed)
     ests = [inner_entropy(fset, int(n)) for n in cs.n_values(cfg.get("params", {}), [3])]
     return ([est.to_json() for est in ests],
             [{"name": f"entropy-bracket-n{est.n}", "passed": est.lower <= est.upper}
@@ -280,7 +292,7 @@ def _run_entropy(cfg, seed):
 
 
 def _run_packing(cfg, seed):
-    fset = _target_set(cfg.get("target"), seed)
+    fset = _target_set(cfg, seed)
     params = cfg.get("params", {})
     if "eps" in params:
         eps = float(params["eps"])
@@ -299,7 +311,7 @@ def _run_packing(cfg, seed):
 
 
 def _run_width_upper(cfg, seed):
-    pset = _target_set(cfg.get("target"), seed)
+    pset = _target_set(cfg, seed)
     params = cfg.get("params", {})
     k = int(params.get("k", 1))
     n = int(params.get("n", 2))
@@ -309,7 +321,7 @@ def _run_width_upper(cfg, seed):
 
 
 def _run_width_lower(cfg, seed):
-    fset = _target_set(cfg.get("target"), seed)
+    fset = _target_set(cfg, seed)
     params = cfg.get("params", {})
     n = int(params.get("n", 2))
     if "gamma" in params or "gamma_schedule" in params:
@@ -324,7 +336,7 @@ def _run_width_lower(cfg, seed):
 
 
 def _run_kolmogorov(cfg, seed):
-    pset = _target_set(cfg.get("target"), seed)
+    pset = _target_set(cfg, seed)
     params = cfg.get("params", {})
     n = int(params.get("n", 2))
     study = _study_of(cfg.get("target"))
@@ -466,7 +478,7 @@ def _certify(cfg: dict, seed: int) -> tuple:
     certs, audits = _jsonify(_HANDLERS[cfg["command"]](cfg, seed))
     if cfg.get("verify_witness") and cfg["command"] != "audit-all":
         try:
-            fset = _target_set(cfg.get("target"), seed)
+            fset = _target_set(cfg, seed)
         except UsageError:
             fset = None
         audits = list(audits) + [{"name": f"witness-{i}-{c.get('quantity')}",

@@ -72,14 +72,15 @@ def greedy_packing(fset: FiniteSet, eps: float, stop_above: Optional[int] = None
     """Sequential packing scan in point order; lowest index wins ties.
 
     A point is admitted iff its distance to every admitted point exceeds
-    eps (with a 1e-12 relative slack to avoid float equality ambiguity).
+    eps (with a 1e-12 relative slack to avoid float equality ambiguity), so
+    at eps = 0 the packing holds one point per distinct location.
     Without ``stop_above`` the result is maximal, so its size is at most
     P_eps and, the packing being an eps-cover, at least N_eps.  An admitted
     point whose row is not yet read reads it together with the rest of its
     block, in one ``within`` call.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if eps < 0:
+        raise PreconditionError("eps must be nonnegative")
     thr = eps * (1.0 + PACK_SLACK)
     m, step = fset.size, block_rows(fset.size)
     far = np.ones(m, dtype=bool)  # farther than thr from every admitted point
@@ -402,19 +403,15 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     def radius(i: int) -> float:
         return float(dist[i - 1]) if i else 0.0
 
-    def probe(i: int) -> float:
-        # every eps in [r_i, r_{i+1}) sees the same distances; packings need eps > 0
-        return radius(i) if i else 0.5 * dist[0]
-
     covers: dict = {}
 
     def fits(i: int) -> bool:
         """Some cover at r_i has at most 2**n balls; it is kept in ``covers``."""
         if exact:
-            found = exact_min_cover(_cover_masks(fset, probe(i)), m, limit=budget)
+            found = exact_min_cover(_cover_masks(fset, radius(i)), m, limit=budget)
             covers[i] = None if found is None else found[1]
         else:
-            pack = greedy_packing(fset, probe(i), stop_above=budget)
+            pack = greedy_packing(fset, radius(i), stop_above=budget)
             covers[i] = pack.indices if pack.maximal else None
         return covers[i] is not None
 
@@ -431,7 +428,7 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
 
         def clears(i: int) -> bool:
             """The lower bound on N at r_i is at most 2**n (kept in ``counts``)."""
-            counts[i] = covering_lower_bound(fset, probe(i), stop_above=budget)
+            counts[i] = covering_lower_bound(fset, radius(i), stop_above=budget)
             return counts[i] <= budget
 
         # at r_up a cover of at most 2**n balls exists, so the bound clears there

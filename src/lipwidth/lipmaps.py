@@ -5,16 +5,17 @@ grid (:class:`BumpSum`, entropy covers to width bounds), affine maps on the
 unit ball of a linear subspace (:class:`AffineBallMap`, Kolmogorov bounds to
 Lipschitz-width bounds) and bump sums on dyadic cubes
 (:class:`SequenceBumpSum`, sequence sets).  :class:`PiecewiseLinearPath`
-joins ordered covering points.  They share one base, :class:`LipschitzMap`:
-a domain whose unit ball is sampled and whose norm measures separations
-(the sup-norm cube, except for the affine maps), and a target space that
-measures image distances.
+joins ordered covering points.  All but the sequence family share one base,
+:class:`LipschitzMap`: a domain whose norm measures separations (the sup-norm
+cube, except for the affine maps), and a target space that measures image
+distances.
 
 The dyadic cubes of the sequence family are placed in Z-order (Morton order)
 in closed form; see :func:`allocate_dyadic_cubes`.
 
-Every map declares a closed-form Lipschitz constant; ``empirical_lipschitz``
-samples difference quotients and raises if one ever exceeds the declaration.
+Every map declares a closed-form Lipschitz constant, which follows from how
+the map is built; the sampled falsifier that checks the declarations lives
+with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,19 +30,18 @@ from .spaces import NormedSpace, PreconditionError, REL_TOL, block_rows
 
 DISJOINT_CHECK_LIMIT = 2048  # cap of the O(m^2) float overlap cross-check
 BALL_SLACK = 1e-9            # admission slack for "candidate inside the ball"
-PAIR_CHUNK = 1024            # pairs drawn per seeded chunk in empirical_lipschitz
 
 
 class BoundViolation(AssertionError):
-    """An empirical ratio exceeded a declared Lipschitz constant."""
+    """A Lipschitz constant, declared or sampled, exceeded its bound."""
 
 
 class LipschitzMap:
     """A map on the sup-norm unit ball [-1, 1]^domain_dim into ``target_space``.
 
     Subclasses provide ``evaluate_batch`` and ``declared_lipschitz``.
-    Separations are measured in the sup norm, samples are drawn uniformly
-    from the cube, and images are compared in ``target_space``.
+    Separations are measured in the sup norm, and images are compared in
+    ``target_space``.
     """
 
     def __init__(self, domain_dim: int, target_space: NormedSpace):
@@ -60,12 +60,6 @@ class LipschitzMap:
 
     def domain_norm_batch(self, ys: np.ndarray) -> np.ndarray:
         return np.asarray(self.domain_space.norm(np.asarray(ys, dtype=float)))
-
-    def sample_domain(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=(count, self.domain_dim))
-
-    def target_dist_batch(self, u, v) -> np.ndarray:
-        return np.asarray(self.target_space.norm(np.asarray(u) - np.asarray(v)))
 
 
 class BumpSum(LipschitzMap):
@@ -145,7 +139,7 @@ class AffineBallMap(LipschitzMap):
     Domain points are coefficient vectors; the domain norm is the ambient
     norm of the embedded vector, so the map is gamma-Lipschitz exactly.
     No :class:`NormedSpace` kind expresses that pulled-back norm, so this
-    map has no ``domain_space`` and overrides the norm and the sampler.
+    map has no ``domain_space`` and overrides the norm.
     At ``gamma = 0`` it is the constant map onto ``g0``.
     """
 
@@ -170,54 +164,6 @@ class AffineBallMap(LipschitzMap):
 
     def domain_norm_batch(self, ys):
         return np.asarray(self.target_space.norm(self.embed(ys)))
-
-    def sample_domain(self, rng, count):
-        n = self.domain_dim
-        if self.target_space.kind == "l2":
-            # orthonormal rows assumed: coefficient ball = Euclidean ball
-            g = rng.normal(size=(count, n))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            r = rng.uniform(size=(count, 1)) ** (1.0 / n)
-            return g * r
-        # general: sample a simplex of coefficient magnitudes, rescale to fit
-        raw = rng.uniform(-1.0, 1.0, size=(count, n))
-        norms = self.domain_norm_batch(raw)
-        norms = np.where(norms == 0, 1.0, norms)
-        scale = rng.uniform(size=count) ** (1.0 / n)
-        return raw * (scale / norms)[:, None]
-
-
-def empirical_lipschitz(map_: LipschitzMap, seed: int, pairs: int) -> float:
-    """Max sampled difference quotient; must stay below the declared constant.
-
-    Pairs are drawn in chunks of ``PAIR_CHUNK`` with per-chunk seeds
-    ``seed ^ chunk``, so the result does not depend on how chunks are
-    scheduled.  Raises :class:`BoundViolation` if any ratio exceeds
-    declared * (1 + 1e-9).
-    """
-    if pairs < 1:
-        raise PreconditionError("pairs must be >= 1")
-    declared = map_.declared_lipschitz()
-    best = 0.0
-    done = 0
-    widx = 0
-    while done < pairs:
-        take = min(PAIR_CHUNK, pairs - done)
-        rng = np.random.default_rng((int(seed) ^ widx) & 0xFFFFFFFFFFFFFFFF)
-        ys = map_.sample_domain(rng, 2 * take)
-        a, b = ys[:take], ys[take:]
-        sep = map_.domain_norm_batch(a - b)
-        img = map_.target_dist_batch(map_.evaluate_batch(a), map_.evaluate_batch(b))
-        ok = sep > 0
-        if np.any(ok):
-            best = max(best, float((img[ok] / sep[ok]).max()))
-        done += take
-        widx += 1
-    if best > declared * (1.0 + REL_TOL) + 1e-300:
-        raise BoundViolation(
-            f"empirical ratio {best} exceeds declared constant {declared}"
-        )
-    return best
 
 
 def build_path_map(points, target_space: NormedSpace) -> PiecewiseLinearPath:
@@ -290,10 +236,6 @@ class CubeAllocation:
     def sides(self) -> np.ndarray:
         return 2.0 ** (-self.levels.astype(float))
 
-    def centers(self) -> np.ndarray:
-        side = self.sides()[:, None]
-        return -1.0 + (self.cells + 0.5) * side
-
     def lower_corners(self) -> np.ndarray:
         side = self.sides()[:, None]
         return -1.0 + self.cells * side
@@ -352,7 +294,7 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
     de-interleaved.  Sides never grow, so every block is aligned, and the
     running offset fits under 2**(dim*(l_max+1)) exactly when the volumes do,
     which is checked here.  The cells are de-interleaved only when first read
-    (an evaluation or an audit), in O(``BLOCK_ELEMS``) scratch beyond them.
+    (by an audit), in O(``BLOCK_ELEMS``) scratch beyond them.
     """
     levels = np.asarray(levels)
     if levels.dtype.kind not in "iu" and not np.all(
@@ -412,74 +354,25 @@ def audit_cube_allocation(alloc: CubeAllocation) -> bool:
     return True
 
 
-class SequenceBumpSum(LipschitzMap):
+class SequenceBumpSum:
     """Bump sum on allocated dyadic cubes mapping into the sequence space.
 
-    Bump j has amplitude sigma_j along the j-th coordinate direction; the
-    image of any point has at most one nonzero coordinate, so evaluation
-    returns sparse (index, value) pairs and sup-norm distances come from a
-    closed form.
+    Bump j is sigma_j (1 - |y - c_j|_inf / r_j)_+ e_j, the cone on cube j
+    (centre c_j, half side r_j) along the j-th coordinate direction.  The
+    cubes are disjoint, so the declared constant max_j sigma_j / r_j follows
+    from the allocation audit; certificates and rechecks read the cubes, the
+    amplitudes and that constant, and never evaluate the map.
     """
 
     def __init__(self, alloc: CubeAllocation, sigmas):
-        # the target is the sequence space; images are compared by sparse_dist
-        super().__init__(alloc.dim, None)
         self.alloc = alloc
         self.sigmas = np.asarray(sigmas, dtype=float)
         if len(self.sigmas) != alloc.count:
             raise ValueError("one amplitude per cube required")
         self._radii = 0.5 * alloc.sides()
 
-    @cached_property
-    def _centers(self) -> np.ndarray:
-        """Cube centres, made on the first evaluation."""
-        return self.alloc.centers()
-
-    @cached_property
-    def _lut(self) -> dict[int, dict[tuple, int]]:
-        """Per level, cell -> cube index; built on the first ``locate``."""
-        lut: dict[int, dict[tuple, int]] = {}
-        for j, (l, cell) in enumerate(zip(self.alloc.levels.tolist(),
-                                          map(tuple, self.alloc.cells.tolist()))):
-            lut.setdefault(l, {})[cell] = j
-        return dict(sorted(lut.items()))
-
     def declared_lipschitz(self) -> float:
         return float((self.sigmas / self._radii).max())
-
-    def locate(self, y: np.ndarray) -> Optional[int]:
-        y = np.asarray(y, dtype=float)
-        for l, cells in self._lut.items():
-            side = 2.0 ** (-l)
-            j = cells.get(tuple(int(c) for c in np.floor((y + 1.0) / side)))
-            if j is not None:
-                return j
-        return None
-
-    def evaluate_batch(self, ys):
-        """Sparse images: (coordinate index, value), or None for zero."""
-        out = []
-        for y in np.asarray(ys, dtype=float):
-            j = self.locate(y)
-            w = 0.0 if j is None else 1.0 - np.abs(self._centers[j] - y).max() / self._radii[j]
-            out.append((j, self.sigmas[j] * w) if w > 0.0 else None)
-        return out
-
-    @staticmethod
-    def sparse_dist(u, v) -> float:
-        """Sup distance between two one-hot sequence vectors."""
-        if u is None and v is None:
-            return 0.0
-        if u is None:
-            return abs(v[1])
-        if v is None:
-            return abs(u[1])
-        if u[0] == v[0]:
-            return abs(u[1] - v[1])
-        return max(abs(u[1]), abs(v[1]))
-
-    def target_dist_batch(self, us, vs):
-        return np.asarray([self.sparse_dist(u, v) for u, v in zip(us, vs)])
 
 
 def bump_levels(sigmas, gamma: float) -> np.ndarray:

@@ -4,6 +4,8 @@ from bisect import bisect_left
 
 import numpy as np
 
+PAIR_CHUNK = 1024  # pairs drawn per seeded chunk in empirical_lipschitz
+
 
 def sequence_dense_points(ss) -> np.ndarray:
     """The points of a ``SequenceSet`` as dense rows: sigma_j e_j, then the origin."""
@@ -112,3 +114,59 @@ def closed_form_constant(cfg, j: int) -> int:
     ``relunet.lip_bound`` recursion."""
     d, W = cfg.d, cfg.width
     return W ** j * (d + 1) + j * (d + 2) * W ** j + sum(W ** k for k in range(j))
+
+
+def sequence_images(bmap, ys) -> np.ndarray:
+    """Dense images of a ``SequenceBumpSum``, one row per point: entry j is
+    sigma_j (1 - |y - c_j|_inf / r_j)_+, c_j and r_j the centre and half side
+    of cube j from its level and cell; every cone is summed, none looked up."""
+    side = 2.0 ** -bmap.alloc.levels.astype(float)
+    centers = -1.0 + (bmap.alloc.cells + 0.5) * side[:, None]
+    gap = np.abs(ys[:, None, :] - centers).max(axis=2)
+    return bmap.sigmas * np.maximum(0.0, 1.0 - gap / (side / 2))
+
+
+def sample_domain(map_, rng, count) -> np.ndarray:
+    """``count`` points of a map's domain unit ball: uniform in the sup-norm
+    cube, except for an ``AffineBallMap``: the Euclidean ball for an l2 target
+    (orthonormal rows assumed), else cube samples shrunk into its ball."""
+    from lipwidth import AffineBallMap, SequenceBumpSum
+
+    if not isinstance(map_, AffineBallMap):
+        dim = map_.alloc.dim if isinstance(map_, SequenceBumpSum) else map_.domain_dim
+        return rng.uniform(-1.0, 1.0, size=(count, dim))
+    n = map_.domain_dim
+    if map_.target_space.kind == "l2":
+        g = rng.normal(size=(count, n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        return g * rng.uniform(size=(count, 1)) ** (1.0 / n)
+    raw = rng.uniform(-1.0, 1.0, size=(count, n))
+    norms = map_.domain_norm_batch(raw)
+    norms = np.where(norms == 0, 1.0, norms)
+    return raw * (rng.uniform(size=count) ** (1.0 / n) / norms)[:, None]
+
+
+def empirical_lipschitz(map_, seed: int, pairs: int) -> float:
+    """The largest sampled difference quotient of a map; ``BoundViolation`` if
+    it exceeds the declared constant by more than ``REL_TOL``.  Pairs come from
+    ``sample_domain`` in chunks of ``PAIR_CHUNK``, seeded ``seed ^ chunk``; a
+    ``SequenceBumpSum``'s images are ``sequence_images`` rows, in the sup norm."""
+    from lipwidth import BoundViolation, SequenceBumpSum
+    from lipwidth.spaces import REL_TOL
+
+    best = 0.0
+    for chunk, done in enumerate(range(0, pairs, PAIR_CHUNK)):
+        rng = np.random.default_rng((int(seed) ^ chunk) & 0xFFFFFFFFFFFFFFFF)
+        a, b = np.split(sample_domain(map_, rng, 2 * min(PAIR_CHUNK, pairs - done)), 2)
+        if isinstance(map_, SequenceBumpSum):
+            sep = np.abs(a - b).max(axis=1)
+            img = np.abs(sequence_images(map_, a) - sequence_images(map_, b)).max(axis=1)
+        else:
+            sep = map_.domain_norm_batch(a - b)
+            img = map_.target_space.norm(map_.evaluate_batch(a) - map_.evaluate_batch(b))
+        ok = sep > 0
+        best = max(best, float((img[ok] / sep[ok]).max(initial=0.0)))
+    declared = map_.declared_lipschitz()
+    if best > declared * (1.0 + REL_TOL) + 1e-300:
+        raise BoundViolation(f"empirical ratio {best} exceeds declared constant {declared}")
+    return best

@@ -13,7 +13,6 @@ import pytest
 from lipwidth import (
     NormedSpace,
     PointSet,
-    empirical_lipschitz,
     inner_entropy,
     kolmogorov_comparison,
     kolmogorov_upper,
@@ -24,7 +23,7 @@ from lipwidth import (
 from lipwidth import case_studies as cs
 from lipwidth import relunet as rn
 from lipwidth.widths import best_coordinate_subspace
-from oracles import dense_twin
+from oracles import dense_twin, empirical_lipschitz
 
 
 def _report(num, name, elapsed, budget):

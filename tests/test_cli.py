@@ -642,7 +642,7 @@ def test_width_lower_audit_rechecks_certificate(monkeypatch):
     cfg = {"command": "width-lower", "seed": 2,
            "target": {"kind": "random", "m": 30, "dim": 2, "norm": "l2"},
            "params": {"n": 1, "gamma": 0.05}}
-    fset = climod._target_set(cfg["target"], cfg["seed"])
+    fset = climod._target_set(cfg, cfg["seed"])
     report = run(cfg)
     cert = report["certificates"][0]
     assert cert["witness"]["count_source"] == "materialized-packing"
@@ -799,12 +799,33 @@ def test_log_sequence_study_past_any_truncation(n):
 
 
 def test_case_study_sets_take_their_defaults_from_the_row():
-    log, power = (_CASES[name].make_set({}) for name in ("log-sequence", "power-sequence"))
+    log, power = (_CASES[name].make_set({}, {}) for name in ("log-sequence", "power-sequence"))
     assert log.size == power.size == 257
     assert np.array_equal(power.sigmas, 1.0 / np.arange(1, 257))  # c = 1
-    assert _CASES["transport"].make_set({}).grid == 1024
-    assert _CASES["diagonal"].make_set({}).space.dim == 64
-    assert _CASES["transport"].make_set({"grid": 8}).size == 9
+    assert _CASES["transport"].make_set({}, {}).grid == 1024
+    assert _CASES["diagonal"].make_set({}, {}).space.dim == 64
+    assert _CASES["transport"].make_set({"grid": 8}, {}).size == 9
+
+
+def test_power_study_takes_c_from_params_else_the_target(tmp_path, capsys):
+    # params.c, else target.c, else 1.0, for the certificates and the set alike
+    target = {"kind": "case-study", "name": "power-sequence", "c": 0.5}
+    assert main(["case-study", "run", "power-sequence", "--target-json", '{"c": 0.5}']) == 0
+    collapse = json.loads(capsys.readouterr().out)["certificates"][0]
+    assert (collapse["c"], collapse["n1"]) == (0.5, 3)  # c = 1.0 would give n1 = 2
+    bare = {"kind": "case-study", "name": "power-sequence"}
+    for where, params in ((target, {}), (bare, {"c": 0.5}), (target, {"c": 0.5})):
+        cfg = {"command": "case-study", "target": where, "params": params}
+        assert run(cfg)["certificates"][0] == collapse
+        assert np.array_equal(_CASES["power-sequence"].make_set(where, params).sigmas,
+                              np.arange(1, 257) ** -0.5)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "case-study", "target": target,
+                                "params": {"c": 1.0}}))
+    assert main(["--config", str(path)]) == 1
+    assert "params.c = 1.0 and target.c = 0.5 disagree" in capsys.readouterr().err
+    with pytest.raises(UsageError, match="disagree"):
+        _CASES["power-sequence"].make_set(target, {"c": 2.0})
 
 
 def _cloud(m, dim, norm):

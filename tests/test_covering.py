@@ -302,6 +302,17 @@ def test_points_whose_distance_underflows_coincide(m, n):
             est.lower_witness["count"]) == entropy_search(ps, n)
 
 
+@pytest.mark.parametrize("repeat", [False, True], ids=["apart", "repeated"])
+def test_a_subnormal_least_distance_is_searched_from_zero(repeat):
+    # r_1 = 5e-324 halves to 0.0, so r_0 is asked at 0 itself, where a packing
+    # holds one point per distinct location and 33 locations need 33 balls
+    pts = [0.0, 5e-324, *range(1, 32)] + [7.0] * repeat
+    ps = PointSet(lp_space(1, 1), np.array(pts, dtype=float)[:, None])
+    est = inner_entropy(ps, 5)
+    assert est.lower == est.upper == 5e-324 and len(est.upper_witness["centers"]) == 32
+    assert est.lower_witness == {"kind": "ball-disjoint-witnesses", "eps": 0.0, "count": 33}
+
+
 def closed_form_sets():
     """The three closed-form shapes, at sizes the dense search handles."""
     for truncation in range(2, 131):
@@ -529,7 +540,11 @@ def test_sandwich_chain_property(seed, frac):
 
 
 def test_eps_must_be_positive():
+    # a packing at eps = 0 keeps one point per distinct location; below 0 it is refused
+    pack = greedy_packing(PointSet(lp_space(1, 2), [[0.0], [1.0], [0.0], [2.0], [1.0]]), 0.0)
+    assert pack.indices == (0, 1, 3) and pack.maximal
+    assert greedy_packing(basis_cloud(), 0.0).size == 5
     with pytest.raises(PreconditionError):
-        greedy_packing(basis_cloud(), 0.0)
+        greedy_packing(basis_cloud(), -1.0)
     with pytest.raises(PreconditionError):
         minimal_inner_covering(basis_cloud(), -1.0)

@@ -16,11 +16,11 @@ from lipwidth import (
     build_entropy_map,
     build_path_map,
     build_sequence_bump_map,
-    empirical_lipschitz,
     lp_space,
 )
 from lipwidth.lipmaps import bump_levels, grid_centers
 from lipwidth.spaces import PreconditionError
+from oracles import empirical_lipschitz, sample_domain, sequence_images
 
 L2 = lp_space(3, 2)
 
@@ -417,14 +417,6 @@ def test_allocate_scratch_stays_within_half_the_output():
     assert peak < 1.5 * out, peak / out
 
 
-def test_sequence_bump_map_makes_centres_on_first_evaluation():
-    m = build_sequence_bump_map(np.array([0.5, 0.25, 0.125]), 2.0, 1)
-    assert m.declared_lipschitz() == 2.0
-    assert "_centers" not in vars(m)
-    assert m.evaluate(m.alloc.centers()[1]) == (1, 0.25)
-    assert "_centers" in vars(m)
-
-
 def test_bump_levels_bracket():
     # exact powers of two, their float neighbours on either side, and x = 1
     pows = 2.0 ** -np.arange(1, 80, dtype=float)
@@ -437,15 +429,29 @@ def test_bump_levels_bracket():
         assert 2.0 ** (-l - 1) < xi <= 2.0 ** (-l)
 
 
+def cube_centers(alloc):
+    return -1.0 + (alloc.cells + 0.5) * alloc.sides()[:, None]
+
+
 def test_sequence_bump_map_geometric():
     sig = np.array([0.5, 0.25, 0.125])
     m = build_sequence_bump_map(sig, 2.0, 1)
-    assert m.declared_lipschitz() <= 2.0 + 1e-12
+    assert m.declared_lipschitz() == 2.0
     # hits sigma_j e_j at each cube center
-    for j in range(3):
-        out = m.evaluate(m.alloc.centers()[j])
-        assert out == (j, sig[j])
+    assert np.array_equal(sequence_images(m, cube_centers(m.alloc)), np.diag(sig))
     assert empirical_lipschitz(m, seed=5, pairs=4000) <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["sequence", "bump"])
+def test_falsifier_catches_a_declared_constant_scaled_by_0_9(kind):
+    # 1-d maps whose slope equals their declared constant on a whole cube
+    m = (build_sequence_bump_map(np.array([0.5, 0.25, 0.125]), 2.0, 1) if kind == "sequence"
+         else build_entropy_map([[0.5], [0.0]], 1, 1, lp_space(1, 2)))
+    declared = m.declared_lipschitz()
+    assert empirical_lipschitz(m, seed=5, pairs=4000) == pytest.approx(declared, rel=1e-9)
+    m.declared_lipschitz = lambda: 0.9 * declared
+    with pytest.raises(BoundViolation):
+        empirical_lipschitz(m, seed=5, pairs=4000)
 
 
 def test_sequence_bump_map_violating_volume():
@@ -492,24 +498,18 @@ def _variants():
         "bump-sum": two_bump_map(),
         "path": build_path_map([np.zeros(3), np.ones(3), -np.ones(3)], L2),
         "affine-ball": AffineBallMap(np.ones(3), 1.5, basis, lp_space(3, 1)),
-        "sequence-bump-sum": build_sequence_bump_map(np.array([0.5, 0.3, 0.2, 0.2, 0.1]),
-                                                     2.0, 2),
     }
 
 
 @pytest.mark.parametrize("variant", list(_variants()))
 def test_map_base_contract(variant):
     m = _variants()[variant]
-    ys = m.sample_domain(np.random.default_rng(11), 64)
+    ys = sample_domain(m, np.random.default_rng(11), 64)
     assert ys.shape == (64, m.domain_dim)
     assert np.all(m.domain_norm_batch(ys) <= 1.0 + 1e-12)
     for y in ys[:16]:
-        one, again = m.evaluate(y), m.evaluate_batch(y[None])[0]
-        if isinstance(one, np.ndarray):
-            assert np.array_equal(one, again)
-        else:  # sparse (index, value) image or None
-            assert one == again
-    dist = m.target_dist_batch(m.evaluate_batch(ys), [m.evaluate(y) for y in ys])
+        assert np.array_equal(m.evaluate(y), m.evaluate_batch(y[None])[0])
+    dist = m.target_space.norm(m.evaluate_batch(ys) - np.stack([m.evaluate(y) for y in ys]))
     assert np.all(dist <= 1e-12)
 
 
@@ -540,7 +540,9 @@ def test_sequence_bump_map_makes_cells_on_first_use(zorder_calls):
     assert peak < 20e6, peak
     assert m.alloc.count == len(sig) and m.declared_lipschitz() <= 3.0
     assert zorder_calls == [] and "cells" not in vars(m.alloc)
-    assert m.locate(m.alloc.centers()[-1]) == len(sig) - 1
+    # the last cube's centre is in no other cube: its image is sigma_N e_N alone
+    image = sequence_images(m, cube_centers(m.alloc)[-1:])[0]
+    assert np.flatnonzero(image).tolist() == [len(sig) - 1] and image[-1] == sig[-1]
     assert zorder_calls
 
 

@@ -11,6 +11,10 @@ from pathlib import Path
 import pytest
 
 import lipwidth
+# the patcher reads every layer as an attribute of the package, and the
+# package does not import its CLI (perfbench/worker.py imports it first);
+# a later benchmark change can make the patcher import its layers itself
+import lipwidth.cli  # noqa: F401
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)

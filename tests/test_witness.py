@@ -191,7 +191,7 @@ def test_tamper_table_covers_every_key():
 def test_tampered_certificate_fails_its_recheck(reports, key, run, tamper):
     cfg = _config(run)
     try:  # the set --verify-witness rebuilds
-        fset = cli._target_set(cfg.get("target"), cfg["seed"])
+        fset = cli._target_set(cfg, cfg["seed"])
     except cli.UsageError:
         fset = None
     # a zero value or upper end cannot be scaled into a false claim

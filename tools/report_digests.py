@@ -1,10 +1,10 @@
 """Print the sha256 of every benchmark job's canonical report.
 
 Each line is ``workload seed index command digest``, one per job that
-``perfbench/workloads.py`` generates for the ``case-studies``, ``clouds`` and
-``small-clouds`` workloads at seeds 1 and 2 (628 jobs), in its order; a job
-that the CLI would end with exit 1 or 3 (a ``ValueError`` or an
-``ArithmeticError``) prints the exception's class name in place of the
+``perfbench/workloads.py`` generates for the ``case-studies``, ``clouds``,
+``small-clouds`` and ``relu-sweep`` workloads at seeds 1 and 2 (688 jobs), in
+its order; a job that the CLI would end with exit 1 or 3 (a ``ValueError`` or
+an ``ArithmeticError``) prints the exception's class name in place of the
 digest.  The last line is the sha256 of all the lines before it.  Two trees
 write the same reports when the outputs of one run against each tree's
 ``src`` are identical:
@@ -32,7 +32,7 @@ def main() -> None:
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     total = hashlib.sha256()
-    for workload in ("case-studies", "clouds", "small-clouds"):
+    for workload in ("case-studies", "clouds", "small-clouds", "relu-sweep"):
         for seed in (1, 2):
             for i, cfg in enumerate(workloads.jobs_for(workload, seed)):
                 try:
