@@ -23,8 +23,8 @@ import numpy as np
 from .covering import ball_disjoint, coverage_assignment, inner_entropy
 from .lipmaps import (SequenceBumpSum, allocate_dyadic_cubes, audit_cube_allocation,
                       build_sequence_bump_map, bump_levels)
-from .spaces import (BLOCK_ELEMS, REL_TOL, FiniteSet, NormedSpace, PointSet,
-                     PreconditionError, step_space)
+from .spaces import (REL_TOL, FiniteSet, NormedSpace, PointSet, PreconditionError,
+                     row_spans, step_space)
 from .widths import (WidthCertificate, best_coordinate_subspace, kolmogorov_comparison,
                      kolmogorov_upper, width_lower_certified)
 
@@ -62,11 +62,13 @@ def sigma_at(spec: SequenceSetSpec, j: int) -> float:
     return float(j) ** (-spec.c)
 
 
-def sigma_values(spec: SequenceSetSpec, count: int) -> np.ndarray:
-    j = np.arange(1, count + 1, dtype=float)
+def sigma_values(spec: SequenceSetSpec, count: int, start: int = 0) -> np.ndarray:
+    """sigma_j for j = start + 1, ..., start + count, computed in place."""
+    j = np.arange(start + 1, start + count + 1, dtype=float)
     if spec.generator == "log":
-        return 1.0 / np.log2(j + 1.0)
-    return j ** (-spec.c)
+        return np.divide(1.0, np.log2(np.add(j, 1.0, out=j), out=j), out=j)
+    j **= -spec.c
+    return j
 
 
 class SequenceSet(FiniteSet):
@@ -188,7 +190,7 @@ def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: i
     """Certified upper bound on the amplitude volume sum versus (gamma/2)^n.
 
     Up to 10**6 terms, :func:`exact_sum` adds them exactly, a block of
-    ``BLOCK_ELEMS // 8`` at a time, and rounds once (the float ``math.fsum``
+    ``BLOCK_ELEMS`` bytes at a time, and rounds once (the float ``math.fsum``
     gives); beyond that the log generator uses the dyadic block majorant
     sum_k 2^k k^-n and the power generator uses the integral tail bound
     n0 + n0/(c n - 1).
@@ -197,10 +199,9 @@ def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: i
         raise PreconditionError("sigma_1 must not exceed gamma/2")
     rhs_log2 = n * math.log2(gamma / 2.0)
     if total_terms <= EXACT_SUM_LIMIT:
-        # the terms are made a block at a time, so no array of all 10**6 powers exists
-        sig = sigma_values(spec, total_terms)
-        step = BLOCK_ELEMS // 8
-        lhs = exact_sum(sig[i : i + step] ** n for i in range(0, total_terms, step))
+        # sigma and its powers are made a block at a time, so no array of all terms exists
+        lhs = exact_sum(sigma_values(spec, hi - lo, lo) ** n
+                        for lo, hi in row_spans(total_terms, 8))
         method = "exact-sum"
     elif spec.generator == "log":
         # blocks j in [2^k, 2^(k+1)): 2^k terms, each at most k^-n (k >= 1)
@@ -506,10 +507,11 @@ def transport_comparison(tset: TransportSet, n: int) -> WidthCertificate:
     dn, coeffs = transport_kolmogorov_upper(tset, n)
     basis = tset.cell_basis(n)
     approx = coeffs @ basis
-    # the reference origin with the smallest reach among a few candidates, the
-    # first on ties
+    # the reference origin with the smallest reach (by blocks of approximants)
+    # among a few candidates, the first on ties
+    reach = PointSet(tset.space, approx).dist_to
     g0 = min((approx[i] for i in (tset.size // 2, 0, tset.size - 1)),
-             key=lambda g: float(np.asarray(tset.space.norm(approx - g)).max()))
+             key=lambda g: float(reach(g).max()))
     return kolmogorov_comparison(tset, dn, basis, approx, g0=g0)
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spaces import NormedSpace, PreconditionError, REL_TOL, block_rows
+from .spaces import NormedSpace, PreconditionError, REL_TOL, block_rows, row_spans
 
 DISJOINT_CHECK_LIMIT = 2048  # cap of the O(m^2) float overlap cross-check
 BALL_SLACK = 1e-9            # admission slack for "candidate inside the ball"
@@ -272,16 +272,22 @@ def _zorder_cells(dim: int, digits: int, start: int, out: np.ndarray) -> None:
 
 
 def _zorder_runs(dim: int, levels: np.ndarray) -> tuple:
-    """One (level, count, Morton offset of its first cube) per distinct
-    ascending level; then the offset past the last cube, and its level."""
-    distinct, counts = np.unique(levels, return_counts=True)
-    runs, offset, prev = [], 0, 0
-    for l, c in zip(distinct.tolist(), counts.tolist()):
+    """One (level, count, Morton offset of its first cube) per distinct ascending
+    level, by ``searchsorted``; then the offset past the last cube, and its level."""
+    runs, offset, prev, pos = [], 0, 0, 0
+    while pos < len(levels):
+        l = int(levels[pos])
+        c = int(np.searchsorted(levels, l, side="right")) - pos
         offset <<= dim * (l - prev)
         runs.append((l, c, offset))
-        offset += c
-        prev = l
+        offset, prev, pos = offset + c, l, pos + c
     return runs, offset, prev
+
+
+def _any_step(values: np.ndarray, op) -> bool:
+    """Whether op(v_i, v_{i+1}) holds for some neighbours, a block at a time."""
+    return any(np.any(op(values[lo:hi], values[lo + 1 : hi + 1]))
+               for lo, hi in row_spans(len(values) - 1, 8))
 
 
 def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
@@ -301,9 +307,9 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
             np.isfinite(levels) & (levels == np.floor(levels))):
         raise PreconditionError("levels must be integers")
     levels = levels.astype(np.int64, copy=False)
-    if np.any(levels < 0):
+    if levels.min(initial=0) < 0:
         raise PreconditionError("levels must be nonnegative")
-    if np.any(np.diff(levels) < 0):
+    if _any_step(levels, np.greater):
         raise PreconditionError("levels must be ascending (sides nonincreasing)")
     offset, top = _zorder_runs(dim, levels)[1:]
     cap = 1 << (dim * (top + 1))
@@ -369,24 +375,29 @@ class SequenceBumpSum:
         self.sigmas = np.asarray(sigmas, dtype=float)
         if len(self.sigmas) != alloc.count:
             raise ValueError("one amplitude per cube required")
-        self._radii = 0.5 * alloc.sides()
 
     def declared_lipschitz(self) -> float:
-        return float((self.sigmas / self._radii).max())
+        """max_j sigma_j / r_j = sigma_j 2**(l_j + 1), exactly, a block at a time."""
+        return float(np.max([np.ldexp(self.sigmas[lo:hi], self.alloc.levels[lo:hi] + 1).max()
+                             for lo, hi in row_spans(self.alloc.count, 8)]))
 
 
 def bump_levels(sigmas, gamma: float) -> np.ndarray:
-    """Levels l_j with 2**(-l_j - 1) < 2 sigma_j / gamma <= 2**(-l_j)."""
+    """Levels l_j with 2**(-l_j - 1) < 2 sigma_j / gamma <= 2**(-l_j), made a
+    block of amplitudes at a time."""
     sig = np.asarray(sigmas, dtype=float)
-    if np.any(sig <= 0):
+    if np.fmin.reduce(sig, initial=np.inf) <= 0:  # np.any(sig <= 0) without a mask
         raise PreconditionError("amplitudes must be positive")
-    x = 2.0 * sig / gamma
-    if np.any(x > 1.0 + 1e-15):
-        raise PreconditionError("sigma_1 <= gamma/2 required")
-    # x = mant * 2**exp with mant in [0.5, 1): x is 2**(exp-1) exactly when
-    # mant == 0.5, and lies strictly inside (2**(exp-1), 2**exp) otherwise
-    mant, exp = np.frexp(np.minimum(x, 1.0))
-    return np.maximum(-exp.astype(np.int64) + (mant == 0.5), 0)
+    levels = np.empty(sig.shape, dtype=np.int64)
+    for lo, hi in row_spans(sig.size, 8):
+        x = 2.0 * sig[lo:hi] / gamma
+        if np.any(x > 1.0 + 1e-15):
+            raise PreconditionError("sigma_1 <= gamma/2 required")
+        # x = mant * 2**exp with mant in [0.5, 1): x is 2**(exp-1) exactly when
+        # mant == 0.5, and lies strictly inside (2**(exp-1), 2**exp) otherwise
+        mant, exp = np.frexp(np.minimum(x, 1.0, out=x))
+        np.maximum(-exp.astype(np.int64) + (mant == 0.5), 0, out=levels[lo:hi])
+    return levels
 
 
 def build_sequence_bump_map(sigmas, gamma: float, dim: int) -> SequenceBumpSum:
@@ -400,7 +411,7 @@ def build_sequence_bump_map(sigmas, gamma: float, dim: int) -> SequenceBumpSum:
     sig = np.asarray(sigmas, dtype=float)
     if sig.size == 0:
         raise PreconditionError("empty amplitude prefix")
-    if np.any(np.diff(sig) > 0):
+    if _any_step(sig, np.less):
         raise PreconditionError("amplitudes must be nonincreasing")
     if sig[0] > gamma / 2.0 + 1e-15:
         raise PreconditionError(f"sigma_1 = {sig[0]} exceeds gamma/2 = {gamma / 2.0}")

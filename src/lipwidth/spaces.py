@@ -136,13 +136,13 @@ def _float32(x: float) -> np.float32:
 
 
 def block_rows(size: int) -> int:
-    """Rows per block of distance rows of a set of ``size`` points."""
+    """Rows per block of rows ``size`` entries wide, as a set's distance rows are."""
     return max(1, BLOCK_ELEMS // size)
 
 
-def row_spans(size: int):
-    """(first row, end row) of each block of distance rows, in order."""
-    step = block_rows(size)
+def row_spans(size: int, width: Optional[int] = None):
+    """(first row, end row) of each block of ``size`` rows, ``width`` (or ``size``) wide."""
+    step = block_rows(size if width is None else width)
     for lo in range(0, size, step):
         yield lo, min(lo + step, size)
 
@@ -376,8 +376,9 @@ class PointSet(FiniteSet):
         return self._row_max
 
     def dist_to(self, x) -> np.ndarray:
-        """Distances from an arbitrary ambient point to every set point."""
-        return np.asarray(self.space.norm(self.points - np.asarray(x, dtype=float)))
+        """Distances from an arbitrary ambient point to every set point, by blocks."""
+        return np.concatenate([self.space.norm(self.points[lo:hi] - x)
+                               for lo, hi in row_spans(self.size, self.space.dim)])
 
     def distinct_distances(self) -> np.ndarray:
         """Sorted distinct positive distances, the radii entropy searches bisect,

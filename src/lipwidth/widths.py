@@ -16,7 +16,7 @@ import numpy as np
 
 from .covering import coverage_assignment, greedy_packing, inner_entropy
 from .lipmaps import AffineBallMap, LipschitzMap, build_entropy_map, BALL_SLACK
-from .spaces import FiniteSet, PointSet, PreconditionError, REL_TOL, radius_upper
+from .spaces import FiniteSet, PointSet, PreconditionError, REL_TOL, radius_upper, row_spans
 
 
 @dataclass(frozen=True)
@@ -52,20 +52,24 @@ def fixed_width_upper(pset: PointSet, map_: LipschitzMap, candidates) -> WidthCe
 
     Each candidate must lie in the domain unit ball; since the infimum over
     the ball is at most the evaluated candidate, the maximum upper-bounds
-    the fixed Lipschitz width and hence the Lipschitz width itself.
+    the fixed Lipschitz width and hence the Lipschitz width itself.  Images
+    are made a block of points at a time.
     """
     candidates = np.asarray(candidates, dtype=float)
     if candidates.shape[0] != pset.size:
         raise PreconditionError("one candidate per set point required")
-    norms = map_.domain_norm_batch(candidates)
-    too_far = np.nonzero(np.asarray(norms) > 1.0 + BALL_SLACK)[0]
-    if too_far.size:
-        raise PreconditionError(
-            f"candidate {int(too_far[0])} outside the domain ball "
-            f"(norm {float(norms[too_far[0]])})"
-        )
-    images = np.asarray(map_.evaluate_batch(candidates))
-    residuals = np.asarray(pset.space.norm(pset.points - images))
+
+    def block_residuals(lo, hi):
+        ys = candidates[lo:hi]
+        norms = np.asarray(map_.domain_norm_batch(ys))
+        too_far = np.flatnonzero(norms > 1.0 + BALL_SLACK)
+        if too_far.size:
+            raise PreconditionError(f"candidate {lo + int(too_far[0])} outside the domain "
+                                    f"ball (norm {float(norms[too_far[0]])})")
+        return pset.space.norm(pset.points[lo:hi] - map_.evaluate_batch(ys))
+
+    residuals = np.concatenate([block_residuals(lo, hi)
+                                for lo, hi in row_spans(pset.size, pset.space.dim)])
     value = float(residuals.max())
     worst = int(np.argmax(residuals))
     return WidthCertificate(
@@ -317,9 +321,10 @@ def kolmogorov_comparison(pset: PointSet, dn_upper: WidthCertificate,
     if gamma == 0.0:
         coeffs = np.zeros((pset.size, basis.shape[0]))
     else:
-        # coefficients of (approximant - g0) in the basis rows
-        coeffs, *_ = np.linalg.lstsq(basis.T, (approximants - g0).T, rcond=None)
-        coeffs = coeffs.T / gamma
+        # coefficients of (approximant - g0) in the basis rows, a block at a time
+        coeffs = np.concatenate([
+            np.linalg.lstsq(basis.T, (approximants[lo:hi] - g0).T, rcond=None)[0].T
+            for lo, hi in row_spans(pset.size, pset.space.dim)]) / gamma
     amap = AffineBallMap(g0, gamma, basis, pset.space)
     cert = fixed_width_upper(pset, amap, coeffs)
     if cert.value > dn_upper.value + 1e-9:

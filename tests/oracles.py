@@ -170,3 +170,79 @@ def empirical_lipschitz(map_, seed: int, pairs: int) -> float:
     if best > declared * (1.0 + REL_TOL) + 1e-300:
         raise BoundViolation(f"empirical ratio {best} exceeds declared constant {declared}")
     return best
+
+
+# ---------------------------------------------------------------------------
+# Full-array forms of the steps that the package makes a block at a time
+# ---------------------------------------------------------------------------
+
+
+def fixed_width_reference(pset, map_, candidates) -> tuple:
+    """(value, worst point) of ``fixed_width_upper`` with every domain norm,
+    image and residual made at once; ``PreconditionError`` names the first
+    candidate outside the domain ball."""
+    from lipwidth.lipmaps import BALL_SLACK
+    from lipwidth.spaces import PreconditionError
+
+    norms = np.asarray(map_.domain_norm_batch(candidates))
+    too_far = np.flatnonzero(norms > 1.0 + BALL_SLACK)
+    if too_far.size:
+        raise PreconditionError(f"candidate {int(too_far[0])} outside the domain "
+                                f"ball (norm {float(norms[too_far[0]])})")
+    residuals = np.asarray(pset.space.norm(pset.points - map_.evaluate_batch(candidates)))
+    return float(residuals.max()), int(np.argmax(residuals))
+
+
+def dist_to_reference(pset, x) -> np.ndarray:
+    """Distances from x to every point of a ``PointSet``, all at once."""
+    return np.asarray(pset.space.norm(pset.points - np.asarray(x, dtype=float)))
+
+
+def transport_g0_reference(tset, approx) -> np.ndarray:
+    """``transport_comparison``'s reference origin: of the approximants at the
+    middle, first and last sample, the first with the least reach over all of
+    them, each reach one full-array norm."""
+    return min((approx[i] for i in (tset.size // 2, 0, tset.size - 1)),
+               key=lambda g: float(np.asarray(tset.space.norm(approx - g)).max()))
+
+
+def comparison_map_reference(pset, dn_value, basis, approximants, g0=None) -> tuple:
+    """The affine map and candidates of ``kolmogorov_comparison`` (gamma > 0)
+    with one least-squares solve over all approximants and a full-array
+    radius bound."""
+    from lipwidth import AffineBallMap
+    from lipwidth.widths import orthonormalize
+
+    basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    fars = pset.dist_rows(0, pset.size).max(axis=1)
+    upper, center = float(fars.min()), pset.points[int(np.argmin(fars))]
+    mean = pset.points.mean(axis=0)
+    far = float(dist_to_reference(pset, mean).max())
+    if far < upper:
+        upper, center = far, mean
+    gamma = dn_value + upper
+    if g0 is None:
+        q = orthonormalize(basis)
+        g0, basis = (center @ q.T) @ q, q
+    coeffs, *_ = np.linalg.lstsq(basis.T, (approximants - g0).T, rcond=None)
+    return AffineBallMap(g0, gamma, basis, pset.space), coeffs.T / gamma
+
+
+def sigma_reference(spec, count: int) -> np.ndarray:
+    """sigma_1, ..., sigma_count of a sequence spec, all at once."""
+    j = np.arange(1, count + 1, dtype=float)
+    return 1.0 / np.log2(j + 1.0) if spec.generator == "log" else j ** (-spec.c)
+
+
+def bump_levels_reference(sigmas, gamma: float) -> np.ndarray:
+    """``bump_levels`` over the whole amplitude array at once."""
+    from lipwidth.spaces import PreconditionError
+
+    sig = np.asarray(sigmas, dtype=float)
+    if np.any(sig <= 0):
+        raise PreconditionError("amplitudes must be positive")
+    x = 2.0 * sig / gamma
+    if np.any(x > 1.0 + 1e-15):
+        raise PreconditionError("sigma_1 <= gamma/2 required")
+    mant, exp = np.frexp(np.minimum(x, 1.0))
+    return np.maximum(-exp.astype(np.int64) + (mant == 0.5), 0)
