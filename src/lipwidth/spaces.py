@@ -30,8 +30,8 @@ REL_TOL = 1e-9
 # by recomputing each in float64 (``PointSet.within``).
 DENSE_LIMIT = 4096
 # Elements (rows x points) per block of distance rows: 512 KiB of float64
-# (256 KiB of a float32 cache), so a block stays in a core's L2 cache.  Scans
-# and the ReLU forward pass read it through this module at call time.
+# (256 KiB of a float32 cache), so a block stays in a core's L2 cache.  Scans,
+# certificates, sequence sums and the ReLU forward pass read it at call time.
 BLOCK_ELEMS = 1 << 16
 
 NORM_KINDS = ("l1", "l2", "linf", "wlinf", "l1step")
