@@ -34,7 +34,6 @@ from .lipmaps import (
     PiecewiseLinearPath,
     SequenceBumpSum,
     allocate_dyadic_cubes,
-    audit_cube_allocation,
     build_entropy_map,
     build_path_map,
     build_sequence_bump_map,

@@ -11,7 +11,8 @@ cube, except for the affine maps), and a target space that measures image
 distances.
 
 The dyadic cubes of the sequence family are placed in Z-order (Morton order)
-in closed form; see :func:`allocate_dyadic_cubes`.
+and certified disjoint by their exact volume sum; see
+:func:`allocate_dyadic_cubes`.
 
 Every map declares a closed-form Lipschitz constant, which follows from how
 the map is built; the sampled falsifier that checks the declarations lives
@@ -21,15 +22,13 @@ with the tests (``tests/oracles.py``).
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .spaces import NormedSpace, PreconditionError, REL_TOL, block_rows, row_spans
+from .spaces import NormedSpace, PreconditionError, REL_TOL, row_spans
 
-DISJOINT_CHECK_LIMIT = 2048  # cap of the O(m^2) float overlap cross-check
-BALL_SLACK = 1e-9            # admission slack for "candidate inside the ball"
+BALL_SLACK = 1e-9  # admission slack for "candidate inside the ball"
 
 
 class BoundViolation(AssertionError):
@@ -202,73 +201,20 @@ def build_entropy_map(targets, k: int, n: int, target_space: NormedSpace) -> Bum
 
 
 class CubeAllocation:
-    """Disjoint dyadic cubes inside [-1, 1]^dim.
+    """Disjoint dyadic cubes inside [-1, 1]^dim, kept as their levels.
 
-    Cube j sits at integer cell ``cells[j]`` of the level ``levels[j]`` grid:
-    side 2**-level, lower corner -1 + cell * side.  All coordinates are
-    dyadic rationals, hence exact in binary floating point.  Without explicit
-    ``cells`` the cubes take the Z-order placement of
-    :func:`allocate_dyadic_cubes`, and the cells are made on first access;
-    ``count``, ``sides()`` and a bump map's declared constant need only the
-    levels.
+    Cube j has side 2**-levels[j] and the Z-order place that
+    :func:`allocate_dyadic_cubes` gives it; ``count`` and a bump map's
+    declared constant need only the levels.
     """
 
-    def __init__(self, dim: int, levels: np.ndarray, cells: Optional[np.ndarray] = None):
+    def __init__(self, dim: int, levels: np.ndarray):
         self.dim = dim
         self.levels = levels
-        if cells is not None:
-            self.cells = cells  # an instance value shadows the Z-order cells below
-
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """Z-order cells of the levels, in O(``BLOCK_ELEMS``) scratch."""
-        cells = np.empty((self.count, self.dim), dtype=np.int64)
-        pos = 0
-        for l, c, start in _zorder_runs(self.dim, self.levels)[0]:
-            _zorder_cells(self.dim, l + 1, start, cells[pos : pos + c])
-            pos += c
-        return cells
 
     @property
     def count(self) -> int:
         return len(self.levels)
-
-    def sides(self) -> np.ndarray:
-        return 2.0 ** (-self.levels.astype(float))
-
-    def lower_corners(self) -> np.ndarray:
-        side = self.sides()[:, None]
-        return -1.0 + self.cells * side
-
-
-def _zorder_cells(dim: int, digits: int, start: int, out: np.ndarray) -> None:
-    """Write the cells of the Morton codes ``start, ..., start + len(out) - 1``
-    into ``out``, in chunks of at most ``BLOCK_ELEMS`` entries.
-
-    The low digits (at most 62 bits) are de-interleaved in int64, one bit
-    per (digit, axis) pass; axis 0 is the high bit of each digit.  Wider
-    codes take their few high digits from Python ints, one per distinct
-    carry out of the low part.
-    """
-    low = min(digits, 62 // dim)
-    mask = (1 << (dim * low)) - 1
-    step = block_rows(dim)
-    for lo in range(0, len(out), step):
-        cells = out[lo : lo + step]
-        codes = np.arange((start & mask) + lo, (start & mask) + lo + len(cells),
-                          dtype=np.int64)
-        if digits > low:
-            carry = codes >> (dim * low)
-            codes &= mask
-        cells[:] = 0
-        for b in range(low):
-            for a in range(dim):
-                cells[:, a] |= ((codes >> (b * dim + dim - 1 - a)) & 1) << b
-        if digits > low:
-            for c in np.unique(carry).tolist():
-                high = (start >> (dim * low)) + c
-                cells[carry == c] |= [sum(((high >> (b * dim + dim - 1 - a)) & 1) << (b + low)
-                                          for b in range(digits - low)) for a in range(dim)]
 
 
 def _zorder_runs(dim: int, levels: np.ndarray) -> tuple:
@@ -296,11 +242,15 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
     Levels must be nondecreasing nonnegative integers whose total volume
     fits in [-1, 1]^dim.  Cube j takes the next block of the Z-order
     (Morton) curve through the level-l_j cells: it starts at offset
-    sum_{i<j} 2**(dim*(l_j - l_i)), and its cell is that offset's bits
-    de-interleaved.  Sides never grow, so every block is aligned, and the
-    running offset fits under 2**(dim*(l_max+1)) exactly when the volumes do,
-    which is checked here.  The cells are de-interleaved only when first read
-    (by an audit), in O(``BLOCK_ELEMS``) scratch beyond them.
+    sum_{i<j} 2**(dim*(l_j - l_i)).  The lemma: aligned dyadic cubes with
+    nonincreasing sides, placed in Z-order, are disjoint and inside
+    [-1, 1]^dim when the Morton offset fits ``cap``.  Sides never grow, so
+    every block is aligned, hence one dyadic cube, and the blocks follow one
+    another; at the finest level the offset past the last cube over
+    ``cap = 2**(dim*(l_max+1))`` is sum_j 2**(-dim*l_j) / 2**dim exactly, so
+    it fits exactly when the volumes do (the Kraft inequality).  That is
+    checked here in integers, and only the levels are kept: no cube's cell
+    is ever made.
     """
     levels = np.asarray(levels)
     if levels.dtype.kind not in "iu" and not np.all(
@@ -322,52 +272,18 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
     return CubeAllocation(dim=dim, levels=levels)
 
 
-def audit_cube_allocation(alloc: CubeAllocation) -> bool:
-    """Independent disjointness/containment audit.
-
-    Always checks the exact integer-cell structure in numpy: every cell lies
-    in its level's grid, and, one distinct level at a time, no cell of the
-    level repeats or holds a finer cube (shifted down to the level, a finer
-    cube's cell is its ancestor there).  For allocations of at most
-    ``DISJOINT_CHECK_LIMIT`` cubes it also runs the O(N^2) open-interval
-    overlap test in float arithmetic, which is exact here because every
-    coordinate is a dyadic rational.
-    """
-    levels, cells = alloc.levels, alloc.cells
-    if alloc.count and (levels.min() < 0 or cells.min() < 0):
-        return False
-    for l in np.unique(levels).tolist():
-        rows = cells[levels == l]
-        if int(rows.max()) >> (l + 1):
-            return False  # a cell outside the level's grid
-        finer = levels > l
-        both = np.concatenate([rows, cells[finer] >> (levels[finer] - l)[:, None]])
-        ancestor = np.arange(len(both)) >= len(rows)
-        order = np.lexsort([ancestor, *both.T])
-        both, ancestor = both[order], ancestor[order]
-        # equal rows sort together with the level's own cell first; a cell
-        # equal to its successor repeats, or holds a finer cube
-        if np.any((both[1:] == both[:-1]).all(axis=1) & ~ancestor[:-1]):
-            return False
-    if alloc.count <= DISJOINT_CHECK_LIMIT:
-        lo = alloc.lower_corners()
-        hi = lo + alloc.sides()[:, None]
-        for i in range(alloc.count):
-            over = (np.maximum(lo, lo[i]) < np.minimum(hi, hi[i])).all(axis=1)
-            over[i] = False
-            if over.any():
-                return False
-    return True
-
-
 class SequenceBumpSum:
     """Bump sum on allocated dyadic cubes mapping into the sequence space.
 
     Bump j is sigma_j (1 - |y - c_j|_inf / r_j)_+ e_j, the cone on cube j
     (centre c_j, half side r_j) along the j-th coordinate direction.  The
-    cubes are disjoint, so the declared constant max_j sigma_j / r_j follows
-    from the allocation audit; certificates and rechecks read the cubes, the
-    amplitudes and that constant, and never evaluate the map.
+    cubes are disjoint and inside [-1, 1]^dim by the lemma of
+    :func:`allocate_dyadic_cubes` (aligned dyadic cubes with nonincreasing
+    sides, placed in Z-order, are disjoint and inside [-1, 1]^dim when the
+    Morton offset fits ``cap``), so the map sends c_j to sigma_j e_j and its
+    declared constant is max_j sigma_j / r_j.  Certificates and rechecks read
+    the levels, the amplitudes and that constant; they never place a cube or
+    evaluate the map.
     """
 
     def __init__(self, alloc: CubeAllocation, sigmas):

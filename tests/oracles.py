@@ -1,5 +1,6 @@
 """Closed forms and dense views that only the tests compare the package with."""
 
+import itertools
 from bisect import bisect_left
 
 import numpy as np
@@ -116,12 +117,62 @@ def closed_form_constant(cfg, j: int) -> int:
     return W ** j * (d + 1) + j * (d + 2) * W ** j + sum(W ** k for k in range(j))
 
 
+def zorder_cells(alloc) -> np.ndarray:
+    """The cells of an allocation's cubes, from Python ints: the i-th cube of a
+    level's run has Morton code start + i there (``lipmaps._zorder_runs``), and
+    its cell is the code's bits de-interleaved, axis 0 the high bit of each
+    digit.  The cube lies at -1 + cell * 2**-level."""
+    from lipwidth.lipmaps import _zorder_runs
+
+    dim, cells = alloc.dim, []
+    for l, count, start in _zorder_runs(dim, alloc.levels)[0]:
+        cells += [[sum(((code >> (b * dim + dim - 1 - a)) & 1) << b for b in range(l + 1))
+                   for a in range(dim)] for code in range(start, start + count)]
+    return np.array(cells, dtype=np.int64).reshape(-1, dim)
+
+
+def greedy_cells(dim, levels) -> np.ndarray:
+    """Reference allocator: a best-fit free list of dyadic cells.
+
+    Level -1 is [-1, 1]^dim itself.  Each cube takes a free cell of the
+    finest level no finer than its own and splits it down, keeping the
+    first child and freeing the others.
+    """
+    free = {-1: [tuple([0] * dim)]}
+    cells = np.empty((len(levels), dim), dtype=np.int64)
+    deltas = list(itertools.product((0, 1), repeat=dim))
+    for j, l in enumerate(levels):
+        src = next(lv for lv in range(l, -2, -1) if free.get(lv))
+        cell = free[src].pop()
+        for lv in range(src, l):
+            children = [tuple(2 * c + d for c, d in zip(cell, delta)) for delta in deltas]
+            cell = children[0]
+            free.setdefault(lv + 1, []).extend(reversed(children[1:]))
+        cells[j] = cell
+    return cells
+
+
+def audit_cells_python(levels, cells) -> bool:
+    """Exact audit of dyadic cubes, one (level, cell) tuple per cube in a set:
+    every cell lies in its level's grid, none repeats, and none lies in a
+    coarser cube (its ancestor at that cube's level is that cube's cell)."""
+    seen = set()
+    keys = list(zip(np.asarray(levels).tolist(), map(tuple, np.asarray(cells).tolist())))
+    for l, cell in keys:
+        if any(c < 0 or c >= 1 << (l + 1) for c in cell) or (l, cell) in seen:
+            return False
+        seen.add((l, cell))
+    return not any((lv, tuple(c >> (l - lv) for c in cell)) in seen
+                   for l, cell in keys for lv in range(l))
+
+
 def sequence_images(bmap, ys) -> np.ndarray:
     """Dense images of a ``SequenceBumpSum``, one row per point: entry j is
     sigma_j (1 - |y - c_j|_inf / r_j)_+, c_j and r_j the centre and half side
-    of cube j from its level and cell; every cone is summed, none looked up."""
+    of cube j from its level and ``zorder_cells``; every cone is summed, none
+    looked up."""
     side = 2.0 ** -bmap.alloc.levels.astype(float)
-    centers = -1.0 + (bmap.alloc.cells + 0.5) * side[:, None]
+    centers = -1.0 + (zorder_cells(bmap.alloc) + 0.5) * side[:, None]
     gap = np.abs(ys[:, None, :] - centers).max(axis=2)
     return bmap.sigmas * np.maximum(0.0, 1.0 - gap / (side / 2))
 

@@ -183,6 +183,14 @@ def test_transport_comparison_scratch_within_twice_the_points():
     assert peak <= 2 * tset.points.nbytes, peak / tset.points.nbytes
 
 
+def test_transport_set_construction_within_1_6_times_the_points():
+    # the points and the closed-form matrix (half their bytes), and no (N, N)
+    # temporary beside the matrix
+    tset = transport_set(512)
+    peak = peak_of(lambda: transport_set(512))
+    assert peak < 1.6 * tset.points.nbytes, peak / tset.points.nbytes
+
+
 def test_volume_condition_scratch_within_a_megabyte():
     # 10^6 exact power terms, made and summed a block at a time
     spec = SequenceSetSpec("power", 2, 1.0)
@@ -195,3 +203,16 @@ def test_sequence_bump_map_scratch_within_half_the_amplitudes():
     sig = sigma_values(SequenceSetSpec("log", 2), 4 * 10 ** 5)
     peak = peak_of(lambda: build_sequence_bump_map(sig, 3.0, 8))
     assert peak <= 1.5 * sig.nbytes, peak / sig.nbytes
+
+
+def test_log_sequence_recheck_peak_under_20_mb():
+    # the benchmark's log-sequence job, 4 * 10^5 bumps in dim 8, with
+    # --verify-witness: the recheck places no cube, so it holds about what
+    # the certificate's producer holds
+    from lipwidth.cli import run
+    report = {}
+    peak = peak_of(lambda: report.update(run({
+        "command": "case-study", "verify_witness": True,
+        "target": {"kind": "case-study", "name": "log-sequence"},
+        "params": {"n": 8, "gamma": 3.0, "max_bumps": 4 * 10 ** 5}})))
+    assert report["passed"] and peak < 20e6, peak

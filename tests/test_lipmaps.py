@@ -1,18 +1,14 @@
-import itertools
-import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipwidth import lipmaps, spaces
 from lipwidth import (
     AffineBallMap,
     BoundViolation,
-    CubeAllocation,
     PiecewiseLinearPath,
     allocate_dyadic_cubes,
-    audit_cube_allocation,
     build_entropy_map,
     build_path_map,
     build_sequence_bump_map,
@@ -20,7 +16,8 @@ from lipwidth import (
 )
 from lipwidth.lipmaps import bump_levels, grid_centers
 from lipwidth.spaces import PreconditionError
-from oracles import empirical_lipschitz, sample_domain, sequence_images
+from oracles import (audit_cells_python, empirical_lipschitz, greedy_cells, sample_domain,
+                     sequence_images, zorder_cells)
 
 L2 = lp_space(3, 2)
 
@@ -187,21 +184,33 @@ def test_grid_cell_matches_center_order():
     assert np.array_equal(grid_centers(2, 2), m.centers)
 
 
+def check_kraft(dim, levels) -> bool:
+    """Whether ``allocate_dyadic_cubes`` accepts the levels, asserting that it
+    does exactly when their Kraft sum, sum 2**(-dim*l) in exact fractions, is
+    at most 2**dim, and that an accepted list's Z-order cells pass the exact
+    audit and are the greedy allocator's."""
+    fits = sum(Fraction(1, 1 << (dim * l)) for l in levels) <= 2 ** dim
+    try:
+        alloc = allocate_dyadic_cubes(dim, levels)
+    except PreconditionError as err:
+        assert not fits and "volume" in str(err)
+        return False
+    assert fits
+    cells = zorder_cells(alloc)
+    assert audit_cells_python(levels, cells)
+    assert np.array_equal(cells, greedy_cells(dim, levels))
+    return True
+
+
 def test_allocate_line_tiling():
-    alloc = allocate_dyadic_cubes(1, [1, 1, 1, 1])
-    assert audit_cube_allocation(alloc)
-    corners = sorted(alloc.lower_corners()[:, 0].tolist())
-    assert corners == [-1.0, -0.5, 0.0, 0.5]
-    assert np.all(alloc.sides() == 0.5)
+    assert check_kraft(1, [1, 1, 1, 1])
+    corners = -1.0 + 0.5 * zorder_cells(allocate_dyadic_cubes(1, [1, 1, 1, 1]))
+    assert corners[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5]
 
 
 def test_allocate_mixed_levels_disjoint():
-    alloc = allocate_dyadic_cubes(2, [0, 1, 1, 1, 1])
-    assert alloc.count == 5
-    assert audit_cube_allocation(alloc)
-    lo = alloc.lower_corners()
-    hi = lo + alloc.sides()[:, None]
-    assert np.all(lo >= -1.0) and np.all(hi <= 1.0)
+    assert allocate_dyadic_cubes(2, [0, 1, 1, 1, 1]).count == 5
+    assert check_kraft(2, [0, 1, 1, 1, 1])
 
 
 def test_allocate_volume_violation_message():
@@ -215,39 +224,20 @@ def test_allocate_levels_must_ascend():
         allocate_dyadic_cubes(1, [2, 1])
 
 
-def greedy_cells(dim, levels):
-    """Reference allocator: a best-fit free list of dyadic cells.
-
-    Level -1 is [-1, 1]^dim itself.  Each cube takes a free cell of the
-    finest level no finer than its own and splits it down, keeping the
-    first child and freeing the others.
-    """
-    free = {-1: [tuple([0] * dim)]}
-    cells = np.empty((len(levels), dim), dtype=np.int64)
-    deltas = list(itertools.product((0, 1), repeat=dim))
-    for j, l in enumerate(levels):
-        src = next(lv for lv in range(l, -2, -1) if free.get(lv))
-        cell = free[src].pop()
-        for lv in range(src, l):
-            children = [tuple(2 * c + d for c, d in zip(cell, delta)) for delta in deltas]
-            cell = children[0]
-            free.setdefault(lv + 1, []).extend(reversed(children[1:]))
-        cells[j] = cell
-    return cells
-
-
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_allocate_random_levels_audit(seed):
+    # random ascending levels in dims 1-3, accepted or refused by their Kraft
+    # sum; an accepted list packed full with its smallest cube is accepted,
+    # and one more such cube is refused
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 4))
-    levels = np.sort(rng.integers(0, 4, size=int(rng.integers(1, 12))))
-    vol = sum(2.0 ** (-dim * int(l)) for l in levels)
-    if vol > 2 ** dim:
-        return
-    alloc = allocate_dyadic_cubes(dim, levels.tolist())
-    assert audit_cube_allocation(alloc)
-    assert np.array_equal(alloc.cells, greedy_cells(dim, levels.tolist()))
+    levels = np.sort(rng.integers(0, 4, size=int(rng.integers(1, 12)))).tolist()
+    if check_kraft(dim, levels):
+        top = levels[-1]
+        room = (2 ** dim - sum(Fraction(1, 1 << (dim * l)) for l in levels)) * (1 << (dim * top))
+        packed = levels + [top] * int(room)
+        assert check_kraft(dim, packed) and not check_kraft(dim, packed + [top])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -256,12 +246,8 @@ def test_allocate_fully_packed(dim):
     # [-1, 1]^dim exactly
     per = 2 ** dim
     levels = [0] * (per - 1) + [1] * (per - 1) + [2] * per
-    alloc = allocate_dyadic_cubes(dim, levels)
-    assert float(np.sum(alloc.sides() ** dim)) == 2.0 ** dim
-    assert audit_cube_allocation(alloc)
-    assert np.array_equal(alloc.cells, greedy_cells(dim, levels))
-    with pytest.raises(PreconditionError, match="volume"):
-        allocate_dyadic_cubes(dim, levels + [2])
+    assert check_kraft(dim, levels)
+    assert not check_kraft(dim, levels + [2])
 
 
 def test_allocate_codes_wider_than_63_bits():
@@ -269,20 +255,9 @@ def test_allocate_codes_wider_than_63_bits():
     j = np.arange(1, 2001, dtype=float)
     levels = bump_levels(1.0 / np.log2(j + 1.0), 3.0).tolist()
     assert 13 * (max(levels) + 1) > 63
-    alloc = allocate_dyadic_cubes(13, levels)
-    assert audit_cube_allocation(alloc)
-    assert np.array_equal(alloc.cells, greedy_cells(13, levels))
-
-
-def test_allocate_in_small_blocks_ends_chunks_mid_level(monkeypatch):
-    # the 65-bit case and log-decay levels in dim 6, with blocks of a few rows
-    j = np.arange(1, 2001, dtype=float)
-    levels = bump_levels(1.0 / np.log2(j + 1.0), 3.0)
-    want = {dim: allocate_dyadic_cubes(dim, levels).cells for dim in (6, 13)}
-    monkeypatch.setattr(spaces, "BLOCK_ELEMS", 40)
-    for dim in (6, 13):
-        assert np.array_equal(allocate_dyadic_cubes(dim, levels).cells, want[dim])
-    assert np.array_equal(want[13], greedy_cells(13, levels.tolist()))
+    assert check_kraft(13, levels)
+    # 2^13 unit cubes fill [-1, 1]^13; one level-4 cube more takes offset 2^65 + 1
+    assert not check_kraft(13, [0] * (1 << 13) + [4])
 
 
 def test_allocate_refuses_non_integer_levels():
@@ -291,19 +266,7 @@ def test_allocate_refuses_non_integer_levels():
     with pytest.raises(PreconditionError, match="integers"):
         allocate_dyadic_cubes(2, np.array([0.0, np.nan]))
     # integral floats are levels
-    assert np.array_equal(allocate_dyadic_cubes(1, [1.0, 1.0]).cells, [[0], [1]])
-
-
-def audit_cells_python(alloc):
-    """Reference exact audit: one (level, cell) tuple per cube in a set."""
-    seen = set()
-    keys = list(zip(alloc.levels.tolist(), map(tuple, alloc.cells.tolist())))
-    for l, cell in keys:
-        if any(c < 0 or c >= 1 << (l + 1) for c in cell) or (l, cell) in seen:
-            return False
-        seen.add((l, cell))
-    return not any((lv, tuple(c >> (l - lv) for c in cell)) in seen
-                   for l, cell in keys for lv in range(l))
+    assert np.array_equal(zorder_cells(allocate_dyadic_cubes(1, [1.0, 1.0])), [[0], [1]])
 
 
 BAD_ALLOCATIONS = {  # (levels, cells) in dim 2
@@ -316,105 +279,9 @@ BAD_ALLOCATIONS = {  # (levels, cells) in dim 2
 
 
 @pytest.mark.parametrize("case", list(BAD_ALLOCATIONS))
-def test_audit_rejects_bad_allocation(monkeypatch, case):
-    levels, cells = BAD_ALLOCATIONS[case]
-    alloc = CubeAllocation(dim=2, levels=np.array(levels, dtype=np.int64),
-                           cells=np.array(cells, dtype=np.int64))
-    assert not audit_cells_python(alloc)
-    assert not audit_cube_allocation(alloc)
-    monkeypatch.setattr(lipmaps, "DISJOINT_CHECK_LIMIT", 0)  # the exact part alone
-    assert not audit_cube_allocation(alloc)
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=60, deadline=None)
-def test_audit_agrees_with_python_reference(seed):
-    # a Z-order allocation with one cube moved: onto another cube's cell, to
-    # a random cell of its level (possibly off the grid), or inside a coarser cube
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 4))
-    levels = np.sort(rng.integers(0, 4, size=int(rng.integers(2, 40))))
-    levels = levels[np.cumsum(2.0 ** (-dim * levels)) <= 2 ** dim]  # the prefix that fits
-    alloc = allocate_dyadic_cubes(dim, levels)
-    cells = alloc.cells.copy()
-    i, j = (int(x) for x in rng.integers(0, len(levels), size=2))
-    move = int(rng.integers(3))
-    if move == 0:
-        levels[j], cells[j] = levels[i], cells[i]
-    elif move == 1:
-        cells[j] = rng.integers(-1, (2 << int(levels[j])) + 1, size=dim)
-    elif levels[j] > levels[i]:
-        shift = int(levels[j] - levels[i])
-        cells[j] = (cells[i] << shift) + rng.integers(0, 1 << shift, size=dim)
-    bad = CubeAllocation(dim=dim, levels=levels, cells=cells)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lipmaps, "DISJOINT_CHECK_LIMIT", 0)
-        assert audit_cube_allocation(bad) == audit_cells_python(bad)
-    assert audit_cube_allocation(bad) == audit_cells_python(bad)
-
-
-def deinterleave_per_bit(codes, dim, digits):
-    """Reference de-interleave: one (count, dim) int64 pass per digit."""
-    cells = np.zeros((len(codes), dim), dtype=np.int64)
-    axis_bit = np.arange(dim - 1, -1, -1)
-    for b in range(digits):
-        bits = codes[:, None] >> (b * dim + axis_bit)
-        bits &= 1
-        bits <<= b
-        cells |= bits
-    return cells
-
-
-def zorder_cells_python(dim, digits, start, count):
-    """Reference Z-order cells from Python ints, one bit at a time."""
-    return np.array([[sum(((code >> (b * dim + dim - 1 - a)) & 1) << b for b in range(digits))
-                      for a in range(dim)] for code in range(start, start + count)],
-                    dtype=np.int64)
-
-
-@pytest.mark.parametrize("dim", range(1, 14))
-def test_deinterleave_matches_per_bit_oracle(dim):
-    # runs of int64 codes from random starts, at 1, half and all of the
-    # digits below the 62-bit boundary; the last run ends at the top code
-    rng = np.random.default_rng(dim)
-    widest = 62 // dim
-    for digits in (1, (widest + 1) // 2, widest):
-        top = 1 << (dim * digits)
-        count = min(top, 600)
-        for start in (0, int(rng.integers(0, top - count + 1)), top - count):
-            out = np.empty((count, dim), dtype=np.int64)
-            lipmaps._zorder_cells(dim, digits, start, out)
-            codes = np.arange(start, start + count, dtype=np.int64)
-            assert np.array_equal(out, deinterleave_per_bit(codes, dim, digits))
-
-
-@pytest.mark.parametrize("block_elems", [1 << 20, 40])
-@pytest.mark.parametrize("dim", range(1, 14))
-def test_zorder_cells_match_python_oracle(monkeypatch, dim, block_elems):
-    # 300 codes up to the 62-bit boundary, then 300 wider codes whose high
-    # digit carries over mid-run; small blocks end chunks inside the run
-    monkeypatch.setattr(spaces, "BLOCK_ELEMS", block_elems)
-    low = 62 // dim
-    for digits, start in ((low, (1 << (dim * low)) - 300),
-                          (low + 1, (1 << (dim * (low + 1))) - (1 << (dim * low)) - 150)):
-        out = np.empty((300, dim), dtype=np.int64)
-        lipmaps._zorder_cells(dim, digits, start, out)
-        assert np.array_equal(out, zorder_cells_python(dim, digits, start, 300))
-
-
-def test_allocate_scratch_stays_within_half_the_output():
-    # the benchmark's log-sequence map: 4 * 10^5 cubes in dim 8 at gamma = 3
-    j = np.arange(1, 4 * 10 ** 5 + 1, dtype=float)
-    levels = bump_levels(1.0 / np.log2(j + 1.0), 3.0)
-    tracemalloc.start()
-    try:
-        alloc = allocate_dyadic_cubes(8, levels)
-        alloc.cells  # made on first access
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    out = alloc.cells.nbytes + alloc.levels.nbytes
-    assert peak < 1.5 * out, peak / out
+def test_audit_rejects_bad_allocation(case):
+    # the exact audit the Kraft lemma is checked with refuses each fault
+    assert not audit_cells_python(*BAD_ALLOCATIONS[case])
 
 
 def test_bump_levels_bracket():
@@ -430,7 +297,7 @@ def test_bump_levels_bracket():
 
 
 def cube_centers(alloc):
-    return -1.0 + (alloc.cells + 0.5) * alloc.sides()[:, None]
+    return -1.0 + (zorder_cells(alloc) + 0.5) * 2.0 ** -alloc.levels[:, None].astype(float)
 
 
 def test_sequence_bump_map_geometric():
@@ -468,7 +335,7 @@ def test_log_decay_levels_allocate_in_dim_6():
     lev = bump_levels(sig, 3.0)
     alloc = allocate_dyadic_cubes(6, lev.tolist())
     assert alloc.count == 1000
-    assert audit_cube_allocation(alloc)
+    assert audit_cells_python(alloc.levels, zorder_cells(alloc))
 
 
 def test_affine_ball_map_exact_gamma():
@@ -511,67 +378,3 @@ def test_map_base_contract(variant):
         assert np.array_equal(m.evaluate(y), m.evaluate_batch(y[None])[0])
     dist = m.target_space.norm(m.evaluate_batch(ys) - np.stack([m.evaluate(y) for y in ys]))
     assert np.all(dist <= 1e-12)
-
-
-@pytest.fixture
-def zorder_calls(monkeypatch):
-    """The start offsets ``lipmaps._zorder_cells`` is called with."""
-    calls = []
-    zorder_cells = lipmaps._zorder_cells
-
-    def counted(dim, digits, start, out):
-        calls.append(start)
-        zorder_cells(dim, digits, start, out)
-
-    monkeypatch.setattr(lipmaps, "_zorder_cells", counted)
-    return calls
-
-
-def test_sequence_bump_map_makes_cells_on_first_use(zorder_calls):
-    # the benchmark's log-sequence map: 4 * 10^5 bumps in dim 8 at gamma = 3
-    j = np.arange(1, 4 * 10 ** 5 + 1, dtype=float)
-    sig = 1.0 / np.log2(j + 1.0)
-    tracemalloc.start()
-    try:
-        m = build_sequence_bump_map(sig, 3.0, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6, peak
-    assert m.alloc.count == len(sig) and m.declared_lipschitz() <= 3.0
-    assert zorder_calls == [] and "cells" not in vars(m.alloc)
-    # the last cube's centre is in no other cube: its image is sigma_N e_N alone
-    image = sequence_images(m, cube_centers(m.alloc)[-1:])[0]
-    assert np.flatnonzero(image).tolist() == [len(sig) - 1] and image[-1] == sig[-1]
-    assert zorder_calls
-
-
-def test_allocation_cells_on_first_read_match_greedy(zorder_calls):
-    j = np.arange(1, 2001, dtype=float)
-    log_levels = bump_levels(1.0 / np.log2(j + 1.0), 3.0).tolist()
-    packed = [0] * 3 + [1] * 3 + [2] * 4
-    for dim, levels in ((13, log_levels), (2, packed), (6, log_levels)):
-        alloc = allocate_dyadic_cubes(dim, levels)
-        assert zorder_calls == []
-        assert np.array_equal(alloc.cells, greedy_cells(dim, levels))
-        assert zorder_calls and alloc.cells is alloc.cells  # made once
-        zorder_calls.clear()
-        assert audit_cube_allocation(alloc)
-    with pytest.raises(PreconditionError, match="volume"):
-        allocate_dyadic_cubes(2, packed + [2])
-    assert zorder_calls == []
-
-
-@pytest.mark.parametrize("verify", [False, True])
-def test_case_study_builds_cells_only_to_verify(zorder_calls, verify):
-    # the sequence studies at the inputs audit-all runs them at; the
-    # benchmark's case-study jobs run them without --verify-witness
-    from lipwidth.cli import _CASES, run
-    for name in ("log-sequence", "power-sequence"):
-        target, params = _CASES[name].audit_inputs
-        report = run({"command": "case-study", "verify_witness": verify,
-                      "target": dict(target, kind="case-study", name=name),
-                      "params": params})
-        assert report["passed"]
-        assert bool(zorder_calls) == verify
-        zorder_calls.clear()

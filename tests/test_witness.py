@@ -130,6 +130,12 @@ def _scale_witness(field, factor):
     return tamper
 
 
+def _set_witness(field, value):
+    def tamper(cert, fset):
+        cert["witness"][field] = value
+    return tamper
+
+
 # key -> (run, tampering that must make the recheck fail)
 _TAMPER = {
     "inner_entropy": ("entropy", _scale("upper", 0.99)),
@@ -178,6 +184,11 @@ _EXTRA = [
     # the map rebuilt from the materialised bumps has the recorded constant
     ("dyadic-bump-map", "case-study-log-sequence", _scale_witness("declared_constant", 1.01),
      "declared-constant"),
+    # past the materialised prefix only the volume condition speaks for the
+    # cubes: at N = 2**40 its dyadic-block majorant fails, while the value
+    # still bounds sigma_N
+    ("dyadic-bump-map", "case-study-log-sequence", _set_witness("total_terms", 2 ** 40),
+     "total-terms"),
 ]
 
 
