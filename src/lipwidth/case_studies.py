@@ -507,16 +507,17 @@ def recheck_transport_cells(cert: dict, tset: TransportSet) -> bool:
 
 
 def transport_comparison(tset: TransportSet, n: int) -> WidthCertificate:
-    """Lipschitz-width certificate from the transport Kolmogorov witness."""
+    """Lipschitz-width certificate from the transport Kolmogorov witness.
+
+    The reference origin is the approximant with the least reach among those
+    of the middle, first and last sample, the first on ties.  Approximants i
+    and g differ on |c_i - c_g|.sum() cells, each 2/n long, so the reaches
+    compare as integer cell counts.
+    """
     dn, coeffs = transport_kolmogorov_upper(tset, n)
-    basis = tset.cell_basis(n)
-    approx = coeffs @ basis
-    # the reference origin with the smallest reach (by blocks of approximants)
-    # among a few candidates, the first on ties
-    reach = PointSet(tset.space, approx).dist_to
-    g0 = min((approx[i] for i in (tset.size // 2, 0, tset.size - 1)),
-             key=lambda g: float(reach(g).max()))
-    return kolmogorov_comparison(tset, dn, basis, approx, g0=g0)
+    g = min((tset.size // 2, 0, tset.size - 1),
+            key=lambda i: np.abs(coeffs - coeffs[i]).sum(axis=1).max())
+    return kolmogorov_comparison(tset, dn, tset.cell_basis(n), coeffs, coeffs[g])
 
 
 def recheck_affine_ball(cert: dict, fset: FiniteSet) -> bool:
@@ -526,8 +527,7 @@ def recheck_affine_ball(cert: dict, fset: FiniteSet) -> bool:
     if "cells" in w:
         again = transport_comparison(fset, w["cells"])
     else:
-        dn, proj = kolmogorov_upper(fset, w["axes"])
-        again = kolmogorov_comparison(fset, dn, np.eye(fset.space.dim)[w["axes"]], proj)
+        again = kolmogorov_comparison(fset, *kolmogorov_upper(fset, w["axes"]))
     return cert["value"] >= again.value and cert["gamma"] >= again.gamma
 
 
@@ -650,8 +650,8 @@ def certify_diagonal(dset: PointSet, params):
         if n > dset.space.dim:
             raise PreconditionError(f"n = {n} exceeds the diagonal set's truncation "
                                     f"{dset.space.dim}")
-        cert, approx = kolmogorov_upper(dset, range(int(n)))
-        comp = kolmogorov_comparison(dset, cert, np.eye(dset.space.dim)[: int(n)], approx)
+        cert, basis, coeffs = kolmogorov_upper(dset, range(int(n)))
+        comp = kolmogorov_comparison(dset, cert, basis, coeffs)
         certs += [cert.to_json(), comp.to_json()]
         # span{e_1..e_n} holds the whole truncation once n reaches it
         ref = diagonal_reference_upper(int(n)) if n < dset.space.dim else 0.0

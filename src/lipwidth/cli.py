@@ -347,7 +347,7 @@ def _run_kolmogorov(cfg, seed):
         if any(a >= dim for a in axes):
             raise UsageError(f"subspace axis {max(axes)} is out of range for a "
                              f"{dim}-dimensional target (axes are 0..{dim - 1})")
-        cert, _ = kolmogorov_upper(pset, axes)
+        cert = kolmogorov_upper(pset, axes)[0]
     cert = _jsonify(cert.to_json())
     return [cert], [{"name": "kolmogorov-upper", "passed": recheck(cert, pset)}]
 

@@ -238,20 +238,20 @@ def orthonormalize(basis) -> np.ndarray:
     return q.T[keep]
 
 
-def kolmogorov_upper(pset: PointSet, axes) -> tuple[WidthCertificate, np.ndarray]:
+def kolmogorov_upper(pset: PointSet, axes
+                     ) -> tuple[WidthCertificate, np.ndarray, np.ndarray]:
     """Max Euclidean residual against the span of the coordinate ``axes``;
     requires an l2 space.
 
-    Returns the certificate together with the per-point projections, which
-    downstream comparisons reuse as approximants.
+    Returns the certificate with the orthonormal basis of that span and each
+    point's coefficients in it, which ``kolmogorov_comparison`` takes.
     """
     if pset.space.kind != "l2":
         raise PreconditionError("orthogonal projection needs an l2 norm")
     axes = [int(a) for a in axes]
     q = orthonormalize(np.eye(pset.space.dim)[axes])
     coeffs = pset.points @ q.T
-    proj = coeffs @ q
-    residuals = np.linalg.norm(pset.points - proj, axis=1)
+    residuals = np.linalg.norm(pset.points - coeffs @ q, axis=1)
     value = float(residuals.max())
     return (
         WidthCertificate(
@@ -263,13 +263,14 @@ def kolmogorov_upper(pset: PointSet, axes) -> tuple[WidthCertificate, np.ndarray
             witness={"kind": "orthogonal-projection", "subspace_dim": int(q.shape[0]),
                      "worst_point": int(np.argmax(residuals)), "axes": axes},
         ),
-        proj,
+        q,
+        coeffs,
     )
 
 
 def recheck_orthogonal_projection(cert: dict, fset: PointSet) -> bool:
     """Projecting ``fset`` again onto the recorded axes leaves no larger residual."""
-    again, _ = kolmogorov_upper(fset, cert["witness"]["axes"])
+    again = kolmogorov_upper(fset, cert["witness"]["axes"])[0]
     return again.n <= cert["n"] and again.value <= cert["value"]
 
 
@@ -298,35 +299,31 @@ def best_coordinate_subspace(pset: PointSet, n: int) -> tuple[WidthCertificate, 
 
 
 def kolmogorov_comparison(pset: PointSet, dn_upper: WidthCertificate,
-                          basis, approximants, g0=None) -> WidthCertificate:
+                          basis, coeffs, g0_coeffs=None) -> WidthCertificate:
     """Lipschitz-width certificate from a Kolmogorov witness.
 
-    Builds the affine map Phi(g) = g0 + gamma * g on the unit ball of the
-    subspace with gamma = dn_upper.value + rad_upper, feeds each point its
-    rescaled approximant, and asserts the resulting value never exceeds the
-    Kolmogorov upper bound (plus 1e-9).  The witness copies the subspace
-    (``axes`` or ``cells``) from the Kolmogorov witness.
+    Point i's approximant is ``coeffs[i] @ basis``.  Builds the affine map
+    Phi(y) = g0 + gamma * (y @ basis) on the unit ball of the subspace, with
+    g0 = ``g0_coeffs @ basis`` and gamma = dn_upper.value + rad_upper, feeds
+    each point (coeffs[i] - g0_coeffs) / gamma, whose image is its
+    approximant, and asserts the resulting value never exceeds the
+    Kolmogorov upper bound (plus 1e-9).  Without ``g0_coeffs`` (l2 only) g0
+    has the radius center's coefficients ``center @ basis.T``: its
+    projection when the basis rows are orthonormal.  The witness copies the
+    subspace (``axes`` or ``cells``) from the Kolmogorov witness.
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    approximants = np.asarray(approximants, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
     rb = radius_upper(pset)
     gamma = dn_upper.value + rb.upper
-    if g0 is None:
+    if g0_coeffs is None:
         if pset.space.kind != "l2":
-            raise PreconditionError("supply g0 explicitly outside l2 spaces")
-        q = orthonormalize(basis)
-        g0 = (rb.center_point @ q.T) @ q
-        basis = q
-    g0 = np.asarray(g0, dtype=float)
-    if gamma == 0.0:
-        coeffs = np.zeros((pset.size, basis.shape[0]))
-    else:
-        # coefficients of (approximant - g0) in the basis rows, a block at a time
-        coeffs = np.concatenate([
-            np.linalg.lstsq(basis.T, (approximants[lo:hi] - g0).T, rcond=None)[0].T
-            for lo, hi in row_spans(pset.size, pset.space.dim)]) / gamma
-    amap = AffineBallMap(g0, gamma, basis, pset.space)
-    cert = fixed_width_upper(pset, amap, coeffs)
+            raise PreconditionError("supply g0_coeffs explicitly outside l2 spaces")
+        g0_coeffs = rb.center_point @ basis.T
+    g0_coeffs = np.asarray(g0_coeffs, dtype=float)
+    candidates = (coeffs - g0_coeffs) / gamma if gamma > 0 else np.zeros_like(coeffs)
+    cert = fixed_width_upper(pset, AffineBallMap(g0_coeffs @ basis, gamma, basis, pset.space),
+                             candidates)
     if cert.value > dn_upper.value + 1e-9:
         raise PreconditionError(
             f"comparison failed: {cert.value} > {dn_upper.value} + 1e-9"

@@ -249,18 +249,18 @@ def dist_to_reference(pset, x) -> np.ndarray:
     return np.asarray(pset.space.norm(pset.points - np.asarray(x, dtype=float)))
 
 
-def transport_g0_reference(tset, approx) -> np.ndarray:
-    """``transport_comparison``'s reference origin: of the approximants at the
-    middle, first and last sample, the first with the least reach over all of
-    them, each reach one full-array norm."""
-    return min((approx[i] for i in (tset.size // 2, 0, tset.size - 1)),
-               key=lambda g: float(np.asarray(tset.space.norm(approx - g)).max()))
+def transport_g0_reference(tset, approx) -> int:
+    """Of the middle, first and last sample, the first whose approximant has
+    the least reach over all the approximants, each reach one full-array
+    norm."""
+    return min((tset.size // 2, 0, tset.size - 1),
+               key=lambda i: float(np.asarray(tset.space.norm(approx - approx[i])).max()))
 
 
 def comparison_map_reference(pset, dn_value, basis, approximants, g0=None) -> tuple:
-    """The affine map and candidates of ``kolmogorov_comparison`` (gamma > 0)
-    with one least-squares solve over all approximants and a full-array
-    radius bound."""
+    """The affine map and domain candidates of a Kolmogorov comparison
+    (gamma > 0) recovered from the approximants alone: one least-squares
+    solve over all of them and a full-array radius bound."""
     from lipwidth import AffineBallMap
     from lipwidth.widths import orthonormalize
 

@@ -148,9 +148,8 @@ def test_criterion_07_kolmogorov_comparison():
     t0 = time.perf_counter()
     dset = cs.diagonal_set(64)
     for n in (4, 8, 16):
-        basis = np.eye(dset.space.dim)[:n]
-        dn, proj = kolmogorov_upper(dset, range(n))
-        comp = kolmogorov_comparison(dset, dn, basis, proj)
+        dn, basis, coeffs = kolmogorov_upper(dset, range(n))
+        comp = kolmogorov_comparison(dset, dn, basis, coeffs)
         assert comp.value <= dn.value + 1e-9
     tset = cs.transport_set(1024)
     for n in (4, 16, 64):

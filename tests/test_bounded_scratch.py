@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lipwidth import PointSet, spaces
+from lipwidth import PointSet, spaces, widths
 from lipwidth.case_studies import (SequenceSetSpec, diagonal_set, sigma_values,
                                    transport_comparison, transport_kolmogorov_upper,
                                    transport_set, volume_condition)
@@ -61,24 +61,25 @@ def entropy_map_inputs(m=200, k=2, n=2):
 
 
 def transport_inputs(grid=64, n=8):
-    """The transport set, its n-cell Kolmogorov certificate, basis and
-    approximants, and the comparison's map and candidates from full arrays."""
+    """The transport set, its n-cell Kolmogorov certificate, basis and cell
+    coefficients, the index of its reference origin, and the comparison's
+    map and candidates recovered from full arrays of approximants."""
     tset = transport_set(grid)
     dn, coeffs = transport_kolmogorov_upper(tset, n)
     basis = tset.cell_basis(n)
     approx = coeffs @ basis
-    g0 = transport_g0_reference(tset, approx)
-    return tset, dn, basis, approx, g0, comparison_map_reference(tset, dn.value, basis,
-                                                                 approx, g0)
+    g = transport_g0_reference(tset, approx)
+    return tset, dn, basis, coeffs, g, comparison_map_reference(tset, dn.value, basis,
+                                                                approx, approx[g])
 
 
 def test_fixed_width_in_blocks_equals_full_arrays(monkeypatch):
     ps, emap, cands = entropy_map_inputs()
-    tset, _, _, _, _, (amap, coeffs) = transport_inputs()
-    want = [fixed_width_reference(ps, emap, cands), fixed_width_reference(tset, amap, coeffs)]
+    tset, _, _, _, _, (amap, tcands) = transport_inputs()
+    want = [fixed_width_reference(ps, emap, cands), fixed_width_reference(tset, amap, tcands)]
     small_blocks(monkeypatch, 37, 3)
     assert spans(ps.size, 3) >= 3 and spans(tset.size, tset.space.dim) >= 3
-    got = [fixed_width_upper(ps, emap, cands), fixed_width_upper(tset, amap, coeffs)]
+    got = [fixed_width_upper(ps, emap, cands), fixed_width_upper(tset, amap, tcands)]
     assert [(c.value, c.witness["worst_point"]) for c in got] == want
 
 
@@ -95,19 +96,32 @@ def test_fixed_width_in_blocks_names_the_first_point_outside_the_ball(monkeypatc
 
 
 def test_kolmogorov_comparison_in_blocks_equals_full_arrays(monkeypatch):
-    tset, dn, basis, approx, g0, (amap, coeffs) = transport_inputs()
+    # the candidates formed from exact coefficients are within 1e-12 of the
+    # least-squares reference's, no value exceeds the reference's by more
+    # than 1e-12, and the blocked scan of them equals the full-array one
+    tset, dn, basis, coeffs, g, (amap, ref) = transport_inputs()
     dset = diagonal_set(48)
-    kn, proj = kolmogorov_upper(dset, range(8))
-    dbasis = np.eye(48)[:8]
-    dmap, dcoeffs = comparison_map_reference(dset, kn.value, dbasis, proj)
-    want = [(fixed_width_reference(tset, amap, coeffs)[0], amap.gamma),
-            (fixed_width_reference(dset, dmap, dcoeffs)[0], dmap.gamma)]
+    kn, q, dcoeffs = kolmogorov_upper(dset, range(8))
+    dmap, dref = comparison_map_reference(dset, kn.value, np.eye(48)[:8], dcoeffs @ q)
     small_blocks(monkeypatch, 20, 48)  # 20 of the diagonal set's 96 rows, 7 transport rows
     assert spans(tset.size, tset.space.dim) >= 3 and spans(dset.size, 48) >= 3
-    got = [kolmogorov_comparison(tset, dn, basis, approx, g0=g0),
-           kolmogorov_comparison(dset, kn, dbasis, proj)]
-    assert [(c.value, c.gamma) for c in got] == want
-    # the study's own g0, chosen a block of approximants at a time, is the reference's
+    seen = []  # the map and candidates handed to fixed_width_upper
+
+    def spy(pset, map_, candidates):
+        seen.append((map_, np.asarray(candidates)))
+        return fixed_width_upper(pset, map_, candidates)
+
+    monkeypatch.setattr(widths, "fixed_width_upper", spy)
+    got = [kolmogorov_comparison(tset, dn, basis, coeffs, coeffs[g]),
+           kolmogorov_comparison(dset, kn, q, dcoeffs)]
+    for pset, cert, (map_, cands), want, want_cands in zip(
+            (tset, dset), got, seen, (amap, dmap), (ref, dref)):
+        assert cert.gamma == map_.gamma == want.gamma
+        assert np.array_equal(map_.g0, want.g0) and np.array_equal(map_.basis, want.basis)
+        assert np.abs(cands - want_cands).max() <= 1e-12
+        assert cert.value == fixed_width_reference(pset, map_, cands)[0]
+        assert cert.value <= fixed_width_reference(pset, want, want_cands)[0] + 1e-12
+    # the study's own g0, chosen by cell counts, is the reference's
     assert transport_comparison(tset, 8).to_json() == got[0].to_json()
 
 
@@ -176,11 +190,13 @@ def test_sequence_checks_in_blocks_fail_as_full_arrays(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_transport_comparison_scratch_within_twice_the_points():
-    # the approximants are one copy of the points; every other array is a block
-    tset = transport_set(512)
+@pytest.mark.parametrize("grid,share", [(512, 0.6), (1024, 0.2)])
+def test_transport_comparison_scratch_within_a_share_of_the_points(grid, share):
+    # the points are read a block at a time and the cell coefficients are
+    # (size, n): no copy of the points, so the share falls as the grid grows
+    tset = transport_set(grid)
     peak = peak_of(lambda: transport_comparison(tset, 16))
-    assert peak <= 2 * tset.points.nbytes, peak / tset.points.nbytes
+    assert peak <= share * tset.points.nbytes, peak / tset.points.nbytes
 
 
 def test_transport_set_construction_within_1_6_times_the_points():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipwidth import PointSet, inner_entropy, lp_space
+from lipwidth import PointSet, case_studies, inner_entropy, lp_space
 from lipwidth.case_studies import (
     SequenceSetSpec,
     basis_cloud,
@@ -30,8 +30,8 @@ from lipwidth.case_studies import (
     transport_set,
     volume_condition,
 )
-from lipwidth.spaces import PreconditionError
-from oracles import dense_twin, diagonal_member, sequence_dense_points
+from lipwidth.spaces import PreconditionError, radius_upper
+from oracles import dense_twin, diagonal_member, sequence_dense_points, transport_g0_reference
 
 
 # --- sequence sets -----------------------------------------------------------
@@ -253,6 +253,35 @@ def test_transport_comparison_below_kolmogorov():
         dn, _ = transport_kolmogorov_upper(ts, n)
         comp = transport_comparison(ts, n)
         assert comp.value <= dn.value + 1e-9
+
+
+@pytest.mark.parametrize("grid,n", [(512, 4), (512, 16), (256, 16)])
+def test_transport_comparison_value_is_the_kolmogorov_value(grid, n):
+    # from the exact 0/1 cell coefficients the map returns each approximant,
+    # so the comparison loses nothing to rounding (grid 256, n 16 is the
+    # study's audit input)
+    ts = transport_set(grid)
+    dn, _ = transport_kolmogorov_upper(ts, n)
+    comp = transport_comparison(ts, n)
+    assert comp.value == comp.witness["kolmogorov_value"] == dn.value
+    assert comp.gamma == dn.value + radius_upper(ts).upper == 1.0 + 2.0 / n
+
+
+def test_transport_g0_by_cell_counts_matches_the_norm_oracle(monkeypatch):
+    # every n <= 64 dividing 2 * grid, on small grids and four large ones
+    chosen = []
+    monkeypatch.setattr(case_studies, "kolmogorov_comparison",
+                        lambda tset, dn, basis, coeffs, g0_coeffs: chosen.append(g0_coeffs))
+    pairs = 0
+    for grid in [*range(2, 71), 128, 256, 512, 1024]:
+        ts = transport_set(grid)
+        for n in (n for n in range(1, 65) if (2 * grid) % n == 0):
+            transport_comparison(ts, n)
+            _, coeffs = transport_kolmogorov_upper(ts, n)
+            g = transport_g0_reference(ts, coeffs @ ts.cell_basis(n))
+            assert np.array_equal(chosen[-1], coeffs[g]), (grid, n)
+            pairs += 1
+    assert pairs == 475
 
 
 def test_transport_reference_consistency():

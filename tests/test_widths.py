@@ -165,10 +165,9 @@ def test_default_eps_grid_span():
 def test_kolmogorov_diagonal_reference():
     dset = diagonal_set(40)
     for n in (2, 5, 9):
-        basis = np.eye(40)[:n]
-        cert, proj = kolmogorov_upper(dset, range(n))
+        cert, basis, coeffs = kolmogorov_upper(dset, range(n))
         assert cert.value == pytest.approx(diagonal_reference_upper(n), rel=1e-12)
-        comp = kolmogorov_comparison(dset, cert, basis, proj)
+        comp = kolmogorov_comparison(dset, cert, basis, coeffs)
         assert comp.value <= cert.value + 1e-9
         assert comp.gamma == pytest.approx(cert.value + radius_upper(dset).upper)
 
@@ -178,10 +177,9 @@ def test_kolmogorov_zero_inside_subspace():
     pts[:, 0] = [0.1, -0.5, 0.9, 0.3]
     pts[:, 1] = [1.0, 0.0, -0.2, 0.4]
     ps = PointSet(lp_space(5, 2), pts)
-    basis = np.eye(5)[:2]
-    cert, proj = kolmogorov_upper(ps, [0, 1])
+    cert, basis, coeffs = kolmogorov_upper(ps, [0, 1])
     assert cert.value <= 1e-12
-    comp = kolmogorov_comparison(ps, cert, basis, proj)
+    comp = kolmogorov_comparison(ps, cert, basis, coeffs)
     assert comp.value <= 1e-9
 
 
