@@ -24,11 +24,9 @@ from .covering import ball_disjoint, coverage_assignment, inner_entropy
 from .lipmaps import (SequenceBumpSum, allocate_dyadic_cubes, build_sequence_bump_map,
                       bump_levels)
 from .spaces import (REL_TOL, FiniteSet, NormedSpace, PointSet, PreconditionError,
-                     row_spans, step_space)
+                     step_space)
 from .widths import (WidthCertificate, best_coordinate_subspace, kolmogorov_comparison,
-                     kolmogorov_upper, width_lower_certified)
-
-EXACT_SUM_LIMIT = 10 ** 6
+                     kolmogorov_upper, recheck_orthogonal_projection, width_lower_certified)
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +60,9 @@ def sigma_at(spec: SequenceSetSpec, j: int) -> float:
     return float(j) ** (-spec.c)
 
 
-def sigma_values(spec: SequenceSetSpec, count: int, start: int = 0) -> np.ndarray:
-    """sigma_j for j = start + 1, ..., start + count, computed in place."""
-    j = np.arange(start + 1, start + count + 1, dtype=float)
+def sigma_values(spec: SequenceSetSpec, count: int) -> np.ndarray:
+    """sigma_j for j = 1, ..., count, computed in place."""
+    j = np.arange(1, count + 1, dtype=float)
     if spec.generator == "log":
         return np.divide(1.0, np.log2(np.add(j, 1.0, out=j), out=j), out=j)
     j **= -spec.c
@@ -147,34 +145,6 @@ def sequence_packing_count_log2(spec: SequenceSetSpec, t: float) -> float:
     return math.log2(count + 1)
 
 
-def exact_sum(blocks) -> float:
-    """The sum of nonnegative finite float64 terms, given in blocks, rounded
-    once, so equal to ``math.fsum`` of the terms.
-
-    A term with bits b and exponent field f is m * 2**e units of 2**-1074,
-    where e = max(f, 1) - 1 and m = b - e * 2**52 is its 53-bit mantissa
-    (subnormals, f = 0, have m = b).  Each run of equal fields in a slice of
-    at most 2**20 terms sums its bits exactly in two int64 halves; one Python
-    int adds the runs' mantissa sums, and one int division rounds to nearest.
-    """
-    total = 0
-    for block in blocks:
-        terms = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
-        for lo in range(0, terms.size, 1 << 20):
-            bits = terms[lo : lo + (1 << 20)]
-            field = bits >> 52
-            if bits.min() < 0 or field.max() == 2047:  # sign bit, or inf / nan
-                raise PreconditionError("exact_sum needs nonnegative finite terms")
-            starts = np.flatnonzero(np.concatenate(([True], field[1:] != field[:-1])))
-            high = np.add.reduceat(bits >> 26, starts).tolist()
-            low = np.add.reduceat(bits & ((1 << 26) - 1), starts).tolist()
-            counts = np.diff(starts, append=len(bits)).tolist()
-            for f, c, h, l in zip(field[starts].tolist(), counts, high, low):
-                e = max(f, 1) - 1
-                total += ((h << 26) + l - (c * e << 52)) << e
-    return total / (1 << 1074)
-
-
 @dataclass(frozen=True)
 class VolumeCondition:
     """Result of checking sum_{j<=N} sigma_j^n <= (gamma/2)^n."""
@@ -182,32 +152,25 @@ class VolumeCondition:
     holds: bool
     lhs_upper: float
     rhs_log2: float
-    method: str  # "exact-sum" | "dyadic-block" | "integral-tail"
+    method: str  # "dyadic-block" | "integral-tail"
 
 
 def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: int
                      ) -> VolumeCondition:
     """Certified upper bound on the amplitude volume sum versus (gamma/2)^n.
 
-    Up to 10**6 terms, :func:`exact_sum` adds them exactly, a block of
-    ``BLOCK_ELEMS`` bytes at a time, and rounds once (the float ``math.fsum``
-    gives); beyond that the log generator uses the dyadic block majorant
-    sum_k 2^k k^-n and the power generator uses the integral tail bound
-    n0 + n0/(c n - 1).
+    The bound is the generator's closed-form majorant at every N: the log
+    generator's dyadic blocks 1 + sum_{k=1}^{floor(log2 N)} 2^k k^-n, and the
+    power generator's integral tail n0 + n0/(c n - 1), n0 = max(1, floor(1/c)),
+    which bounds the whole series.
     """
     if sigma_at(spec, 1) > gamma / 2.0 + 1e-15:
         raise PreconditionError("sigma_1 must not exceed gamma/2")
     rhs_log2 = n * math.log2(gamma / 2.0)
-    if total_terms <= EXACT_SUM_LIMIT:
-        # sigma and its powers are made a block at a time, so no array of all terms exists
-        lhs = exact_sum(sigma_values(spec, hi - lo, lo) ** n
-                        for lo, hi in row_spans(total_terms, 8))
-        method = "exact-sum"
-    elif spec.generator == "log":
+    if spec.generator == "log":
         # blocks j in [2^k, 2^(k+1)): 2^k terms, each at most k^-n (k >= 1)
-        j_top = math.floor(math.log2(total_terms)) + 1
-        terms = [math.exp(k * math.log(2.0) - n * math.log(k)) for k in range(1, j_top)]
-        lhs = 1.0 + math.fsum(terms)
+        lhs = 1.0 + math.fsum(math.exp(k * math.log(2.0) - n * math.log(k))
+                              for k in range(1, int(total_terms).bit_length()))
         method = "dyadic-block"
     else:  # power
         if spec.c * n <= 1:
@@ -215,14 +178,14 @@ def volume_condition(spec: SequenceSetSpec, gamma: float, n: int, total_terms: i
         n0 = max(1, math.floor(1.0 / spec.c))
         lhs = n0 + n0 / (spec.c * n - 1.0)
         method = "integral-tail"
-    holds = math.log(lhs) <= rhs_log2 * math.log(2.0) + 1e-12 if lhs > 0 else True
+    holds = math.log(lhs) <= rhs_log2 * math.log(2.0) + 1e-12
     return VolumeCondition(holds=holds, lhs_upper=lhs, rhs_log2=rhs_log2,
                            method=method)
 
 
 def sequence_width_upper(spec_generator: str, gamma: float, n: int,
                          total_terms: int, c: float = 1.0,
-                         max_bumps: int = EXACT_SUM_LIMIT,
+                         max_bumps: int = 10 ** 6,
                          value_override: Optional[float] = None) -> WidthCertificate:
     """Upper certificate d_n^gamma <= sigma_N for a sequence set.
 
@@ -290,7 +253,7 @@ def recheck_dyadic_bump_map(cert: dict, fset=None) -> bool:
 
 
 def log_sequence_certificates(n: int, gamma: float = 3.0,
-                              max_bumps: int = EXACT_SUM_LIMIT) -> tuple[list, list]:
+                              max_bumps: int = 10 ** 6) -> tuple[list, list]:
     """Two-sided width certificates for the log-decay sequence set, its
     entropy number, and their audits.
 
@@ -502,8 +465,15 @@ def transport_kolmogorov_upper(tset: TransportSet, n: int
 
 
 def recheck_transport_cells(cert: dict, tset: TransportSet) -> bool:
-    """The n-cell residual on ``tset``, computed again, is no larger."""
-    return transport_kolmogorov_upper(tset, cert["witness"]["cells"])[0].value <= cert["value"]
+    """The recorded k cells are at most n, and no sample is farther than the
+    value from their span in L1: on a cell of length 2/k that chi_a overlaps
+    by o, the best constant is 0 or 1 and leaves min(o, 2/k - o)."""
+    k = cert["witness"]["cells"]
+    width, a = 2.0 / k, tset.params[:, None]
+    lo = np.arange(k) * width
+    overlap = np.maximum(np.minimum(a + 1.0, lo + width) - np.maximum(a, lo), 0.0)
+    dist = np.minimum(overlap, width - overlap).sum(axis=1)
+    return 1 <= k <= cert["n"] and float(dist.max()) <= cert["value"] * (1.0 + REL_TOL)
 
 
 def transport_comparison(tset: TransportSet, n: int) -> WidthCertificate:
@@ -671,14 +641,14 @@ def certify_orthonormal_basis(target, params):
 
 
 def recheck_basis_threshold(cert: dict, fset=None) -> bool:
-    """The certificate, computed again, has the same regime flag, and each
-    entropy bracket passes ``recheck_entropy`` on the cloud with the cloud's
-    own witnesses: its centers cover at the upper end, and no inner ball
-    below the lower end holds two of its points.  That reads (2**k + 1)
-    rows of the cloud for bracket k."""
-    cloud = basis_cloud(cert["m"])
-    again = orthonormal_basis_report(cert["m"], cert["gamma"], cert["s"], [])
-    return cert["regime_certified"] == again["regime_certified"] and all(
+    """The regime flag is sqrt(2)/(12 gamma) > 4 * 2**(-m/s) at the recorded
+    m, gamma and s, and each entropy bracket passes ``recheck_entropy`` on the
+    cloud with the cloud's own witnesses: its centers cover at the upper end,
+    and no inner ball below the lower end holds two of its points.  That
+    reads (2**k + 1) rows of the cloud for bracket k."""
+    m, s, cloud = cert["m"], cert["s"], basis_cloud(cert["m"])
+    regime = math.sqrt(2.0) / (12.0 * cert["gamma"]) > 4.0 * 2.0 ** (-m / s)
+    return m >= 1 and s >= 1 and cert["regime_certified"] == regime and all(
         recheck_entropy(dict(inner_entropy(cloud, int(k)).to_json(), lower=lo, upper=hi), cloud)
         for k, (lo, hi) in cert["entropy_brackets"].items())
 
@@ -701,6 +671,6 @@ def recheck_cross_polytope_width(cert: dict, fset=None) -> bool:
 
 
 def recheck_octahedron_subspace(cert: dict, fset=None) -> bool:
-    """No coordinate subspace of the cross-polytope study's octahedron beats the value."""
-    return best_coordinate_subspace(octahedron_set(cert["n"]), cert["n"])[0].value \
-        <= cert["value"]
+    """The recorded axes pass ``recheck_orthogonal_projection`` on the
+    cross-polytope study's octahedron; no other subspace is tried."""
+    return recheck_orthogonal_projection(cert, octahedron_set(cert["n"]))

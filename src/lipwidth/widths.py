@@ -230,12 +230,12 @@ def recheck_covering_count(cert: dict, fset: FiniteSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def orthonormalize(basis) -> np.ndarray:
-    """Orthonormal rows spanning the same subspace (QR, deterministic)."""
-    b = np.atleast_2d(np.asarray(basis, dtype=float))
-    q, r = np.linalg.qr(b.T)
-    keep = np.abs(np.diag(r)) > 1e-12
-    return q.T[keep]
+def coordinate_residuals(points, axes) -> np.ndarray:
+    """Each row's Euclidean distance to the span of the coordinate ``axes``:
+    its norm with those coordinates set to zero."""
+    rest = np.array(points, dtype=float)
+    rest[:, list(axes)] = 0.0
+    return np.linalg.norm(rest, axis=1)
 
 
 def kolmogorov_upper(pset: PointSet, axes
@@ -243,35 +243,36 @@ def kolmogorov_upper(pset: PointSet, axes
     """Max Euclidean residual against the span of the coordinate ``axes``;
     requires an l2 space.
 
-    Returns the certificate with the orthonormal basis of that span and each
-    point's coefficients in it, which ``kolmogorov_comparison`` takes.
+    Returns the certificate with the unit rows of the distinct axes, an
+    orthonormal basis of that span, and each point's coefficients in it,
+    ``points[:, axes]``, which ``kolmogorov_comparison`` takes.
     """
     if pset.space.kind != "l2":
         raise PreconditionError("orthogonal projection needs an l2 norm")
     axes = [int(a) for a in axes]
-    q = orthonormalize(np.eye(pset.space.dim)[axes])
-    coeffs = pset.points @ q.T
-    residuals = np.linalg.norm(pset.points - coeffs @ q, axis=1)
+    distinct = list(dict.fromkeys(range(pset.space.dim)[a] for a in axes))
+    residuals = coordinate_residuals(pset.points, distinct)
     value = float(residuals.max())
     return (
         WidthCertificate(
             quantity="kolmogorov_width",
-            n=q.shape[0],
+            n=len(distinct),
             gamma=None,
             value=value,
             direction="upper",
-            witness={"kind": "orthogonal-projection", "subspace_dim": int(q.shape[0]),
+            witness={"kind": "orthogonal-projection", "subspace_dim": len(distinct),
                      "worst_point": int(np.argmax(residuals)), "axes": axes},
         ),
-        q,
-        coeffs,
+        np.eye(pset.space.dim)[distinct],
+        pset.points[:, distinct],
     )
 
 
 def recheck_orthogonal_projection(cert: dict, fset: PointSet) -> bool:
-    """Projecting ``fset`` again onto the recorded axes leaves no larger residual."""
-    again = kolmogorov_upper(fset, cert["witness"]["axes"])[0]
-    return again.n <= cert["n"] and again.value <= cert["value"]
+    """The recorded axes, at most n distinct ones, leave no larger residual on ``fset``."""
+    axes = {range(fset.space.dim)[a] for a in cert["witness"]["axes"]}
+    return (fset.space.kind == "l2" and len(axes) <= cert["n"]
+            and coordinate_residuals(fset.points, axes).max() <= cert["value"])
 
 
 def best_coordinate_subspace(pset: PointSet, n: int) -> tuple[WidthCertificate, tuple]:
@@ -283,13 +284,9 @@ def best_coordinate_subspace(pset: PointSet, n: int) -> tuple[WidthCertificate, 
     combos = math.comb(dim, n)
     if combos > 200000:
         raise PreconditionError(f"{combos} coordinate subspaces is too many")
-    best = None
-    best_idx = None
-    for idx in it.combinations(range(dim), n):
-        resid = np.delete(pset.points, idx, axis=1)
-        value = float(np.linalg.norm(resid, axis=1).max())
-        if best is None or value < best:
-            best, best_idx = value, idx
+    # combinations come in lexicographic order, so ties keep the first subspace
+    best, best_idx = min((float(coordinate_residuals(pset.points, idx).max()), idx)
+                         for idx in it.combinations(range(dim), n))
     cert = WidthCertificate(
         quantity="kolmogorov_width", n=n, gamma=None, value=best,
         direction="upper",

@@ -262,7 +262,6 @@ def comparison_map_reference(pset, dn_value, basis, approximants, g0=None) -> tu
     (gamma > 0) recovered from the approximants alone: one least-squares
     solve over all of them and a full-array radius bound."""
     from lipwidth import AffineBallMap
-    from lipwidth.widths import orthonormalize
 
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     fars = pset.dist_rows(0, pset.size).max(axis=1)
@@ -273,7 +272,8 @@ def comparison_map_reference(pset, dn_value, basis, approximants, g0=None) -> tu
         upper, center = far, mean
     gamma = dn_value + upper
     if g0 is None:
-        q = orthonormalize(basis)
+        q, r = np.linalg.qr(basis.T)
+        q = q.T[np.abs(np.diag(r)) > 1e-12]  # orthonormal rows spanning the basis
         g0, basis = (center @ q.T) @ q, q
     coeffs, *_ = np.linalg.lstsq(basis.T, (approximants - g0).T, rcond=None)
     return AffineBallMap(g0, gamma, basis, pset.space), coeffs.T / gamma

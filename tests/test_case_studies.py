@@ -1,9 +1,8 @@
 import math
-import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lipwidth import PointSet, case_studies, inner_entropy, lp_space
 from lipwidth.case_studies import (
@@ -12,12 +11,12 @@ from lipwidth.case_studies import (
     cross_polytope_width,
     diagonal_reference_upper,
     diagonal_set,
-    exact_sum,
     log_sequence_certificates,
     log_sequence_entropy_lower,
     octahedron_set,
     orthonormal_basis_report,
     power_collapse_index,
+    recheck_transport_cells,
     sequence_set,
     sequence_packing_count_log2,
     sequence_width_upper,
@@ -90,13 +89,51 @@ def test_packing_count_log2_matches_direct_count():
 
 
 def test_volume_condition_exact_small_n():
+    # the closed form at N = 7^6 bounds the terms' fsum (about 1.11) and still fits
     spec = SequenceSetSpec(generator="log", truncation=2)
     cond = volume_condition(spec, 3.0, 6, 7 ** 6)
-    assert cond.method == "exact-sum"
-    assert cond.holds
-    # independent oracle: plain Python summation
-    direct = sum((1.0 / math.log2(j + 1)) ** 6 for j in range(1, 7 ** 6 + 1))
-    assert cond.lhs_upper == pytest.approx(direct, rel=1e-12)
+    assert cond.method == "dyadic-block" and cond.holds
+    exact = math.fsum((sigma_values(spec, 7 ** 6) ** 6).tolist())
+    assert exact < cond.lhs_upper == pytest.approx(3.0980, abs=1e-4)
+    assert cond.lhs_upper <= 1.5 ** 6
+
+
+@pytest.mark.parametrize("generator,c,n", [("log", 1.0, 2), ("log", 1.0, 6), ("log", 1.0, 9),
+                                           ("power", 1.0, 2), ("power", 0.25, 5),
+                                           ("power", 0.7, 3), ("power", 2.0, 1)])
+def test_volume_condition_majorant_dominates_fsum(generator, c, n):
+    # every prefix up to 10^5 terms, at each power of two and the next term
+    spec = SequenceSetSpec(generator=generator, truncation=2, c=c)
+    for total in sorted({t for k in range(17) for t in (2 ** k, 2 ** k + 1)} | {10 ** 5}):
+        exact = math.fsum((sigma_values(spec, total) ** n).tolist())
+        assert volume_condition(spec, 1e3, n, total).lhs_upper >= exact, total
+
+
+def test_volume_condition_reaches_the_log_study():
+    # the log study refuses n < 5 and gamma < 3; at gamma = 3 it certifies n = 5..64
+    spec = SequenceSetSpec(generator="log", truncation=2)
+    for n in range(5, 65):
+        assert volume_condition(spec, 3.0, n, (n + 1) ** n).holds, n
+
+
+@pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.7, 1.0, 2.0, 3.0])
+def test_volume_condition_reaches_the_power_study(c):
+    spec = SequenceSetSpec(generator="power", truncation=2, c=c)
+    for gamma in (2.1, 2.5, 3.0, 4.0, 8.0):
+        n1 = power_collapse_index(c, gamma)
+        for total in (10 ** 3, 10 ** 6, 10 ** 9):
+            assert volume_condition(spec, gamma, n1, total).holds, (gamma, total)
+
+
+def test_volume_condition_refuses_what_only_the_exact_sum_fits():
+    # log decay at n = 2, N = 4: the terms sum to about 1.83 <= 2.25 = (3/2)^2,
+    # but the dyadic-block majorant 1 + 2 + 4/4 = 4 does not fit
+    spec = SequenceSetSpec(generator="log", truncation=2)
+    assert math.fsum((sigma_values(spec, 4) ** 2).tolist()) <= 1.5 ** 2
+    cond = volume_condition(spec, 3.0, 2, 4)
+    assert cond.lhs_upper == 4.0 and not cond.holds
+    with pytest.raises(PreconditionError, match="volume condition failed"):
+        sequence_width_upper("log", 3.0, 2, 4)
 
 
 def test_volume_condition_block_bound():
@@ -113,7 +150,7 @@ def test_volume_condition_block_dominates_exact():
     spec = SequenceSetSpec(generator="log", truncation=2)
     n, total = 8, 10 ** 5
     exact = float(np.sum(sigma_values(spec, total) ** n))
-    block = volume_condition(spec, 3.0, n, 10 ** 6 + 1)  # forces block method
+    block = volume_condition(spec, 3.0, n, 10 ** 6 + 1)
     assert block.lhs_upper >= exact
 
 
@@ -184,7 +221,7 @@ def test_power_width_upper_decays():
     for total, cap in ((10 ** 3, 1e-3), (10 ** 6, 1e-6)):
         cert = sequence_width_upper("power", 4.0, n1, total, c=1.0, max_bumps=10 ** 3)
         assert cert.value <= cap * (1 + 1e-12)
-    # the volume condition also passes by exact summation at both totals
+    # the volume condition's closed form also fits at both totals
     spec = SequenceSetSpec(generator="power", truncation=2, c=1.0)
     for total in (10 ** 3, 10 ** 6):
         assert volume_condition(spec, 4.0, n1, total).holds
@@ -245,6 +282,24 @@ def test_transport_kolmogorov_formula_vs_vectors():
         assert cert.value == pytest.approx(float(resid_vec.max()), abs=1e-12)
         assert cert.value <= 4.0 / n + 1e-12
         assert cert.value >= 1.0 / (n + 1.0)
+
+
+@pytest.mark.parametrize("grid,n", [(3, 1), (7, 2), (7, 3), (64, 5), (100, 16), (1000, 7)])
+def test_transport_cells_recheck_passes_real_certificates(grid, n):
+    # the recheck sums cell overlaps, another route than the producer's cell
+    # indices.  The real certificate passes on grids that do not align with
+    # the cells, and so does the exact L1 distance to the span (in fractions:
+    # the best constant on each cell is 0 or 1); 1e-6 less fails.
+    ts = transport_set(grid)
+    cert = transport_kolmogorov_upper(ts, n)[0].to_json()
+    assert recheck_transport_cells(cert, ts)
+    width = Fraction(2, n)
+    exact = max(sum(min(o, width - o) for o in (
+        max(Fraction(0), min(a + 1, (j + 1) * width) - max(a, j * width)) for j in range(n)))
+        for a in (Fraction(i, grid) for i in range(grid + 1)))
+    assert exact <= cert["value"] * (1 + 1e-12)
+    assert recheck_transport_cells(dict(cert, value=float(exact)), ts)
+    assert not recheck_transport_cells(dict(cert, value=float(exact) * (1 - 1e-6)), ts)
 
 
 def test_transport_comparison_below_kolmogorov():
@@ -328,110 +383,3 @@ def test_octahedron_set_geometry():
     assert oset.size == 16
     scale = 1.0 / math.sqrt(math.log2(9))
     assert np.allclose(np.linalg.norm(oset.points, axis=1), scale)
-
-
-def test_exact_volume_sum_streams_its_terms():
-    # fsum of the 10^6 terms as one list is the oracle; volume_condition makes
-    # and sums them a block at a time
-    spec = SequenceSetSpec("power", 2, 1.0)
-    want = math.fsum((sigma_values(spec, 10 ** 6) ** 2).tolist())
-    tracemalloc.start()
-    try:
-        cond = volume_condition(spec, 4.0, 2, 10 ** 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cond.method == "exact-sum" and cond.lhs_upper == want
-    assert peak < 24e6, peak
-
-
-# --- exact sum ---------------------------------------------------------------
-
-
-def assert_sum_is_fsum(blocks):
-    """exact_sum of the blocks has the bits of fsum of their terms in order."""
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    want = math.fsum(np.concatenate([np.zeros(0), *blocks]).tolist())
-    assert exact_sum(blocks).hex() == want.hex()
-
-
-def random_blocks(rng, terms):
-    cuts = np.sort(rng.integers(0, len(terms) + 1, size=int(rng.integers(0, 5))))
-    return np.split(terms, cuts)
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_exact_sum_is_fsum_on_random_sorted_and_shuffled_terms(seed):
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, 500))
-    terms = rng.random(k) * 10.0 ** rng.integers(-40, 40, size=k)
-    for order in (terms, np.sort(terms)[::-1], rng.permutation(terms)):
-        assert_sum_is_fsum(random_blocks(rng, order))
-
-
-def test_exact_sum_of_zeros_subnormals_and_single_terms():
-    rng = np.random.default_rng(7)
-    tiny = np.float64(5e-324)
-    smallest_normal = np.float64(2.0 ** -1022)
-    subnormals = rng.integers(1, 1 << 52, size=1000).view(np.float64)
-    assert_sum_is_fsum([np.zeros(50)])
-    assert_sum_is_fsum([[tiny]])
-    assert_sum_is_fsum([[tiny] * 7, subnormals, [0.0, smallest_normal]])
-    assert_sum_is_fsum([np.sort(np.concatenate([subnormals, [smallest_normal] * 3]))])
-    for x in (1.0, 0.1, tiny, smallest_normal - tiny, np.finfo(float).max):
-        assert_sum_is_fsum([[x]])
-    # ties round to even once, at the end: 1 + 2^-53 and 1 + 2^-53 + 2^-106
-    assert exact_sum([[1.0, 2.0 ** -53]]) == 1.0
-    assert exact_sum([[1.0, 2.0 ** -53], [2.0 ** -106]]) == 1.0 + 2.0 ** -52
-
-
-def test_exact_sum_of_empty_blocks():
-    assert exact_sum([]) == 0.0
-    assert exact_sum([np.zeros(0), []]) == 0.0
-    assert_sum_is_fsum([[], [0.5, 0.25], np.zeros(0), [3.0], []])
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_exact_sum_is_fsum_over_the_whole_exponent_range(seed):
-    # every exponent field from subnormal to 2040 (sums stay finite)
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2041 << 52, size=30)
-    bits[:2] = [0, (2041 << 52) - 1]
-    assert_sum_is_fsum(random_blocks(rng, bits.view(np.float64)))
-
-
-@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
-                max_size=60), st.integers(1, 61))
-@settings(max_examples=200, deadline=None)
-def test_exact_sum_is_fsum_or_both_overflow(terms, step):
-    terms = np.abs(np.array(terms, dtype=float))  # +0.0 for a drawn -0.0
-    blocks = [terms[i : i + step] for i in range(0, len(terms), step)]
-    try:
-        want = math.fsum(terms.tolist())
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            exact_sum(blocks)
-        return
-    assert exact_sum(blocks).hex() == want.hex()
-
-
-def test_exact_sum_of_the_power_terms_at_odd_block_sizes():
-    terms = sigma_values(SequenceSetSpec("power", 2, 1.0), 10 ** 6) ** 2
-    want = math.fsum(terms.tolist())
-    for step in (997, 8191, 123457, 10 ** 6):
-        blocks = (terms[i : i + step] for i in range(0, len(terms), step))
-        assert exact_sum(blocks) == want
-
-
-def test_exact_sum_of_a_block_longer_than_a_slice():
-    # one run of equal fields across the slice edge, then runs of every size
-    rng = np.random.default_rng(3)
-    size = (1 << 20) + 3
-    assert_sum_is_fsum([1.0 + rng.random(size)])
-    assert_sum_is_fsum([np.sort(rng.random(size) * 2.0 ** rng.integers(-60, 60, size=size))])
-
-
-@pytest.mark.parametrize("bad", [-1.0, -5e-324, math.inf, math.nan])
-def test_exact_sum_refuses_negative_and_non_finite_terms(bad):
-    with pytest.raises(PreconditionError, match="nonnegative finite"):
-        exact_sum([[1.0, 2.0], [0.5, bad, 0.25]])

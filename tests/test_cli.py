@@ -877,10 +877,10 @@ _GOLDEN = {
         "5bc1a8d7ae9ca42e500a90e6e9378321f96957f78968bbfff9c6c867815a58e2"),
     "case-study-log-sequence-witness": (
         _study("log-sequence"),
-        "ec8badb9131efca56613255462294863f106714280bedf41085f9d65c4d71994"),
+        "f6bdc03823906bdb231ebe38627ec551833cc2da54db5a27a103deb72df6840c"),
     "case-study-power-sequence-witness": (
         _study("power-sequence"),
-        "96503a7bf71e32bc511755c86120ddd2201672f5a3e2dee4342cc4185fb74b58"),
+        "84335a504a4fd49f19a7b3fc722ec8bf74109bdd9839ba9db8de887057c40817"),
     "case-study-transport-witness": (
         _study("transport"),
         "f4f31cd4a00975f393b25152017f250c9e38bcaa04bddf9bbb18f2c2331037e1"),
@@ -895,7 +895,7 @@ _GOLDEN = {
         "0ea38ad3f986007e664df02fd206c2bda4d136dfdc245c62e8b1d654417cc283"),
     "audit-all-seed7": (
         {"command": "audit-all", "seed": 7},
-        "b2a367a37b9ad56fb34da91986934f6343a269fe924600e33c0082534782e817"),
+        "4f38e094d933e340e91194de596acab7bb2ce6b7ae74584a5d2816119d11a972"),
     # each moves if its study's default truncation (256, 64) or grid (1024) moves
     "entropy-power-sequence-c05-witness": (
         {"command": "entropy", "seed": 0,

@@ -29,6 +29,7 @@ from lipwidth.case_studies import (
     octahedron_set,
 )
 from lipwidth.spaces import DENSE_LIMIT, PreconditionError
+from lipwidth import widths
 from lipwidth.widths import best_coordinate_subspace, default_eps_grid
 from oracles import sequence_dense_points
 
@@ -181,6 +182,22 @@ def test_kolmogorov_zero_inside_subspace():
     assert cert.value <= 1e-12
     comp = kolmogorov_comparison(ps, cert, basis, coeffs)
     assert comp.value <= 1e-9
+
+
+def test_coordinate_residuals_are_distances_to_the_projection():
+    # the residual against an orthonormal basis of the axes from QR, and the
+    # duplicate or negative axes kolmogorov_upper folds into distinct ones
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(30, 6))
+    for axes in ([], [2], [4, 0, 5], [1, 1, -1]):
+        q, r = np.linalg.qr(np.eye(6)[axes].T.reshape(6, -1))
+        q = q.T[np.abs(np.diag(r)) > 1e-12]
+        want = np.linalg.norm(pts - (pts @ q.T) @ q, axis=1)
+        assert np.allclose(widths.coordinate_residuals(pts, axes), want, rtol=0, atol=1e-12)
+    cert, basis, coeffs = kolmogorov_upper(PointSet(lp_space(6, 2), pts), [1, 1, -1])
+    assert cert.n == 2 and cert.witness["axes"] == [1, 1, -1]
+    assert np.array_equal(basis, np.eye(6)[[1, 5]]) and np.array_equal(coeffs, pts[:, [1, 5]])
+    assert cert.value == widths.coordinate_residuals(pts, [1, 5]).max()
 
 
 def test_kolmogorov_requires_l2():

@@ -2,15 +2,19 @@
 
 The recheck table (``cli.RECHECKS``) is keyed by the witness kind, else the
 quantity.  Every key a command emits must have an entry, every real
-certificate must pass its recheck, and a tampered one must fail it.
+certificate must pass its recheck, and a tampered one must fail it.  A
+producer patched to overclaim must fail too, so a recheck cannot simply call
+its producer again.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
-from lipwidth import cli
+import lipwidth
+from lipwidth import case_studies, cli, widths
 
 _POINTS = {"kind": "points", "space": {"dim": 2, "norm": {"kind": "l2"}},
            "points": np.random.default_rng(3).uniform(-1, 1, size=(18, 2)).tolist()}
@@ -178,6 +182,8 @@ _EXTRA = [
         lambda cert, fset: cert["witness"]["upper"]["centers"][:-1]), "center-dropped"),
     ("inner_entropy", "entropy-transport", _lower_points(
         lambda points: [points[0], points[0] + 1, *points[2:]]), "point-moved"),
+    # fewer dimensions claimed than the recorded cells span
+    ("piecewise-constant-cells", "kolmogorov-transport", _shift("n", -1), "n-below-cells"),
     # the basis cloud's own witnesses hold at both ends of each bracket
     ("basis_threshold", "case-study-orthonormal-basis", _basis_bracket(0, 1.01), "lower"),
     ("basis_threshold", "case-study-orthonormal-basis", _basis_bracket(1, 0.99), "upper"),
@@ -215,3 +221,52 @@ def test_tampered_certificate_fails_its_recheck(reports, key, run, tamper):
     tamper(bad, fset)
     assert bad != cert
     assert not cli.recheck(bad, fset)
+
+
+# --- mutation gates: a producer that overclaims fails its own recheck ---------
+
+
+def _value_times(factor):
+    def mutate(produce):
+        def mutant(*args):
+            cert, *rest = produce(*args)
+            return (dataclasses.replace(cert, value=factor * cert.value), *rest)
+        return mutant
+    return mutate
+
+
+def _regime_flipped(produce):
+    def mutant(*args, **kwargs):
+        report = produce(*args, **kwargs)
+        return dict(report, regime_certified=not report["regime_certified"])
+    return mutant
+
+
+# producer -> (run, mutation): each mutant claims more than its set allows;
+# the basis cloud at m = 3, gamma = 1e6 is outside the regime, so the
+# flipped flag claims a threshold that does not hold
+_MUTANTS = {
+    "kolmogorov_upper": (("kolmogorov", _POINTS, {"n": 1, "subspace_axes": [1]}),
+                         _value_times(0.9)),
+    "best_coordinate_subspace": (_RUNS["case-study-cross-polytope"], _value_times(0.9)),
+    "transport_kolmogorov_upper": (_RUNS["kolmogorov-transport"], _value_times(0.9)),
+    "orthonormal_basis_report": (("case-study", {"kind": "case-study",
+                                                 "name": "orthonormal-basis"},
+                                  {"m": 3, "gamma": 1e6, "s": 1}), _regime_flipped),
+}
+
+
+@pytest.mark.parametrize("producer", list(_MUTANTS))
+def test_overclaiming_producer_fails_verify_witness(monkeypatch, producer):
+    (command, target, params), mutate = _MUTANTS[producer]
+    mutant = mutate(getattr(case_studies, producer))
+    for module in (lipwidth, widths, case_studies, cli):
+        if hasattr(module, producer):
+            monkeypatch.setattr(module, producer, mutant)
+    if producer == "transport_kolmogorov_upper":  # the kolmogorov command's projector
+        monkeypatch.setitem(cli._CASES, "transport",
+                            dataclasses.replace(cli._CASES["transport"], kolmogorov=mutant))
+    report = cli.run({"command": command, "seed": 1, "target": target, "params": params,
+                      "verify_witness": True})
+    witness = [a["passed"] for a in report["audits"] if a["name"].startswith("witness-")]
+    assert witness and not all(witness) and not report["passed"]
