@@ -246,8 +246,7 @@ def _regime_flipped(produce):
 # the basis cloud at m = 3, gamma = 1e6 is outside the regime, so the
 # flipped flag claims a threshold that does not hold
 _MUTANTS = {
-    "kolmogorov_upper": (("kolmogorov", _POINTS, {"n": 1, "subspace_axes": [1]}),
-                         _value_times(0.9)),
+    "kolmogorov_upper": (_RUNS["kolmogorov"], _value_times(0.9)),
     "best_coordinate_subspace": (_RUNS["case-study-cross-polytope"], _value_times(0.9)),
     "transport_kolmogorov_upper": (_RUNS["kolmogorov-transport"], _value_times(0.9)),
     "orthonormal_basis_report": (("case-study", {"kind": "case-study",
