@@ -231,20 +231,24 @@ def sequence_width_upper(spec_generator: str, gamma: float, n: int,
 
 
 def recheck_dyadic_bump_map(cert: dict, fset=None) -> bool:
-    """The volume condition holds again at the recorded inputs, value >= sigma_N,
-    the materialised bumps' levels fit (:func:`allocate_dyadic_cubes` raises
-    otherwise), and their declared constant equals the recorded one and is at
-    most gamma.  No cube is placed: aligned dyadic cubes with nonincreasing
-    sides, placed in Z-order, are disjoint and inside [-1, 1]^n when the
-    Morton offset fits ``cap``, and the allocation checks that exactly."""
+    """The recorded volume bound and sigma_N equal their closed forms at the
+    recorded inputs, the condition holds, value >= sigma_N, the materialised
+    bumps' runs fit (:func:`allocate_dyadic_cubes` raises otherwise), and
+    their declared constant equals the recorded one and is at most gamma.
+    No cube is placed: aligned dyadic cubes with nonincreasing sides, placed
+    in Z-order, are disjoint and inside [-1, 1]^n when the Morton offset fits
+    ``cap``, and the allocation checks that exactly."""
     w = cert["witness"]
     spec = SequenceSetSpec(w["generator"], 2, w["c"])
     gamma, n = cert["gamma"], cert["n"]
-    if not (volume_condition(spec, gamma, n, w["total_terms"]).holds
-            and cert["value"] >= sigma_at(spec, w["total_terms"])):
+    cond = volume_condition(spec, gamma, n, w["total_terms"])
+    sigma_n = sigma_at(spec, w["total_terms"])
+    closed_form = {"method": cond.method, "lhs_upper": cond.lhs_upper, "rhs_log2": cond.rhs_log2}
+    if not (cond.holds and w["volume_condition"] == closed_form
+            and w["sigma_at_total"] == sigma_n and cert["value"] >= sigma_n):
         return False
     sig = sigma_values(spec, w["materialized"])
-    declared = SequenceBumpSum(allocate_dyadic_cubes(n, bump_levels(sig, gamma)),
+    declared = SequenceBumpSum(allocate_dyadic_cubes(n, *bump_levels(sig, gamma)),
                                sig).declared_lipschitz()
     return declared == w["declared_constant"] and declared <= gamma * (1.0 + REL_TOL)
 

@@ -21,6 +21,7 @@ with the tests (``tests/oracles.py``).
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -201,32 +202,31 @@ def build_entropy_map(targets, k: int, n: int, target_space: NormedSpace) -> Bum
 
 
 class CubeAllocation:
-    """Disjoint dyadic cubes inside [-1, 1]^dim, kept as their levels.
+    """Disjoint dyadic cubes inside [-1, 1]^dim, kept as their runs of equal level.
 
-    Cube j has side 2**-levels[j] and the Z-order place that
-    :func:`allocate_dyadic_cubes` gives it; ``count`` and a bump map's
-    declared constant need only the levels.
+    Run k holds ``counts[k]`` cubes of side 2**-levels[k], levels strictly
+    ascending, in the Z-order places that :func:`allocate_dyadic_cubes` gives
+    them; ``count`` and a bump map's declared constant need only the runs.
     """
 
-    def __init__(self, dim: int, levels: np.ndarray):
+    def __init__(self, dim: int, levels: np.ndarray, counts: np.ndarray):
         self.dim = dim
         self.levels = levels
+        self.counts = counts
 
     @property
     def count(self) -> int:
-        return len(self.levels)
+        return int(self.counts.sum())
 
 
-def _zorder_runs(dim: int, levels: np.ndarray) -> tuple:
-    """One (level, count, Morton offset of its first cube) per distinct ascending
-    level, by ``searchsorted``; then the offset past the last cube, and its level."""
-    runs, offset, prev, pos = [], 0, 0, 0
-    while pos < len(levels):
-        l = int(levels[pos])
-        c = int(np.searchsorted(levels, l, side="right")) - pos
+def _zorder_runs(dim: int, levels: np.ndarray, counts: np.ndarray) -> tuple:
+    """One (level, count, Morton offset of its first cube) per run; then the
+    offset past the last cube, and its level."""
+    runs, offset, prev = [], 0, 0
+    for l, c in zip(levels.tolist(), counts.tolist()):
         offset <<= dim * (l - prev)
         runs.append((l, c, offset))
-        offset, prev, pos = offset + c, l, pos + c
+        offset, prev = offset + c, l
     return runs, offset, prev
 
 
@@ -236,11 +236,21 @@ def _any_step(values: np.ndarray, op) -> bool:
                for lo, hi in row_spans(len(values) - 1, 8))
 
 
-def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
+def _integers(values, name: str) -> np.ndarray:
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" and not np.all(
+            np.isfinite(values) & (values == np.floor(values))):
+        raise PreconditionError(f"{name} must be integers")
+    return values.astype(np.int64, copy=False)
+
+
+def allocate_dyadic_cubes(dim: int, levels: Sequence[int],
+                          counts: Sequence[int]) -> CubeAllocation:
     """Disjoint dyadic cubes with sides 2**-level, placed in Z-order.
 
-    Levels must be nondecreasing nonnegative integers whose total volume
-    fits in [-1, 1]^dim.  Cube j takes the next block of the Z-order
+    The cubes come as runs: ``counts[k]`` cubes at ``levels[k]``, levels
+    strictly ascending nonnegative integers, counts positive, whose total
+    volume fits in [-1, 1]^dim.  Cube j takes the next block of the Z-order
     (Morton) curve through the level-l_j cells: it starts at offset
     sum_{i<j} 2**(dim*(l_j - l_i)).  The lemma: aligned dyadic cubes with
     nonincreasing sides, placed in Z-order, are disjoint and inside
@@ -249,19 +259,19 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
     another; at the finest level the offset past the last cube over
     ``cap = 2**(dim*(l_max+1))`` is sum_j 2**(-dim*l_j) / 2**dim exactly, so
     it fits exactly when the volumes do (the Kraft inequality).  That is
-    checked here in integers, and only the levels are kept: no cube's cell
-    is ever made.
+    checked here in integers, one run at a time, and only the runs are kept:
+    no cube's cell is ever made.
     """
-    levels = np.asarray(levels)
-    if levels.dtype.kind not in "iu" and not np.all(
-            np.isfinite(levels) & (levels == np.floor(levels))):
-        raise PreconditionError("levels must be integers")
-    levels = levels.astype(np.int64, copy=False)
+    levels, counts = _integers(levels, "levels"), _integers(counts, "counts")
+    if levels.shape != counts.shape or levels.ndim != 1:
+        raise PreconditionError("one count per level required")
     if levels.min(initial=0) < 0:
         raise PreconditionError("levels must be nonnegative")
-    if _any_step(levels, np.greater):
-        raise PreconditionError("levels must be ascending (sides nonincreasing)")
-    offset, top = _zorder_runs(dim, levels)[1:]
+    if np.any(levels[1:] <= levels[:-1]):
+        raise PreconditionError("levels must be strictly ascending (sides decreasing)")
+    if counts.min(initial=1) < 1:
+        raise PreconditionError("counts must be positive")
+    offset, top = _zorder_runs(dim, levels, counts)[1:]
     cap = 1 << (dim * (top + 1))
     if offset > cap:
         frac = math.exp(math.log(offset) - math.log(cap))
@@ -269,7 +279,7 @@ def allocate_dyadic_cubes(dim: int, levels: Sequence[int]) -> CubeAllocation:
             f"volume condition violated: sum 2^(-dim*level) exceeds 2^dim "
             f"(ratio {frac})"
         )
-    return CubeAllocation(dim=dim, levels=levels)
+    return CubeAllocation(dim=dim, levels=levels, counts=counts)
 
 
 class SequenceBumpSum:
@@ -281,9 +291,11 @@ class SequenceBumpSum:
     :func:`allocate_dyadic_cubes` (aligned dyadic cubes with nonincreasing
     sides, placed in Z-order, are disjoint and inside [-1, 1]^dim when the
     Morton offset fits ``cap``), so the map sends c_j to sigma_j e_j and its
-    declared constant is max_j sigma_j / r_j.  Certificates and rechecks read
-    the levels, the amplitudes and that constant; they never place a cube or
-    evaluate the map.
+    declared constant is max_j sigma_j / r_j.  The amplitudes are
+    nonincreasing (:func:`bump_levels` checks it), so that maximum is taken
+    at the first bump of some run.  Certificates and rechecks read the runs,
+    the amplitudes and that constant; they never place a cube or evaluate
+    the map.
     """
 
     def __init__(self, alloc: CubeAllocation, sigmas):
@@ -293,33 +305,46 @@ class SequenceBumpSum:
             raise ValueError("one amplitude per cube required")
 
     def declared_lipschitz(self) -> float:
-        """max_j sigma_j / r_j = sigma_j 2**(l_j + 1), exactly, a block at a time."""
-        return float(np.max([np.ldexp(self.sigmas[lo:hi], self.alloc.levels[lo:hi] + 1).max()
-                             for lo, hi in row_spans(self.alloc.count, 8)]))
+        """max_j sigma_j / r_j = sigma_j 2**(l_j + 1), exactly: within a run the
+        amplitudes do not increase, so each run's largest is its first."""
+        firsts = np.cumsum(self.alloc.counts) - self.alloc.counts
+        return float(np.ldexp(self.sigmas[firsts], self.alloc.levels + 1).max())
 
 
-def bump_levels(sigmas, gamma: float) -> np.ndarray:
-    """Levels l_j with 2**(-l_j - 1) < 2 sigma_j / gamma <= 2**(-l_j), made a
-    block of amplitudes at a time."""
+def bump_levels(sigmas, gamma: float) -> tuple:
+    """Runs ``(levels, counts)`` of the levels l_j with
+    2**(-l_j - 1) < 2 sigma_j / gamma <= 2**(-l_j), for positive nonincreasing
+    amplitudes.  2 sigma_j / gamma does not increase in j (rounding is
+    monotone), and its level is at least l exactly when it is at most
+    2**-l, so each run ends where a binary search over the amplitudes first
+    finds that scalar at most 2**-(l + 1).  No array of the amplitudes'
+    length is made."""
     sig = np.asarray(sigmas, dtype=float)
-    if np.fmin.reduce(sig, initial=np.inf) <= 0:  # np.any(sig <= 0) without a mask
+    if not np.min(sig, initial=np.inf) > 0:  # no mask; a NaN fails too
         raise PreconditionError("amplitudes must be positive")
-    levels = np.empty(sig.shape, dtype=np.int64)
-    for lo, hi in row_spans(sig.size, 8):
-        x = 2.0 * sig[lo:hi] / gamma
-        if np.any(x > 1.0 + 1e-15):
-            raise PreconditionError("sigma_1 <= gamma/2 required")
+    if _any_step(sig, np.less):
+        raise PreconditionError("amplitudes must be nonincreasing")
+    if sig.size and 2.0 * sig[0] / gamma > 1.0 + 1e-15:
+        raise PreconditionError("sigma_1 <= gamma/2 required")
+    if sig.size and not 2.0 * sig[-1] / gamma > 0.0:
+        raise PreconditionError("2 sigma_j / gamma underflows to 0")
+    levels, ends = [], [0]
+    while ends[-1] < sig.size:
         # x = mant * 2**exp with mant in [0.5, 1): x is 2**(exp-1) exactly when
         # mant == 0.5, and lies strictly inside (2**(exp-1), 2**exp) otherwise
-        mant, exp = np.frexp(np.minimum(x, 1.0, out=x))
-        np.maximum(-exp.astype(np.int64) + (mant == 0.5), 0, out=levels[lo:hi])
-    return levels
+        mant, exp = math.frexp(min(2.0 * sig[ends[-1]] / gamma, 1.0))
+        levels.append((mant == 0.5) - exp)
+        below = 2.0 ** -(levels[-1] + 1)
+        ends.append(bisect.bisect_left(sig, True, ends[-1] + 1, sig.size,
+                                       key=lambda s: 2.0 * s / gamma <= below))
+    return np.array(levels, dtype=np.int64), np.diff(ends).astype(np.int64)
 
 
 def build_sequence_bump_map(sigmas, gamma: float, dim: int) -> SequenceBumpSum:
     """Dyadic-cube bump sum approximating a coordinate-sequence set.
 
-    ``sigmas`` are the materialised amplitudes, a prefix of the sequence.
+    ``sigmas`` are the materialised amplitudes, a prefix of the sequence;
+    :func:`bump_levels` checks that they are positive and nonincreasing.
     The volume condition of the whole sequence is the caller's to certify
     (``case_studies.volume_condition``); the prefix's cubes must fit, or
     :func:`allocate_dyadic_cubes` raises.
@@ -327,11 +352,9 @@ def build_sequence_bump_map(sigmas, gamma: float, dim: int) -> SequenceBumpSum:
     sig = np.asarray(sigmas, dtype=float)
     if sig.size == 0:
         raise PreconditionError("empty amplitude prefix")
-    if _any_step(sig, np.less):
-        raise PreconditionError("amplitudes must be nonincreasing")
     if sig[0] > gamma / 2.0 + 1e-15:
         raise PreconditionError(f"sigma_1 = {sig[0]} exceeds gamma/2 = {gamma / 2.0}")
-    bmap = SequenceBumpSum(allocate_dyadic_cubes(dim, bump_levels(sig, gamma)), sig)
+    bmap = SequenceBumpSum(allocate_dyadic_cubes(dim, *bump_levels(sig, gamma)), sig)
     if bmap.declared_lipschitz() > gamma * (1.0 + REL_TOL):
         raise BoundViolation("declared constant exceeds requested gamma")
     return bmap

@@ -117,6 +117,19 @@ def closed_form_constant(cfg, j: int) -> int:
     return W ** j * (d + 1) + j * (d + 2) * W ** j + sum(W ** k for k in range(j))
 
 
+def level_runs(levels) -> tuple:
+    """(levels, counts) of the runs of equal consecutive entries of a per-cube
+    level list, in its order, so an unsorted list keeps its descents."""
+    levels = np.asarray(levels)
+    starts = np.flatnonzero(np.diff(levels, prepend=np.nan))
+    return levels[starts], np.diff(starts, append=levels.size)
+
+
+def cube_levels(alloc) -> np.ndarray:
+    """One level per cube of an allocation, its runs expanded."""
+    return np.repeat(alloc.levels, alloc.counts)
+
+
 def zorder_cells(alloc) -> np.ndarray:
     """The cells of an allocation's cubes, from Python ints: the i-th cube of a
     level's run has Morton code start + i there (``lipmaps._zorder_runs``), and
@@ -125,7 +138,7 @@ def zorder_cells(alloc) -> np.ndarray:
     from lipwidth.lipmaps import _zorder_runs
 
     dim, cells = alloc.dim, []
-    for l, count, start in _zorder_runs(dim, alloc.levels)[0]:
+    for l, count, start in _zorder_runs(dim, alloc.levels, alloc.counts)[0]:
         cells += [[sum(((code >> (b * dim + dim - 1 - a)) & 1) << b for b in range(l + 1))
                    for a in range(dim)] for code in range(start, start + count)]
     return np.array(cells, dtype=np.int64).reshape(-1, dim)
@@ -171,7 +184,7 @@ def sequence_images(bmap, ys) -> np.ndarray:
     sigma_j (1 - |y - c_j|_inf / r_j)_+, c_j and r_j the centre and half side
     of cube j from its level and ``zorder_cells``; every cone is summed, none
     looked up."""
-    side = 2.0 ** -bmap.alloc.levels.astype(float)
+    side = 2.0 ** -cube_levels(bmap.alloc).astype(float)
     centers = -1.0 + (zorder_cells(bmap.alloc) + 0.5) * side[:, None]
     gap = np.abs(ys[:, None, :] - centers).max(axis=2)
     return bmap.sigmas * np.maximum(0.0, 1.0 - gap / (side / 2))

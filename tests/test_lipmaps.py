@@ -8,6 +8,7 @@ from lipwidth import (
     AffineBallMap,
     BoundViolation,
     PiecewiseLinearPath,
+    SequenceBumpSum,
     allocate_dyadic_cubes,
     build_entropy_map,
     build_path_map,
@@ -16,7 +17,8 @@ from lipwidth import (
 )
 from lipwidth.lipmaps import bump_levels, grid_centers
 from lipwidth.spaces import PreconditionError
-from oracles import (audit_cells_python, empirical_lipschitz, greedy_cells, sample_domain,
+from oracles import (audit_cells_python, bump_levels_reference, cube_levels,
+                     empirical_lipschitz, greedy_cells, level_runs, sample_domain,
                      sequence_images, zorder_cells)
 
 L2 = lp_space(3, 2)
@@ -185,17 +187,17 @@ def test_grid_cell_matches_center_order():
 
 
 def check_kraft(dim, levels) -> bool:
-    """Whether ``allocate_dyadic_cubes`` accepts the levels, asserting that it
-    does exactly when their Kraft sum, sum 2**(-dim*l) in exact fractions, is
-    at most 2**dim, and that an accepted list's Z-order cells pass the exact
-    audit and are the greedy allocator's."""
+    """Whether ``allocate_dyadic_cubes`` accepts the per-cube levels as their
+    runs, asserting that it does exactly when their Kraft sum, sum 2**(-dim*l)
+    in exact fractions, is at most 2**dim, and that an accepted list's Z-order
+    cells pass the exact audit and are the greedy allocator's."""
     fits = sum(Fraction(1, 1 << (dim * l)) for l in levels) <= 2 ** dim
     try:
-        alloc = allocate_dyadic_cubes(dim, levels)
+        alloc = allocate_dyadic_cubes(dim, *level_runs(levels))
     except PreconditionError as err:
         assert not fits and "volume" in str(err)
         return False
-    assert fits
+    assert fits and alloc.count == len(levels)
     cells = zorder_cells(alloc)
     assert audit_cells_python(levels, cells)
     assert np.array_equal(cells, greedy_cells(dim, levels))
@@ -204,24 +206,40 @@ def check_kraft(dim, levels) -> bool:
 
 def test_allocate_line_tiling():
     assert check_kraft(1, [1, 1, 1, 1])
-    corners = -1.0 + 0.5 * zorder_cells(allocate_dyadic_cubes(1, [1, 1, 1, 1]))
+    corners = -1.0 + 0.5 * zorder_cells(allocate_dyadic_cubes(1, [1], [4]))
     assert corners[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5]
 
 
 def test_allocate_mixed_levels_disjoint():
-    assert allocate_dyadic_cubes(2, [0, 1, 1, 1, 1]).count == 5
+    assert allocate_dyadic_cubes(2, [0, 1], [1, 4]).count == 5
     assert check_kraft(2, [0, 1, 1, 1, 1])
 
 
 def test_allocate_volume_violation_message():
     with pytest.raises(PreconditionError) as err:
-        allocate_dyadic_cubes(1, [0] * 5)  # five unit cubes exceed length 2
+        allocate_dyadic_cubes(1, [0], [5])  # five unit cubes exceed length 2
     assert "volume" in str(err.value)
 
 
 def test_allocate_levels_must_ascend():
-    with pytest.raises(PreconditionError):
-        allocate_dyadic_cubes(1, [2, 1])
+    for levels, counts in (([2, 1], [1, 1]), ([1, 1], [1, 1])):
+        with pytest.raises(PreconditionError, match="ascending"):
+            allocate_dyadic_cubes(1, levels, counts)
+    for counts in ([1, 0], [2, -1]):
+        with pytest.raises(PreconditionError, match="counts must be positive"):
+            allocate_dyadic_cubes(1, [1, 2], counts)
+    with pytest.raises(PreconditionError, match="integers"):
+        allocate_dyadic_cubes(1, [1, 2], [1.5, 1])
+    with pytest.raises(PreconditionError, match="one count per level"):
+        allocate_dyadic_cubes(1, [1, 2], [1])
+
+
+def test_allocate_runs_too_long_to_place():
+    # 2**62 level-30 cubes fill [-1, 1]^2 exactly, one more does not fit; no
+    # cube is made
+    assert allocate_dyadic_cubes(2, [30], [1 << 62]).count == 1 << 62
+    with pytest.raises(PreconditionError, match="volume"):
+        allocate_dyadic_cubes(2, [30], [(1 << 62) + 1])
 
 
 @given(st.integers(0, 10 ** 6))
@@ -253,7 +271,7 @@ def test_allocate_fully_packed(dim):
 def test_allocate_codes_wider_than_63_bits():
     # log-decay levels reach level 4 in dim 13: Morton codes of 13 * 5 = 65 bits
     j = np.arange(1, 2001, dtype=float)
-    levels = bump_levels(1.0 / np.log2(j + 1.0), 3.0).tolist()
+    levels = np.repeat(*bump_levels(1.0 / np.log2(j + 1.0), 3.0)).tolist()
     assert 13 * (max(levels) + 1) > 63
     assert check_kraft(13, levels)
     # 2^13 unit cubes fill [-1, 1]^13; one level-4 cube more takes offset 2^65 + 1
@@ -262,11 +280,11 @@ def test_allocate_codes_wider_than_63_bits():
 
 def test_allocate_refuses_non_integer_levels():
     with pytest.raises(PreconditionError, match="integers"):
-        allocate_dyadic_cubes(1, [1.7, 1.2])
+        allocate_dyadic_cubes(1, [1.7, 1.2], [1, 1])
     with pytest.raises(PreconditionError, match="integers"):
-        allocate_dyadic_cubes(2, np.array([0.0, np.nan]))
-    # integral floats are levels
-    assert np.array_equal(zorder_cells(allocate_dyadic_cubes(1, [1.0, 1.0])), [[0], [1]])
+        allocate_dyadic_cubes(2, np.array([0.0, np.nan]), [1, 1])
+    # integral floats are levels and counts
+    assert np.array_equal(zorder_cells(allocate_dyadic_cubes(1, [1.0], [2.0])), [[0], [1]])
 
 
 BAD_ALLOCATIONS = {  # (levels, cells) in dim 2
@@ -285,19 +303,68 @@ def test_audit_rejects_bad_allocation(case):
 
 
 def test_bump_levels_bracket():
-    # exact powers of two, their float neighbours on either side, and x = 1
+    # exact powers of two, their float neighbours on either side, and x = 1,
+    # in nonincreasing order
     pows = 2.0 ** -np.arange(1, 80, dtype=float)
     edges = np.concatenate([pows, np.nextafter(pows, 0.0), np.nextafter(pows, 1.0),
                             [1.0, np.nextafter(1.0, 0.0)]])
-    sig = np.concatenate([[0.5, 0.25, 0.2, 0.125], edges])
-    lev = bump_levels(sig, 2.0)
+    sig = np.sort(np.concatenate([[0.5, 0.25, 0.2, 0.125], edges]))[::-1]
+    lev = np.repeat(*bump_levels(sig, 2.0))
     x = 2.0 * sig / 2.0
     for l, xi in zip(lev, x):
         assert 2.0 ** (-l - 1) < xi <= 2.0 ** (-l)
 
 
+def assert_runs_are_the_per_bump_rule(sig, gamma):
+    """``bump_levels``' runs are those of the per-bump rule, and the declared
+    constant from the runs' first bumps is the dense max_j sigma_j / r_j."""
+    want = bump_levels_reference(sig, gamma)
+    levels, counts = bump_levels(sig, gamma)
+    assert [levels.tolist(), counts.tolist()] == [a.tolist() for a in
+                                                   np.unique(want, return_counts=True)]
+    bmap = SequenceBumpSum(allocate_dyadic_cubes(64, levels, counts), sig)
+    radii = 0.5 * 2.0 ** -want.astype(float)
+    assert bmap.declared_lipschitz() == float((sig / radii).max())
+
+
+def edge_amplitudes(gamma, ls):
+    """Amplitudes whose x = 2 sigma / gamma is 2**-l exactly, one float either
+    side of it, 1, and just above 1/2."""
+    pows = gamma / 2.0 * 2.0 ** -np.asarray(ls, dtype=float)
+    return np.concatenate([pows, np.nextafter(pows, 0.0),
+                           np.minimum(np.nextafter(pows, np.inf), gamma / 2.0),
+                           [gamma / 2.0, np.nextafter(gamma / 4.0, np.inf)]])
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_run_search_matches_the_per_bump_rule(seed):
+    # random nonincreasing amplitudes: smooth decay, ties, and the edges
+    rng = np.random.default_rng(seed)
+    gamma = float(rng.choice([2.0, 2.5, 3.0, 4.0, 7.3]))
+    pool = np.concatenate([
+        gamma / 2.0 * rng.uniform(0.0, 1.0, 200) ** rng.uniform(1.0, 40.0),
+        edge_amplitudes(gamma, rng.integers(0, 60, 8)),
+    ])
+    pool = pool[pool > 0]
+    sig = np.sort(rng.choice(pool, int(rng.integers(1, 400))))[::-1]  # with ties
+    assert_runs_are_the_per_bump_rule(sig, gamma)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_run_search_edge_arrays(gamma):
+    edges = edge_amplitudes(gamma, range(0, 70))
+    for sig in (np.sort(edges)[::-1], edges[:1], np.full(7, edges[5]), [gamma / 2.0] * 3,
+                [np.nextafter(gamma / 4.0, np.inf)]):
+        assert_runs_are_the_per_bump_rule(np.asarray(sig), gamma)
+    assert [a.tolist() for a in bump_levels([0.25], 2.0)] == [[2], [1]]
+    # 2 sigma / gamma rounding to 0 has no level the search could find
+    with pytest.raises(PreconditionError, match="underflows"):
+        bump_levels([0.5, 5e-324], 10.0)
+
+
 def cube_centers(alloc):
-    return -1.0 + (zorder_cells(alloc) + 0.5) * 2.0 ** -alloc.levels[:, None].astype(float)
+    return -1.0 + (zorder_cells(alloc) + 0.5) * 2.0 ** -cube_levels(alloc)[:, None].astype(float)
 
 
 def test_sequence_bump_map_geometric():
@@ -332,10 +399,9 @@ def test_log_decay_levels_allocate_in_dim_6():
     j = np.arange(1, 1001, dtype=float)
     sig = 1.0 / np.log2(j + 1.0)
     assert float(np.sum(sig ** 6)) <= (3.0 / 2.0) ** 6
-    lev = bump_levels(sig, 3.0)
-    alloc = allocate_dyadic_cubes(6, lev.tolist())
+    alloc = allocate_dyadic_cubes(6, *bump_levels(sig, 3.0))
     assert alloc.count == 1000
-    assert audit_cells_python(alloc.levels, zorder_cells(alloc))
+    assert audit_cells_python(cube_levels(alloc), zorder_cells(alloc))
 
 
 def test_affine_ball_map_exact_gamma():

@@ -140,6 +140,12 @@ def _set_witness(field, value):
     return tamper
 
 
+def _edit_volume(edit):
+    def tamper(cert, fset):
+        edit(cert["witness"]["volume_condition"])
+    return tamper
+
+
 # key -> (run, tampering that must make the recheck fail)
 _TAMPER = {
     "inner_entropy": ("entropy", _scale("upper", 0.99)),
@@ -195,6 +201,19 @@ _EXTRA = [
     # still bounds sigma_N
     ("dyadic-bump-map", "case-study-log-sequence", _set_witness("total_terms", 2 ** 40),
      "total-terms"),
+]
+# the recorded volume bound and sigma_N are closed forms of (generator, c,
+# gamma, n, N), so a false record fails even where the condition still holds
+_EXTRA += [
+    (key, run, tamper, label) for run in ("case-study-log-sequence",
+                                               "case-study-power-sequence")
+    for key, tamper, label in (
+        ("dyadic-bump-map", _edit_volume(lambda v: v.update(lhs_upper=0.0, method="exact-sum")),
+         "lhs-upper"),
+        ("dyadic-bump-map", _edit_volume(lambda v: v.update(rhs_log2=v["rhs_log2"] + 1)),
+         "rhs-log2"),
+        ("dyadic-bump-map", _scale_witness("sigma_at_total", 0.5), "sigma-at-total"),
+    )
 ]
 
 
