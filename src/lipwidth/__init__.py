@@ -31,11 +31,9 @@ from .lipmaps import (
     BumpSum,
     CubeAllocation,
     LipschitzMap,
-    PiecewiseLinearPath,
     SequenceBumpSum,
     allocate_dyadic_cubes,
     build_entropy_map,
-    build_path_map,
     build_sequence_bump_map,
 )
 from .widths import (

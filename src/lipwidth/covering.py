@@ -6,7 +6,10 @@ The certified chain used throughout is
 
 for the maximal packing number P and the minimal inner covering number N.
 On small sets (<= N_EXACT points) the covering number is computed exactly
-by branch and bound; on larger sets every reported bound is witnessed:
+by branch and bound.  An entropy probe asks only whether 2**n balls cover,
+so it runs the search as a decision: the greedy cover answers when it fits,
+and otherwise the first cover found within 2**n, or a refutation, ends the
+search.  On larger sets every reported bound is witnessed:
 
   * upper bounds on N_eps by an explicit cover (a maximal packing is a
     cover of the same radius, so greedy maximality is already a witness);
@@ -207,82 +210,95 @@ def _cover_masks(fset: FiniteSet, eps: float) -> list[int]:
     return (inside @ (1 << np.arange(fset.size, dtype=np.int64))).tolist()
 
 
-def _witness_lower_bound(uncovered: int, comask: list[int]) -> int:
-    """Greedy count of uncovered elements pairwise not co-coverable."""
+def _witness_lower_bound(uncovered: int, comask: list[int], order: list[int]) -> int:
+    """Greedy count of uncovered elements pairwise not co-coverable, taken in
+    ``order``: each one taken drops every element that shares a set with it,
+    so any order gives a valid bound."""
     count = 0
-    rest = uncovered
-    while rest:
-        e = (rest & -rest).bit_length() - 1
-        count += 1
-        rest &= ~comask[e]
+    for e in order:
+        if not uncovered:
+            break
+        if uncovered >> e & 1:
+            count += 1
+            uncovered &= ~comask[e]
     return count
 
 
-def exact_min_cover(masks: list[int], m: int, limit: Optional[int] = None):
-    """Minimum set cover of {0..m-1} by the given coverage masks.
+def _greedy_cover(masks: list[int], m: int, most: int) -> Optional[list[int]]:
+    """The greedy cover of {0..m-1}: most fresh points, lowest index on ties;
+    None once it needs more than ``most`` sets."""
+    chosen = []
+    rest = (1 << m) - 1
+    while rest:
+        if len(chosen) == most:
+            return None
+        gains = [(mask & rest).bit_count() for mask in masks]
+        best = max(gains)
+        if not best:
+            raise PreconditionError("a point is covered by no ball (eps too small?)")
+        chosen.append(gains.index(best))  # the first maximum
+        rest &= ~masks[chosen[-1]]
+    return chosen
 
-    Returns (size, centers) or None when ``limit`` is set and every cover
-    needs more than ``limit`` sets.  Deterministic branch and bound: the
-    branching element is the uncovered point with fewest covering centers,
-    candidate centers are ordered by fresh coverage (ties by index).
+
+def exact_min_cover(masks: list[int], m: int, limit: Optional[int] = None):
+    """Minimum set cover of {0..m-1} by the given coverage masks, or, with a
+    ``limit``, a decision: is there a cover by at most ``limit`` sets?
+
+    Returns (size, centers), centers sorted.  With ``limit`` the answer is
+    None when every cover needs more than ``limit`` sets, and otherwise the
+    first cover found: the greedy cover when it fits, else the first one the
+    search reaches, which need not be minimum.  Without ``limit`` it is the
+    minimum cover that the deterministic branch and bound reaches first,
+    starting from the greedy cover: the branching element is the uncovered
+    point with fewest covering centers, candidate centers are ordered by
+    fresh coverage (ties by index).
     """
+    chosen = _greedy_cover(masks, m, m if limit is None else limit)
+    if chosen is not None:
+        best_size, best_sol = len(chosen), tuple(sorted(chosen))
+        if limit is not None:
+            return best_size, best_sol
     full = (1 << m) - 1
     coverers: list[list[int]] = [[] for _ in range(m)]
+    comask = [0] * m  # the elements that share a set with each element
     for c, mask in enumerate(masks):
         w = mask
         while w:
-            e = (w & -w).bit_length() - 1
+            low = w & -w
+            e = low.bit_length() - 1
             coverers[e].append(c)
-            w &= w - 1
+            comask[e] |= mask
+            w ^= low
     if any(not cov for cov in coverers):
         raise PreconditionError("a point is covered by no ball (eps too small?)")
-    comask = [0] * m
-    for e in range(m):
-        acc = 0
-        for c in coverers[e]:
-            acc |= masks[c]
-        comask[e] = acc
     # every coverer of an uncovered element covers it, so an element's degree
     # among the useful centers is its full coverer count
-    branch_order = sorted(range(m), key=lambda e: (len(coverers[e]), e))
+    branch_order = sorted(range(m), key=lambda e: len(coverers[e]))  # stable: ties by index
+    cap = best_size if limit is None else limit + 1
 
-    # Greedy upper bound (max fresh coverage, lowest index on ties).
-    chosen = []
-    rest = full
-    while rest:
-        best_c, best_gain = -1, -1
-        for c in range(m):
-            gain = (masks[c] & rest).bit_count()
-            if gain > best_gain:
-                best_c, best_gain = c, gain
-        chosen.append(best_c)
-        rest &= ~masks[best_c]
-    best_size = len(chosen)
-    best_sol = tuple(sorted(chosen))
-    cap = best_size if limit is None else min(best_size, limit + 1)
-
-    def dfs(uncovered: int, picked: list[int]):
+    def dfs(uncovered: int, picked: list[int]) -> bool:
+        """True once a cover within ``limit`` is found; without a limit the
+        search runs on, keeping each cover below ``cap`` that it reaches."""
         nonlocal best_size, best_sol, cap
         if uncovered == 0:
-            if len(picked) < cap:
-                best_size = len(picked)
-                best_sol = tuple(sorted(picked))
-                cap = min(cap, best_size)
-            return
-        if len(picked) + _witness_lower_bound(uncovered, comask) >= cap:
-            return
+            if len(picked) >= cap:  # a sibling lowered the cap
+                return False
+            best_size = cap = len(picked)
+            best_sol = tuple(sorted(picked))
+            return limit is not None
+        if len(picked) + _witness_lower_bound(uncovered, comask, branch_order) >= cap:
+            return False
         branch_e = next(e for e in branch_order if uncovered >> e & 1)
-        cands = sorted(
-            (c for c in coverers[branch_e]),
-            key=lambda c: (-(masks[c] & uncovered).bit_count(), c),
-        )
-        for c in cands:
+        # coverers ascend, and the sort is stable: ties by index
+        for c in sorted(coverers[branch_e], key=lambda c: -(masks[c] & uncovered).bit_count()):
             picked.append(c)
-            dfs(uncovered & ~masks[c], picked)
+            if dfs(uncovered & ~masks[c], picked):
+                return True
             picked.pop()
+        return False
 
-    dfs(full, [])
-    if limit is not None and best_size > limit:
+    if not dfs(full, []) and limit is not None:
         return None
     return best_size, best_sol
 
@@ -377,10 +393,14 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     that cover is its witness.  ``lower`` is r_j where a lower bound on the
     covering number at r_{j-1} exceeded 2**n: the covering number is constant
     on [r_{j-1}, r_j), so no smaller radius has such a cover.  Sets of at most
-    N_EXACT points decide both with the exact cover, and lower == upper.  A
-    point cloud of more than DENSE_LIMIT points, or with no positive
-    distance, gets the farthest-first bracket of ``_traversal_bracket``
-    instead, from 2**n + 1 distance rows and without the matrix.
+    N_EXACT points decide both with the exact cover, and lower == upper; the
+    exact cover number never increases with the radius, so the first radius
+    is unique, and its witness is the first cover of at most 2**n balls that
+    ``exact_min_cover`` finds (the greedy one when it fits), not necessarily
+    a minimum one.  A point cloud of more than DENSE_LIMIT points, or with no
+    positive distance, gets the farthest-first bracket of
+    ``_traversal_bracket`` instead, from 2**n + 1 distance rows and without
+    the matrix.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")

@@ -4,11 +4,10 @@ Three families carry the upper bounds: bump sums on the cubes of a regular
 grid (:class:`BumpSum`, entropy covers to width bounds), affine maps on the
 unit ball of a linear subspace (:class:`AffineBallMap`, Kolmogorov bounds to
 Lipschitz-width bounds) and bump sums on dyadic cubes
-(:class:`SequenceBumpSum`, sequence sets).  :class:`PiecewiseLinearPath`
-joins ordered covering points.  All but the sequence family share one base,
-:class:`LipschitzMap`: a domain whose norm measures separations (the sup-norm
-cube, except for the affine maps), and a target space that measures image
-distances.
+(:class:`SequenceBumpSum`, sequence sets).  All but the sequence family
+share one base, :class:`LipschitzMap`: a domain whose norm measures
+separations (the sup-norm cube, except for the affine maps), and a target
+space that measures image distances.
 
 The dyadic cubes of the sequence family are placed in Z-order (Morton order)
 and certified disjoint by their exact volume sum; see
@@ -48,9 +47,6 @@ class LipschitzMap:
         self.domain_space = NormedSpace(domain_dim, "linf")
         self.target_space = target_space
         self.domain_dim = domain_dim
-
-    def evaluate(self, y: np.ndarray):
-        return self.evaluate_batch(np.asarray(y, dtype=float)[None, :])[0]
 
     def evaluate_batch(self, ys: np.ndarray):
         raise NotImplementedError
@@ -109,30 +105,6 @@ class BumpSum(LipschitzMap):
         return w[:, None] * self.payloads[flat]
 
 
-class PiecewiseLinearPath(LipschitzMap):
-    """Continuous piecewise linear map [-1,1] -> X through given values."""
-
-    def __init__(self, knots, values, target_space: NormedSpace):
-        super().__init__(1, target_space)
-        self.knots = np.asarray(knots, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if len(self.knots) < 2:
-            raise PreconditionError("need at least two knots")
-        if np.any(np.diff(self.knots) <= 0):
-            raise PreconditionError("knots must be strictly increasing")
-
-    def declared_lipschitz(self) -> float:
-        seg = np.asarray(self.target_space.norm(np.diff(self.values, axis=0)))
-        return float((seg / np.diff(self.knots)).max())
-
-    def evaluate_batch(self, ys):
-        t = np.asarray(ys, dtype=float)[:, 0]
-        j = np.clip(np.searchsorted(self.knots, t) - 1, 0, len(self.knots) - 2)
-        t0, t1 = self.knots[j], self.knots[j + 1]
-        s = ((t - t0) / (t1 - t0))[:, None]
-        return (1.0 - s) * self.values[j] + s * self.values[j + 1]
-
-
 class AffineBallMap(LipschitzMap):
     """y -> g0 + gamma * (y @ basis) on the unit ball of a target subspace.
 
@@ -164,16 +136,6 @@ class AffineBallMap(LipschitzMap):
 
     def domain_norm_batch(self, ys):
         return np.asarray(self.target_space.norm(self.embed(ys)))
-
-
-def build_path_map(points, target_space: NormedSpace) -> PiecewiseLinearPath:
-    """Path through an ordered covering; knots equally spaced on [-1, 1]."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        raise PreconditionError("need at least two covering points")
-    n = pts.shape[0]
-    knots = -1.0 + 2.0 * np.arange(n) / (n - 1)
-    return PiecewiseLinearPath(knots, pts, target_space)
 
 
 def grid_centers(k: int, n: int) -> np.ndarray:

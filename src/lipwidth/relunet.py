@@ -72,42 +72,9 @@ def layer_slices(cfg: ReLUNetConfig) -> list:
     return out
 
 
-def split_params(cfg: ReLUNetConfig, y: np.ndarray) -> list:
-    """[(A_0, b_0), ..., (A_n, b_n)] from the flat parameter vector."""
-    y = np.asarray(y, dtype=float)
-    want = param_count(cfg.d, cfg.width, cfg.depth)
-    if y.shape != (want,):
-        raise PreconditionError(f"expected {want} parameters, got {y.shape}")
-    layers = []
-    for a, b, rows, cols in layer_slices(cfg):
-        layers.append((y[a].reshape(rows, cols), y[b]))
-    return layers
-
-
 def layer_output_bound(d: int, width: int, j: int) -> int:
     """(d+2) * W**j, valid for the post-activation output of layer j."""
     return (d + 2) * width ** j
-
-
-def forward(cfg: ReLUNetConfig, y: np.ndarray, x, check_bounds: bool = True) -> float:
-    """Evaluate the net at one input point; asserts the layer output bounds."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (cfg.d,):
-        raise PreconditionError(f"input must have dimension {cfg.d}")
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise PreconditionError("input outside [0,1]^d")
-    if float(np.abs(np.asarray(y)).max()) > 1.0 + 1e-12:
-        raise PreconditionError("parameter vector outside the unit sup ball")
-    layers = split_params(cfg, y)
-    h = x
-    for j, (A, b) in enumerate(layers[:-1]):
-        h = np.maximum(A @ h + b, 0.0)
-        if check_bounds:
-            cap = layer_output_bound(cfg.d, cfg.width, j)
-            if float(np.abs(h).max()) > cap + 1e-9:
-                raise AssertionError(f"layer {j} output exceeded (d+2) W^{j} = {cap}")
-    A, b = layers[-1]
-    return float((A @ h + b)[0])
 
 
 @dataclass(frozen=True)

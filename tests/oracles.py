@@ -5,6 +5,9 @@ from bisect import bisect_left
 
 import numpy as np
 
+from lipwidth.lipmaps import LipschitzMap
+from lipwidth.spaces import PreconditionError
+
 PAIR_CHUNK = 1024  # pairs drawn per seeded chunk in empirical_lipschitz
 
 
@@ -246,7 +249,6 @@ def fixed_width_reference(pset, map_, candidates) -> tuple:
     image and residual made at once; ``PreconditionError`` names the first
     candidate outside the domain ball."""
     from lipwidth.lipmaps import BALL_SLACK
-    from lipwidth.spaces import PreconditionError
 
     norms = np.asarray(map_.domain_norm_batch(candidates))
     too_far = np.flatnonzero(norms > 1.0 + BALL_SLACK)
@@ -300,8 +302,6 @@ def sigma_reference(spec, count: int) -> np.ndarray:
 
 def bump_levels_reference(sigmas, gamma: float) -> np.ndarray:
     """``bump_levels`` over the whole amplitude array at once."""
-    from lipwidth.spaces import PreconditionError
-
     sig = np.asarray(sigmas, dtype=float)
     if np.any(sig <= 0):
         raise PreconditionError("amplitudes must be positive")
@@ -310,3 +310,145 @@ def bump_levels_reference(sigmas, gamma: float) -> np.ndarray:
         raise PreconditionError("sigma_1 <= gamma/2 required")
     mant, exp = np.frexp(np.minimum(x, 1.0))
     return np.maximum(-exp.astype(np.int64) + (mant == 0.5), 0)
+
+
+# ---------------------------------------------------------------------------
+# Pointwise and reference forms that the package no longer carries
+# ---------------------------------------------------------------------------
+
+
+def evaluate(map_, y) -> np.ndarray:
+    """A ``LipschitzMap``'s image of one domain point, as a one-row batch."""
+    return map_.evaluate_batch(np.asarray(y, dtype=float)[None, :])[0]
+
+
+class PiecewiseLinearPath(LipschitzMap):
+    """Continuous piecewise linear map [-1,1] -> X through given values."""
+
+    def __init__(self, knots, values, target_space):
+        super().__init__(1, target_space)
+        self.knots = np.asarray(knots, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        if len(self.knots) < 2:
+            raise PreconditionError("need at least two knots")
+        if np.any(np.diff(self.knots) <= 0):
+            raise PreconditionError("knots must be strictly increasing")
+
+    def declared_lipschitz(self) -> float:
+        seg = np.asarray(self.target_space.norm(np.diff(self.values, axis=0)))
+        return float((seg / np.diff(self.knots)).max())
+
+    def evaluate_batch(self, ys):
+        t = np.asarray(ys, dtype=float)[:, 0]
+        j = np.clip(np.searchsorted(self.knots, t) - 1, 0, len(self.knots) - 2)
+        t0, t1 = self.knots[j], self.knots[j + 1]
+        s = ((t - t0) / (t1 - t0))[:, None]
+        return (1.0 - s) * self.values[j] + s * self.values[j + 1]
+
+
+def build_path_map(points, target_space) -> PiecewiseLinearPath:
+    """Path through an ordered covering; knots equally spaced on [-1, 1]."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] < 2:
+        raise PreconditionError("need at least two covering points")
+    n = pts.shape[0]
+    knots = -1.0 + 2.0 * np.arange(n) / (n - 1)
+    return PiecewiseLinearPath(knots, pts, target_space)
+
+
+def split_params(cfg, y) -> list:
+    """[(A_0, b_0), ..., (A_n, b_n)] from a ReLU net's flat parameter vector."""
+    from lipwidth.relunet import layer_slices, param_count
+
+    y = np.asarray(y, dtype=float)
+    want = param_count(cfg.d, cfg.width, cfg.depth)
+    if y.shape != (want,):
+        raise PreconditionError(f"expected {want} parameters, got {y.shape}")
+    return [(y[a].reshape(rows, cols), y[b]) for a, b, rows, cols in layer_slices(cfg)]
+
+
+def forward(cfg, y, x, check_bounds: bool = True) -> float:
+    """A ReLU net at one input point, one layer at a time, independent of
+    ``relunet._batched_forward``; asserts the layer output bounds."""
+    from lipwidth.relunet import layer_output_bound
+
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (cfg.d,):
+        raise PreconditionError(f"input must have dimension {cfg.d}")
+    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+        raise PreconditionError("input outside [0,1]^d")
+    if float(np.abs(np.asarray(y)).max()) > 1.0 + 1e-12:
+        raise PreconditionError("parameter vector outside the unit sup ball")
+    layers = split_params(cfg, y)
+    h = x
+    for j, (A, b) in enumerate(layers[:-1]):
+        h = np.maximum(A @ h + b, 0.0)
+        if check_bounds:
+            cap = layer_output_bound(cfg.d, cfg.width, j)
+            if float(np.abs(h).max()) > cap + 1e-9:
+                raise AssertionError(f"layer {j} output exceeded (d+2) W^{j} = {cap}")
+    A, b = layers[-1]
+    return float((A @ h + b)[0])
+
+
+def reference_min_cover(masks, m, limit=None):
+    """``covering.exact_min_cover`` as it was before its decision mode: the
+    greedy cover, then a branch and bound that always searches for a minimum
+    cover, its lower bound taking the uncovered elements in index order.
+    (size, sorted centers), or None when ``limit`` is set and every cover
+    needs more than ``limit`` sets."""
+    full = (1 << m) - 1
+    coverers = [[] for _ in range(m)]
+    for c, mask in enumerate(masks):
+        w = mask
+        while w:
+            e = (w & -w).bit_length() - 1
+            coverers[e].append(c)
+            w &= w - 1
+    if any(not cov for cov in coverers):
+        raise PreconditionError("a point is covered by no ball (eps too small?)")
+    comask = [0] * m
+    for e in range(m):
+        for c in coverers[e]:
+            comask[e] |= masks[c]
+    branch_order = sorted(range(m), key=lambda e: (len(coverers[e]), e))
+
+    def witness_lower_bound(uncovered):
+        count = 0
+        while uncovered:
+            e = (uncovered & -uncovered).bit_length() - 1
+            count += 1
+            uncovered &= ~comask[e]
+        return count
+
+    chosen, rest = [], full
+    while rest:
+        best_c, best_gain = -1, -1
+        for c in range(m):
+            gain = (masks[c] & rest).bit_count()
+            if gain > best_gain:
+                best_c, best_gain = c, gain
+        chosen.append(best_c)
+        rest &= ~masks[best_c]
+    best = [len(chosen), tuple(sorted(chosen))]
+    cap = len(chosen) if limit is None else min(len(chosen), limit + 1)
+
+    def dfs(uncovered, picked):
+        nonlocal cap
+        if uncovered == 0:
+            if len(picked) < cap:
+                best[:] = [len(picked), tuple(sorted(picked))]
+                cap = len(picked)
+            return
+        if len(picked) + witness_lower_bound(uncovered) >= cap:
+            return
+        branch_e = next(e for e in branch_order if uncovered >> e & 1)
+        for c in sorted(coverers[branch_e], key=lambda c: (-(masks[c] & uncovered).bit_count(), c)):
+            picked.append(c)
+            dfs(uncovered & ~masks[c], picked)
+            picked.pop()
+
+    dfs(full, [])
+    if limit is not None and best[0] > limit:
+        return None
+    return tuple(best)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from lipwidth import (
     NormedSpace,
     PointSet,
-    build_path_map,
     greedy_packing,
     inner_entropy,
     lp_space,
@@ -36,7 +36,8 @@ from lipwidth.case_studies import (
     transport_set,
 )
 from lipwidth.spaces import DENSE_LIMIT, FiniteSet, PreconditionError
-from oracles import dense_twin, entropy_search
+from oracles import (build_path_map, dense_twin, entropy_search, evaluate,
+                     reference_min_cover)
 
 
 def basis_cloud():
@@ -132,6 +133,136 @@ def test_exact_cover_limit_probe():
     assert exact_min_cover(masks, 3, limit=2) is None
     size, centers = exact_min_cover(masks, 3)
     assert size == 3
+
+
+def random_mask_lists(seed, count, most):
+    """``count`` coverage mask lists of {0..m-1}, m <= ``most``, one mask per
+    center: even ones from clouds (symmetric, within a random eps), odd ones
+    arbitrary asymmetric sets of density 0.1-0.5, every element given some
+    coverer."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        m = int(rng.integers(1, most + 1))
+        if k % 2 == 0:
+            dim = int(rng.integers(1, 4))
+            ps = PointSet(NormedSpace(dim, ("l1", "l2", "linf")[k % 3]),
+                          rng.uniform(-1, 1, size=(m, dim)))
+            yield _cover_masks(ps, float(rng.uniform(0.05, 0.8)) * ps.diameter()), m
+            continue
+        bits = rng.random((m, m)) < rng.uniform(0.1, 0.5)
+        for e in np.flatnonzero(~bits.any(axis=0)):
+            bits[rng.integers(m), e] = True
+        yield [sum(1 << e for e in np.flatnonzero(row).tolist()) for row in bits], m
+
+
+def brute_force_mask_cover(masks, m):
+    """Oracle: the fewest masks whose union is {0..m-1}, by every subset in
+    ascending size."""
+    full = (1 << m) - 1
+    return next(size for size in range(1, len(masks) + 1)
+                if any(functools.reduce(lambda a, b: a | b, combo) == full
+                       for combo in itertools.combinations(masks, size)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_cover_with_a_limit_decides_against_brute_force(seed):
+    for masks, m in random_mask_lists(seed, 15, 12):
+        least = brute_force_mask_cover(masks, m)
+        for limit in range(1, m + 1):
+            got = exact_min_cover(masks, m, limit)
+            if least > limit:
+                assert got is None, (masks, limit)
+                continue
+            size, centers = got
+            assert size == len(set(centers)) == len(centers) <= limit
+            assert list(centers) == sorted(centers) and set(centers) <= set(range(m))
+            assert functools.reduce(lambda a, c: a | masks[c], centers, 0) == (1 << m) - 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_cover_without_a_limit_is_the_reference_minimum(seed):
+    # the bound taken in branch order only prunes: the same minimum cover,
+    # and with a limit the same decision, as the index-order branch and bound
+    for masks, m in random_mask_lists(100 + seed, 50, 16):
+        assert exact_min_cover(masks, m) == reference_min_cover(masks, m), masks
+        for limit in range(1, m + 1):
+            assert ((exact_min_cover(masks, m, limit) is None)
+                    == (reference_min_cover(masks, m, limit) is None)), (masks, limit)
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2, 3])
+def test_exact_cover_refuses_a_point_no_mask_covers(limit):
+    # with limit 1 the greedy cover stops before it meets point 2
+    with pytest.raises(PreconditionError, match="covered by no ball"):
+        exact_min_cover([0b011, 0b011, 0b001], 3, limit)
+
+
+@functools.lru_cache(maxsize=3)  # the budgets 2, 4 and 8 of one cloud
+def center_subsets(m, k):
+    """Every k-subset of range(m), one per row, by ``itertools.combinations``
+    (read-only: the cache hands the same array to every caller)."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
+    subsets = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+    subsets.flags.writeable = False
+    return subsets
+
+
+def some_centers_cover(mat, r, k):
+    """Oracle: some k centers (k < m) cover the cloud at radius r: every
+    subset's union of ball bitmasks is tried."""
+    m = mat.shape[0]
+    balls = (mat <= r) @ (1 << np.arange(m, dtype=np.int64))
+    return bool((np.bitwise_or.reduce(balls[center_subsets(m, k)], axis=1) == (1 << m) - 1).any())
+
+
+def check_exact_bracket(ps, n):
+    """The bracket of ``inner_entropy`` on a cloud of at most N_EXACT points
+    is [e_n, e_n]: its witness is at most 2**n centers that cover the cloud
+    at upper, a pairwise distance, and no 2**n centers cover it at the
+    largest distance below upper."""
+    mat, k = ps.matrix(), 2 ** n
+    est = inner_entropy(ps, n)
+    centers = est.upper_witness["centers"]
+    assert est.exact and est.lower == est.upper and est.upper in mat
+    assert len(centers) <= k and mat[centers].min(axis=0).max() <= est.upper
+    below = float(mat[mat < est.upper].max())
+    assert not some_centers_cover(mat, below, k)
+    assert est.lower_witness == {"kind": "exact-cover", "eps": below, "count": k + 1}
+    return est
+
+
+def test_exact_brackets_at_small_cloud_sizes():
+    rng = np.random.default_rng(2026)
+    for norm in ("l1", "l2", "linf"):
+        for dim in (1, 2, 3, 4):
+            m = int(rng.integers(12, N_EXACT + 1))
+            ps = PointSet(NormedSpace(dim, norm), rng.uniform(-1, 1, size=(m, dim)))
+            for n in (1, 2, 3):
+                check_exact_bracket(ps, n)
+
+
+def test_exact_bracket_whose_witness_is_the_first_cover_within_the_budget():
+    # an 11-vertex graph at distance 1 along its edges and 2 elsewhere, a
+    # metric its rows embed in l-infinity exactly; at radius 1 the balls are
+    # closed neighbourhoods: 3 of them cover, the greedy cover takes 5
+    edges = [(0, 1), (0, 2), (0, 9), (1, 3), (1, 7), (2, 5), (2, 8), (3, 9),
+             (4, 5), (4, 6), (4, 10), (5, 7), (5, 10), (6, 7), (6, 10), (7, 10)]
+    mat = np.full((11, 11), 2.0)
+    np.fill_diagonal(mat, 0.0)
+    for i, j in edges:
+        mat[i, j] = mat[j, i] = 1.0
+    ps = PointSet(lp_space(11, "inf"), mat)
+    assert np.array_equal(ps.matrix(), mat)
+    masks = _cover_masks(ps, 1.0)
+    assert some_centers_cover(mat, 1.0, 3) and not some_centers_cover(mat, 1.0, 2)
+    assert len(covering._greedy_cover(masks, 11, 11)) == 5
+    est = check_exact_bracket(ps, 2)
+    # so N(r_up) = 3 < 2**2, and the probe at r_up stops at the first cover
+    # of at most 4 centers that the search reaches, not at a minimum one
+    assert est.upper == 1.0 and len(est.upper_witness["centers"]) == 4
+    # without a limit the search runs past that cover to a minimum one
+    assert exact_min_cover(masks, 11) == reference_min_cover(masks, 11)
+    assert minimal_inner_covering(ps, 1.0).size == 3
 
 
 def test_covering_lower_bound_sound():
@@ -488,7 +619,7 @@ def test_lipschitz_image_entropy_contraction():
     gamma = path.declared_lipschitz()
     s0_pts = np.sort(rng.uniform(-1, 1, size=(12, 1)), axis=0)
     s0 = PointSet(lp_space(1, "inf"), s0_pts)
-    s1 = PointSet(target, np.stack([path.evaluate(y) for y in s0_pts]))
+    s1 = PointSet(target, np.stack([evaluate(path, y) for y in s0_pts]))
     for k in (0, 1, 2):
         e0 = inner_entropy(s0, k)
         e1 = inner_entropy(s1, k)

@@ -14,16 +14,14 @@ from lipwidth import relunet, spaces
 from lipwidth.relunet import (
     ReLUNetConfig,
     _batched_forward,
-    forward,
     input_grid,
     layer_output_bound,
     lip_bound,
     param_count,
-    split_params,
     verify_lipschitz,
 )
 from lipwidth.spaces import PreconditionError
-from oracles import closed_form_constant
+from oracles import closed_form_constant, forward, split_params
 
 
 def test_param_count_examples():
