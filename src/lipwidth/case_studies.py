@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .covering import ball_disjoint, coverage_assignment, inner_entropy
+from .covering import (ball_disjoint, closed_form_entropy, coverage_assignment, inner_entropy,
+                       no_cover_below)
 from .lipmaps import (SequenceBumpSum, allocate_dyadic_cubes, build_sequence_bump_map,
                       bump_levels)
 from .spaces import (REL_TOL, FiniteSet, NormedSpace, PointSet, PreconditionError,
@@ -562,21 +563,29 @@ def certify_log_sequence(target, params):
 
 def recheck_entropy(cert: dict, fset: FiniteSet) -> bool:
     """Any ``inner_entropy`` bracket holds sigma_{2^n} of the untruncated sequence
-    set named by ``set``, or a new ``inner_entropy`` of ``fset``.  Recorded
-    centers are at most 2**n and cover ``fset`` at ``upper`` (a missed point
-    raises); no ball below ``lower`` holds two of more than 2**n points."""
+    set named by ``set``; any other is read from its witnesses on ``fset``,
+    with no search.  Upper: an ``identity`` witness on at most 2**n points, or
+    at most 2**n centers that cover ``fset`` at ``upper`` (a missed point
+    raises).  Lower: 0, or more than 2**n points no inner ball of radius below
+    ``lower`` holds two of, or (``exact-cover``) ``no_cover_below`` at
+    ``lower``, which equals ``upper`` there."""
     if "set" in cert:
         sigma = sigma_at(SequenceSetSpec(truncation=2, **cert["set"]), 2 ** cert["n"])
         return cert["lower"] <= sigma <= cert["upper"]
-    est, witness = inner_entropy(fset, cert["n"]), cert.get("witness", {})
-    centers = witness.get("upper", {}).get("centers")
-    if centers is not None:
-        coverage_assignment(fset, centers, cert["upper"])
-    points = witness.get("lower", {}).get("points")
-    return (cert["lower"] <= est.lower and cert["upper"] >= est.upper
-            and (centers is None or len(centers) <= 2 ** cert["n"])
-            and (points is None or (len(points) > 2 ** cert["n"]
-                                    and ball_disjoint(fset, points, cert["lower"]))))
+    budget, upper, lower = 2 ** cert["n"], cert["witness"]["upper"], cert["witness"]["lower"]
+    if upper["kind"] == "identity":
+        covered = fset.size <= budget and cert["upper"] >= 0
+    else:
+        coverage_assignment(fset, upper["centers"], cert["upper"])
+        covered = len(upper["centers"]) <= budget
+    if cert["lower"] <= 0:
+        refuted = True
+    elif lower["kind"] == "exact-cover":
+        refuted = no_cover_below(fset, cert["lower"], budget)
+    else:
+        refuted = (lower["kind"] == "ball-disjoint-points" and len(lower["points"]) > budget
+                   and ball_disjoint(fset, lower["points"], cert["lower"]))
+    return covered and refuted
 
 
 def certify_power_sequence(c: float, params):
@@ -647,31 +656,26 @@ def certify_orthonormal_basis(target, params):
 def recheck_basis_threshold(cert: dict, fset=None) -> bool:
     """The regime flag is sqrt(2)/(12 gamma) > 4 * 2**(-m/s) at the recorded
     m, gamma and s, and each entropy bracket passes ``recheck_entropy`` on the
-    cloud with the cloud's own witnesses: its centers cover at the upper end,
-    and no inner ball below the lower end holds two of its points.  That
-    reads (2**k + 1) rows of the cloud for bracket k."""
+    cloud with the cloud's own witnesses (``closed_form_entropy``): its
+    centers cover at the upper end, and no inner ball below the lower end
+    holds two of its points.  That reads (2**k + 1) rows of the cloud for
+    bracket k."""
     m, s, cloud = cert["m"], cert["s"], basis_cloud(cert["m"])
     regime = math.sqrt(2.0) / (12.0 * cert["gamma"]) > 4.0 * 2.0 ** (-m / s)
     return m >= 1 and s >= 1 and cert["regime_certified"] == regime and all(
-        recheck_entropy(dict(inner_entropy(cloud, int(k)).to_json(), lower=lo, upper=hi), cloud)
-        for k, (lo, hi) in cert["entropy_brackets"].items())
+        recheck_entropy(dict(closed_form_entropy(cloud, int(k)).to_json(), lower=lo, upper=hi),
+                        cloud) for k, (lo, hi) in cert["entropy_brackets"].items())
 
 
 def certify_cross_polytope(target, params):
     certs, audits = [], []
     for n in n_values(params, [1, 2, 4]):
         val = cross_polytope_width(int(n))
-        certs.append({"quantity": "kolmogorov_width", "n": int(n),
-                      "value": val, "direction": "reference"})
         cert, _ = best_coordinate_subspace(octahedron_set(int(n)), int(n))
-        certs.append(cert.to_json())
+        certs.append(dict(cert.to_json(), reference=val))
         audits.append({"name": f"coordinate-upper-above-closed-form-n{n}",
                        "passed": cert.value >= val * (1 - 1e-12)})
     return certs, audits
-
-
-def recheck_cross_polytope_width(cert: dict, fset=None) -> bool:
-    return cert["direction"] == "reference" and cert["value"] == cross_polytope_width(cert["n"])
 
 
 def recheck_octahedron_subspace(cert: dict, fset=None) -> bool:

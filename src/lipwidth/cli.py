@@ -53,12 +53,13 @@ _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
 _NUMBER = {"type": "number"}
 
 
-def resolve_gamma(params: dict, fset=None) -> float:
-    """gamma from either a number or one of the three schedule shapes.
+def resolve_gamma(params: dict, n: int, fset=None) -> float:
+    """gamma from either a number or one of the three schedule shapes, for a
+    certificate at ``n``.
 
     Schedules: {"type": "constant", "value": g}; {"type": "entropy-scaled",
     "k": k} meaning 2**k * rad; {"type": "geometric", "coeff": C, "delta": d,
-    "lambda": l} meaning C * n**d * l**n at n = params["n"].
+    "lambda": l} meaning C * n**d * l**n.
     """
     sched = params.get("gamma_schedule")
     if sched is None:
@@ -73,7 +74,6 @@ def resolve_gamma(params: dict, fset=None) -> float:
             raise UsageError("entropy-scaled schedule needs a target set")
         return 2.0 ** int(sched["k"]) * radius_upper(fset).upper
     if kind == "geometric":
-        n = int(params.get("n", 1))
         return float(sched["coeff"]) * n ** float(sched["delta"]) \
             * float(sched["lambda"]) ** n
     raise UsageError(f"unknown gamma schedule {kind!r}")
@@ -325,7 +325,7 @@ def _run_width_lower(cfg, seed):
     params = cfg.get("params", {})
     n = int(params.get("n", 2))
     if "gamma" in params or "gamma_schedule" in params:
-        gamma = resolve_gamma(params, fset)
+        gamma = resolve_gamma(params, n, fset)
     else:
         gamma = 2.0 * radius_upper(fset).upper
         if gamma <= 0:
@@ -455,7 +455,6 @@ RECHECKS = {
     "piecewise-constant-cells": cs.recheck_transport_cells,
     "affine-ball-from-subspace": cs.recheck_affine_ball,
     "coordinate-subspace": cs.recheck_octahedron_subspace,
-    "kolmogorov_width": cs.recheck_cross_polytope_width,
     "relu_lipschitz": rn.recheck_lipschitz,
 }
 

@@ -9,19 +9,24 @@ On small sets (<= N_EXACT points) the covering number is computed exactly
 by branch and bound.  An entropy probe asks only whether 2**n balls cover,
 so it runs the search as a decision: the greedy cover answers when it fits,
 and otherwise the first cover found within 2**n, or a refutation, ends the
-search.  On larger sets every reported bound is witnessed:
+search.  Every reported bound is witnessed, and the witness alone re-checks it:
 
   * upper bounds on N_eps by an explicit cover (a maximal packing is a
     cover of the same radius, so greedy maximality is already a witness);
-  * lower bounds on N_eps by a set of points no single inner ball of
+  * lower bounds on N_eps by a list of points no single inner ball of
     radius eps can contain two of (a packing at 2*eps is the classical
-    special case obtained through the triangle inequality).
+    special case obtained through the triangle inequality); an exact bound
+    on at most N_EXACT points is re-checked by enumerating the covers its
+    size allows (``no_cover_below``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations
+from operator import or_
 from typing import Optional
 
 import numpy as np
@@ -334,12 +339,14 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
     return CoveringResult(eps, tuple(centers), exact=False)
 
 
-def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] = None) -> int:
-    """Certified lower bound on the inner covering number N_eps.
-
-    Greedily collects points such that no single ball B(c, eps) with c in
-    the set contains two of them; any eps-cover then needs one ball per
-    collected point.  Subsumes the packing-at-2*eps bound.
+def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] = None
+                         ) -> list[int]:
+    """The indices of points no single ball B(c, eps) with c in the set
+    contains two of, collected greedily: any eps-cover needs one ball per
+    point, so their number is a certified lower bound on the inner covering
+    number N_eps, and the list is its witness (``ball_disjoint``).  Subsumes
+    the packing-at-2*eps bound.  With ``stop_above`` the scan stops at the
+    first point past that many.
 
     Points are admitted in index order, and each row is read at most once,
     in blocks of ``block_rows`` consecutive rows.  A point already in
@@ -351,7 +358,7 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
     m = fset.size
     near = np.zeros(m, dtype=bool)  # centers c with a collected witness in B(c, eps)
     step = block_rows(m)
-    count = 0
+    points: list[int] = []
     lo = 0
     while lo < m:
         lo += int(near[lo:].argmin())  # the first row outside near
@@ -364,14 +371,14 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
         for k in np.flatnonzero(free):
             if not free[k]:
                 continue
-            count += 1
-            if stop_above is not None and count > stop_above:
-                return count
+            points.append(int(rows[k]))
+            if stop_above is not None and len(points) > stop_above:
+                return points
             ball = np.flatnonzero(within[k])  # the columns of its own ball
             near[ball] = True
             free[k + 1:] &= ~within[k + 1:, ball].any(axis=1)
         lo = hi
-    return count
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +397,19 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     of the radii r_0 = 0 < r_1 < ..., where r_i is
     ``fset.distinct_distances()[i-1]`` (one array, read in place by every n).
     ``upper`` is the first radius with a cover of at most 2**n inner balls;
-    that cover is its witness.  ``lower`` is r_j where a lower bound on the
-    covering number at r_{j-1} exceeded 2**n: the covering number is constant
-    on [r_{j-1}, r_j), so no smaller radius has such a cover.  Sets of at most
-    N_EXACT points decide both with the exact cover, and lower == upper; the
-    exact cover number never increases with the radius, so the first radius
-    is unique, and its witness is the first cover of at most 2**n balls that
-    ``exact_min_cover`` finds (the greedy one when it fits), not necessarily
-    a minimum one.  A point cloud of more than DENSE_LIMIT points, or with no
-    positive distance, gets the farthest-first bracket of
-    ``_traversal_bracket`` instead, from 2**n + 1 distance rows and without
-    the matrix.
+    that cover is its witness.  ``lower`` is r_j where ``covering_lower_bound``
+    found 2**n + 1 points at r_{j-1}, its witness (``ball-disjoint-points``):
+    no distance lies in (r_{j-1}, r_j), so no inner ball of radius below r_j
+    holds two of them.  Sets of at most N_EXACT points decide both with the
+    exact cover, and lower == upper; the exact cover number never increases
+    with the radius, so the first radius is unique, its upper witness is the
+    first cover of at most 2**n balls that ``exact_min_cover`` finds (the
+    greedy one when it fits), not necessarily a minimum one, and its lower
+    witness (``exact-cover``) names no points: ``no_cover_below`` re-checks
+    it.  A lower end of 0 has the empty witness.  A point cloud of more than
+    DENSE_LIMIT points, or with no positive distance, gets the farthest-first
+    bracket of ``_traversal_bracket`` instead, from 2**n + 1 distance rows and
+    without the matrix.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
@@ -411,10 +420,7 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
         return EntropyEstimate(n, 0.0, 0.0, exact=True,
                                upper_witness={"kind": "identity", "size": m})
     if hasattr(fset, "entropy_witnesses"):
-        e, centers, points = fset.entropy_witnesses(n)
-        cover = {"kind": "closed-form-cover", "centers": centers.tolist()}
-        return EntropyEstimate(n, e, e, exact=True, upper_witness=cover, lower_witness={
-            "kind": "ball-disjoint-points", "points": points.tolist()})
+        return closed_form_entropy(fset, n)
     if m > DENSE_LIMIT or fset.distinct_distances().size == 0:
         return _traversal_bracket(fset, n)
     dist = fset.distinct_distances()
@@ -442,27 +448,34 @@ def inner_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
     if up == top:
         fits(top)
     if exact:
-        low, count = up, budget + 1  # fits(up - 1) was false
+        low = up  # fits(up - 1) was false
+        lower = {"kind": "exact-cover"}
     else:
-        counts: dict = {}
+        found: dict = {}
 
         def clears(i: int) -> bool:
-            """The lower bound on N at r_i is at most 2**n (kept in ``counts``)."""
-            counts[i] = covering_lower_bound(fset, radius(i), stop_above=budget)
-            return counts[i] <= budget
+            """At most 2**n points bound N at r_i below (kept in ``found``)."""
+            found[i] = covering_lower_bound(fset, radius(i), stop_above=budget)
+            return len(found[i]) <= budget
 
         # at r_up a cover of at most 2**n balls exists, so the bound clears there
         low = bisect_left(range(up), True, key=clears)
-        count = counts.get(low - 1)
+        lower = {"kind": "ball-disjoint-points", "points": found.get(low - 1)}
     kind = "exact-cover" if exact else "maximal-packing-cover"
     return EntropyEstimate(
         n, radius(low), radius(up), exact=exact,
         upper_witness={"kind": kind, "eps": radius(up), "size": len(covers[up]),
                        "centers": [int(c) for c in covers[up]]},
-        lower_witness={"kind": "exact-cover" if exact else "ball-disjoint-witnesses",
-                       "eps": radius(low - 1) if low else None,
-                       "count": int(count) if low else None},
+        lower_witness=lower if low else {},
     )
+
+
+def closed_form_entropy(fset: FiniteSet, n: int) -> EntropyEstimate:
+    """[e_n, e_n] with both witnesses, from ``fset.entropy_witnesses(n)``."""
+    e, centers, points = fset.entropy_witnesses(n)
+    return EntropyEstimate(n, e, e, exact=True, upper_witness={
+        "kind": "closed-form-cover", "centers": centers.tolist()}, lower_witness={
+        "kind": "ball-disjoint-points", "points": points.tolist()})
 
 
 def _traversal_bracket(fset: FiniteSet, n: int) -> EntropyEstimate:
@@ -479,17 +492,37 @@ def _traversal_bracket(fset: FiniteSet, n: int) -> EntropyEstimate:
     if not r:
         return EntropyEstimate(n, 0.0, 0.0, exact=True, upper_witness=cover)
     return EntropyEstimate(n, r / 2, r, exact=False, upper_witness=cover, lower_witness={
-        "kind": "ball-disjoint-points", "eps": r / 2, "points": centers.tolist()})
+        "kind": "ball-disjoint-points", "points": centers.tolist()})
+
+
+def no_cover_below(fset: FiniteSet, eps: float, budget: int) -> bool:
+    """No ``budget`` inner balls of radius below eps cover a set of at most
+    N_EXACT points, by plain enumeration: no min(budget, k) of the k distinct
+    coverage masks at the float below eps OR to the whole set (a smaller
+    cover, padded with other masks, would be among them).  A larger set is
+    refused (False) without enumerating."""
+    if fset.size > N_EXACT:
+        return False
+    masks = set(_cover_masks(fset, float(np.nextafter(eps, -np.inf))))
+    full = (1 << fset.size) - 1
+    return not any(reduce(or_, sets) == full
+                   for sets in combinations(masks, min(budget, len(masks))))
+
+
+def separated(fset: FiniteSet, points, eps: float) -> bool:
+    """The points are pairwise more than eps apart: each one's row, read a
+    block at a time, holds no point of the list within eps but itself, so a
+    point named twice fails."""
+    idx = _indices(fset, points)
+    return idx.size == sum(int(np.count_nonzero(fset.within(rows, eps)[:, idx]))
+                           for _, rows in _rows_of(fset, idx))
 
 
 def recheck_packing(cert: dict, fset: FiniteSet) -> bool:
-    """The indices are pairwise more than eps apart (each packed row is within
-    eps of its own point only) and, if so claimed, maximal."""
-    idx = _indices(fset, cert["indices"])
-    pack = PackingResult(cert["eps"], tuple(idx), cert["size"], cert["maximal"])
-    hits = sum(int(np.count_nonzero(fset.within(rows, pack.eps)[:, idx]))
-               for _, rows in _rows_of(fset, idx))
-    return (hits == idx.size == pack.size
+    """The indices are pairwise more than eps apart (``separated``) and, if so
+    claimed, maximal."""
+    pack = PackingResult(cert["eps"], tuple(cert["indices"]), cert["size"], cert["maximal"])
+    return (separated(fset, pack.indices, pack.eps) and len(pack.indices) == pack.size
             and (not pack.maximal or packing_is_maximal(fset, pack)))
 
 
@@ -531,7 +564,7 @@ def sandwich_audit(fset: FiniteSet, eps: float) -> SandwichAudit:
         n_lo = n_hi = cov.size
     else:
         n_hi = min(cov.size, pack1.size)  # both are valid covers
-        n_lo = covering_lower_bound(fset, radius)
+        n_lo = len(covering_lower_bound(fset, radius))
     checks = (
         ("packing(eps) >= cover_lower(eps)", pack1.size, n_lo, pack1.size >= n_lo),
         ("cover_upper(eps) >= packing(2eps)", n_hi, pack2.size, n_hi >= pack2.size),

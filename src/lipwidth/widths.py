@@ -9,12 +9,12 @@ upper certificate remains valid for the latter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
-from .covering import coverage_assignment, greedy_packing, inner_entropy
+from .covering import coverage_assignment, greedy_packing, inner_entropy, separated
 from .lipmaps import AffineBallMap, LipschitzMap, build_entropy_map, BALL_SLACK
 from .spaces import FiniteSet, PointSet, PreconditionError, REL_TOL, radius_upper, row_spans
 
@@ -37,14 +37,7 @@ class WidthCertificate:
             raise ValueError(f"width bounds are finite and nonnegative, not {self.value}")
 
     def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "n": self.n,
-            "gamma": self.gamma,
-            "value": self.value,
-            "direction": self.direction,
-            "witness": self.witness,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def fixed_width_upper(pset: PointSet, map_: LipschitzMap, candidates) -> WidthCertificate:
@@ -70,16 +63,10 @@ def fixed_width_upper(pset: PointSet, map_: LipschitzMap, candidates) -> WidthCe
 
     residuals = np.concatenate([block_residuals(lo, hi)
                                 for lo, hi in row_spans(pset.size, pset.space.dim)])
-    value = float(residuals.max())
-    worst = int(np.argmax(residuals))
-    return WidthCertificate(
-        quantity="lipschitz_width",
-        n=map_.domain_dim,
-        gamma=map_.declared_lipschitz(),
-        value=value,
-        direction="upper",
-        witness={"worst_point": worst},  # internal: callers report their own witness
-    )
+    # the witness is internal: callers report their own
+    return WidthCertificate(quantity="lipschitz_width", n=map_.domain_dim,
+                            gamma=map_.declared_lipschitz(), value=float(residuals.max()),
+                            direction="upper", witness={"worst_point": int(np.argmax(residuals))})
 
 
 def width_upper_from_entropy(pset: PointSet, k: int, n: int,
@@ -125,23 +112,12 @@ def width_upper_from_entropy(pset: PointSet, k: int, n: int,
     declared = emap.declared_lipschitz()
     if declared > gamma * (1.0 + REL_TOL):
         raise PreconditionError("constructed map exceeded 2^k * rad")
-    cert = WidthCertificate(
-        quantity="lipschitz_width",
-        n=n,
-        gamma=gamma,
-        value=ent.upper,
-        direction="upper",
-        witness={
-            "kind": "entropy-map",
-            "k": k,
-            "entropy_index": k * n,
-            "entropy_bracket": [ent.lower, ent.upper],
-            "cover_centers": [int(c) for c in centers],
-            "declared_constant": declared,
-            "realized_error": realized,
-            "translation": "radius-candidate-center",
-        },
-    )
+    cert = WidthCertificate(quantity="lipschitz_width", n=n, gamma=gamma, value=ent.upper,
+                            direction="upper", witness={
+        "kind": "entropy-map", "k": k, "entropy_index": k * n,
+        "entropy_bracket": [ent.lower, ent.upper], "cover_centers": [int(c) for c in centers],
+        "declared_constant": declared, "realized_error": realized,
+        "translation": "radius-candidate-center"})
     if return_map:
         return cert, emap, cube_centers
     return cert
@@ -164,21 +140,25 @@ def default_eps_grid(diam: float) -> np.ndarray:
 
 
 def width_lower_certified(fset: FiniteSet, n: int, gamma: float) -> WidthCertificate:
-    """Lower certificate: d_n^gamma >= eps whenever N_{2 eps} > (3 gamma/eps)^n,
-    tried at each radius of ``default_eps_grid``, largest first.
+    """Lower certificate: d_n^gamma >= eps whenever
+    N_{2 eps} > max(1, (3 gamma/eps)^n), tried at each radius of
+    ``default_eps_grid``, largest first.
 
-    The outer covering number is lower-bounded by a maximal packing at
-    4*eps (two points more than 4*eps apart cannot share a 2*eps outer
-    ball).  A set that defines ``packing_count_log2`` (the sequence sets)
-    supplies log2 of a certified packing count in closed form instead, as
-    its witnesses are too large to materialise.
+    A gamma-Lipschitz image of the unit ball lies in a ball of radius gamma,
+    which max(1, (3 gamma/eps)^n) balls of radius eps cover: (3 gamma/eps)^n
+    when eps <= gamma, and one ball otherwise.  The outer covering number is
+    lower-bounded by a packing at 4*eps (two points more than 4*eps apart
+    cannot share a 2*eps outer ball), whose indices are the witness
+    (``points``).  A set that defines ``packing_count_log2`` (the sequence
+    sets) supplies log2 of a certified packing count in closed form instead,
+    as its witnesses are too large to materialise.
     """
     if gamma <= 0:
         raise PreconditionError("gamma must be positive")
     count_log2 = getattr(fset, "packing_count_log2", None)
     max_countable = math.log2(fset.size + 1)
     for eps in default_eps_grid(fset.diameter())[::-1]:
-        thr_log2 = n * math.log2(3.0 * gamma / eps)
+        thr_log2 = max(0.0, n * math.log2(3.0 * gamma / eps))
         if count_log2 is not None:
             have = count_log2(4.0 * eps)
         else:
@@ -188,20 +168,13 @@ def width_lower_certified(fset: FiniteSet, n: int, gamma: float) -> WidthCertifi
             pack = greedy_packing(fset, 4.0 * eps, stop_above=need)
             have = math.log2(pack.size)
         if have > thr_log2:
-            return WidthCertificate(
-                quantity="lipschitz_width",
-                n=n,
-                gamma=gamma,
-                value=float(eps),
-                direction="lower",
-                witness={
-                    "kind": "covering-count",
-                    "eps": float(eps),
-                    "count_log2": float(have),
-                    "threshold_log2": float(thr_log2),
-                    "count_source": "closed-form" if count_log2 else "materialized-packing",
-                },
-            )
+            witness = {"kind": "covering-count", "eps": float(eps), "count_log2": float(have),
+                       "threshold_log2": float(thr_log2),
+                       "count_source": "closed-form" if count_log2 else "materialized-packing"}
+            if count_log2 is None:
+                witness["points"] = list(pack.indices)
+            return WidthCertificate(quantity="lipschitz_width", n=n, gamma=gamma,
+                                    value=float(eps), direction="lower", witness=witness)
     return WidthCertificate(
         quantity="lipschitz_width", n=n, gamma=gamma, value=0.0,
         direction="lower",
@@ -210,19 +183,22 @@ def width_lower_certified(fset: FiniteSet, n: int, gamma: float) -> WidthCertifi
 
 
 def recheck_covering_count(cert: dict, fset: FiniteSet) -> bool:
-    """The packing count at 4 eps, taken again from ``fset`` (or its closed
-    form), must equal the recorded one and exceed n log2(3 gamma / eps) at
-    eps = value; with none qualified, the value must be 0."""
+    """At eps = value, log2 of the packing count at 4 eps must equal the
+    recorded one and exceed max(0, n log2(3 gamma / eps)); with none
+    qualified, the value must be 0.  The count is the number of the recorded
+    ``points``, which must be pairwise more than 4 eps apart (``separated``),
+    or, on the sequence sets, the closed form."""
     w = cert["witness"]
     if w["count_source"] == "none-qualified":
         return cert["value"] == 0.0
-    eps, thr_log2 = w["eps"], cert["n"] * math.log2(3.0 * cert["gamma"] / w["eps"])
+    eps, thr_log2 = w["eps"], max(0.0, cert["n"] * math.log2(3.0 * cert["gamma"] / w["eps"]))
     if w["count_source"] == "closed-form":
         have = fset.packing_count_log2(4.0 * eps)
+    elif separated(fset, w["points"], 4.0 * eps):
+        have = math.log2(len(w["points"]))
     else:
-        need = int(math.floor(2.0 ** thr_log2)) + 1
-        have = math.log2(greedy_packing(fset, 4.0 * eps, stop_above=need).size)
-    return have == w["count_log2"] and have > thr_log2 - 1e-9 and cert["value"] == eps
+        return False
+    return have == w["count_log2"] and have > thr_log2 and cert["value"] == eps
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +228,12 @@ def kolmogorov_upper(pset: PointSet, axes
     axes = [int(a) for a in axes]
     distinct = list(dict.fromkeys(range(pset.space.dim)[a] for a in axes))
     residuals = coordinate_residuals(pset.points, distinct)
-    value = float(residuals.max())
-    return (
-        WidthCertificate(
-            quantity="kolmogorov_width",
-            n=len(distinct),
-            gamma=None,
-            value=value,
-            direction="upper",
-            witness={"kind": "orthogonal-projection", "subspace_dim": len(distinct),
-                     "worst_point": int(np.argmax(residuals)), "axes": axes},
-        ),
-        np.eye(pset.space.dim)[distinct],
-        pset.points[:, distinct],
-    )
+    cert = WidthCertificate(
+        quantity="kolmogorov_width", n=len(distinct), gamma=None, value=float(residuals.max()),
+        direction="upper",
+        witness={"kind": "orthogonal-projection", "subspace_dim": len(distinct),
+                 "worst_point": int(np.argmax(residuals)), "axes": axes})
+    return cert, np.eye(pset.space.dim)[distinct], pset.points[:, distinct]
 
 
 def recheck_orthogonal_projection(cert: dict, fset: PointSet) -> bool:
@@ -322,19 +290,13 @@ def kolmogorov_comparison(pset: PointSet, dn_upper: WidthCertificate,
     cert = fixed_width_upper(pset, AffineBallMap(g0_coeffs @ basis, gamma, basis, pset.space),
                              candidates)
     if cert.value > dn_upper.value + 1e-9:
-        raise PreconditionError(
-            f"comparison failed: {cert.value} > {dn_upper.value} + 1e-9"
-        )
+        raise PreconditionError(f"comparison failed: {cert.value} > {dn_upper.value} + 1e-9")
     return WidthCertificate(
-        quantity="lipschitz_width",
-        n=basis.shape[0],
-        gamma=gamma,
-        value=cert.value,
+        quantity="lipschitz_width", n=basis.shape[0], gamma=gamma, value=cert.value,
         direction="upper",
         witness={"kind": "affine-ball-from-subspace",
                  "kolmogorov_value": dn_upper.value, "gamma": gamma,
-                 **{k: v for k, v in dn_upper.witness.items() if k in ("axes", "cells")}},
-    )
+                 **{k: v for k, v in dn_upper.witness.items() if k in ("axes", "cells")}})
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def entropy_search(ps, n):
     """The bisection of ``inner_entropy`` on a cloud of at most DENSE_LIMIT
     points with a positive distance and more than 2**n points, over radii
     concatenated as [0, *unique_positive(ps)], r_0 probed at r_1 / 2 like
-    any radius: (lower, upper, upper centers, lower eps, lower count)."""
+    any radius: (lower, upper, upper centers, lower witness)."""
     from lipwidth.covering import (N_EXACT, _cover_masks, covering_lower_bound,
                                    exact_min_cover, greedy_packing)
 
@@ -60,7 +60,7 @@ def entropy_search(ps, n):
     def probe(i):
         return radii[i] if i else 0.5 * radii[1]
 
-    covers, counts = {}, {}
+    covers, found = {}, {}
 
     def fits(i):
         if exact:
@@ -72,17 +72,17 @@ def entropy_search(ps, n):
         return covers[i] is not None
 
     def clears(i):
-        counts[i] = covering_lower_bound(ps, probe(i), stop_above=budget)
-        return counts[i] <= budget
+        found[i] = covering_lower_bound(ps, probe(i), stop_above=budget)
+        return len(found[i]) <= budget
 
     top = radii.size - 1
     up = bisect_left(range(top), True, key=fits)
     if up == top:
         fits(top)
     low = up if exact else bisect_left(range(up), True, key=clears)
-    count = budget + 1 if exact else counts.get(low - 1)
-    return (float(radii[low]), float(radii[up]), covers[up],
-            float(radii[low - 1]) if low else None, count if low else None)
+    lower = {"kind": "exact-cover"} if exact else {"kind": "ball-disjoint-points",
+                                                   "points": found.get(low - 1)}
+    return float(radii[low]), float(radii[up]), covers[up], lower if low else {}
 
 
 def float64_reference(ps):

@@ -600,10 +600,16 @@ def test_verify_witness_appends_audits():
 def test_gamma_schedule_shapes():
     from lipwidth.cli import resolve_gamma
 
-    assert resolve_gamma({"gamma_schedule": {"type": "constant", "value": 2.5}}) == 2.5
-    g = resolve_gamma({"n": 4, "gamma_schedule":
-                       {"type": "geometric", "coeff": 6.0, "delta": 1.0, "lambda": 2.0}})
+    assert resolve_gamma({"gamma_schedule": {"type": "constant", "value": 2.5}}, 1) == 2.5
+    g = resolve_gamma({"gamma_schedule":
+                       {"type": "geometric", "coeff": 6.0, "delta": 1.0, "lambda": 2.0}}, 4)
     assert g == 6.0 * 4 * 2 ** 4
+    # with no n the certificate is at width-lower's default n = 2, and so is gamma
+    cert = run({"command": "width-lower", "seed": 1,
+                "target": {"kind": "random", "m": 40, "dim": 2, "norm": "l2"},
+                "params": {"gamma_schedule": {"type": "geometric", "coeff": 1.0,
+                                              "delta": 0.0, "lambda": 3.0}}})["certificates"][0]
+    assert (cert["n"], cert["gamma"]) == (2, 9.0)
     report = run({
         "command": "width-lower",
         "seed": 1,
@@ -650,8 +656,8 @@ def test_width_lower_audit_rechecks_certificate(monkeypatch):
     w = cert["witness"]
     tampered = [
         dict(cert, value=2.0 * cert["value"]),
-        # n = 1: the threshold rises by log2 of the factor, past the count
-        dict(cert, gamma=cert["gamma"] * 2.0 ** (w["count_log2"] - w["threshold_log2"] + 1)),
+        # n = 1: a gamma whose threshold log2(3 gamma / eps) is the count plus one
+        dict(cert, gamma=cert["value"] / 3.0 * 2.0 ** (w["count_log2"] + 1)),
         dict(cert, witness=dict(w, count_log2=w["threshold_log2"] - 0.5)),
         dict(cert, witness={"kind": "covering-count", "count_source": "none-qualified"}),
     ]
@@ -855,11 +861,11 @@ _GOLDEN = {
     "entropy-l2-1500": (
         {"command": "entropy", "seed": 11, "target": _cloud(1500, 3, "l2"),
          "params": {"n_values": [3, 6]}},
-        "9fd466d2f3cceb1b014213fca043ee88b16582ebfc140f20d459942311d28e09"),
+        "c08ace45d3226d5ff7383b9a14b65c3a4be788460bdead2ea0658a0926baf8b9"),
     "entropy-l1-600-witness": (
         {"command": "entropy", "seed": 12, "target": _cloud(600, 3, "l1"),
          "params": {"n_values": [2, 5]}, "verify_witness": True},
-        "6ca7b223f984cfa193d923dd291dc10e093d7249416e81a656e8e5c6bd1124d2"),
+        "3c47fcd373d34f4d0d29195025de361686df00f63967ef18fa4cfbe1d3db3a88"),
     "packing-linf-1200-witness": (
         {"command": "packing", "seed": 13, "target": _cloud(1200, 3, "linf"),
          "verify_witness": True},
@@ -892,10 +898,10 @@ _GOLDEN = {
         "9991951235e1d8cab9fa6feeda9a37031b63a6ebb7d14bae8e69cc62b3160108"),
     "case-study-cross-polytope-witness": (
         _study("cross-polytope"),
-        "0ea38ad3f986007e664df02fd206c2bda4d136dfdc245c62e8b1d654417cc283"),
+        "fccc8befab79f3fc948b52d0ac42ad4e1405af98f010c24a69af618b65ac192b"),
     "audit-all-seed7": (
         {"command": "audit-all", "seed": 7},
-        "4f38e094d933e340e91194de596acab7bb2ce6b7ae74584a5d2816119d11a972"),
+        "a5fe237d73f7ca141c9cc4304e3ebe7749a307b04f14bbe80680dc30c85457fd"),
     # each moves if its study's default truncation (256, 64) or grid (1024) moves
     "entropy-power-sequence-c05-witness": (
         {"command": "entropy", "seed": 0,

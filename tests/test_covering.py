@@ -23,6 +23,7 @@ from lipwidth.covering import (
     covering_lower_bound,
     exact_min_cover,
     farthest_first,
+    no_cover_below,
     packing_is_maximal,
     _cover_masks,
 )
@@ -227,7 +228,9 @@ def check_exact_bracket(ps, n):
     assert len(centers) <= k and mat[centers].min(axis=0).max() <= est.upper
     below = float(mat[mat < est.upper].max())
     assert not some_centers_cover(mat, below, k)
-    assert est.lower_witness == {"kind": "exact-cover", "eps": below, "count": k + 1}
+    assert est.lower_witness == {"kind": "exact-cover"}
+    assert no_cover_below(ps, est.lower, k)
+    assert not no_cover_below(ps, np.nextafter(est.lower, np.inf), k)
     return est
 
 
@@ -239,6 +242,23 @@ def test_exact_brackets_at_small_cloud_sizes():
             ps = PointSet(NormedSpace(dim, norm), rng.uniform(-1, 1, size=(m, dim)))
             for n in (1, 2, 3):
                 check_exact_bracket(ps, n)
+
+
+def test_no_cover_below_with_fewer_distinct_masks_than_the_budget():
+    # 20 points on 5 locations: repeated points have equal masks, so there are
+    # at most 5 distinct ones, fewer than 2**3, and at n = 3 all of them are
+    # tried together; the exhaustive oracle decides every radius of the set
+    rng = np.random.default_rng(8)
+    for norm in ("l1", "l2", "linf"):
+        locations = rng.uniform(-1, 1, size=(5, 2))
+        ps = PointSet(NormedSpace(2, norm), locations[np.arange(20) % 5])
+        mat = ps.matrix()
+        for r in [0.0, *ps.distinct_distances().tolist()]:
+            below = np.nextafter(r, -np.inf)
+            assert len(set(_cover_masks(ps, below))) <= 5
+            for budget in (1, 2, 4, 8):
+                assert no_cover_below(ps, r, budget) == (not some_centers_cover(mat, below, budget))
+    assert not no_cover_below(PointSet(lp_space(1, 1), np.zeros((N_EXACT + 1, 1))), 1.0, 1)
 
 
 def test_exact_bracket_whose_witness_is_the_first_cover_within_the_budget():
@@ -271,7 +291,7 @@ def test_covering_lower_bound_sound():
         m = int(rng.integers(3, 15))
         ps = PointSet(lp_space(2, "inf"), rng.uniform(-1, 1, size=(m, 2)))
         eps = 0.35 * ps.diameter()
-        lb = covering_lower_bound(ps, eps)
+        lb = len(covering_lower_bound(ps, eps))
         exact = minimal_inner_covering(ps, eps).size
         assert lb <= exact
 
@@ -382,9 +402,9 @@ def test_bottom_set_bracket_starts_at_the_least_distance(fset):
     # no cover of 2**n balls exists below r_1, and the nearest pair shares a ball at r_1
     n = math.floor(math.log2(fset.size - 1))
     got = inner_entropy(fset, n)
-    assert got.lower == float(fset.distinct_distances()[0]) and got.lower_witness == {
-        "kind": "exact-cover" if fset.size <= N_EXACT else "ball-disjoint-witnesses",
-        "eps": 0.0, "count": 2 ** n + 1}
+    assert got.lower == float(fset.distinct_distances()[0]) and got.lower_witness == (
+        {"kind": "exact-cover"} if fset.size <= N_EXACT else
+        {"kind": "ball-disjoint-points", "points": list(range(2 ** n + 1))})
 
 
 def bracket_cases():
@@ -415,8 +435,7 @@ def test_inner_entropy_equals_the_search_that_probes_r0(fset):
         if 2 ** n >= fset.size:
             assert est.upper_witness == {"kind": "identity", "size": fset.size}
             continue
-        got = (est.lower, est.upper, est.upper_witness["centers"],
-               est.lower_witness["eps"], est.lower_witness["count"])
+        got = (est.lower, est.upper, est.upper_witness["centers"], est.lower_witness)
         assert got == entropy_search(fset, n), n
 
 
@@ -429,8 +448,8 @@ def test_points_whose_distance_underflows_coincide(m, n):
     assert ps.dist_row(0)[1] == 0.0 and not np.array_equal(ps.points[0], ps.points[1])
     est = inner_entropy(ps, n)
     assert est.lower == est.upper == 0.0  # 2**n balls hold the m - 1 locations
-    assert (est.lower, est.upper, est.upper_witness["centers"], est.lower_witness["eps"],
-            est.lower_witness["count"]) == entropy_search(ps, n)
+    assert (est.lower, est.upper, est.upper_witness["centers"],
+            est.lower_witness) == entropy_search(ps, n)
 
 
 @pytest.mark.parametrize("repeat", [False, True], ids=["apart", "repeated"])
@@ -441,7 +460,7 @@ def test_a_subnormal_least_distance_is_searched_from_zero(repeat):
     ps = PointSet(lp_space(1, 1), np.array(pts, dtype=float)[:, None])
     est = inner_entropy(ps, 5)
     assert est.lower == est.upper == 5e-324 and len(est.upper_witness["centers"]) == 32
-    assert est.lower_witness == {"kind": "ball-disjoint-witnesses", "eps": 0.0, "count": 33}
+    assert est.lower_witness == {"kind": "ball-disjoint-points", "points": list(range(33))}
 
 
 def closed_form_sets():
@@ -596,8 +615,7 @@ def test_above_dense_limit_the_bracket_is_half_the_traversal_radius(monkeypatch)
         centers, radii = farthest_first(fset, 2 ** n + 1)
         assert (est.lower, est.upper, est.exact) == (radii[-1] / 2, radii[-1], False)
         assert est.upper_witness["centers"] == centers[:-1].tolist()
-        assert est.lower_witness == {"kind": "ball-disjoint-points", "eps": est.lower,
-                                     "points": centers.tolist()}
+        assert est.lower_witness == {"kind": "ball-disjoint-points", "points": centers.tolist()}
         assert recheck_entropy(est.to_json(), fset)
     assert fset._cache is None
 

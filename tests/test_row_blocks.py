@@ -35,15 +35,15 @@ from oracles import sequence_dense_points
 def oracle_lower_bound(fset, eps, stop_above=None):
     m = fset.size
     md = np.full(m, np.inf)
-    count = 0
+    points = []
     for q in range(m):
         row = fset.dist_row(q)
         if not bool(np.any((row <= eps) & (md <= eps))):
-            count += 1
-            if stop_above is not None and count > stop_above:
-                return count
+            points.append(q)
+            if stop_above is not None and len(points) > stop_above:
+                return points
             np.minimum(md, row, out=md)
-    return count
+    return points
 
 
 def oracle_greedy_cover(fset, eps):
@@ -246,7 +246,7 @@ def rows_read(fset, eps):
     real = fset.within
     fset.within = lambda rows, *a: asked.extend(np.arange(fset.size)[rows].tolist()) or real(rows, *a)
     try:
-        count = covering_lower_bound(fset, eps)
+        count = len(covering_lower_bound(fset, eps))
     finally:
         del fset.within
     return count, asked

@@ -34,6 +34,20 @@ from lipwidth.widths import best_coordinate_subspace, default_eps_grid
 from oracles import sequence_dense_points
 
 
+@pytest.mark.parametrize("gamma", [0.01, 0.05, 0.2, 1.0])
+def test_width_lower_stays_below_the_constant_map(gamma):
+    # the constant map onto the radius center is 0-Lipschitz, hence
+    # gamma-Lipschitz, so its error bounds d_n^gamma above; radii eps > gamma
+    # must still count more than the one ball that covers its image
+    ps = PointSet(lp_space(2, 2), np.random.default_rng(3).uniform(-1, 1, size=(18, 2)))
+    center = radius_upper(ps).center_point
+    for n in (1, 2):
+        const = fixed_width_upper(ps, AffineBallMap(center, 0.0, np.eye(2)[:n], ps.space),
+                                  np.zeros((ps.size, n)))
+        assert const.gamma == 0.0
+        assert width_lower_certified(ps, n, gamma).value <= const.value
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-12])
 def test_width_certificate_refuses_non_finite_or_negative_values(value):
     with pytest.raises(ValueError, match="finite and nonnegative"):

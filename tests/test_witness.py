@@ -1,20 +1,28 @@
-"""--verify-witness: every certificate kind has a recheck that recomputes it.
+"""--verify-witness: every certificate kind has a recheck that reads its
+witness or recomputes a closed form.
 
 The recheck table (``cli.RECHECKS``) is keyed by the witness kind, else the
 quantity.  Every key a command emits must have an entry, every real
 certificate must pass its recheck, and a tampered one must fail it.  A
 producer patched to overclaim must fail too, so a recheck cannot simply call
-its producer again.
+its producer again: the entropy and covering-count mutants below are
+searches with one line deleted or one bound shifted, which a recheck that
+re-ran the search would repeat.  Every benchmark job's certificates pass
+their rechecks.
 """
 
 import copy
 import dataclasses
+import importlib.util
+import inspect
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lipwidth
-from lipwidth import case_studies, cli, widths
+from lipwidth import case_studies, cli, covering, widths
 
 _POINTS = {"kind": "points", "space": {"dim": 2, "norm": {"kind": "l2"}},
            "points": np.random.default_rng(3).uniform(-1, 1, size=(18, 2)).tolist()}
@@ -128,6 +136,17 @@ def _basis_bracket(end, factor):
     return tamper
 
 
+def _identity_at_zero(cert, fset):
+    cert.update(lower=0.0, upper=0.0, witness={"upper": {"kind": "identity", "size": fset.size},
+                                               "lower": {}})
+
+
+def _set_lower(witness):
+    def tamper(cert, fset):
+        cert["witness"]["lower"] = witness
+    return tamper
+
+
 def _scale_witness(field, factor):
     def tamper(cert, fset):
         cert["witness"][field] *= factor
@@ -159,7 +178,6 @@ _TAMPER = {
     "piecewise-constant-cells": ("kolmogorov-transport", _scale("value", 0.99)),
     "affine-ball-from-subspace": ("case-study-transport", _scale("value", 0.99)),
     "coordinate-subspace": ("case-study-cross-polytope", _scale("value", 0.99)),
-    "kolmogorov_width": ("case-study-cross-polytope", _scale("value", 0.99)),
     "relu_lipschitz": ("relu-verify", _shift("C_n", -1)),
 }
 # more tamperings of bracket ends and closed-form counts
@@ -188,6 +206,13 @@ _EXTRA = [
         lambda cert, fset: cert["witness"]["upper"]["centers"][:-1]), "center-dropped"),
     ("inner_entropy", "entropy-transport", _lower_points(
         lambda points: [points[0], points[0] + 1, *points[2:]]), "point-moved"),
+    # the witnesses must hold whatever they claim: identity on 18 > 2**3
+    # points, 2**n lower points, and an enumeration past N_EXACT points
+    ("inner_entropy", "entropy", _identity_at_zero, "identity-on-more-points"),
+    ("inner_entropy", "entropy-cloud-l2", _lower_points(lambda points: points[:-1]),
+     "point-dropped"),
+    ("inner_entropy", "entropy-cloud-linf", _set_lower({"kind": "exact-cover"}),
+     "exact-cover-past-n-exact"),
     # fewer dimensions claimed than the recorded cells span
     ("piecewise-constant-cells", "kolmogorov-transport", _shift("n", -1), "n-below-cells"),
     # the basis cloud's own witnesses hold at both ends of each bracket
@@ -261,24 +286,60 @@ def _regime_flipped(produce):
     return mutant
 
 
-# producer -> (run, mutation): each mutant claims more than its set allows;
+def _line_deleted(line):
+    """The producer rebuilt from its source without ``line``, in its module's namespace."""
+    def mutate(produce):
+        source = textwrap.dedent(inspect.getsource(produce)).splitlines(keepends=True)
+        kept = [s for s in source if s.strip() != line]
+        assert len(kept) == len(source) - 1
+        namespace = dict(produce.__globals__)
+        exec("".join(kept), namespace)
+        return namespace[produce.__name__]
+    return mutate
+
+
+def _limit_minus_one(exact_min_cover):
+    def mutant(masks, m, limit=None):
+        return exact_min_cover(masks, m, None if limit is None else limit - 1)
+    return mutant
+
+
+def _eps_halved(greedy_packing):
+    def mutant(fset, eps, stop_above=None):
+        return greedy_packing(fset, eps / 2, stop_above)
+    return mutant
+
+
+# (producer, run, mutation): each mutant claims more than its set allows;
 # the basis cloud at m = 3, gamma = 1e6 is outside the regime, so the
-# flipped flag claims a threshold that does not hold
-_MUTANTS = {
-    "kolmogorov_upper": (_RUNS["kolmogorov"], _value_times(0.9)),
-    "best_coordinate_subspace": (_RUNS["case-study-cross-polytope"], _value_times(0.9)),
-    "transport_kolmogorov_upper": (_RUNS["kolmogorov-transport"], _value_times(0.9)),
-    "orthonormal_basis_report": (("case-study", {"kind": "case-study",
+# flipped flag claims a threshold that does not hold.  The lower bound that
+# skips excluding a block's later rows raises the cloud brackets' lower
+# ends; the exact cover deciding at 2**n - 1 raises the 18-point cloud's
+# (at n = 0 it finds no cover at all); the packing at 2 eps, not 4 eps,
+# raises the covering-count value from 0.039 to 0.384
+_MUTANTS = [
+    ("kolmogorov_upper", _RUNS["kolmogorov"], _value_times(0.9)),
+    ("best_coordinate_subspace", _RUNS["case-study-cross-polytope"], _value_times(0.9)),
+    ("transport_kolmogorov_upper", _RUNS["kolmogorov-transport"], _value_times(0.9)),
+    ("orthonormal_basis_report", ("case-study", {"kind": "case-study",
                                                  "name": "orthonormal-basis"},
                                   {"m": 3, "gamma": 1e6, "s": 1}), _regime_flipped),
-}
+    *[("covering_lower_bound", _RUNS[run],
+       _line_deleted("free[k + 1:] &= ~within[k + 1:, ball].any(axis=1)"))
+      for run in ("entropy-cloud-l2", "entropy-cloud-linf")],
+    ("exact_min_cover", ("entropy", _POINTS, {"n_values": [1, 2, 3]}), _limit_minus_one),
+    ("greedy_packing", ("width-lower", {"kind": "random", "m": 300, "dim": 2, "norm": "l2"},
+                        {"n": 1, "gamma": 1.0}), _eps_halved),
+]
 
 
-@pytest.mark.parametrize("producer", list(_MUTANTS))
-def test_overclaiming_producer_fails_verify_witness(monkeypatch, producer):
-    (command, target, params), mutate = _MUTANTS[producer]
-    mutant = mutate(getattr(case_studies, producer))
-    for module in (lipwidth, widths, case_studies, cli):
+@pytest.mark.parametrize("producer,run,mutate", _MUTANTS,
+                         ids=[producer for producer, _, _ in _MUTANTS])
+def test_overclaiming_producer_fails_verify_witness(monkeypatch, producer, run, mutate):
+    command, target, params = run
+    modules = (lipwidth, covering, widths, case_studies, cli)
+    mutant = mutate(next(getattr(m, producer) for m in modules if hasattr(m, producer)))
+    for module in modules:
         if hasattr(module, producer):
             monkeypatch.setattr(module, producer, mutant)
     if producer == "transport_kolmogorov_upper":  # the kolmogorov command's projector
@@ -288,3 +349,23 @@ def test_overclaiming_producer_fails_verify_witness(monkeypatch, producer):
                       "verify_witness": True})
     witness = [a["passed"] for a in report["audits"] if a["name"].startswith("witness-")]
     assert witness and not all(witness) and not report["passed"]
+
+
+# --- every benchmark job, with its rechecks -----------------------------------
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+workloads = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_benchmark_jobs_pass_their_rechecks(workload, seed):
+    # the small job lists of the benchmark's workloads (read, never changed)
+    # with --verify-witness: audit-all re-checks inside its case studies
+    audits = [a for cfg in workloads.jobs_for(workload, seed, tiny=True)
+              for a in cli.run(dict(cfg, verify_witness=True))["audits"]
+              if a["name"].startswith("witness-")]
+    assert [a["name"] for a in audits if not a["passed"]] == []
+    assert audits
