@@ -118,10 +118,11 @@ def log_sequence_entropy_lower(index: int) -> float:
     """Certified outer-entropy lower envelope of the log-decay set.
 
     The inner entropy number at index k equals sigma_{2^k} = 1/log2(2^k+1)
-    and outer entropy is at least half the inner one.  Stable for any index.
+    and outer entropy is at least half the inner one; at k = 0 that is
+    sigma_1 / 2 = 1/2.  Stable for any index.
     """
-    if index < 1:
-        raise PreconditionError("index must be positive")
+    if index < 0:
+        raise PreconditionError("index must be nonnegative")
     return 0.5 * sigma_at(SequenceSetSpec("log", 2), 2 ** index)
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache
 from importlib import resources
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +52,7 @@ CONFIG_SCHEMA = json.loads(
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
                "integer": int, "number": (int, float)}
 _NUMBER = {"type": "number"}
+_ROW = {"type": "array", "items": _NUMBER}
 
 
 def resolve_gamma(params: dict, n: int, fset=None) -> float:
@@ -118,9 +120,13 @@ def _check(value, schema: dict, path: str) -> None:
     if isinstance(value, list) and "items" in schema:
         path += "[]"  # no per-item index: configs can carry 10^4 points
         items = schema["items"]
-        plain = items == _NUMBER  # coordinates: a plain finite number needs no walk
-        for item in value:
-            if not plain or type(item) not in (int, float) or not -math.inf < item < math.inf:
+        # numbers, and rows of numbers, in one pass; the walk only names the first bad one
+        if items == _ROW and set(map(type, value)) <= {list}:
+            plain = _numbers(chain.from_iterable(value))
+        else:
+            plain = items == _NUMBER and _numbers(value)
+        if not plain:
+            for item in value:
                 _check(item, items, path)
     for sub in schema.get("allOf", ()):
         _check(value, sub, path)
@@ -130,6 +136,17 @@ def _check(value, schema: dict, path: str) -> None:
         except UsageError:
             return
         _check(value, schema["then"], path)
+
+
+def _numbers(values) -> bool:
+    """Every value is a finite int or float (not a bool): a type pass and an
+    exact sum, which is finite iff every term is.  A sum that overflows, or
+    meets both infinities, is left to the walk."""
+    values = list(values)
+    try:
+        return set(map(type, values)) <= {int, float} and math.isfinite(math.fsum(values))
+    except (OverflowError, ValueError):
+        return False
 
 
 def validate_config(cfg: dict) -> dict:
@@ -362,8 +379,8 @@ def _run_relu_verify(cfg, seed):
     )
     res = rn.verify_lipschitz(config, seed=seed, trials=int(params.get("trials", 1000)))
     cert = {"quantity": "relu_lipschitz", "d": config.d, "width": config.width,
-            "depth": config.depth, "C_n": res.bound, "coarse_bound": res.coarse,
-            "max_ratio": res.max_ratio, "pass": res.passed}
+            "depth": config.depth, "C_n": res.bound, "G_star": res.exact,
+            "coarse_bound": res.coarse, "max_ratio": res.max_ratio, "pass": res.passed}
     return [cert], [{"name": "relu-ratio-below-bound", "passed": res.passed}]
 
 
@@ -485,6 +502,20 @@ def _certify(cfg: dict, seed: int) -> tuple:
     return certs, audits
 
 
+def _points_digest(target: dict) -> dict:
+    """A points target as echoed: its space, its size ``m`` and the sha256 of
+    its points as little-endian float64 in C order, the array that
+    ``np.asarray(points, dtype="<f8")`` holds."""
+    import hashlib
+
+    try:
+        pts = np.asarray(target["points"], dtype="<f8")
+    except ValueError as exc:  # ragged rows: no command read the target
+        raise UsageError(f"bad points target: {exc}") from exc
+    return {"kind": "points", "space": target["space"], "m": len(pts),
+            "sha256": hashlib.sha256(pts.tobytes()).hexdigest()}
+
+
 def run(cfg: dict) -> dict:
     """Validate, dispatch, and assemble the run report."""
     cfg = validate_config(cfg)
@@ -492,9 +523,13 @@ def run(cfg: dict) -> dict:
     start = time.perf_counter()
     certs, audits = _certify(cfg, seed)
     passed = all(a.get("passed", False) for a in audits) if audits else True
+    echo = {k: v for k, v in cfg.items() if k not in ("out", "format")}
+    if (cfg.get("target") or {}).get("kind") == "points":
+        echo["target"] = _points_digest(cfg["target"])
     report = {
-        # validated, so already JSON-safe; where and how it is written is not echoed
-        "config": {k: v for k, v in cfg.items() if k not in ("out", "format")},
+        # validated, so already JSON-safe; where and how it is written is not
+        # echoed, nor a points target's coordinates
+        "config": echo,
         "version": __version__,
         "certificates": certs,
         "audits": audits,

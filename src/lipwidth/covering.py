@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import DENSE_LIMIT, FiniteSet, PreconditionError, block_rows, row_spans
+from .spaces import DENSE_LIMIT, FiniteSet, PreconditionError, block_rows
 
 # Exact set-cover threshold: above this, brackets fall back to witnesses.
 N_EXACT = 20
@@ -85,15 +85,17 @@ def greedy_packing(fset: FiniteSet, eps: float, stop_above: Optional[int] = None
     Without ``stop_above`` the result is maximal, so its size is at most
     P_eps and, the packing being an eps-cover, at least N_eps.  An admitted
     point whose row is not yet read reads it together with the rest of its
-    block, in one ``within`` call.
+    block (``scan_rows`` rows) that is still ``far``, in one ``within``
+    call: ``far`` only clears, so every point the block admits later was
+    ``far`` when it was read.
     """
     if eps < 0:
         raise PreconditionError("eps must be nonnegative")
     thr = eps * (1.0 + PACK_SLACK)
-    m, step = fset.size, block_rows(fset.size)
+    m, step = fset.size, fset.scan_rows
     far = np.ones(m, dtype=bool)  # farther than thr from every admitted point
     chosen: list[int] = []
-    start = end = 0  # ``beyond`` holds rows start..end-1
+    start = end = 0  # ``beyond`` holds the rows start + ``rows``, all below end
     for lo in range(0, m, _PACK_WINDOW):
         # admissions only clear far, so a point that is no candidate at the
         # window's start is never admitted; a candidate is tested again
@@ -103,10 +105,12 @@ def greedy_packing(fset: FiniteSet, eps: float, stop_above: Optional[int] = None
             chosen.append(i)
             if stop_above is not None and len(chosen) > stop_above:
                 return PackingResult(eps, tuple(chosen), len(chosen), maximal=False)
-            if i >= end:  # i's row and the rest of its block
+            if i >= end:  # i's row and the block's later rows still far
                 start, end = i, min(i // step * step + step, m)
-                beyond = ~fset.within(slice(start, end), thr)
-            far &= beyond[i - start]
+                rows = far[start:end].nonzero()[0]
+                whole = rows.size == end - start
+                beyond = ~fset.within(slice(start, end) if whole else start + rows, thr)
+            far &= beyond[i - start if whole else rows.searchsorted(i - start)]
     return PackingResult(eps, tuple(chosen), len(chosen), maximal=True)
 
 
@@ -120,15 +124,14 @@ def packing_is_maximal(fset: FiniteSet, pack: PackingResult) -> bool:
     return True
 
 
-def _rows_of(fset: FiniteSet, idx: np.ndarray):
+def _rows_of(idx: np.ndarray, step: int):
     """(positions into ``idx``, the rows of those points) per block of
-    ``block_rows`` consecutive rows that holds one of them, in row order: a
-    slice when they are the block's whole run, else their ascending indices.
+    ``step`` consecutive rows that holds one of them, in row order: a slice
+    when they are the block's whole run, else their ascending indices.
     Distances are symmetric, so row p also gives d(c, p) for every point c."""
     if idx.size == 0:
         return
     order = np.argsort(idx, kind="stable")
-    step = block_rows(fset.size)
     for pos in np.split(order, np.flatnonzero(np.diff(idx[order] // step)) + 1):
         lo, hi = int(idx[pos[0]]), int(idx[pos[-1]]) + 1
         run = hi - lo == len(pos) and bool((np.diff(idx[pos]) == 1).all())
@@ -149,7 +152,7 @@ def coverage_assignment(fset: FiniteSet, centers, eps: float) -> np.ndarray:
     centers = _indices(fset, centers)
     best = np.full(fset.size, np.inf)
     assign = np.zeros(fset.size, dtype=int)
-    for pos, rows in _rows_of(fset, centers):
+    for pos, rows in _rows_of(centers, block_rows(fset.size)):
         block = fset.dist_at(rows)
         first = np.argsort(pos, kind="stable")
         pos, block = pos[first], block[first]
@@ -173,7 +176,7 @@ def ball_disjoint(fset: FiniteSet, points, eps: float) -> bool:
     thr = np.nextafter(eps * (1.0 - PACK_SLACK), -np.inf)
     held = np.zeros(fset.size, dtype=bool)  # centers whose ball holds a point
     hits = 0
-    for _, rows in _rows_of(fset, _indices(fset, points)):
+    for _, rows in _rows_of(_indices(fset, points), fset.scan_rows):
         inside = fset.within(rows, thr)
         hits += int(np.count_nonzero(inside))
         held |= np.logical_or.reduce(inside, axis=0)
@@ -323,8 +326,9 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
         return CoveringResult(eps, centers, exact=True)
     # uncovered points in each ball; distances are symmetric, so a freshly
     # covered point p leaves exactly the balls its own row puts it in
-    gains = np.concatenate([fset.within(slice(lo, hi), eps).sum(axis=1)
-                            for lo, hi in row_spans(m)])
+    step = fset.scan_rows
+    gains = np.concatenate([fset.within(slice(lo, min(lo + step, m)), eps).sum(axis=1)
+                            for lo in range(0, m, step)])
     covered = np.zeros(m, dtype=bool)
     centers = []
     while not covered.all():
@@ -334,7 +338,7 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
         centers.append(best_c)
         fresh = np.flatnonzero(fset.within(slice(best_c, best_c + 1), eps)[0] & ~covered)
         covered[fresh] = True
-        for _, rows in _rows_of(fset, fresh):
+        for _, rows in _rows_of(fresh, step):
             gains -= fset.within(rows, eps).sum(axis=0)
     return CoveringResult(eps, tuple(centers), exact=False)
 
@@ -349,7 +353,7 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
     first point past that many.
 
     Points are admitted in index order, and each row is read at most once,
-    in blocks of ``block_rows`` consecutive rows.  A point already in
+    in blocks of ``scan_rows`` consecutive rows.  A point already in
     ``near`` lies in its own ball (d(i, i) = 0), so it is rejected without
     reading its row: each block reads only its rows outside ``near``.  A
     witness admitted inside a block rejects the block's later rows whose
@@ -357,7 +361,7 @@ def covering_lower_bound(fset: FiniteSet, eps: float, stop_above: Optional[int] 
     """
     m = fset.size
     near = np.zeros(m, dtype=bool)  # centers c with a collected witness in B(c, eps)
-    step = block_rows(m)
+    step = fset.scan_rows
     points: list[int] = []
     lo = 0
     while lo < m:
@@ -515,7 +519,7 @@ def separated(fset: FiniteSet, points, eps: float) -> bool:
     point named twice fails."""
     idx = _indices(fset, points)
     return idx.size == sum(int(np.count_nonzero(fset.within(rows, eps)[:, idx]))
-                           for _, rows in _rows_of(fset, idx))
+                           for _, rows in _rows_of(idx, fset.scan_rows))
 
 
 def recheck_packing(cert: dict, fset: FiniteSet) -> bool:

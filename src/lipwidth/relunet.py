@@ -3,11 +3,19 @@
 The parameter vector concatenates the affine layers in order (layer 0
 first), each layer as row-major matrix entries followed by its bias.  On
 the unit sup-norm parameter ball the map into C([0,1]^d) is Lipschitz with
-the exact recursion constant
+the source paper's recursion constant
 
     C_0 = d + 1,    C_j = W * C_{j-1} + (d + 2) * W**j + 1,
 
-computed in exact integer arithmetic, and C_n < (2d+4) * n * W**n.
+and C_n < (2d+4) * n * W**n.  Its exact Lipschitz constant is
+
+    G* = sum_{j=0}^{n} W**(n-j) * (S_{j-1} + 1) <= C_n,
+
+with H_0 = d + 1, H_j = W * H_{j-1} + 1 (a bound on each output of hidden
+layer j), S_j = W * H_j (on their l1 norm) and S_{-1} = d (on the input's):
+the l1 norm of the gradient in the parameters is at most G* almost
+everywhere, and the pair (1, 1 - t 1) at the all-ones corner, with the input
+1, attains G* - O(t).  Both constants are exact integers.
 """
 
 from __future__ import annotations
@@ -25,8 +33,11 @@ from .spaces import PreconditionError
 # Default sup-norm grid resolution per axis, by input dimension.
 DEFAULT_GRID = {1: 256, 2: 16, 3: 8}
 
-# Parameter pairs per falsification chunk; chunk i draws from seed ^ i.
+# Parameter pairs per falsification chunk; chunk i draws from the i-th child
+# of ``np.random.SeedSequence(seed)``.
 VERIFY_CHUNK = 512
+# The corner pair's step: (1, 1 - CORNER_STEP * 1), both exact in binary.
+CORNER_STEP = 2.0 ** -20
 
 # A 4 KiB page and half of it, in float64 entries.
 _PAGE, _HALF_PAGE = 512, 256
@@ -83,22 +94,28 @@ class LipBoundTrace:
     constants: tuple          # C_0..C_n, exact ints
     final: int                # C_n
     coarse: int               # (2d+4) * n * W^n
+    exact: int                # G*, the exact Lipschitz constant
 
 
 def lip_bound(cfg: ReLUNetConfig) -> LipBoundTrace:
-    """Exact recursion constants (Python integers never overflow)."""
+    """Exact recursion constants and G* (Python integers never overflow)."""
     d, W, n = cfg.d, cfg.width, cfg.depth
     consts = [d + 1]
     for j in range(1, n + 1):
         consts.append(W * consts[-1] + (d + 2) * W ** j + 1)
     coarse = (2 * d + 4) * n * W ** n
-    if consts[-1] >= coarse:
-        raise AssertionError("recursion constant not below the coarse bound")
+    exact, s, h = 0, d, d + 1  # S_{j-1} and H_j, from j = 0
+    for j in range(n + 1):
+        exact += W ** (n - j) * (s + 1)
+        s, h = W * h, W * h + 1
+    if not exact <= consts[-1] < coarse:
+        raise AssertionError("constants out of order: G* <= C_n < coarse fails")
     return LipBoundTrace(
         output_bounds=tuple(layer_output_bound(d, W, j) for j in range(n)),
         constants=tuple(consts),
         final=consts[-1],
         coarse=coarse,
+        exact=exact,
     )
 
 
@@ -174,12 +191,12 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _falsify_chunks(cfg: ReLUNetConfig, seed: int, trials: int, X: np.ndarray,
+def _falsify_chunks(cfg: ReLUNetConfig, seeds: list, trials: int, X: np.ndarray,
                     chunks: range) -> tuple:
     """Largest ratio and per-layer maxima over the chunks ``chunks``.
 
     Chunk i holds pairs i * VERIFY_CHUNK onwards and draws them from
-    ``seed ^ i``, ya then yb.  Its pairs go through ``_batched_forward`` a
+    ``seeds[i]``, ya then yb.  Its pairs go through ``_batched_forward`` a
     block at a time, the block's ya rows followed by the same pairs' yb rows,
     and each block is reduced to its pairs' sup |Phi(ya) - Phi(yb)| while it
     is in cache.  One workspace serves every block."""
@@ -191,7 +208,7 @@ def _falsify_chunks(cfg: ReLUNetConfig, seed: int, trials: int, X: np.ndarray,
     layer_seen = [0.0] * cfg.depth
     for widx in chunks:
         take = min(VERIFY_CHUNK, trials - widx * VERIFY_CHUNK)
-        rng = np.random.default_rng((int(seed) ^ widx) & 0xFFFFFFFFFFFFFFFF)
+        rng = np.random.default_rng(seeds[widx])
         ya = rng.uniform(-1.0, 1.0, size=(take, npar))
         yb = rng.uniform(-1.0, 1.0, size=(take, npar))
         sep = np.abs(ya - yb).max(axis=1)
@@ -210,12 +227,24 @@ def _falsify_chunks(cfg: ReLUNetConfig, seed: int, trials: int, X: np.ndarray,
     return best, layer_seen
 
 
+def corner_ratio(cfg: ReLUNetConfig, X: np.ndarray) -> tuple:
+    """The ratio of the corner pair (1, 1 - CORNER_STEP * 1) over the grid
+    X, and its per-layer maxima.  Every preactivation is positive there, so
+    the ratio is G* - O(CORNER_STEP); the step is exact in binary, so the
+    pair is exactly CORNER_STEP apart."""
+    ys = np.ones((2, param_count(cfg.d, cfg.width, cfg.depth)))
+    ys[1] -= CORNER_STEP
+    out, layer_max = _batched_forward(cfg, ys, X)
+    return float(np.abs(out[0] - out[1]).max()) / CORNER_STEP, layer_max
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     config: ReLUNetConfig
     trials: int
     max_ratio: float
     bound: int               # C_n
+    exact: int               # G*
     coarse: int
     passed: bool
     layer_bound_ok: bool
@@ -249,26 +278,31 @@ def _run_workers(work, workers: int) -> list:
 
 
 def verify_lipschitz(cfg: ReLUNetConfig, seed: int, trials: int) -> VerifyResult:
-    """Falsification test of the recursion constant on sampled parameter pairs.
+    """Falsification test of the exact constant G* on parameter pairs: the
+    corner pair (``corner_ratio``) and ``trials`` sampled ones.
 
     Per pair: sup over the input grid of |Phi(y) - Phi(y')| divided by
     ||y - y'||_inf.  The grid under-approximates the true sup, which only
-    makes the test direction (ratio <= bound) conservative.
+    makes the test direction (ratio <= G*) conservative.  ``max_ratio`` is
+    the largest ratio an actual pair attains.
 
-    Pairs come in chunks of ``VERIFY_CHUNK``, chunk i drawn from seed ^ i.
-    The chunks are dealt round-robin to ``worker_count()`` threads (never
-    more threads than chunks; one worker starts none), and the ratio and the
-    layer maxima are maxima over the workers, so every result is bit for bit
-    the same for any number of workers.
+    Sampled pairs come in chunks of ``VERIFY_CHUNK``, chunk i drawn from the
+    i-th child of ``np.random.SeedSequence(seed)``.  The chunks are dealt
+    round-robin to ``worker_count()`` threads (never more threads than
+    chunks; one worker starts none), and the ratio and the layer maxima are
+    maxima over the workers, so every result is bit for bit the same for
+    any number of workers.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     trace = lip_bound(cfg)
     X = input_grid(cfg)
     chunks = -(-trials // VERIFY_CHUNK)
+    seeds = np.random.SeedSequence(seed).spawn(chunks)
     workers = min(worker_count(), chunks)
     parts = _run_workers(
-        lambda w: _falsify_chunks(cfg, seed, trials, X, range(w, chunks, workers)), workers)
+        lambda w: _falsify_chunks(cfg, seeds, trials, X, range(w, chunks, workers)), workers)
+    parts.append(corner_ratio(cfg, X))
     best = max(ratio for ratio, _ in parts)
     layer_seen = tuple(max(col) for col in zip(*(seen for _, seen in parts)))
     layer_ok = not any(seen > cap + 1e-9 for seen, cap in zip(layer_seen, trace.output_bounds))
@@ -277,15 +311,18 @@ def verify_lipschitz(cfg: ReLUNetConfig, seed: int, trials: int) -> VerifyResult
         trials=trials,
         max_ratio=best,
         bound=trace.final,
+        exact=trace.exact,
         coarse=trace.coarse,
-        passed=best <= trace.final and layer_ok,
+        passed=best <= trace.exact and layer_ok,
         layer_bound_ok=layer_ok,
         layer_max_observed=layer_seen,
     )
 
 
 def recheck_lipschitz(cert: dict, fset=None) -> bool:
-    """C_n and the coarse bound, derived again, match; the falsified ratio is below C_n."""
+    """C_n, G* and the coarse bound, derived again, match; the falsified
+    ratio is at most G*, and G* at most C_n."""
     trace = lip_bound(ReLUNetConfig(d=cert["d"], width=cert["width"], depth=cert["depth"]))
-    return (trace.final == cert["C_n"] and trace.coarse == cert["coarse_bound"]
-            and cert["max_ratio"] <= trace.final)
+    return (trace.final == cert["C_n"] and trace.exact == cert["G_star"]
+            and trace.coarse == cert["coarse_bound"]
+            and cert["max_ratio"] <= trace.exact <= trace.final)

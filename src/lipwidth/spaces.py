@@ -29,9 +29,11 @@ REL_TOL = 1e-9
 # those put every distance that rounds to fl32(eps) on one side of eps, else
 # by recomputing each in float64 (``PointSet.within``).
 DENSE_LIMIT = 4096
-# Elements (rows x points) per block of distance rows: 512 KiB of float64
-# (256 KiB of a float32 cache), so a block stays in a core's L2 cache.  Scans,
-# certificates, sequence sums and the ReLU forward pass read it at call time.
+# Elements (rows x points) per block of float64 distance rows.  The budget is
+# in bytes: 512 KiB, so a block stays in a core's L2 cache (2 MiB on the
+# machine these blocks were measured on).  A scan over a float32 cache takes
+# as many bytes, so twice the rows (``block_rows``).  Scans, certificates,
+# sequence sums and the ReLU forward pass read it at call time.
 BLOCK_ELEMS = 1 << 16
 
 NORM_KINDS = ("l1", "l2", "linf", "wlinf", "l1step")
@@ -135,9 +137,11 @@ def _float32(x: float) -> np.float32:
         return np.float32(x)
 
 
-def block_rows(size: int) -> int:
-    """Rows per block of rows ``size`` entries wide, as a set's distance rows are."""
-    return max(1, BLOCK_ELEMS // size)
+def block_rows(size: int, itemsize: int = 8) -> int:
+    """Rows per block of rows ``size`` entries wide, as a set's distance rows
+    are, of ``itemsize``-byte entries: a block holds the bytes of
+    ``BLOCK_ELEMS`` float64 entries."""
+    return max(1, BLOCK_ELEMS * 8 // (size * itemsize))
 
 
 def row_spans(size: int, width: Optional[int] = None):
@@ -180,6 +184,12 @@ class FiniteSet:
         whether d(row k, j) <= eps.  Every scan that compares distances with a
         radius asks here; d < x is d <= the float below x."""
         return self.dist_at(rows) <= eps
+
+    @property
+    def scan_rows(self) -> int:
+        """Rows per block of a scan through ``within``: ``block_rows`` of the
+        array that ``within`` reads, here float64 rows."""
+        return block_rows(self.size)
 
     def row_maxima(self) -> np.ndarray:
         """Each point's largest distance to the set."""
@@ -345,6 +355,13 @@ class PointSet(FiniteSet):
             at = slice(lo, lo + step)
             out[k[at], j[at]] = self.space.norm(self.points[i[at]] - self.points[j[at]]) <= eps
         return out
+
+    @property
+    def scan_rows(self) -> int:
+        """As ``FiniteSet.scan_rows``; ``within`` reads a float32 cache at
+        most DENSE_LIMIT points wide, so twice the rows of float64."""
+        cached = self._dtype == np.float32 and self.size <= DENSE_LIMIT
+        return block_rows(self.size, 4 if cached else 8)
 
     def _ties_at(self, eps: float) -> tuple:
         """(e, side) at the radius eps: e = fl32(eps), and side True when

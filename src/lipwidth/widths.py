@@ -320,14 +320,14 @@ def carl_transfer_check(n: int, gamma: float, width_value: float,
                         entropy_lower: Callable[[int], float]) -> TransferReport:
     """Check a claimed width bound against a certified entropy lower envelope.
 
-    A width bound d_n^gamma < delta forces N_{2 delta} <= (3 gamma/delta)^n
+    A width bound d_n^gamma < delta forces N_{2 delta} <= max(1, (3 gamma/delta)^n)
     and hence an entropy upper bound 2*delta at index
-    ceil(n * log2(3 gamma / delta)).  If the supplied entropy lower envelope
-    exceeds 2*delta there, the claimed width bound is contradicted.
+    max(0, ceil(n * log2(3 gamma / delta))).  If the supplied entropy lower
+    envelope exceeds 2*delta there, the claimed width bound is contradicted.
     """
     if width_value <= 0:
         raise PreconditionError("width bound must be positive to transfer")
-    index = int(math.ceil(n * math.log2(3.0 * gamma / width_value)))
+    index = max(0, int(math.ceil(n * math.log2(3.0 * gamma / width_value))))
     implied = 2.0 * width_value
     eta = float(entropy_lower(index))
     return TransferReport(

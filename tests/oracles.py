@@ -113,6 +113,18 @@ def diagonal_member(y: np.ndarray) -> bool:
     return float(np.abs(y) @ w) <= 1.0 + 1e-12
 
 
+def exact_relu_constant(cfg) -> int:
+    """G* of ``relunet.lip_bound`` from its definition: the sum over layers
+    j = 0..n of W^(n-j) (S_{j-1} + 1), with S_{-1} = d, H_0 = d + 1,
+    H_j = W H_{j-1} + 1 and S_j = W H_j."""
+    d, W, n = cfg.d, cfg.width, cfg.depth
+    H = [d + 1]
+    for _ in range(n - 1):
+        H.append(W * H[-1] + 1)
+    S = [d] + [W * h for h in H]  # S[j] is S_{j-1}
+    return sum(W ** (n - j) * (S[j] + 1) for j in range(n + 1))
+
+
 def closed_form_constant(cfg, j: int) -> int:
     """Unrolled form W^j (d+1) + j (d+2) W^j + sum_{k<j} W^k of the
     ``relunet.lip_bound`` recursion."""
@@ -216,14 +228,16 @@ def sample_domain(map_, rng, count) -> np.ndarray:
 def empirical_lipschitz(map_, seed: int, pairs: int) -> float:
     """The largest sampled difference quotient of a map; ``BoundViolation`` if
     it exceeds the declared constant by more than ``REL_TOL``.  Pairs come from
-    ``sample_domain`` in chunks of ``PAIR_CHUNK``, seeded ``seed ^ chunk``; a
-    ``SequenceBumpSum``'s images are ``sequence_images`` rows, in the sup norm."""
+    ``sample_domain`` in chunks of ``PAIR_CHUNK``, chunk i seeded by the i-th
+    child of ``np.random.SeedSequence(seed)``; a ``SequenceBumpSum``'s images
+    are ``sequence_images`` rows, in the sup norm."""
     from lipwidth import BoundViolation, SequenceBumpSum
     from lipwidth.spaces import REL_TOL
 
     best = 0.0
-    for chunk, done in enumerate(range(0, pairs, PAIR_CHUNK)):
-        rng = np.random.default_rng((int(seed) ^ chunk) & 0xFFFFFFFFFFFFFFFF)
+    starts = range(0, pairs, PAIR_CHUNK)
+    for seq, done in zip(np.random.SeedSequence(seed).spawn(len(starts)), starts):
+        rng = np.random.default_rng(seq)
         a, b = np.split(sample_domain(map_, rng, 2 * min(PAIR_CHUNK, pairs - done)), 2)
         if isinstance(map_, SequenceBumpSum):
             sep = np.abs(a - b).max(axis=1)

@@ -223,7 +223,57 @@ def test_bad_coordinate_keeps_its_message_and_path(tmp_path, capsys, row, messag
 def test_integer_coordinates_are_accepted(capsys):
     target = _points([[0, 1], [2, 3], [-4, 5]])
     assert main(["entropy", "--n", "1", "--target-json", json.dumps(target)]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["target"]["points"][2] == [-4, 5]
+    echoed = json.loads(capsys.readouterr().out)["config"]["target"]
+    as_f8 = np.array([[0.0, 1.0], [2.0, 3.0], [-4.0, 5.0]], dtype="<f8")
+    assert echoed["sha256"] == hashlib.sha256(as_f8.tobytes()).hexdigest()
+
+
+def _random_points(m, dim=3, seed=0):
+    return np.random.default_rng(seed).uniform(-1, 1, size=(m, dim)).tolist()
+
+
+def test_points_target_is_echoed_by_size_and_digest():
+    points = _random_points(1024)
+    report = run({"command": "entropy", "target": _points(points, dim=3),
+                  "params": {"n": 1}})
+    digest = hashlib.sha256(np.asarray(points, dtype="<f8").tobytes()).hexdigest()
+    assert report["config"]["target"] == {
+        "kind": "points", "space": {"dim": 3, "norm": {"kind": "l2"}}, "m": 1024,
+        "sha256": digest}
+    assert json.loads(canonical_report(report))["config"] == report["config"]
+
+
+def test_points_echo_does_not_grow_with_the_points():
+    sizes = []
+    for m in (1024, 8192):
+        report = run({"command": "relu-verify", "target": _points(_random_points(m), dim=3),
+                      "params": {"d": 1, "width": 2, "depth": 1, "trials": 10}})
+        sizes.append(len(json.dumps(report["config"], sort_keys=True, separators=(",", ":"))))
+    assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("bad,message", [
+    ([0.5, 0.5, True], "config.target.points[][] must be of type number"),
+    ([0.5, float("nan"), 0.5], "config.target.points[][] must be finite, not nan"),
+    ("row", "config.target.points[] must be of type array")])
+def test_bad_last_row_of_a_large_target_keeps_its_message(tmp_path, capsys, bad, message):
+    # the one-pass check falls back to the walk, which names the first bad value
+    points = _random_points(8192) + [bad]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "entropy", "target": _points(points, dim=3)}))
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_ragged_row_of_a_large_target_is_a_bad_target(tmp_path, capsys):
+    points = _random_points(8192)
+    points[-1] = [0.5, 0.5]
+    with pytest.raises(ValueError) as exc:
+        np.asarray(points, dtype=float)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "entropy", "target": _points(points, dim=3)}))
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"usage error: bad points target: {exc.value}\n"
 
 
 def test_exit_code_two_on_violation(monkeypatch):

@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from fractions import Fraction
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -21,7 +22,7 @@ from lipwidth.relunet import (
     verify_lipschitz,
 )
 from lipwidth.spaces import PreconditionError
-from oracles import closed_form_constant, forward, split_params
+from oracles import closed_form_constant, exact_relu_constant, forward, split_params
 
 
 def test_param_count_examples():
@@ -104,6 +105,101 @@ def test_lip_bound_huge_depth_exact_integers():
     assert trace.final == closed_form_constant(ReLUNetConfig(d=1, width=3, depth=400), 400)
 
 
+# (d, width, depth) -> (C_n, G*), worked out from the two recursions
+_EXACT_CONSTANTS = {(1, 2, 3): (95, 81), (2, 3, 3): (418, 358), (1, 2, 5): (575, 513),
+                    (3, 3, 5): (7168, 6379), (3, 3, 1): (28, 25)}
+# the relu-sweep benchmark's shapes
+_SWEEP = [(d, w, depth) for d in (1, 2, 3) for w in (2, 3) for depth in range(1, 6)]
+
+
+def _hidden_bounds(cfg):
+    """H_0 = d + 1 and H_j = W H_{j-1} + 1: each hidden unit's largest output."""
+    H = [cfg.d + 1]
+    for _ in range(cfg.depth - 1):
+        H.append(cfg.width * H[-1] + 1)
+    return H
+
+
+def test_exact_constant_values_and_order():
+    for shape, (c_n, g_star) in _EXACT_CONSTANTS.items():
+        trace = lip_bound(ReLUNetConfig(*shape))
+        assert (trace.final, trace.exact) == (c_n, g_star)
+    for d in (1, 2, 3, 7):
+        for w in (2, 3, 5):
+            for n in (1, 2, 5, 9, 40):
+                cfg = ReLUNetConfig(d=d, width=w, depth=n)
+                trace = lip_bound(cfg)
+                assert trace.exact == exact_relu_constant(cfg)
+                assert trace.exact <= trace.final < trace.coarse
+                # each H_j stays within the layer bound the audit checks
+                assert all(h <= b for h, b in zip(_hidden_bounds(cfg), trace.output_bounds))
+
+
+def _corner_quotient(cfg, t: Fraction) -> Fraction:
+    """(Phi(1) - Phi(1 - t 1)) / t at the input 1, in exact arithmetic.  With
+    every parameter equal to c, every unit of a layer holds one value, and
+    near c = 1 every preactivation is positive, so no ReLU clips."""
+    def phi(c):
+        h = max(c * cfg.d + c, 0)
+        for _ in range(cfg.depth - 1):
+            h = max(c * cfg.width * h + c, 0)
+        return c * cfg.width * h + c
+
+    return (phi(Fraction(1)) - phi(1 - t)) / t
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1), (1, 2, 3), (2, 3, 2), (3, 2, 4), (3, 3, 5)])
+def test_corner_quotient_tends_to_the_exact_constant(shape):
+    cfg = ReLUNetConfig(*shape)
+    g_star = lip_bound(cfg).exact
+    gaps = [g_star - _corner_quotient(cfg, Fraction(1, 2 ** k)) for k in (4, 10, 20, 30)]
+    assert all(gap > 0 for gap in gaps)
+    assert gaps == sorted(gaps, reverse=True)
+    assert gaps[-1] * 2 ** 30 < 10 * g_star ** 2  # O(t)
+    # the float pass over the grid reads the same quotient at 2^-20
+    ratio, _ = relunet.corner_ratio(cfg, input_grid(cfg))
+    assert ratio == pytest.approx(float(_corner_quotient(cfg, Fraction(1, 2 ** 20))), rel=1e-9)
+    assert g_star - 1 < ratio <= g_star
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3), (2, 3, 2), (3, 3, 5), (1, 3, 4)])
+def test_sampled_pairs_never_exceed_the_exact_constant(shape):
+    # uniform pairs, and pairs within 10^-2 of the corner, where the ratio is largest
+    cfg = ReLUNetConfig(*shape)
+    g_star = lip_bound(cfg).exact
+    X = input_grid(cfg)
+    best, _ = relunet._falsify_chunks(cfg, np.random.SeedSequence(3).spawn(2), 1024, X,
+                                      range(2))
+    assert best <= g_star
+    rng = np.random.default_rng(4)
+    npar = param_count(*shape)
+    ya = 1.0 - 0.01 * rng.uniform(size=(256, npar))
+    yb = 1.0 - 0.01 * rng.uniform(size=(256, npar))
+    out, _ = _batched_forward(cfg, np.vstack([ya, yb]), X)
+    ratios = np.abs(out[:256] - out[256:]).max(axis=1) / np.abs(ya - yb).max(axis=1)
+    assert float(ratios.max()) <= g_star
+
+
+@pytest.mark.parametrize("declare", ["G* - 1", "0.8 C_n"])
+def test_relu_verify_refutes_a_smaller_declared_constant(monkeypatch, declare):
+    # mutation gate: with the constant declared below G*, relu-verify (and
+    # its recheck) must fail on every shape of the relu-sweep benchmark
+    from lipwidth.cli import recheck, run
+
+    real = relunet.lip_bound
+
+    def declared(cfg):
+        trace = real(cfg)
+        return replace(trace, exact=trace.exact - 1 if declare == "G* - 1" else 0.8 * trace.final)
+
+    monkeypatch.setattr(relunet, "lip_bound", declared)
+    for d, w, depth in _SWEEP:
+        report = run({"command": "relu-verify", "seed": 1,
+                      "params": {"d": d, "width": w, "depth": depth, "trials": 256}})
+        assert not report["passed"], (d, w, depth)
+        assert not recheck(report["certificates"][0], None), (d, w, depth)
+
+
 def test_layer_output_bound_formula():
     assert layer_output_bound(2, 3, 0) == 4
     assert layer_output_bound(2, 3, 4) == 4 * 81
@@ -113,8 +209,8 @@ def test_verify_lipschitz_passes():
     cfg = ReLUNetConfig(d=1, width=2, depth=3)
     res = verify_lipschitz(cfg, seed=11, trials=2000)
     assert res.passed and res.layer_bound_ok
-    assert res.max_ratio <= res.bound
-    assert res.bound == 95
+    assert res.max_ratio <= res.exact < res.bound
+    assert (res.exact, res.bound) == (81, 95)
 
 
 @pytest.mark.parametrize("width,depth", [(2, 15), (3, 10), (2, 8)])
@@ -156,7 +252,8 @@ def test_layer_audit_sees_the_second_workers_chunks(monkeypatch):
     cfg = ReLUNetConfig(d=1, width=2, depth=3)
     res = verify_lipschitz(cfg, seed=1, trials=1100)
     assert not res.layer_bound_ok and not res.passed
-    _, second = relunet._falsify_chunks(cfg, 1, 1100, input_grid(cfg), range(1, 3, 2))
+    seeds = np.random.SeedSequence(1).spawn(3)
+    _, second = relunet._falsify_chunks(cfg, seeds, 1100, input_grid(cfg), range(1, 3, 2))
     assert second[-1] > 0
 
 
@@ -277,7 +374,8 @@ def test_worker_error_reaches_the_caller_and_no_thread_outlives_it(monkeypatch, 
     # chunk 0 runs on the calling thread, chunks 1 and 2 on the other two
     cfg = ReLUNetConfig(d=2, width=2, depth=2)
     npar = param_count(2, 2, 2)
-    first = np.random.default_rng(5 ^ chunk).uniform(-1.0, 1.0, size=(512, npar))[0]
+    seed = np.random.SeedSequence(5).spawn(3)[chunk]
+    first = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(512, npar))[0]
     real = relunet._batched_forward
 
     def failing(cfg, ys, X, ws=None):
@@ -336,8 +434,10 @@ def test_verify_lipschitz_memory_with_two_workers(monkeypatch):
 
 
 # (d, width, depth), seed, trials, max_ratio, layer_max_observed as recorded
-# with one allocating batched matmul per layer; trials over 512 span chunks.
-_VERIFY_GOLDEN = [
+# with one allocating batched matmul per layer, when chunk i drew from the
+# integer seed ``seed ^ i`` and no corner pair was added; trials over 512
+# span chunks.  The sampled pairs' kernel still gives them on those streams.
+_KERNEL_GOLDEN = [
     ((1, 2, 1), 1, 600, 2.547411891156039,
      (1.9525804230572321,)),
     ((1, 3, 3), 2, 700, 2.8588471426664377,
@@ -360,9 +460,59 @@ _VERIFY_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("shape,seed,trials,ratio,layers", _VERIFY_GOLDEN)
+@pytest.mark.parametrize("shape,seed,trials,ratio,layers", _KERNEL_GOLDEN)
 def test_verify_lipschitz_golden(shape, seed, trials, ratio, layers):
-    res = verify_lipschitz(ReLUNetConfig(*shape), seed=seed, trials=trials)
+    # the forward pass and the per-chunk reduction, on the recorded streams
+    cfg = ReLUNetConfig(*shape)
+    chunks = -(-trials // relunet.VERIFY_CHUNK)
+    best, seen = relunet._falsify_chunks(cfg, [seed ^ i for i in range(chunks)], trials,
+                                         input_grid(cfg), range(chunks))
+    assert repr(best) == repr(ratio)
+    assert tuple(seen) == layers
+
+
+# (d, width, depth), seed, trials, then the sampled pairs' largest ratio and
+# layer maxima (chunk i seeded by the i-th child of SeedSequence(seed)), and
+# max_ratio, the corner pair's ratio; trials over 512 span chunks.
+_VERIFY_GOLDEN = [
+    ((1, 2, 1), 1, 600, 3.687496556178342,
+     (1.9728317499708778,),
+     8.999996185302734),
+    ((1, 3, 3), 2, 700, 2.026247560081189,
+     (1.9795411893897839, 3.953870601939638, 3.441749418499346),
+     249.999662399292),
+    ((2, 2, 2), 3, 513, 2.0463751044681806,
+     (2.735876619275762, 3.032694925574918),
+     40.99996376037598),
+    ((2, 3, 4), 4, 300, 2.5901972756083245,
+     (2.6910665914034313, 3.2670376016803413, 3.5794265915665022, 3.005251343258566),
+     1356.9974994659424),
+    ((3, 2, 5), 5, 256, 2.4028358503801273,
+     (3.165666845643183, 2.9372180927445752, 3.6212071634573206, 3.0856779664711107, 5.765551187110919),
+     896.9979572296143),
+    ((3, 3, 3), 6, 1030, 3.6075725855081897,
+     (3.500184966747653, 4.620367721537914, 7.270620787815094),
+     465.9993534088135),
+    ((1, 2, 5), 7, 200, 1.569785311736954,
+     (1.9136455868779836, 2.5201790285533825, 2.747587347729596, 3.058096719107267, 2.807372329857544),
+     512.998872756958),
+    ((2, 3, 1), 8, 100, 2.708639020920193,
+     (2.6403392447504537,),
+     18.999991416931152),
+]
+
+
+@pytest.mark.parametrize("shape,seed,trials,sampled,layers,ratio", _VERIFY_GOLDEN,
+                         ids=[f"{d}-{w}-{n}-seed{seed}" for (d, w, n), seed, *_ in _VERIFY_GOLDEN])
+def test_verify_lipschitz_spawned_golden(shape, seed, trials, sampled, layers, ratio):
+    cfg = ReLUNetConfig(*shape)
+    chunks = -(-trials // relunet.VERIFY_CHUNK)
+    best, seen = relunet._falsify_chunks(cfg, np.random.SeedSequence(seed).spawn(chunks),
+                                         trials, input_grid(cfg), range(chunks))
+    assert repr(best) == repr(sampled)
+    assert tuple(seen) == layers
+    res = verify_lipschitz(cfg, seed=seed, trials=trials)
     assert repr(res.max_ratio) == repr(ratio)
-    assert res.layer_max_observed == layers
+    # the corner's activations are the hidden bounds H_j themselves
+    assert res.layer_max_observed == tuple(float(h) for h in _hidden_bounds(cfg))
 

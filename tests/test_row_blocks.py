@@ -22,6 +22,7 @@ from lipwidth.covering import (
     coverage_assignment,
     covering_lower_bound,
     greedy_packing,
+    inner_entropy,
     packing_is_maximal,
 )
 from lipwidth.spaces import DENSE_LIMIT, PreconditionError
@@ -260,10 +261,81 @@ def test_lower_bound_reads_each_row_once_and_skips_near(monkeypatch):
     # one ball holds the whole cloud: no row is read past its witness's block
     cloud = small_cloud()
     count, rows = rows_read(cloud, cloud.diameter())
-    assert count == 1 and rows == list(range(spaces.block_rows(cloud.size)))
+    assert cloud.scan_rows == 2 * spaces.block_rows(cloud.size)  # a float32 cache
+    assert count == 1 and rows == list(range(cloud.scan_rows))
     for eps in cloud.distinct_distances()[::10]:
         count, rows = rows_read(cloud, float(eps))
         assert rows == sorted(set(rows)), eps  # no row twice
+
+
+def packing_reads(fset, eps, stop_above=None):
+    """``greedy_packing``'s result and the rows of each ``within`` call, in order."""
+    calls = []
+    real = fset.within
+    fset.within = lambda rows, *a: calls.append(np.arange(fset.size)[rows].tolist()) or real(rows, *a)
+    try:
+        pack = greedy_packing(fset, eps, stop_above)
+    finally:
+        del fset.within
+    return pack, calls
+
+
+@pytest.mark.parametrize("block_elems", [1 << 10, 1 << 16])
+def test_packing_reads_only_still_far_rows(monkeypatch, block_elems):
+    # an admitted point reads its own row and the rows of its block that no
+    # earlier admission has cleared, each row once and never past its block
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(7)
+    cloud = PointSet(NormedSpace(2, "l2"), rng.uniform(-1, 1, size=(400, 2)))
+    grid = PointSet(NormedSpace(2, "l1"), [[x, y] for x in range(20) for y in range(20)])
+    for fset in (cloud, grid):
+        step = fset.scan_rows
+        dist = fset.distinct_distances()
+        for eps in np.quantile(dist, [0.0, 0.01, 0.1, 0.5]).tolist():
+            for stop in (None, 8):
+                pack, calls = packing_reads(fset, eps, stop)
+                assert pack == oracle_packing(fset, eps, stop), (eps, stop)
+                thr = eps * (1.0 + PACK_SLACK)
+                seen = []
+                for rows in calls:
+                    i = rows[0]
+                    assert i in pack.indices
+                    before = list(pack.indices[:pack.indices.index(i)])
+                    end = min(i // step * step + step, fset.size)
+                    far = [r for r in range(i, end)
+                           if not before or float(fset.dist_row(r)[before].min()) > thr]
+                    assert rows == far, (eps, i)
+                    seen += rows
+                assert seen == sorted(set(seen))  # no row twice
+
+
+def test_float32_scans_match_at_float64_rows(monkeypatch):
+    # a block's result does not depend on its size: the rule's rows (twice
+    # float64's on a float32 cache) give what float64's rows give, on a
+    # random cloud and on an integer grid whose distances tie at every radius
+    monkeypatch.setattr(spaces, "BLOCK_ELEMS", 1 << 12)
+    rng = np.random.default_rng(5)
+    cloud = PointSet(NormedSpace(3, "l2"), rng.uniform(-1, 1, size=(320, 3)))
+    grid = PointSet(NormedSpace(3, "l1"), [[x, y, z] for x in range(7) for y in range(7)
+                                           for z in range(7)])
+    sets = (cloud, grid)
+
+    def results():
+        out = []
+        for fset in sets:
+            dist = fset.distinct_distances()
+            out += [inner_entropy(fset, n).to_json() for n in (2, 4)]
+            for eps in [0.0] + np.quantile(dist, [0.0, 0.02, 0.1, 0.3, 0.7]).tolist():
+                for stop in (None, 1, 8):
+                    out += [covering_lower_bound(fset, eps, stop), greedy_packing(fset, eps, stop)]
+        return out
+
+    for fset in sets:
+        assert fset.matrix().dtype == np.float32
+        assert fset.scan_rows == spaces.block_rows(fset.size, 4) > spaces.block_rows(fset.size)
+    rule = results()
+    monkeypatch.setattr(PointSet, "scan_rows", property(lambda self: spaces.block_rows(self.size)))
+    assert results() == rule
 
 
 @pytest.mark.parametrize("block_elems", [64, 1 << 10])
@@ -281,27 +353,29 @@ def test_witness_checks_read_only_witness_rows_and_match_the_loops(monkeypatch, 
              (seq, [[60], [0, 60, 5], list(range(61))]),
              (TransportSet(40), [[20], [0, 40, 13], list(range(0, 41, 3))])]
     for fset, witnesses in cases:
-        step = spaces.block_rows(fset.size)
+        # the assignment reads float64 rows; the ball check reads the blocks
+        # of the array ``within`` reads, twice the rows on a float32 cache
+        steps = {"at": spaces.block_rows(fset.size), "within": fset.scan_rows}
         for idx in witnesses:
             for eps in {float(d) for d in fset.dist_row(idx[0])[::7]} | {0.0, 1e9}:
-                spans = []
+                spans = {"at": [], "within": []}
 
-                def span(rows):
+                def span(kind, rows):
                     if isinstance(rows, slice):
-                        spans.append((rows.start, rows.stop))
+                        spans[kind].append((rows.start, rows.stop))
                     else:
-                        spans.append((int(rows[0]), int(rows[-1]) + 1))
+                        spans[kind].append((int(rows[0]), int(rows[-1]) + 1))
 
                 # the assignment reads distances, the ball check asks within
                 real_at, real_within = fset.dist_at, fset.within
-                fset.dist_at = lambda rows: span(rows) or real_at(rows)
+                fset.dist_at = lambda rows: span("at", rows) or real_at(rows)
                 try:
                     got = coverage_assignment(fset, idx, eps)
                 except PreconditionError as exc:
                     got = str(exc)
                 finally:
                     del fset.dist_at
-                fset.within = lambda rows, *a, **k: span(rows) or real_within(rows, *a, **k)
+                fset.within = lambda rows, *a, **k: span("within", rows) or real_within(rows, *a, **k)
                 try:
                     disjoint = ball_disjoint(fset, idx, eps)
                 finally:
@@ -313,11 +387,12 @@ def test_witness_checks_read_only_witness_rows_and_match_the_loops(monkeypatch, 
                 else:
                     assert np.array_equal(got, want), (fset.size, idx, eps)
                 assert disjoint == oracle_ball_disjoint(fset, idx, eps), (fset.size, idx, eps)
-                blocks = sorted({i // step for i in idx})
-                for lo, hi in spans:  # inside one block that holds a witness
-                    assert (hi - 1) // step == lo // step in blocks, (lo, hi)
-                    assert lo in idx and hi - 1 in idx
-                assert len(spans) == 2 * len(blocks)
+                for kind, step in steps.items():
+                    blocks = sorted({i // step for i in idx})
+                    for lo, hi in spans[kind]:  # inside one block that holds a witness
+                        assert (hi - 1) // step == lo // step in blocks, (kind, lo, hi)
+                        assert lo in idx and hi - 1 in idx
+                    assert len(spans[kind]) == len(blocks), kind
 
 
 def _basis_dense(basis):

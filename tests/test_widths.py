@@ -243,6 +243,17 @@ def test_carl_transfer_flags_fabricated_bound():
     assert rep.contradiction
 
 
+def test_carl_transfer_clamps_the_index_at_zero():
+    # a claim above 3 gamma bounds the count by 1: the envelope is read at
+    # index 0 (sigma_1 / 2 = 1/2), never below it
+    assert log_entropy_lower(0) == 0.5
+    rep = carl_transfer_check(1, 0.01, 1.0, log_entropy_lower)
+    assert rep.entropy_index == 0 and not rep.contradiction
+    assert (rep.implied_entropy_upper, rep.entropy_lower_at_index) == (2.0, 0.5)
+    with pytest.raises(PreconditionError):
+        log_entropy_lower(-1)
+
+
 def test_carl_transfer_geometric_gamma_schedule():
     # width bound at gamma_n = C' n^delta lambda^n lands the entropy index
     # near c*n^2, and the log-sequence envelope stays consistent

@@ -1,13 +1,15 @@
 """Print the sha256 of every benchmark job's canonical report.
 
-Each line is ``workload seed index command digest``, one per job that
+Each line is ``workload seed index command digest bare``, one per job that
 ``perfbench/workloads.py`` generates for the named workloads (by default
 ``case-studies``, ``clouds``, ``small-clouds`` and ``relu-sweep``) at seeds 1
-and 2 (688 jobs for all four), in its order; a job that the CLI would end
-with exit 1 or 3 (a ``ValueError`` or an ``ArithmeticError``) prints the
-exception's class name in place of the digest.  The last line is the sha256
-of all the lines before it.  Two trees write the same reports when the
-outputs of one run against each tree's ``src`` are identical:
+and 2 (688 jobs for all four), in its order.  ``digest`` hashes the canonical
+report and ``bare`` the same report without its ``config`` echo, so a change
+to the echo alone moves only the first.  A job that the CLI would end with
+exit 1 or 3 (a ``ValueError`` or an ``ArithmeticError``) prints the
+exception's class name in place of both.  The last line is the sha256 of all
+the lines before it.  Two trees write the same reports when the outputs of
+one run against each tree's ``src`` are identical:
 
     PYTHONPATH=src python3 tools/report_digests.py > new.txt
     PYTHONPATH=../parent/src python3 tools/report_digests.py > old.txt
@@ -45,10 +47,13 @@ def main(argv=None) -> None:
         for seed in (1, 2):
             for i, cfg in enumerate(workloads.jobs_for(workload, seed)):
                 try:
-                    digest = hashlib.sha256(canonical_report(run(cfg)).encode()).hexdigest()
+                    report = run(cfg)
+                    bare = {k: v for k, v in report.items() if k != "config"}
+                    digests = [hashlib.sha256(canonical_report(doc).encode()).hexdigest()
+                               for doc in (report, bare)]
                 except (ValueError, ArithmeticError) as exc:
-                    digest = type(exc).__name__
-                line = f"{workload} {seed} {i} {cfg['command']} {digest}"
+                    digests = [type(exc).__name__] * 2
+                line = f"{workload} {seed} {i} {cfg['command']} {' '.join(digests)}"
                 total.update(line.encode() + b"\n")
                 print(line, flush=True)
     print(f"all {total.hexdigest()}")
