@@ -502,30 +502,27 @@ def _certify(cfg: dict, seed: int) -> tuple:
     return certs, audits
 
 
-def _points_digest(target: dict) -> dict:
-    """A points target as echoed: its space, its size ``m`` and the sha256 of
-    its points as little-endian float64 in C order, the array that
-    ``np.asarray(points, dtype="<f8")`` holds."""
-    import hashlib
-
-    try:
-        pts = np.asarray(target["points"], dtype="<f8")
-    except ValueError as exc:  # ragged rows: no command read the target
-        raise UsageError(f"bad points target: {exc}") from exc
-    return {"kind": "points", "space": target["space"], "m": len(pts),
-            "sha256": hashlib.sha256(pts.tobytes()).hexdigest()}
-
-
 def run(cfg: dict) -> dict:
     """Validate, dispatch, and assemble the run report."""
     cfg = validate_config(cfg)
     seed = int(cfg.get("seed", 0))
     start = time.perf_counter()
+    echo = {k: v for k, v in cfg.items() if k not in ("out", "format")}
+    target = cfg.get("target") or {}
+    if target.get("kind") == "points":
+        # parsed once, as little-endian float64 in C order: the handler's
+        # PointSet holds this array, and the echo is its space, size and sha256
+        import hashlib
+
+        try:
+            pts = np.asarray(target["points"], dtype="<f8")
+        except ValueError as exc:  # ragged rows
+            raise UsageError(f"bad points target: {exc}") from exc
+        cfg = dict(cfg, target=dict(target, points=pts))
+        echo["target"] = {"kind": "points", "space": target["space"], "m": len(pts),
+                          "sha256": hashlib.sha256(pts.tobytes()).hexdigest()}
     certs, audits = _certify(cfg, seed)
     passed = all(a.get("passed", False) for a in audits) if audits else True
-    echo = {k: v for k, v in cfg.items() if k not in ("out", "format")}
-    if (cfg.get("target") or {}).get("kind") == "points":
-        echo["target"] = _points_digest(cfg["target"])
     report = {
         # validated, so already JSON-safe; where and how it is written is not
         # echoed, nor a points target's coordinates

@@ -240,12 +240,15 @@ def _greedy_cover(masks: list[int], m: int, most: int) -> Optional[list[int]]:
     while rest:
         if len(chosen) == most:
             return None
-        gains = [(mask & rest).bit_count() for mask in masks]
-        best = max(gains)
+        best, pick = 0, -1
+        for c, mask in enumerate(masks):
+            gain = (mask & rest).bit_count()
+            if gain > best:  # the first maximum
+                best, pick = gain, c
         if not best:
             raise PreconditionError("a point is covered by no ball (eps too small?)")
-        chosen.append(gains.index(best))  # the first maximum
-        rest &= ~masks[chosen[-1]]
+        chosen.append(pick)
+        rest &= ~masks[pick]
     return chosen
 
 
@@ -325,10 +328,17 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
         size, centers = exact_min_cover(masks, m)
         return CoveringResult(eps, centers, exact=True)
     # uncovered points in each ball; distances are symmetric, so a freshly
-    # covered point p leaves exactly the balls its own row puts it in
+    # covered point p leaves exactly the balls its own row puts it in.  A
+    # block's counts are at most m, summed as bytes into a narrow type (a bool
+    # sum casts every entry to int64)
     step = fset.scan_rows
-    gains = np.concatenate([fset.within(slice(lo, min(lo + step, m)), eps).sum(axis=1)
-                            for lo in range(0, m, step)])
+    count = np.uint16 if m < 1 << 16 else np.int64
+
+    def counts(rows, axis):
+        return fset.within(rows, eps).view(np.uint8).sum(axis, dtype=count)
+
+    gains = np.concatenate([counts(slice(lo, min(lo + step, m)), 1)
+                            for lo in range(0, m, step)]).astype(np.int64)
     covered = np.zeros(m, dtype=bool)
     centers = []
     while not covered.all():
@@ -339,7 +349,7 @@ def minimal_inner_covering(fset: FiniteSet, eps: float) -> CoveringResult:
         fresh = np.flatnonzero(fset.within(slice(best_c, best_c + 1), eps)[0] & ~covered)
         covered[fresh] = True
         for _, rows in _rows_of(fresh, step):
-            gains -= fset.within(rows, eps).sum(axis=0)
+            gains -= counts(rows, 0)
     return CoveringResult(eps, tuple(centers), exact=False)
 
 

@@ -39,9 +39,6 @@ VERIFY_CHUNK = 512
 # The corner pair's step: (1, 1 - CORNER_STEP * 1), both exact in binary.
 CORNER_STEP = 2.0 ** -20
 
-# A 4 KiB page and half of it, in float64 entries.
-_PAGE, _HALF_PAGE = 512, 256
-
 
 @dataclass(frozen=True)
 class ReLUNetConfig:
@@ -127,60 +124,49 @@ def input_grid(cfg: ReLUNetConfig) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _layer_buffers(n: int):
-    """Two n-entry float buffers from one workspace, the second starting half a
-    page (2 KiB) past the first modulo 4 KiB.  A layer reads one buffer and
-    writes the other; were they a whole number of pages apart, loads and stores
-    at equal offsets would stall on false dependencies (4K aliasing).  Half a
-    page is the farthest from that in either direction, so the buffers may swap
-    roles each layer."""
-    gap = (_HALF_PAGE - n) % _PAGE
-    ws = np.empty(2 * n + gap)
-    return ws[:n], ws[n + gap:]
-
-
-def _workspace(cfg: ReLUNetConfig, rows: int, P: int) -> tuple:
-    """The layer buffers and output rows of a forward pass over at most
-    ``rows`` parameter rows on P grid points, for reuse across calls."""
-    block = max(1, min(rows, spaces.BLOCK_ELEMS // (cfg.width * P)))
-    first, second = _layer_buffers(block * cfg.width * P)
-    return first, second, np.empty((rows, 1, P))
+def _workspace(cfg: ReLUNetConfig, rows: int, X: np.ndarray) -> tuple:
+    """The two (rows, W, P) layer buffers, the (rows, 1, P) output rows and the
+    transposed grid of forward passes over at most ``rows`` parameter rows on
+    X's P points.  At d = 1 the grid gets a zero row: numpy's matmul keeps an
+    inner dimension of 1 off BLAS."""
+    grid = np.zeros((max(2, cfg.d), X.shape[0]))
+    grid[:cfg.d] = X.T
+    layer = (rows, cfg.width, X.shape[0])
+    return np.empty(layer), np.empty(layer), np.empty((rows, 1, X.shape[0])), grid
 
 
 def _batched_forward(cfg: ReLUNetConfig, ys: np.ndarray, X: np.ndarray, ws=None):
     """Outputs (T, P) for T parameter vectors over P grid points, and the
     largest activation after each hidden layer.
 
-    Rows go through the net in blocks of ``spaces.BLOCK_ELEMS // (W P)``, so
-    a block's (rows, W, P) activations stay in cache whatever T is.  In each
-    block, layer 0 is one GEMM over the shared grid, later layers alternate
-    between two reused buffers, and the last layer writes into the block's
-    output rows.  No row's arithmetic depends on the blocking.  ``ws``, from
-    ``_workspace`` for at least T rows, holds the buffers and the outputs;
-    without it they are allocated for this call."""
-    T, P, W = ys.shape[0], X.shape[0], cfg.width
+    The rows go through the net as one block: layer 0 is one GEMM over the
+    shared grid, later layers alternate between the two layer buffers, and
+    the last layer writes into the output rows.  The caller bounds T so that
+    the (T, W, P) activations stay in cache (``_falsify_chunks``).  ``ws``,
+    from ``_workspace`` for at least T rows on X, holds the buffers, the
+    outputs and the grid; without it they are allocated for this call."""
+    T = ys.shape[0]
+    first, second, out, grid = ws if ws is not None else _workspace(cfg, T, X)
+    h, buf, out = first[:T], second[:T], out[:T]  # out: a 1 x P matrix per row
+    layer_max = []  # h >= 0 after each ReLU
     slices = layer_slices(cfg)
-    block = max(1, min(T, spaces.BLOCK_ELEMS // (W * P)))
-    first, second, out = ws if ws is not None else _workspace(cfg, T, P)
-    out = out[:T]  # a 1 x P matrix per row: the last GEMM's out=
-    layer_max = [0.0] * cfg.depth  # h >= 0 after each ReLU
-    for t0 in range(0, T, block):
-        y = ys[t0:t0 + block]
-        B = y.shape[0]
-        h = first[:B * W * P].reshape(B, W, P)
-        buf = second[:B * W * P].reshape(B, W, P)
-        a, b, rows, cols = slices[0]
-        np.matmul(y[:, a].reshape(B * rows, cols), X.T, out=h.reshape(B * rows, P))
-        for j, (a, b, rows, cols) in enumerate(slices[:-1]):
-            if j:
-                np.matmul(y[:, a].reshape(B, rows, cols), h, out=buf)
-                h, buf = buf, h
-            h += y[:, b][:, :, None]
-            np.maximum(h, 0.0, out=h)
-            layer_max[j] = max(layer_max[j], float(h.max()))
-        a, b, rows, cols = slices[-1]
-        np.matmul(y[:, a].reshape(B, rows, cols), h, out=out[t0:t0 + B])
-        out[t0:t0 + B, 0] += y[:, b]
+    a, b, rows, cols = slices[0]
+    # at d = 1 a zero column meets the grid's zero row; the sums keep their
+    # bytes, signed zeros included
+    K, P = grid.shape
+    weights = np.zeros((T, rows, K))
+    weights[:, :, :cols] = ys[:, a].reshape(T, rows, cols)
+    np.matmul(weights.reshape(T * rows, K), grid, out=h.reshape(T * rows, P))
+    for j, (a, b, rows, cols) in enumerate(slices[:-1]):
+        if j:
+            np.matmul(ys[:, a].reshape(T, rows, cols), h, out=buf)
+            h, buf = buf, h
+        h += ys[:, b][:, :, None]
+        np.maximum(h, 0.0, out=h)
+        layer_max.append(float(h.max(initial=0.0)))
+    a, b, rows, cols = slices[-1]
+    np.matmul(ys[:, a].reshape(T, rows, cols), h, out=out)
+    out[:, 0] += ys[:, b]
     return out[:, 0, :], layer_max
 
 
@@ -196,13 +182,15 @@ def _falsify_chunks(cfg: ReLUNetConfig, seeds: list, trials: int, X: np.ndarray,
     """Largest ratio and per-layer maxima over the chunks ``chunks``.
 
     Chunk i holds pairs i * VERIFY_CHUNK onwards and draws them from
-    ``seeds[i]``, ya then yb.  Its pairs go through ``_batched_forward`` a
-    block at a time, the block's ya rows followed by the same pairs' yb rows,
-    and each block is reduced to its pairs' sup |Phi(ya) - Phi(yb)| while it
-    is in cache.  One workspace serves every block."""
+    ``seeds[i]``, ya then yb.  Its pairs go through ``_batched_forward`` in
+    blocks of ``spaces.BLOCK_ELEMS // (W P) // 2`` pairs, so a layer buffer
+    holds at most ``BLOCK_ELEMS`` entries or one pair's.  A block is its
+    ya rows followed by the same pairs' yb rows, reduced to their sup
+    |Phi(ya) - Phi(yb)| while it is in cache.  One workspace serves every
+    block, and no result depends on the blocking."""
     npar, P = param_count(cfg.d, cfg.width, cfg.depth), X.shape[0]
     pairs = max(1, spaces.BLOCK_ELEMS // (cfg.width * P) // 2)
-    ws = _workspace(cfg, 2 * pairs, P)
+    ws = _workspace(cfg, 2 * pairs, X)
     ys = np.empty((2 * pairs, npar))
     best = 0.0
     layer_seen = [0.0] * cfg.depth

@@ -466,3 +466,38 @@ def reference_min_cover(masks, m, limit=None):
     if limit is not None and best[0] > limit:
         return None
     return tuple(best)
+
+
+def list_greedy_cover(masks, m, most):
+    """``covering._greedy_cover`` as it was with a gains list, ``max`` and
+    ``index``, verbatim: the greedy cover of {0..m-1}, most fresh points,
+    lowest index on ties; None once it needs more than ``most`` sets."""
+    chosen = []
+    rest = (1 << m) - 1
+    while rest:
+        if len(chosen) == most:
+            return None
+        gains = [(mask & rest).bit_count() for mask in masks]
+        best = max(gains)
+        if not best:
+            raise PreconditionError("a point is covered by no ball (eps too small?)")
+        chosen.append(gains.index(best))  # the first maximum
+        rest &= ~masks[chosen[-1]]
+    return chosen
+
+
+def int64_greedy_cover(fset, eps) -> tuple:
+    """The centers of the greedy inner eps-cover, each ball's count of
+    uncovered points kept as int64 bool sums over whole blocks: the most
+    fresh points, lowest index on ties."""
+    m = fset.size
+    gains = fset.within(slice(0, m), eps).sum(axis=1)
+    covered = np.zeros(m, dtype=bool)
+    centers = []
+    while not covered.all():
+        c = int(np.argmax(gains))
+        centers.append(c)
+        fresh = np.flatnonzero(fset.within(slice(c, c + 1), eps)[0] & ~covered)
+        covered[fresh] = True
+        gains -= fset.within(fresh, eps).sum(axis=0)
+    return tuple(centers)

@@ -243,6 +243,28 @@ def test_points_target_is_echoed_by_size_and_digest():
     assert json.loads(canonical_report(report))["config"] == report["config"]
 
 
+def test_points_target_is_parsed_once(monkeypatch):
+    # the handler's PointSet and the witness recheck's hold the very array
+    # whose bytes the echo hashes
+    from lipwidth import cli as climod
+
+    held = []
+    real = climod._target_set
+
+    def spy(cfg, seed):
+        fset = real(cfg, seed)
+        held.append((cfg["target"]["points"], fset.points))
+        return fset
+
+    monkeypatch.setattr(climod, "_target_set", spy)
+    report = run({"command": "entropy", "target": _points(_random_points(64), dim=3),
+                  "params": {"n": 1}, "verify_witness": True})
+    assert len(held) == 2
+    for parsed, points in held:
+        assert parsed.dtype == np.dtype("<f8") and points is parsed
+        assert hashlib.sha256(points.tobytes()).hexdigest() == report["config"]["target"]["sha256"]
+
+
 def test_points_echo_does_not_grow_with_the_points():
     sizes = []
     for m in (1024, 8192):

@@ -38,7 +38,7 @@ from lipwidth.case_studies import (
 )
 from lipwidth.spaces import DENSE_LIMIT, FiniteSet, PreconditionError
 from oracles import (build_path_map, dense_twin, entropy_search, evaluate,
-                     reference_min_cover)
+                     int64_greedy_cover, list_greedy_cover, reference_min_cover)
 
 
 def basis_cloud():
@@ -283,6 +283,47 @@ def test_exact_bracket_whose_witness_is_the_first_cover_within_the_budget():
     # without a limit the search runs past that cover to a minimum one
     assert exact_min_cover(masks, 11) == reference_min_cover(masks, 11)
     assert minimal_inner_covering(ps, 1.0).size == 3
+
+
+def test_greedy_cover_matches_the_list_greedy():
+    # masks of one to three points each over at most 12 points tie at most
+    # steps; some leave a point uncovered, and both must raise there
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        m = int(rng.integers(1, 13))
+        masks = [int(np.bitwise_or.reduce(1 << rng.integers(0, m, size=int(rng.integers(1, 4)))))
+                 for _ in range(int(rng.integers(1, 2 * m + 1)))]
+        for most in sorted({1, max(1, m // 2), m}):
+            try:
+                want = list_greedy_cover(masks, m, most)
+            except PreconditionError:
+                with pytest.raises(PreconditionError, match="covered by no ball"):
+                    covering._greedy_cover(masks, m, most)
+                continue
+            assert covering._greedy_cover(masks, m, most) == want
+
+
+@pytest.mark.parametrize("shape,p,size,radii", [
+    ("cloud", "l2", 60, (0.05, 0.15, 0.3, 0.5)),  # fractions of the diameter
+    ("cloud", "l1", 600, (0.05, 0.15, 0.3, 0.5)),
+    ("grid", 1, 12, (1.0, 2.0, 3.0, 5.0)),  # distances: gains tie everywhere
+    ("grid", "inf", 24, (1.0, 2.0, 3.0, 5.0))])
+def test_greedy_inner_cover_matches_int64_counts(shape, p, size, radii):
+    # byte counts summed into uint16 give the int64 counts' cover.  The
+    # 600-point cloud and the 24^2 grid cache float32 distances, and balls
+    # of more than 255 points
+    if shape == "cloud":
+        ps = PointSet(NormedSpace(3, p), np.random.default_rng(size).uniform(-1, 1, (size, 3)))
+        radii = [q * ps.diameter() for q in radii]
+    else:
+        axis = np.arange(size, dtype=float)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        ps = PointSet(lp_space(2, p), grid)
+    assert ps.size > N_EXACT
+    for eps in list(radii) + [ps.diameter()]:
+        cover = minimal_inner_covering(ps, eps)
+        assert not cover.exact
+        assert cover.center_indices == int64_greedy_cover(ps, eps), eps
 
 
 def test_covering_lower_bound_sound():

@@ -17,6 +17,7 @@ from lipwidth.relunet import (
     _batched_forward,
     input_grid,
     layer_output_bound,
+    layer_slices,
     lip_bound,
     param_count,
     verify_lipschitz,
@@ -296,10 +297,10 @@ def test_grid_shapes():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_batched_forward_matches_pointwise_forward(monkeypatch, seed):
-    # every row and grid point of the batched pass equals the per-point net.  With blocks of 4 rows, T = 11 spans
-    # three blocks and the last one is ragged.  d = 2 on a 7-point grid gives
-    # P = 49, so rows of P float64 entries (392 B) do not tile 4 KiB pages.
+def test_batched_forward_matches_pointwise_forward(seed):
+    # every row and grid point of the batched pass equals the per-point net,
+    # for none, one, several and strided rows.  d = 2 on a 7-point grid gives
+    # an odd P = 49.
     rng = np.random.default_rng(seed)
     cfgs = [ReLUNetConfig(d=int(rng.integers(1, 4)), width=int(rng.integers(2, 4)),
                           depth=int(rng.integers(1, 6)), grid=3) for _ in range(5)]
@@ -309,30 +310,73 @@ def test_batched_forward_matches_pointwise_forward(monkeypatch, seed):
         X = input_grid(cfg)
         npar = param_count(cfg.d, cfg.width, cfg.depth)
         pool = rng.uniform(-1, 1, size=(12, npar))
-        for block in (spaces.BLOCK_ELEMS, 4 * cfg.width * X.shape[0]):
-            monkeypatch.setattr(spaces, "BLOCK_ELEMS", block)
-            for ys in (pool[:0], pool[:1], pool[:6], pool[::3], pool[:11]):  # strided 4
-                out, _ = _batched_forward(cfg, ys, X)
-                assert out.shape == (ys.shape[0], X.shape[0])
-                for t, y in enumerate(ys):
-                    want = [forward(cfg, y, x) for x in X]
-                    assert np.allclose(out[t], want, rtol=0, atol=1e-12)
+        for ys in (pool[:0], pool[:1], pool[:6], pool[::3], pool[:11]):  # strided 4
+            out, _ = _batched_forward(cfg, ys, X)
+            assert out.shape == (ys.shape[0], X.shape[0])
+            for t, y in enumerate(ys):
+                want = [forward(cfg, y, x) for x in X]
+                assert np.allclose(out[t], want, rtol=0, atol=1e-12)
+
+
+def _unpadded_forward(cfg, ys, X):
+    """The batched pass with fresh arrays and layer 0 as the plain
+    (T W, d) @ (d, P) product: at d = 1 an inner dimension of 1."""
+    slices = layer_slices(cfg)
+    a, b, rows, cols = slices[0]
+    T = ys.shape[0]
+    h = np.matmul(ys[:, a].reshape(T * rows, cols), X.T).reshape(T, rows, -1)
+    layer_max = []
+    for j, (a, b, rows, cols) in enumerate(slices[:-1]):
+        if j:
+            h = np.matmul(ys[:, a].reshape(T, rows, cols), h)
+        h = np.maximum(h + ys[:, b][:, :, None], 0.0)
+        layer_max.append(float(h.max(initial=0.0)))
+    a, b, rows, cols = slices[-1]
+    return np.matmul(ys[:, a].reshape(T, rows, cols), h)[:, 0] + ys[:, b], layer_max
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1), (1, 3, 3), (1, 2, 5)])
+def test_one_input_forward_keeps_the_unpadded_bytes(shape):
+    # at d = 1 layer 0 runs with a zero column against the grid's zero row;
+    # outputs and layer maxima keep the bytes of the inner dimension 1, on
+    # random rows, the corner pair, zero rows of both signs and negative
+    # layer-0 weights at the grid point x = 0, where each product is -0.0
+    cfg = ReLUNetConfig(*shape)
+    X = input_grid(cfg)
+    assert X[0, 0] == 0.0
+    npar = param_count(*shape)
+    a, b, _, _ = layer_slices(cfg)[0]
+    rng = np.random.default_rng(sum(shape))
+    negative = rng.uniform(-1, 1, size=(8, npar))
+    negative[:, a] = -np.abs(negative[:, a])
+    negative[4:, b] = -0.0  # a -0.0 sum would keep its sign past this bias
+    ys = np.vstack([rng.uniform(-1, 1, size=(40, npar)), np.ones(npar),
+                    np.full(npar, 1.0 - relunet.CORNER_STEP), np.zeros((2, npar)),
+                    np.full((2, npar), -0.0), negative])
+    out, layer_max = _batched_forward(cfg, ys, X)
+    want, want_max = _unpadded_forward(cfg, ys, X)
+    assert out.tobytes() == want.tobytes()
+    assert repr(layer_max) == repr(want_max)
+    for i in range(0, ys.shape[0], 5):  # and row by row
+        assert _batched_forward(cfg, ys[i:i + 5], X)[0].tobytes() == want[i:i + 5].tobytes()
 
 
 @pytest.mark.parametrize("shape,grid", [((1, 2, 3), 3), ((2, 3, 2), 7), ((3, 3, 5), None)])
 def test_forward_rows_do_not_depend_on_blocking(monkeypatch, shape, grid):
-    # 2.5 blocks at the real BLOCK_ELEMS give the same bits as one row per
-    # call, and the same bits and layer maxima as one block
+    # the falsifier's pairs go through the forward pass in blocks; one pair,
+    # three pairs and the default number per block give the same ratio and
+    # layer maxima, over a full chunk and a ragged one
     cfg = ReLUNetConfig(*shape, grid=grid)
     X = input_grid(cfg)
-    T = 5 * spaces.BLOCK_ELEMS // (2 * cfg.width * X.shape[0])
-    ys = np.random.default_rng(T).uniform(-1, 1, size=(T, param_count(*shape)))
-    out, layer_max = _batched_forward(cfg, ys, X)
-    rows = [_batched_forward(cfg, y[None], X)[0] for y in ys[::7]]
-    assert np.array_equal(out[::7], np.vstack(rows))
-    monkeypatch.setattr(spaces, "BLOCK_ELEMS", T * cfg.width * X.shape[0])
-    one, one_max = _batched_forward(cfg, ys, X)
-    assert np.array_equal(out, one) and layer_max == one_max
+    seeds = np.random.SeedSequence(sum(shape)).spawn(2)
+    per_pair = 2 * cfg.width * X.shape[0]
+    results = []
+    for block in (spaces.BLOCK_ELEMS, per_pair, 3 * per_pair):
+        monkeypatch.setattr(spaces, "BLOCK_ELEMS", block)
+        best, seen = relunet._falsify_chunks(cfg, seeds, 600, X, range(2))
+        results.append((repr(best), repr(seen)))
+    assert spaces.BLOCK_ELEMS // per_pair == 3
+    assert results[1:] == results[:1] * 2
 
 
 def test_verify_lipschitz_memory_does_not_grow_with_the_chunk():
